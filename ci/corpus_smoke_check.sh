@@ -17,9 +17,13 @@
 #   * full warm coverage — the warm run serves every instruction from
 #     the corpus (hits == tested instructions, misses == 0) while the
 #     cold run serves none;
-#   * warm payoff — the warm wall clock beats the cold one by at least
-#     `warm_speedup_min` from ci/perf_expectations.json;
+#   * warm payoff — end to end (the rows' wall clock plus the corpus
+#     load and save times table2 records), the warm run beats the cold
+#     one by at least `warm_speedup_min` from ci/perf_expectations.json;
 #   * totals — every run matches the committed Table 2 expectations.
+#
+# The timed runs invoke the built binary directly: `cargo run` adds
+# its own start-up to every run and inflates the timings.
 #
 # Usage: ci/corpus_smoke_check.sh [--release]
 set -euo pipefail
@@ -28,9 +32,14 @@ ci_dir="$(cd "$(dirname "$0")" && pwd)"
 expect="$ci_dir/perf_expectations.json"
 
 profile=()
+build_dir=debug
 if [ "${1:-}" = "--release" ]; then
     profile=(--release)
+    build_dir=release
 fi
+cargo build --quiet "${profile[@]}" --manifest-path "$ci_dir/../Cargo.toml" \
+    -p igjit-bench --bin table2
+table2=("${CARGO_TARGET_DIR:-$ci_dir/../target}/$build_dir/table2")
 
 scratch="$(mktemp -d "${TMPDIR:-/tmp}/igjit-corpus-smoke.XXXXXX")"
 trap 'rm -rf "$scratch"' EXIT
@@ -43,9 +52,6 @@ run_table2() {
     shift
     (cd "$scratch" && "$@" > "$out" )
 }
-
-table2=(cargo run --quiet "${profile[@]}" --manifest-path "$ci_dir/../Cargo.toml" \
-        -p igjit-bench --bin table2 --)
 
 echo "=== corpus-smoke: baseline (no corpus) ==="
 IGJIT_THREADS=1 run_table2 baseline.out "${table2[@]}"
@@ -101,19 +107,27 @@ if cold_corpus["hits"] != 0 or cold_corpus["misses"] != instructions:
 if warm_corpus["hits"] != instructions or warm_corpus["misses"] != 0:
     sys.exit(f"corpus-smoke: warm run should replay everything: {warm_corpus}")
 
+def end_to_end(rec):
+    """Rows plus the corpus I/O around them: what a re-check waits for."""
+    return (rec["metrics"]["wall_clock_ms"] + rec["corpus_load_ms"]
+            + rec["corpus_save_ms"])
+
+
 floor = expect["warm_speedup_min"]
-cold_ms = cold["metrics"]["wall_clock_ms"]
-warm_ms = warm["metrics"]["wall_clock_ms"]
+cold_ms = end_to_end(cold)
+warm_ms = end_to_end(warm)
 speedup = cold_ms / warm_ms if warm_ms > 0 else float("inf")
 if speedup < floor:
     sys.exit(
-        f"corpus-smoke: warm replay too slow: cold {cold_ms:.1f} ms vs "
-        f"warm {warm_ms:.1f} ms ({speedup:.2f}x, expected >= {floor}x)"
+        f"corpus-smoke: warm re-check too slow end to end: cold {cold_ms:.1f} ms "
+        f"vs warm {warm_ms:.1f} ms ({speedup:.2f}x, expected >= {floor}x)"
     )
 
 print(
-    f"corpus-smoke: warm replay {speedup:.1f}x faster "
-    f"({cold_ms:.1f} ms cold vs {warm_ms:.1f} ms warm), "
+    f"corpus-smoke: warm re-check {speedup:.1f}x faster end to end "
+    f"({cold_ms:.1f} ms cold vs {warm_ms:.1f} ms warm: rows "
+    f"{warm['metrics']['wall_clock_ms']:.1f} + load {warm['corpus_load_ms']:.1f} "
+    f"+ save {warm['corpus_save_ms']:.1f} ms), "
     f"{warm_corpus['hits']}/{instructions} instructions corpus-served, "
     "sharded merge row-identical"
 )

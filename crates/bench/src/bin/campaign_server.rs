@@ -59,9 +59,9 @@ fn usage() -> ! {
          \x20 --corpus PATH  persistent corpus (also IGJIT_CORPUS)\n\
          \x20 --help         this text\n\
          \n\
-         environment: IGJIT_THREADS, IGJIT_CODE_CACHE, IGJIT_HEAP_SNAPSHOT,\n\
-         IGJIT_PREDECODE, IGJIT_INTERP_PREDECODE, IGJIT_HASH_CONS, IGJIT_FAMILY_SHARE,\n\
-         IGJIT_TIER5, IGJIT_NEGATE_THREADS, IGJIT_CORPUS (IGJIT_MUTANT is refused)"
+         environment: IGJIT_THREADS, IGJIT_HEAP_SNAPSHOT, IGJIT_PREDECODE,\n\
+         IGJIT_INTERP_PREDECODE, IGJIT_HASH_CONS, IGJIT_FAMILY_SHARE, IGJIT_TIER5,\n\
+         IGJIT_SOLVER_TRAIL, IGJIT_NEGATE_THREADS, IGJIT_CORPUS (IGJIT_MUTANT is refused)"
     );
     std::process::exit(2);
 }

@@ -57,5 +57,5 @@ fn main() {
         println!("{}", ascii_histogram(data, 8, 40));
     }
     print_metrics_summary(&aggregate_metrics(&reports));
-    write_metrics_json("figure7.metrics.json", &reports);
+    write_metrics_json("figure7.metrics.json", &reports, None);
 }

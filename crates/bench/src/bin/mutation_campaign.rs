@@ -639,7 +639,6 @@ fn main() {
         isas: vec![Isa::X86ish, Isa::Arm32ish],
         probes: true,
         threads: knobs.threads_or_default(),
-        code_cache: knobs.code_cache_enabled(),
         heap_snapshot: knobs.heap_snapshot_enabled(),
         predecode: knobs.predecode_enabled(),
         interp_predecode: knobs.interp_predecode_enabled(),

@@ -6,10 +6,13 @@
 //! Observability: renders a live per-row progress line on stderr,
 //! writes `table2.metrics.json` (per-stage wall-clock, cache hit
 //! rates) next to the textual report, and appends one machine-readable
-//! record per run to `BENCH_table2.json` (JSON Lines). `IGJIT_THREADS`
-//! overrides the worker count; `IGJIT_CODE_CACHE=0` disables the
-//! compiled-code cache; `IGJIT_HEAP_SNAPSHOT=0` disables base-image
-//! replay (re-materializing the heap for every engine run instead).
+//! record per run to `BENCH_table2.json` (JSON Lines). With a corpus
+//! attached, both also carry `corpus_load_ms` (constructing the
+//! campaign on the file) and `corpus_save_ms` (`save_corpus`), so a
+//! warm re-check's end-to-end cost is the rows' `wall_clock_ms` plus
+//! those two. `IGJIT_THREADS` overrides the worker count;
+//! `IGJIT_HEAP_SNAPSHOT=0` disables base-image replay
+//! (re-materializing the heap for every engine run instead).
 //!
 //! Engine v7 adds two scale knobs:
 //!
@@ -27,8 +30,10 @@
 use std::io::{BufRead, Write};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::time::{Duration, Instant};
 
 use igjit::aggregate_metrics;
+use igjit::report::CorpusIo;
 use igjit::{
     instruction_catalog, native_catalog, Campaign, CompilerKind, InstrUnderTest, InstructionOutcome,
     NativeMethodId, Target,
@@ -67,10 +72,10 @@ fn usage() -> ! {
          \x20                to a cold run)\n\
          \x20 --help         this text\n\
          \n\
-         environment: IGJIT_THREADS, IGJIT_CODE_CACHE, IGJIT_HEAP_SNAPSHOT,\n\
-         IGJIT_PREDECODE, IGJIT_INTERP_PREDECODE, IGJIT_HASH_CONS, IGJIT_FAMILY_SHARE,\n\
-         IGJIT_TIER5, IGJIT_SOLVER_TRAIL, IGJIT_NEGATE_THREADS, IGJIT_MUTANT,\n\
-         IGJIT_CORPUS, IGJIT_CAMPAIGN_JOBS"
+         environment: IGJIT_THREADS, IGJIT_HEAP_SNAPSHOT, IGJIT_PREDECODE,\n\
+         IGJIT_INTERP_PREDECODE, IGJIT_HASH_CONS, IGJIT_FAMILY_SHARE, IGJIT_TIER5,\n\
+         IGJIT_SOLVER_TRAIL, IGJIT_NEGATE_THREADS, IGJIT_MUTANT, IGJIT_CORPUS,\n\
+         IGJIT_CAMPAIGN_JOBS"
     );
     std::process::exit(2);
 }
@@ -288,13 +293,16 @@ fn main() {
     if args.corpus.is_some() {
         config.corpus = args.corpus.clone();
     }
+    let t_load = Instant::now();
     let mut campaign = Campaign::new(config);
+    let corpus_load = t_load.elapsed();
     if let Some(stats) = campaign.corpus_load_stats() {
         eprintln!(
-            "corpus: {} outcomes, {} explorations, {} artifacts loaded{}{}",
+            "corpus: {} outcomes, {} explorations, {} artifacts in {:.1} ms{}{}",
             stats.outcomes,
             stats.explorations,
             stats.code,
+            corpus_load.as_secs_f64() * 1e3,
             if stats.stale_sections > 0 {
                 format!(" ({} stale section(s) dropped)", stats.stale_sections)
             } else {
@@ -312,10 +320,9 @@ fn main() {
     let campaign = with_live_progress(campaign);
     eprintln!(
         "running the native-method and three bytecode campaigns{} \
-         (both ISAs, probing on, {} thread(s), code cache {}, heap snapshots {})…",
+         (both ISAs, probing on, {} thread(s), heap snapshots {})…",
         if campaign.config().meta_tier { " plus the meta tier" } else { "" },
         campaign.config().threads,
-        if campaign.config().code_cache { "on" } else { "off" },
         if campaign.config().heap_snapshot { "on" } else { "off" },
     );
     let reports = campaign.run_all();
@@ -325,22 +332,30 @@ fn main() {
     );
     print_table2(&reports);
     print_metrics_summary(&aggregate_metrics(&reports));
-    write_metrics_json("table2.metrics.json", &reports);
-    append_bench_json("BENCH_table2.json", &reports);
     // A corpus written under an armed mutant would be fingerprint-
     // isolated from pristine runs, but skipping the save keeps mutant
     // sweeps from churning the file at all.
+    let mut corpus_save = Duration::ZERO;
     if igjit::mutate::current().is_none() {
-        match campaign.save_corpus() {
+        let t_save = Instant::now();
+        let saved = campaign.save_corpus();
+        corpus_save = t_save.elapsed();
+        let ms = corpus_save.as_secs_f64() * 1e3;
+        match saved {
             None => {}
             Some(Ok(igjit_corpus::SaveOutcome::Unchanged)) => {
-                eprintln!("corpus: unchanged");
+                eprintln!("corpus: unchanged ({ms:.1} ms)");
             }
             Some(Ok(igjit_corpus::SaveOutcome::Written { bytes })) => {
-                eprintln!("corpus: {bytes} bytes written");
+                eprintln!("corpus: {bytes} bytes written ({ms:.1} ms)");
             }
             Some(Err(e)) => eprintln!("corpus: write failed: {e}"),
         }
     }
+    let corpus_io = campaign
+        .corpus_load_stats()
+        .map(|_| CorpusIo { load: corpus_load, save: corpus_save });
+    write_metrics_json("table2.metrics.json", &reports, corpus_io);
+    append_bench_json("BENCH_table2.json", &reports, corpus_io);
     let _ = std::io::stderr().flush();
 }

@@ -6,7 +6,7 @@
 
 use std::io::Write;
 
-use igjit::report;
+use igjit::report::{self, CorpusIo};
 use igjit::{aggregate_metrics, Campaign, CampaignConfig, CampaignReport, Isa, Metrics};
 
 /// The strictly parsed `IGJIT_*` knobs. Unknown `IGJIT_*` variables
@@ -27,12 +27,6 @@ pub fn env_knobs() -> igjit::env::EnvKnobs {
 /// parallelism. Malformed values are fatal.
 pub fn campaign_threads() -> usize {
     env_knobs().threads_or_default()
-}
-
-/// Whether the compiled-code cache is enabled: the `IGJIT_CODE_CACHE`
-/// environment variable, default on. Malformed values are fatal.
-pub fn code_cache_enabled() -> bool {
-    env_knobs().code_cache_enabled()
 }
 
 /// Whether heap snapshot/restore replay is enabled: the
@@ -131,8 +125,8 @@ pub fn arm_mutant_from_env() -> Option<igjit::MutantGuard> {
 
 /// The evaluation configuration used by every harness binary: both
 /// ISAs, probing enabled (the paper's §5.1 setup), worker threads from
-/// [`campaign_threads`], code cache from [`code_cache_enabled`], heap
-/// snapshots from [`heap_snapshot_enabled`], predecoded replay from
+/// [`campaign_threads`], heap snapshots from
+/// [`heap_snapshot_enabled`], predecoded replay from
 /// [`predecode_enabled`], persistent corpus from [`corpus_path`].
 pub fn paper_campaign() -> Campaign {
     Campaign::new(paper_config())
@@ -146,7 +140,6 @@ pub fn paper_config() -> CampaignConfig {
         isas: vec![Isa::X86ish, Isa::Arm32ish],
         probes: true,
         threads: campaign_threads(),
-        code_cache: code_cache_enabled(),
         heap_snapshot: heap_snapshot_enabled(),
         predecode: predecode_enabled(),
         interp_predecode: interp_predecode_enabled(),
@@ -175,10 +168,11 @@ pub fn with_live_progress(campaign: Campaign) -> Campaign {
     campaign.on_progress(|p| progress_line(&p.row, p.completed, p.total, &p.current))
 }
 
-/// Writes the observability JSON for a campaign run next to the
-/// textual report and says where it went.
-pub fn write_metrics_json(path: &str, reports: &[CampaignReport]) {
-    match std::fs::write(path, report::metrics_json(reports)) {
+/// Writes the observability JSON for a campaign run (with its corpus
+/// I/O times, when a corpus was attached) next to the textual report
+/// and says where it went.
+pub fn write_metrics_json(path: &str, reports: &[CampaignReport], corpus_io: Option<CorpusIo>) {
+    match std::fs::write(path, report::metrics_json(reports, corpus_io)) {
         Ok(()) => eprintln!("metrics: {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
     }
@@ -186,12 +180,12 @@ pub fn write_metrics_json(path: &str, reports: &[CampaignReport]) {
 
 /// Appends one machine-readable benchmark record (JSON Lines) to
 /// `path`: timestamp, the knob configuration it ran under, thread
-/// count, wall clock, per-stage sums and maxima, both cache hit rates
-/// and the aggregated Table 2 totals. Appending keeps the history of
+/// count, wall clock, corpus load and save times, per-stage sums and
+/// maxima, both cache hit rates and the aggregated Table 2 totals. Appending keeps the history of
 /// runs, so throughput drifts show up as a time series rather than
 /// overwriting the evidence; the `knobs` object lets checkers classify
 /// records without inferring the configuration from stage values.
-pub fn append_bench_json(path: &str, reports: &[CampaignReport]) {
+pub fn append_bench_json(path: &str, reports: &[CampaignReport], corpus_io: Option<CorpusIo>) {
     let total = aggregate_metrics(reports);
     let mut row = igjit::CampaignRow::default();
     for r in reports {
@@ -208,16 +202,16 @@ pub fn append_bench_json(path: &str, reports: &[CampaignReport]) {
     let record = format!(
         concat!(
             "{{\"epoch_s\":{},",
-            "\"knobs\":{{\"code_cache\":{},\"heap_snapshot\":{},\"predecode\":{},",
+            "\"knobs\":{{\"heap_snapshot\":{},\"predecode\":{},",
             "\"interp_predecode\":{},",
             "\"hash_cons\":{},\"family_share\":{},\"tier5\":{},\"solver_trail\":{},",
             "\"corpus\":{}}},",
+            "{},",
             "\"metrics\":{},",
             "\"table2\":{{\"tested_instructions\":{},\"interpreter_paths\":{},",
             "\"curated_paths\":{},\"differences\":{}}}}}\n"
         ),
         epoch,
-        knobs.code_cache_enabled(),
         knobs.heap_snapshot_enabled(),
         knobs.predecode_enabled(),
         knobs.interp_predecode_enabled(),
@@ -226,6 +220,7 @@ pub fn append_bench_json(path: &str, reports: &[CampaignReport]) {
         knobs.tier5_enabled(),
         knobs.solver_trail_enabled(),
         knobs.corpus.is_some(),
+        report::corpus_io_fields(corpus_io),
         total.to_json(),
         row.tested_instructions,
         row.interpreter_paths,

@@ -25,11 +25,12 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, Once};
 use std::time::{Duration, Instant};
 
 use igjit_bytecode::{instruction_catalog, Instruction};
 use igjit_concolic::{ExplorationCache, Explorer, InstrUnderTest};
+use igjit_corpus::{encode_section, Image, OutcomeKey, Section};
 use igjit_difftest::{
     test_instruction_with, CampaignRow, DefectCategory, ExploreCost, InstructionOutcome,
     SnapshotStats, StageTimes, Target,
@@ -54,10 +55,6 @@ pub struct CampaignConfig {
     /// each instruction is processed on one worker. Defaults to the
     /// machine's available parallelism.
     pub threads: usize,
-    /// Whether compiled test methods are cached and shared across
-    /// models, probes, paths and workers. Off, every lookup compiles
-    /// fresh (and counts as a miss), which is the engine-v2 behaviour.
-    pub code_cache: bool,
     /// Whether each (path, model) is materialized once into a sealed
     /// base image replayed across the oracle and every ISA via
     /// copy-on-write heap restore. Off, every run rebuilds the heap
@@ -96,10 +93,11 @@ pub struct CampaignConfig {
     /// deterministically, so outcomes are identical at any count).
     pub negate_threads: usize,
     /// Persistent corpus file (engine v7). When set, the campaign
-    /// loads exploration, compiled-code and outcome entries whose
-    /// fingerprints match this build + configuration before running,
-    /// answers warm instructions without re-running the pipeline, and
-    /// [`Campaign::save_corpus`] writes new entries back atomically.
+    /// verifies the file's sections against this build + configuration
+    /// before running, answers warm instructions from its outcomes
+    /// without re-running the pipeline, decodes its exploration and
+    /// compiled-code entries only when the first instruction must run,
+    /// and [`Campaign::save_corpus`] writes new entries back atomically.
     /// Any mismatch, truncation or version skew degrades to a cold
     /// run — never an error, never a row change.
     pub corpus: Option<PathBuf>,
@@ -125,7 +123,6 @@ impl Default for CampaignConfig {
             isas: vec![Isa::X86ish, Isa::Arm32ish],
             probes: true,
             threads: default_threads(),
-            code_cache: true,
             heap_snapshot: true,
             predecode: true,
             interp_predecode: true,
@@ -189,8 +186,7 @@ pub struct Metrics {
     pub family_fallbacks: usize,
     /// Compiled-code-cache hits (lookups answered without compiling).
     pub compile_hits: usize,
-    /// Compiled-code-cache misses (compiler invocations actually run;
-    /// with the cache disabled, every lookup).
+    /// Compiled-code-cache misses (compiler invocations actually run).
     pub compile_misses: usize,
     /// Instructions answered from the warm corpus overlay without
     /// running the pipeline at all (zero when no corpus is attached).
@@ -380,17 +376,40 @@ pub struct Campaign {
 /// recorded (or preloaded) during this process's runs, consulted by
 /// `run_one` before running the pipeline.
 struct CorpusState {
-    /// File binding — path, this build's fingerprints and what loading
-    /// yielded. `None` for a detached overlay (outcomes injected via
-    /// [`Campaign::preload_outcomes`] without persistence).
-    file: Option<(PathBuf, igjit_corpus::Fingerprints, igjit_corpus::LoadStats)>,
+    /// File binding. `None` for a detached overlay (outcomes injected
+    /// via [`Campaign::preload_outcomes`] without persistence).
+    file: Option<CorpusFile>,
     /// Outcomes from the corpus file; immutable after construction, so
     /// workers read it lock-free.
-    loaded: HashMap<(Target, InstrUnderTest), InstructionOutcome>,
+    loaded: HashMap<OutcomeKey, InstructionOutcome>,
     /// Outcomes produced by this process — what a save adds to the
     /// file, and what makes a repeated request warm within one process
     /// (the serve mode's amortization).
-    recorded: Mutex<HashMap<(Target, InstrUnderTest), InstructionOutcome>>,
+    recorded: Mutex<HashMap<OutcomeKey, InstructionOutcome>>,
+}
+
+/// A corpus file bound to a campaign: what loading found, the
+/// sections still waiting to be decoded, and what is on disk.
+struct CorpusFile {
+    path: PathBuf,
+    fps: igjit_corpus::Fingerprints,
+    stats: igjit_corpus::LoadStats,
+    /// The image as loaded. Its exploration and code sections reach
+    /// the caches once, on the first pipeline miss — a fully warm
+    /// sweep never decodes them.
+    loaded: Arc<Image>,
+    preloaded: Once,
+    saved: Mutex<Saved>,
+}
+
+/// The image last loaded or written, with per section the size of the
+/// store behind it (exploration-cache length, code-cache length,
+/// recorded outcomes) at which that image's payload is still current.
+/// `None` marks a section that must be re-encoded at the next save:
+/// absent, stale or damaged in the file, or since grown.
+struct Saved {
+    image: Arc<Image>,
+    current_at: [Option<usize>; 3],
 }
 
 impl CorpusState {
@@ -398,23 +417,72 @@ impl CorpusState {
         CorpusState { file: None, loaded: HashMap::new(), recorded: Mutex::new(HashMap::new()) }
     }
 
+    fn recorded(&self) -> std::sync::MutexGuard<'_, HashMap<OutcomeKey, InstructionOutcome>> {
+        self.recorded.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn lookup(&self, target: Target, instr: InstrUnderTest) -> Option<InstructionOutcome> {
         if let Some(o) = self.loaded.get(&(target, instr)) {
             return Some(o.clone());
         }
-        let recorded = self.recorded.lock().unwrap_or_else(|e| e.into_inner());
-        recorded.get(&(target, instr)).cloned()
+        self.recorded().get(&(target, instr)).cloned()
     }
 
     fn record(&self, target: Target, instr: InstrUnderTest, outcome: InstructionOutcome) {
-        let mut recorded = self.recorded.lock().unwrap_or_else(|e| e.into_inner());
-        recorded.entry((target, instr)).or_insert(outcome);
+        self.recorded().entry((target, instr)).or_insert(outcome);
     }
 }
 
-/// Loads the configured corpus file (if any) and preloads the caches
-/// from it. Load problems are warnings on stderr, never errors — a
-/// bad corpus is a cold run.
+impl CorpusFile {
+    fn saved(&self) -> std::sync::MutexGuard<'_, Saved> {
+        self.saved.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Decodes the loaded exploration and code sections into the
+    /// caches, once. A section that fails to decode warns and runs
+    /// cold; one the caches were current with stays current at their
+    /// new length.
+    fn preload(&self, cache: &ExplorationCache, code_cache: &CodeCache) {
+        self.preloaded.call_once(|| {
+            let before = [cache.len(), code_cache.len()];
+            let mut decoded = [true; 2];
+            match self.loaded.explorations() {
+                Some(Ok(entries)) => {
+                    for (key, exploration) in entries {
+                        cache.preload(key, exploration);
+                    }
+                }
+                Some(Err(_)) => decoded[0] = false,
+                None => {}
+            }
+            match self.loaded.code() {
+                Some(Ok(entries)) => {
+                    for (key, artifact) in entries {
+                        code_cache.preload(key, artifact);
+                    }
+                }
+                Some(Err(_)) => decoded[1] = false,
+                None => {}
+            }
+            let after = [cache.len(), code_cache.len()];
+            let mut saved = self.saved();
+            for (i, section) in [Section::Explorations, Section::Code].into_iter().enumerate() {
+                if !decoded[i] {
+                    eprintln!("igjit: corpus {}: {}", self.path.display(), section.decode_warning());
+                }
+                let current = &mut saved.current_at[i];
+                *current = match *current {
+                    Some(n) if decoded[i] && n == before[i] => Some(after[i]),
+                    _ => None,
+                };
+            }
+        });
+    }
+}
+
+/// Loads the configured corpus file (if any): every section is
+/// verified, only the outcomes are decoded. Load problems are warnings
+/// on stderr, never errors — a bad corpus is a cold run.
 fn attach_corpus(
     config: &CampaignConfig,
     cache: &ExplorationCache,
@@ -422,19 +490,40 @@ fn attach_corpus(
 ) -> Option<Arc<CorpusState>> {
     let path = config.corpus.as_ref()?;
     let fps = igjit_corpus::fingerprints(config.probes, &config.isas);
-    let (corpus, stats) = igjit_corpus::load(path, &fps);
+    let (image, mut stats) = Image::load(path, &fps);
+    // Accepted sections start current with empty stores: the caches
+    // hold nothing yet, and nothing has been recorded.
+    let mut current_at = Section::ALL.map(|s| image.payload(s).map(|_| 0));
+    let loaded = match image.outcomes() {
+        Some(Ok(outcomes)) => outcomes.into_iter().collect(),
+        Some(Err(_)) => {
+            stats.decode_failed(Section::Outcomes);
+            current_at[Section::Outcomes as usize] = None;
+            HashMap::new()
+        }
+        None => HashMap::new(),
+    };
     for w in &stats.warnings {
         eprintln!("igjit: corpus {}: {}", path.display(), w);
     }
-    for (key, exploration) in corpus.explorations {
-        cache.preload(key, Arc::new(exploration));
-    }
-    for (key, artifact) in corpus.code {
-        code_cache.preload(key, artifact);
+    let image = Arc::new(image);
+    let file = CorpusFile {
+        path: path.clone(),
+        fps,
+        stats,
+        loaded: Arc::clone(&image),
+        preloaded: Once::new(),
+        saved: Mutex::new(Saved { image, current_at }),
+    };
+    // A shared exploration cache that already holds entries gets the
+    // file's now, so other campaigns on it see them and the next save
+    // writes the union.
+    if !cache.is_empty() {
+        file.preload(cache, code_cache);
     }
     Some(Arc::new(CorpusState {
-        file: Some((path.clone(), fps, stats)),
-        loaded: corpus.outcomes.into_iter().collect(),
+        file: Some(file),
+        loaded,
         recorded: Mutex::new(HashMap::new()),
     }))
 }
@@ -528,7 +617,7 @@ impl Campaign {
         config: CampaignConfig,
         cache: Arc<ExplorationCache>,
     ) -> Campaign {
-        let code_cache = Arc::new(CodeCache::with_enabled(config.code_cache));
+        let code_cache = Arc::new(CodeCache::new());
         let corpus = attach_corpus(&config, &cache, &code_cache);
         // Like the code cache, the meta cache is fresh per campaign:
         // meta artifacts are lowered through the (mutable-by-fault-
@@ -578,7 +667,7 @@ impl Campaign {
     /// Load statistics of the configured corpus file, when one is
     /// attached (`None` for no corpus or a detached overlay).
     pub fn corpus_load_stats(&self) -> Option<&igjit_corpus::LoadStats> {
-        self.corpus.as_ref()?.file.as_ref().map(|(_, _, stats)| stats)
+        self.corpus.as_ref()?.file.as_ref().map(|file| &file.stats)
     }
 
     /// Overrides the worker-thread count after construction. The serve
@@ -610,29 +699,56 @@ impl Campaign {
 
     /// Writes the caches and recorded outcomes back to the configured
     /// corpus file: atomically (temp file + rename), and not at all
-    /// when the encoded corpus is unchanged. `None` when no corpus
+    /// when the file already holds these bytes. `None` when no corpus
     /// file is configured.
+    ///
+    /// A section that has gained nothing since it was loaded or last
+    /// written is copied from that image's payload bytes; only the
+    /// others are encoded — from the caches' shared entries and from
+    /// references into the outcome maps, never from deep copies. The
+    /// written bytes equal [`igjit_corpus::file::encode`] of the
+    /// merged corpus either way.
     pub fn save_corpus(&self) -> Option<std::io::Result<igjit_corpus::SaveOutcome>> {
         let state = self.corpus.as_ref()?;
-        let (path, fps, _) = state.file.as_ref()?;
-        let explorations = self
-            .cache
-            .snapshot()
-            .into_iter()
-            .map(|(k, v)| (k, (*v).clone()))
-            .collect();
-        let code = self.code_cache.snapshot();
-        let mut merged = state.loaded.clone();
-        {
-            let recorded = state.recorded.lock().unwrap_or_else(|e| e.into_inner());
-            merged.extend(recorded.iter().map(|(k, v)| (*k, v.clone())));
-        }
-        let corpus = igjit_corpus::Corpus {
-            explorations,
-            code,
-            outcomes: merged.into_iter().collect(),
+        let file = state.file.as_ref()?;
+        let recorded = state.recorded();
+        let sizes = || [self.cache.len(), self.code_cache.len(), recorded.len()];
+        let dirty = |saved: &Saved, sizes: [usize; 3]| {
+            [0, 1, 2].map(|i| saved.current_at[i] != Some(sizes[i]))
         };
-        Some(igjit_corpus::save(path, &corpus, fps))
+        // A cache section is re-encoded from its cache, which must then
+        // also hold the loaded image's entries.
+        let [explorations, code, _] = dirty(&file.saved(), sizes());
+        if explorations || code {
+            file.preload(&self.cache, &self.code_cache);
+        }
+        let mut saved = file.saved();
+        let sizes = sizes();
+        let [explorations, code, outcomes] = dirty(&saved, sizes);
+        if !(explorations || code || outcomes) && saved.image.is_canonical() {
+            // Reassembling would reproduce the image: compare it as is.
+            return Some(saved.image.save(&file.path));
+        }
+        let fresh = [
+            explorations.then(|| encode_section(self.cache.snapshot().iter().map(|(k, e)| (k, e)))),
+            code.then(|| {
+                let entries = self.code_cache.snapshot();
+                encode_section(entries.iter().map(|(k, e)| (k, e.artifact())))
+            }),
+            outcomes.then(|| {
+                let mut merged: HashMap<&OutcomeKey, &InstructionOutcome> =
+                    state.loaded.iter().collect();
+                merged.extend(recorded.iter());
+                encode_section(merged)
+            }),
+        ];
+        let image = saved.image.rebuild(&file.fps, fresh);
+        let result = image.save(&file.path);
+        if result.is_ok() {
+            // What is on disk now is the baseline the next save reuses.
+            *saved = Saved { image: Arc::new(image), current_at: sizes.map(Some) };
+        }
+        Some(result)
     }
 
     /// Registers a progress callback, invoked from worker threads
@@ -679,6 +795,9 @@ impl Campaign {
                     corpus_hit: Some(true),
                 };
                 return (info, outcome);
+            }
+            if let Some(file) = &state.file {
+                file.preload(&self.cache, &self.code_cache);
             }
         }
         let mut explorer = Explorer::new();

@@ -15,7 +15,6 @@ use igjit_mutate::MutantId;
 /// Every environment knob the harness understands.
 pub const KNOWN_VARS: &[&str] = &[
     "IGJIT_THREADS",
-    "IGJIT_CODE_CACHE",
     "IGJIT_HEAP_SNAPSHOT",
     "IGJIT_PREDECODE",
     "IGJIT_INTERP_PREDECODE",
@@ -35,8 +34,6 @@ pub const KNOWN_VARS: &[&str] = &[
 pub struct EnvKnobs {
     /// `IGJIT_THREADS`: worker threads for the per-instruction sweep.
     pub threads: Option<usize>,
-    /// `IGJIT_CODE_CACHE`: whether compiled test methods are cached.
-    pub code_cache: Option<bool>,
     /// `IGJIT_HEAP_SNAPSHOT`: whether materialized heaps are sealed
     /// once and replayed by copy-on-write restore.
     pub heap_snapshot: Option<bool>,
@@ -82,11 +79,6 @@ impl EnvKnobs {
     /// Worker threads: the knob, or the machine's parallelism.
     pub fn threads_or_default(&self) -> usize {
         self.threads.unwrap_or_else(crate::default_threads)
-    }
-
-    /// Code cache: the knob, default on.
-    pub fn code_cache_enabled(&self) -> bool {
-        self.code_cache.unwrap_or(true)
     }
 
     /// Heap snapshots: the knob, default on.
@@ -173,9 +165,6 @@ pub fn parse_vars(
         })?;
         match name.as_ref() {
             "IGJIT_THREADS" => knobs.threads = Some(parse_threads(value)?),
-            "IGJIT_CODE_CACHE" => {
-                knobs.code_cache = Some(parse_bool("IGJIT_CODE_CACHE", value)?)
-            }
             "IGJIT_HEAP_SNAPSHOT" => {
                 knobs.heap_snapshot = Some(parse_bool("IGJIT_HEAP_SNAPSHOT", value)?)
             }
@@ -255,7 +244,6 @@ mod tests {
     fn empty_environment_yields_defaults() {
         let k = parse_vars(vars(&[("PATH", "/usr/bin"), ("HOME", "/root")])).unwrap();
         assert_eq!(k, EnvKnobs::default());
-        assert!(k.code_cache_enabled());
         assert!(k.heap_snapshot_enabled());
         assert!(k.predecode_enabled());
         assert!(k.interp_predecode_enabled());
@@ -274,7 +262,6 @@ mod tests {
     fn all_knobs_parse() {
         let k = parse_vars(vars(&[
             ("IGJIT_THREADS", "3"),
-            ("IGJIT_CODE_CACHE", "off"),
             ("IGJIT_HEAP_SNAPSHOT", "1"),
             ("IGJIT_PREDECODE", "no"),
             ("IGJIT_INTERP_PREDECODE", "off"),
@@ -289,7 +276,6 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(k.threads, Some(3));
-        assert_eq!(k.code_cache, Some(false));
         assert_eq!(k.heap_snapshot, Some(true));
         assert_eq!(k.predecode, Some(false));
         assert!(!k.predecode_enabled());
@@ -311,7 +297,11 @@ mod tests {
     fn unknown_igjit_vars_are_rejected() {
         let err = parse_vars(vars(&[("IGJIT_CODECACHE", "0")])).unwrap_err();
         assert!(err.contains("IGJIT_CODECACHE"), "{err}");
-        assert!(err.contains("IGJIT_CODE_CACHE"), "error lists the known knobs: {err}");
+        assert!(err.contains("IGJIT_HEAP_SNAPSHOT"), "error lists the known knobs: {err}");
+        // A retired knob is unknown too: setting it must not look like
+        // it still switches anything.
+        let err = parse_vars(vars(&[("IGJIT_CODE_CACHE", "0")])).unwrap_err();
+        assert!(err.contains("unknown environment variable IGJIT_CODE_CACHE"), "{err}");
     }
 
     #[test]
@@ -319,7 +309,6 @@ mod tests {
         assert!(parse_vars(vars(&[("IGJIT_THREADS", "0")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_THREADS", "many")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_THREADS", "")])).is_err());
-        assert!(parse_vars(vars(&[("IGJIT_CODE_CACHE", "maybe")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_HEAP_SNAPSHOT", "2")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_PREDECODE", "sometimes")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_INTERP_PREDECODE", "perhaps")])).is_err());
@@ -341,7 +330,6 @@ mod tests {
         // values are fatal, and the error names the offending variable
         // so the fix is obvious from the message alone.
         const BOOL_KNOBS: &[&str] = &[
-            "IGJIT_CODE_CACHE",
             "IGJIT_HEAP_SNAPSHOT",
             "IGJIT_PREDECODE",
             "IGJIT_INTERP_PREDECODE",
@@ -360,7 +348,6 @@ mod tests {
             for (good, want) in [("yes", true), ("OFF", false)] {
                 let k = parse_vars(vars(&[(name, good)])).unwrap();
                 let parsed = match *name {
-                    "IGJIT_CODE_CACHE" => k.code_cache,
                     "IGJIT_HEAP_SNAPSHOT" => k.heap_snapshot,
                     "IGJIT_PREDECODE" => k.predecode,
                     "IGJIT_INTERP_PREDECODE" => k.interp_predecode,
@@ -378,8 +365,8 @@ mod tests {
     #[test]
     fn booleans_accept_both_spellings_case_insensitively() {
         for on in ["1", "on", "TRUE", "Yes"] {
-            let k = parse_vars(vars(&[("IGJIT_CODE_CACHE", on)])).unwrap();
-            assert_eq!(k.code_cache, Some(true), "{on}");
+            let k = parse_vars(vars(&[("IGJIT_PREDECODE", on)])).unwrap();
+            assert_eq!(k.predecode, Some(true), "{on}");
         }
         for off in ["0", "OFF", "false", "no"] {
             let k = parse_vars(vars(&[("IGJIT_HEAP_SNAPSHOT", off)])).unwrap();

@@ -1,6 +1,8 @@
 //! Textual rendering of the evaluation artefacts (Tables 1–3,
 //! Figures 5–7).
 
+use std::time::Duration;
+
 use crate::campaign::{CampaignReport, TimingSample};
 use igjit_difftest::DefectCategory;
 
@@ -153,12 +155,36 @@ pub fn ascii_histogram(values: &[f64], buckets: usize, width: usize) -> String {
     out
 }
 
+/// Wall-clock a run spent on its corpus file outside the rows:
+/// attaching it (`Campaign::new`) and writing it back
+/// (`Campaign::save_corpus`). A warm re-check's end-to-end cost is the
+/// rows plus these two.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct CorpusIo {
+    /// Time to construct the campaign on the corpus file.
+    pub load: Duration,
+    /// Time `save_corpus` took (zero when the run skips the save).
+    pub save: Duration,
+}
+
+/// The `"corpus_load_ms":…,"corpus_save_ms":…` JSON fields of a run
+/// (`null` when no corpus was attached).
+pub fn corpus_io_fields(io: Option<CorpusIo>) -> String {
+    let ms = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1000.0);
+    let (load, save) = match io {
+        Some(io) => (ms(io.load), ms(io.save)),
+        None => ("null".to_string(), "null".to_string()),
+    };
+    format!("\"corpus_load_ms\":{load},\"corpus_save_ms\":{save}")
+}
+
 /// Renders the observability data of a full campaign run as a JSON
-/// document: the aggregate metrics plus one entry per Table 2 row.
-/// The harness binaries write this next to their textual reports.
-pub fn metrics_json(reports: &[CampaignReport]) -> String {
+/// document: the corpus I/O times, the aggregate metrics and one entry
+/// per Table 2 row. The harness binaries write this next to their
+/// textual reports.
+pub fn metrics_json(reports: &[CampaignReport], corpus_io: Option<CorpusIo>) -> String {
     let total = crate::campaign::aggregate_metrics(reports);
-    let mut out = String::from("{\n  \"total\":");
+    let mut out = format!("{{\n  {},\n  \"total\":", corpus_io_fields(corpus_io));
     out.push_str(&total.to_json());
     out.push_str(",\n  \"rows\":[");
     for (i, r) in reports.iter().enumerate() {
@@ -195,7 +221,19 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
+
+    #[test]
+    fn corpus_io_fields_are_null_without_a_corpus() {
+        assert_eq!(corpus_io_fields(None), "\"corpus_load_ms\":null,\"corpus_save_ms\":null");
+        let io = CorpusIo { load: Duration::from_micros(2500), save: Duration::from_millis(1) };
+        assert_eq!(
+            corpus_io_fields(Some(io)),
+            "\"corpus_load_ms\":2.500,\"corpus_save_ms\":1.000"
+        );
+        let doc = metrics_json(&[], Some(io));
+        assert!(doc.starts_with("{\n  \"corpus_load_ms\":2.500,"), "{doc}");
+        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+    }
 
     #[test]
     fn stats_basics() {

@@ -141,11 +141,27 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn dec(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         let n = d.seq_len()?;
-        let mut out = Vec::with_capacity(n);
+        // `seq_len` only caps the count by the remaining *bytes*, while
+        // an element may occupy hundreds of bytes in memory. Reserve no
+        // more memory than the remaining input occupies, so a crafted
+        // count cannot pre-allocate far beyond the file's own size; a
+        // genuine longer vector just grows as it decodes.
+        let mut out = Vec::with_capacity(n.min(d.remaining() / std::mem::size_of::<T>().max(1)));
         for _ in 0..n {
             out.push(T::dec(d)?);
         }
         Ok(out)
+    }
+}
+
+/// Shared values encode as their contents, so a corpus can be written
+/// from the caches' `Arc`s without cloning what they point at.
+impl<T: Wire> Wire for std::sync::Arc<T> {
+    fn enc(&self, e: &mut Encoder) {
+        (**self).enc(e);
+    }
+    fn dec(d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(std::sync::Arc::new(T::dec(d)?))
     }
 }
 

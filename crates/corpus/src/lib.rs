@@ -24,11 +24,21 @@
 //! expensive exploration section stays warm; change nothing and a
 //! re-sweep is almost pure cache replay.
 //!
-//! The file layer ([`mod@file`]) enforces the format's one hard rule:
-//! a corpus can only ever make a run *faster or colder* — any
-//! truncation, checksum mismatch, version skew or decode error
+//! The file layer ([`mod@file`], format v3) enforces the format's one
+//! hard rule: a corpus can only ever make a run *faster or colder* —
+//! any truncation, checksum mismatch, version skew or decode error
 //! silently degrades to recomputing, never panics, never changes a
 //! row.
+//!
+//! A warm re-check pays only for what it replays. Loading an
+//! [`Image`] reads the file once and checks every section's
+//! fingerprint and word-wise checksum ([`wire::checksum`]) up front,
+//! but decodes no section; the campaign decodes the outcomes at
+//! attach, and the exploration and code sections only on its first
+//! pipeline miss. Saving reuses the loaded payload bytes of every
+//! section that gained nothing since it was loaded or last written
+//! ([`Image::rebuild`]), so re-saving an unchanged corpus re-encodes
+//! nothing and still compares the result against the bytes on disk.
 
 pub mod codec;
 pub mod file;
@@ -36,6 +46,9 @@ pub mod fingerprint;
 pub mod wire;
 
 pub use codec::{from_bytes, to_bytes, Wire};
-pub use file::{load, save, Corpus, ExplorationKey, LoadStats, OutcomeKey, SaveOutcome};
+pub use file::{
+    encode_section, load, save, Corpus, ExplorationKey, Image, LoadStats, OutcomeKey,
+    SaveOutcome, Section,
+};
 pub use fingerprint::{fingerprints, Fingerprints};
 pub use wire::{Decoder, Encoder, WireError};

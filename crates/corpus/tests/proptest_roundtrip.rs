@@ -1,9 +1,18 @@
 //! Property tests of the corpus wire format: randomized domain values
-//! must survive an encode/decode round trip bit-for-bit, and random
-//! corruption of a whole corpus file must degrade (cold sections,
-//! warnings) without ever panicking or inventing entries.
+//! must survive an encode/decode round trip bit-for-bit, a real
+//! three-section file must re-encode to itself, and random corruption
+//! of that file must degrade (cold sections, warnings) without ever
+//! panicking or inventing entries.
 
-use igjit_corpus::{from_bytes, to_bytes, Fingerprints};
+use std::sync::{Arc, OnceLock};
+
+use igjit_bytecode::Instruction;
+use igjit_concolic::{Explorer, InstrUnderTest};
+use igjit_corpus::{from_bytes, to_bytes, Corpus, Fingerprints, Image, Section};
+use igjit_difftest::{test_instruction_with, ExploreCost, Target};
+use igjit_jit::{CodeCache, CompilerKind};
+use igjit_machine::Isa;
+use igjit_metajit::MetaCache;
 use igjit_solver::{Assignment, CmpOp, Constraint, Kind, LinExpr, Model, VarId};
 use proptest::prelude::*;
 
@@ -92,53 +101,125 @@ proptest! {
     }
 }
 
-/// A small but non-empty corpus to corrupt: one real exploration and
-/// its outcomes, produced by the live pipeline so every section is
-/// populated.
+/// A small real corpus with all three sections populated by the live
+/// pipeline: one exploration, the artifacts its test compiled, and its
+/// outcome. Built once; every case corrupts a copy.
 fn sample_corpus_bytes(fp: &Fingerprints) -> Vec<u8> {
-    let exploration = igjit_concolic::Explorer::new()
-        .explore(igjit_concolic::InstrUnderTest::Bytecode(igjit_bytecode::Instruction::Add));
-    let corpus = igjit_corpus::Corpus {
-        explorations: vec![(
-            (igjit_concolic::InstrUnderTest::Bytecode(igjit_bytecode::Instruction::Add), false),
-            exploration,
-        )],
-        ..igjit_corpus::Corpus::default()
-    };
-    igjit_corpus::file::encode(&corpus, fp)
+    static SAMPLE: OnceLock<Corpus> = OnceLock::new();
+    let corpus = SAMPLE.get_or_init(|| {
+        let instr = InstrUnderTest::Bytecode(Instruction::Add);
+        let target = Target::Bytecode(CompilerKind::StackToRegister);
+        let exploration = Explorer::new().explore(instr);
+        let code_cache = CodeCache::new();
+        let (outcome, ..) = test_instruction_with(
+            instr,
+            target,
+            &[Isa::X86ish],
+            false,
+            &exploration,
+            ExploreCost::cached(),
+            &code_cache,
+            &MetaCache::new(),
+            true,
+            true,
+            true,
+            true,
+        );
+        Corpus {
+            explorations: vec![((instr, false), Arc::new(exploration))],
+            code: code_cache
+                .snapshot()
+                .into_iter()
+                .map(|(key, entry)| (key, entry.artifact().clone()))
+                .collect(),
+            outcomes: vec![((target, instr), outcome)],
+        }
+    });
+    igjit_corpus::file::encode(corpus, fp)
+}
+
+fn sample_fp() -> Fingerprints {
+    igjit_corpus::fingerprints(false, &[Isa::X86ish])
+}
+
+/// Entries per section of a decoded corpus.
+fn counts(corpus: &Corpus) -> [usize; 3] {
+    [corpus.explorations.len(), corpus.code.len(), corpus.outcomes.len()]
+}
+
+#[test]
+fn sample_file_has_three_populated_sections_and_round_trips() {
+    let fp = sample_fp();
+    let bytes = sample_corpus_bytes(&fp);
+    let (corpus, stats) = igjit_corpus::file::decode(&bytes, &fp);
+    assert!(stats.warnings.is_empty() && !stats.cold, "{stats:?}");
+    let n = counts(&corpus);
+    assert!(n.iter().all(|&c| c > 0), "every section populated: {n:?}");
+    assert_eq!([stats.explorations, stats.code, stats.outcomes], n);
+    // Files `encode` writes are canonical: decoding and re-encoding
+    // reproduces them byte for byte, and so does reusing every
+    // verified payload.
+    assert_eq!(igjit_corpus::file::encode(&corpus, &fp), bytes);
+    let (image, _) = Image::parse(bytes.clone(), &fp);
+    assert_eq!(image.rebuild(&fp, [None, None, None]).bytes(), &bytes[..]);
+}
+
+/// Byte offsets of each accepted section's payload in `bytes`.
+fn payload_ranges(bytes: &[u8], fp: &Fingerprints) -> Vec<(Section, std::ops::Range<usize>)> {
+    let (image, _) = Image::parse(bytes.to_vec(), fp);
+    Section::ALL
+        .iter()
+        .map(|&s| {
+            let p = image.payload(s).expect("pristine sections are accepted");
+            let start = p.as_ptr() as usize - image.bytes().as_ptr() as usize;
+            (s, start..start + p.len())
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
-    /// Any single-byte flip anywhere in the file decodes without a
-    /// panic, and never yields *more* entries than the pristine file.
+    /// Any single-bit flip anywhere in the file decodes without a
+    /// panic and never yields more entries than the pristine file; a
+    /// flip inside a payload drops exactly that section, by checksum.
     #[test]
     fn prop_flipped_byte_degrades_gracefully(pos in any::<u32>(), bit in 0u8..8) {
-        let fp = igjit_corpus::fingerprints(false, &[igjit_machine::Isa::X86ish]);
+        let fp = sample_fp();
         let mut bytes = sample_corpus_bytes(&fp);
+        let pristine = counts(&igjit_corpus::file::decode(&bytes, &fp).0);
+        let ranges = payload_ranges(&bytes, &fp);
         let pos = pos as usize % bytes.len();
         bytes[pos] ^= 1 << bit;
         let (corpus, stats) = igjit_corpus::file::decode(&bytes, &fp);
-        prop_assert!(corpus.explorations.len() <= 1);
-        prop_assert!(corpus.code.is_empty());
-        prop_assert!(corpus.outcomes.is_empty());
-        // A flip that lands in a payload must be caught by the
-        // checksum (warning) or the fingerprint (stale section); a
-        // flip in the header may cold the whole file. All of those
-        // surface in stats rather than panicking.
-        let _ = (stats.cold, stats.stale_sections, stats.warnings.len());
+        let got = counts(&corpus);
+        for i in 0..3 {
+            prop_assert!(got[i] <= pristine[i], "section {i}: {got:?} vs {pristine:?}");
+        }
+        if let Some((hit, _)) = ranges.iter().find(|(_, r)| r.contains(&pos)) {
+            let mut expect = pristine;
+            expect[*hit as usize] = 0;
+            prop_assert_eq!(got, expect);
+            let warning = format!("corpus section {} failed its checksum", hit.tag());
+            prop_assert!(stats.warnings.iter().any(|w| w.starts_with(&warning)), "{:?}", stats.warnings);
+        }
     }
 
     /// Any truncation decodes without a panic and without inventing
-    /// entries.
+    /// entries; the sections wholly before the cut survive.
     #[test]
     fn prop_truncation_degrades_gracefully(cut in any::<u32>()) {
-        let fp = igjit_corpus::fingerprints(false, &[igjit_machine::Isa::X86ish]);
+        let fp = sample_fp();
         let bytes = sample_corpus_bytes(&fp);
+        let pristine = counts(&igjit_corpus::file::decode(&bytes, &fp).0);
+        let ranges = payload_ranges(&bytes, &fp);
         let cut = cut as usize % bytes.len();
         let (corpus, _stats) = igjit_corpus::file::decode(&bytes[..cut], &fp);
-        prop_assert!(corpus.explorations.len() <= 1);
-        prop_assert!(corpus.outcomes.is_empty());
+        let got = counts(&corpus);
+        for (s, r) in &ranges {
+            let i = *s as usize;
+            let expect = if r.end <= cut { pristine[i] } else { 0 };
+            prop_assert_eq!(got[i], expect, "section {:?}, cut {}", s, cut);
+        }
     }
 }

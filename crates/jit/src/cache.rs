@@ -428,19 +428,10 @@ impl CodeCache {
     }
 
     /// A cache that never stores: every lookup compiles fresh and
-    /// counts as a miss, keeping invocation accounting comparable in
-    /// cache-on/off experiments.
+    /// counts as a miss. One-shot callers that test a single
+    /// instruction outside a campaign use it.
     pub fn disabled() -> CodeCache {
         CodeCache { enabled: false, ..CodeCache::new() }
-    }
-
-    /// [`CodeCache::new`] or [`CodeCache::disabled`] by flag.
-    pub fn with_enabled(enabled: bool) -> CodeCache {
-        if enabled {
-            CodeCache::new()
-        } else {
-            CodeCache::disabled()
-        }
     }
 
     /// Whether lookups may hit.
@@ -545,16 +536,16 @@ impl CodeCache {
         bucket.push((key, Arc::new(CacheEntry::new(artifact))));
     }
 
-    /// All stored (key, artifact) pairs, for corpus write-back. Order
-    /// is unspecified (the corpus encoder canonicalizes by key); the
-    /// lazily-built predecoded views are not part of the snapshot —
-    /// they are derived data, rebuilt on demand after a reload.
-    pub fn snapshot(&self) -> Vec<(CompileKey, Result<CompiledCode, CompileError>)> {
+    /// All stored entries, for corpus write-back: the artifacts are
+    /// shared, not copied. Order is unspecified (the corpus encoder
+    /// canonicalizes by key); the lazily-built predecoded views are
+    /// derived data that the corpus does not persist.
+    pub fn snapshot(&self) -> Vec<(CompileKey, Arc<CacheEntry>)> {
         self.map
             .read()
             .expect("code cache poisoned")
             .values()
-            .flat_map(|bucket| bucket.iter().map(|(k, e)| (k.clone(), e.artifact().clone())))
+            .flat_map(|bucket| bucket.iter().map(|(k, e)| (k.clone(), Arc::clone(e))))
             .collect()
     }
 

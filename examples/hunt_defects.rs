@@ -15,7 +15,6 @@ fn main() {
         isas: vec![Isa::X86ish, Isa::Arm32ish],
         probes: true,
         threads: 4,
-        code_cache: true,
         heap_snapshot: true,
         predecode: true,
         ..CampaignConfig::default()

@@ -1,10 +1,9 @@
-//! The compiled-code cache must be invisible in every output: cached
-//! artifacts are byte-identical to fresh compiles, and whole campaign
-//! sweeps produce row-identical reports with the cache on and off.
-//! Only the metrics (hit/miss counters, compile invocations) may —
-//! and must — differ.
+//! The compiled-code cache must be invisible in every output: a cached
+//! artifact is byte-identical to a fresh compile of the same key, and
+//! a repeated lookup hits instead of compiling again. (The cache is
+//! always on; whole-row identity is pinned by the Table 2 suites.)
 
-use igjit::{Campaign, CampaignConfig, CampaignReport, CompilerKind, Isa};
+use igjit::{CompilerKind, Isa};
 use igjit_heap::ObjectMemory;
 use igjit_jit::native::igjit_bytecode_native_id::NativeMethodIdLike;
 use igjit_jit::{
@@ -89,80 +88,4 @@ fn cached_bytecode_artifacts_are_byte_identical_to_fresh_compiles() {
             assert_eq!(cached.code, fresh.code, "{kind:?} on {isa:?}");
         }
     }
-}
-
-fn assert_row_identical(a: &CampaignReport, b: &CampaignReport) {
-    assert_eq!(a.row, b.row);
-    assert_eq!(a.causes(), b.causes());
-    assert_eq!(a.causes_by_category(), b.causes_by_category());
-    assert_eq!(a.outcomes.len(), b.outcomes.len());
-    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
-        assert_eq!(x.causes(), y.causes());
-        assert_eq!(x.paths_found, y.paths_found);
-        assert_eq!(x.curated, y.curated);
-        assert_eq!(x.witness_errors, y.witness_errors);
-        assert_eq!(x.verdicts.len(), y.verdicts.len());
-        for (va, vb) in x.verdicts.iter().zip(&y.verdicts) {
-            assert_eq!(va.interp_exit, vb.interp_exit);
-            assert_eq!(va.verdict.is_difference(), vb.verdict.is_difference());
-            assert_eq!(va.cause, vb.cause);
-            assert_eq!(va.found_by_probe, vb.found_by_probe);
-            assert_eq!(va.isa, vb.isa);
-        }
-    }
-}
-
-#[test]
-fn native_row_is_identical_with_code_cache_on_and_off() {
-    // Mirrors `parallel_report_is_bit_identical_to_sequential`: the
-    // Table 2 native-method row (and its Table 3 cause sets) must not
-    // depend on whether compiled artifacts are reused.
-    let run = |code_cache: bool| {
-        Campaign::new(CampaignConfig {
-            isas: BOTH.to_vec(),
-            probes: true,
-            threads: 1,
-            code_cache,
-            heap_snapshot: true,
-            predecode: true,
-            ..CampaignConfig::default()
-        })
-        .run_native_methods()
-    };
-    let (on, off) = (run(true), run(false));
-    assert_row_identical(&on, &off);
-    // The metrics are the only allowed difference — and the cache must
-    // actually bite: at least half the compile invocations disappear.
-    assert_eq!(off.metrics.compile_hits, 0);
-    assert!(on.metrics.compile_hits > 0);
-    assert_eq!(
-        on.metrics.compile_hits + on.metrics.compile_misses,
-        off.metrics.compile_misses,
-        "same number of lookups either way"
-    );
-    assert!(
-        on.metrics.compile_misses * 2 <= off.metrics.compile_misses,
-        "compile invocations must drop at least 2x: {} vs {}",
-        on.metrics.compile_misses,
-        off.metrics.compile_misses
-    );
-}
-
-#[test]
-fn bytecode_row_is_identical_with_code_cache_on_and_off() {
-    let run = |code_cache: bool| {
-        Campaign::new(CampaignConfig {
-            isas: vec![Isa::X86ish],
-            probes: false,
-            threads: 1,
-            code_cache,
-            heap_snapshot: true,
-            predecode: true,
-            ..CampaignConfig::default()
-        })
-        .run_bytecodes(CompilerKind::StackToRegister)
-    };
-    let (on, off) = (run(true), run(false));
-    assert_row_identical(&on, &off);
-    assert!(on.metrics.compile_misses < off.metrics.compile_misses);
 }

@@ -91,7 +91,6 @@ fn bytecode_row_is_identical_with_trail_stacked_on_other_knobs() {
             isas: vec![Isa::X86ish],
             probes: false,
             threads: 1,
-            code_cache: true,
             heap_snapshot: true,
             predecode: true,
             family_share: true,

@@ -42,7 +42,6 @@ fn full_config() -> CampaignConfig {
         isas: BOTH.to_vec(),
         probes: true,
         threads: 1,
-        code_cache: true,
         heap_snapshot: true,
         predecode: true,
         ..CampaignConfig::default()

@@ -18,7 +18,6 @@ fn config(predecode: bool) -> CampaignConfig {
         isas: BOTH.to_vec(),
         probes: true,
         threads: 1,
-        code_cache: true,
         heap_snapshot: true,
         predecode,
         ..CampaignConfig::default()

@@ -126,7 +126,6 @@ fn native_row_is_identical_with_heap_snapshot_on_and_off() {
             isas: BOTH.to_vec(),
             probes: true,
             threads: 1,
-            code_cache: true,
             heap_snapshot,
             predecode: true,
             ..CampaignConfig::default()
@@ -151,7 +150,6 @@ fn bytecode_row_is_identical_with_heap_snapshot_on_and_off() {
             isas: vec![Isa::X86ish],
             probes: false,
             threads: 1,
-            code_cache: true,
             heap_snapshot,
             predecode: true,
             ..CampaignConfig::default()
