@@ -7,48 +7,29 @@
 # the generated-test count means a behaviour change slipped into a
 # perf-motivated PR — exactly what this check exists to catch.
 #
-# The CI workflow appends seven 1-thread records — all knobs on, heap
-# snapshots off, predecode off, family sharing off, interpreter
-# predecode off, meta tier off, solver trail off — each tagged with its
-# `knobs`. Records
-# written before the knobs tag existed are ignored whenever tagged
-# ones are present (their classification by side-effect counters was
-# ambiguous). Beyond the row totals, the check enforces the perf
-# invariants of the engine:
+# The CI workflow appends two 1-thread records — the five-row default
+# and `IGJIT_TIER5=0` — each tagged with its `knobs`; untagged records
+# (written before the tag existed) are ignored. Beyond the row totals,
+# the check enforces the perf invariants of the engine:
 #
-#   * knob identity — every record in the window, whatever its knobs,
-#     must match the expected rows: neither heap snapshots, predecoded
-#     fetch (machine- or interpreter-side), nor family-shared
-#     exploration may change anything observable;
-#   * materialize speedup — the snapshot-on materialize stage must be
-#     at least 1.3x faster than the snapshot-off one (engine v6's
-#     cheaper heap construction — template class tables, vector live
-#     sets — sped the rebuild-per-run path up too, shrinking the
-#     snapshot advantage from its original 2x);
 #   * honest stage accounting — at 1 thread, the per-stage sum
 #     (including the `other` bucket) must land within 10% of the
 #     measured wall clock;
 #   * sub-stage layout — the stage buckets must be exactly the
 #     expected set (a silently added or dropped bucket breaks every
 #     downstream consumer of the metrics);
-#   * residual budget — with every engine knob on, the unattributed
-#     `other` bucket must stay within 15% of wall clock (engine v5's
-#     sub-stage attribution contract);
-#   * explore budget — with every engine knob on at 1 thread, the
-#     explore stage must stay under `explore_budget_ms` (engine v8's
-#     predecoded walk plus batched probe solves, tightened by engine
-#     v10's trail-based solver);
-#   * solver-trail identity — the trail-based solver (engine v10) is a
-#     storage strategy, not a different solver: the trail-off rows must
-#     equal the all-on rows key for key, the all-on record must show
-#     trail activity, and the trail-off record none;
+#   * residual budget — on the five-row record, the unattributed
+#     `other` bucket must stay within 15% of wall clock (the sub-stage
+#     attribution contract);
+#   * explore budget — on the five-row record at 1 thread, the explore
+#     stage must stay under `explore_budget_ms`;
 #   * explore sub-slices — the `walk_run` and `probe_solve` buckets
 #     re-attribute time already inside `explore` (they are excluded
 #     from the stage total), so their sum must never exceed the
 #     explore stage itself;
 #   * tier-5 additivity — the meta tier must be purely additive: the
 #     tier5-off record must match the committed `tier5_off` totals
-#     (the engine-v8 table), and the tier may not add differences;
+#     (the four-row table), and the tier may not add differences;
 #   * mutation kill rate — when a full-catalog mutation record
 #     (`mutants_run == 44`) is available, its kill count must stay at
 #     or above the committed floor (35/44). CI's pinned smoke set runs
@@ -81,57 +62,26 @@ with open(expect_path) as f:
     expect = json.load(f)
 
 # BENCH_table2.json is JSON Lines; the trailing records are this CI
-# run. Classify by the record's `knobs` tag; fall back to the snapshot
-# side-effect counters only for windows of purely legacy records.
+# run, classified by the record's `knobs` tag.
 with open(bench_path) as f:
     records = [json.loads(line) for line in f if line.strip()]
 if not records:
     sys.exit(f"perf-smoke: {bench_path} holds no records")
 
-# Corpus-backed runs (engine v7) have their own pairwise check
+# Corpus-backed runs have their own pairwise check
 # (ci/corpus_smoke_check.sh) and their warm halves replay instead of
-# measuring the pipeline, so they never participate in the knob
-# classification below.
-records = [rec for rec in records if not rec.get("knobs", {}).get("corpus", False)]
-if not records:
-    sys.exit(f"perf-smoke: {bench_path} holds only corpus-backed records")
-
-window = records[-10:]
-tagged = [rec for rec in window if "knobs" in rec]
-if tagged:
-    window = tagged
-
-    def classify(rec):
-        k = rec["knobs"]
-        if not k.get("heap_snapshot", True):
-            return "snapshot-off"
-        if not k.get("predecode", True):
-            return "predecode-off"
-        if not k.get("family_share", True):
-            return "family-off"
-        if not k.get("interp_predecode", True):
-            return "interp-predecode-off"
-        if not k.get("tier5", True):
-            return "tier5-off"
-        if not k.get("solver_trail", True):
-            return "solver-trail-off"
-        return "all-on"
-else:
-
-    def classify(rec):
-        seals = rec["metrics"].get("snapshot", {}).get("seals", 0)
-        return "all-on" if seals > 0 else "snapshot-off"
+# measuring the pipeline, so they never participate here.
+window = [
+    rec for rec in records[-10:]
+    if "knobs" in rec and not rec["knobs"].get("corpus", False)
+]
 
 by_kind = {}
 for rec in window:
-    by_kind[classify(rec)] = rec  # later records win
-rec_on = by_kind.get("all-on")
-rec_off = by_kind.get("snapshot-off")
-rec_pre_off = by_kind.get("predecode-off")
-rec_fam_off = by_kind.get("family-off")
-rec_interp_off = by_kind.get("interp-predecode-off")
+    kind = "five-row" if rec["knobs"].get("tier5", True) else "tier5-off"
+    by_kind[kind] = rec  # later records win
+rec_on = by_kind.get("five-row")
 rec_t5_off = by_kind.get("tier5-off")
-rec_trail_off = by_kind.get("solver-trail-off")
 
 with open(testgen_path) as f:
     testgen = f.read()
@@ -141,20 +91,12 @@ if not m:
 generated = int(m.group(1))
 
 drifted = []
-labelled = [
-    ("all-on", rec_on),
-    ("snapshot-off", rec_off),
-    ("predecode-off", rec_pre_off),
-    ("family-off", rec_fam_off),
-    ("interp-predecode-off", rec_interp_off),
-    ("tier5-off", rec_t5_off),
-    ("solver-trail-off", rec_trail_off),
-]
+labelled = [("five-row", rec_on), ("tier5-off", rec_t5_off)]
 for label, rec in labelled:
     if rec is None:
         continue
     # The tier5-off run drops the fifth row, so it pins its own totals
-    # (the engine-v8 table); every other record includes the meta row.
+    # (the four-row table).
     want = expect["tier5_off"] if label == "tier5-off" else expect
     for key in ("tested_instructions", "interpreter_paths", "curated_paths", "differences"):
         if rec["table2"][key] != want[key]:
@@ -186,23 +128,6 @@ if layout:
                 f"expected {sorted(layout)}, got {got}"
             )
 
-# Materialize-stage speedup: the snapshot replay path must cut the
-# stage at least 1.3x relative to rebuild-per-run. (Originally 2x;
-# engine v6 made fresh heap construction itself much cheaper, which
-# narrowed the gap by speeding up the snapshot-off baseline.)
-if rec_on is not None and rec_off is not None:
-    mat_on = rec_on["metrics"]["stages_ms"]["materialize"]
-    mat_off = rec_off["metrics"]["stages_ms"]["materialize"]
-    ratio = mat_off / mat_on if mat_on > 0 else float("inf")
-    if ratio < 1.3:
-        sys.exit(
-            "perf-smoke: materialize stage speedup regressed: "
-            f"snapshot-on {mat_on:.1f} ms vs snapshot-off {mat_off:.1f} ms "
-            f"({ratio:.2f}x, expected >= 1.3x)"
-        )
-else:
-    ratio = None
-
 # Honest stage accounting: at 1 thread the stage sum (with the
 # `other` bucket) must track the wall clock within 10%. The explore
 # sub-slices (`walk_run`, `probe_solve`) re-attribute time already
@@ -222,7 +147,7 @@ for label, rec in labelled:
             f"{total:.1f} ms vs wall {wall:.1f} ms (>10% apart)"
         )
 
-# Residual budget: with every engine knob on at 1 thread, the
+# Residual budget: on the five-row record at 1 thread, the
 # unattributed `other` bucket stays within 15% of wall clock.
 if rec_on is not None and rec_on["metrics"].get("threads") == 1:
     other = rec_on["metrics"]["stages_ms"].get("other", 0.0)
@@ -234,69 +159,16 @@ if rec_on is not None and rec_on["metrics"].get("threads") == 1:
             f"({100 * other / wall:.1f}%, expected <= 15%)"
         )
 
-# Family sharing must be purely an optimization: the family-off rows
-# must equal the all-on rows key for key (stronger than both matching
-# the committed expectations — it holds even while expectations are
-# being retuned in the same PR).
-if rec_on is not None and rec_fam_off is not None:
-    for key in ("tested_instructions", "interpreter_paths", "curated_paths", "differences"):
-        if rec_fam_off["table2"][key] != rec_on["table2"][key]:
-            sys.exit(
-                "perf-smoke: family-shared exploration changed campaign rows: "
-                f"{key} is {rec_on['table2'][key]} with sharing on "
-                f"but {rec_fam_off['table2'][key]} with sharing off"
-            )
-
-# Interpreter predecoding must be purely an optimization too: the
-# interp-predecode-off rows must equal the all-on rows key for key
-# (same rationale as the family check above — holds even while the
-# committed expectations are being retuned in the same PR).
-if rec_on is not None and rec_interp_off is not None:
-    for key in ("tested_instructions", "interpreter_paths", "curated_paths", "differences"):
-        if rec_interp_off["table2"][key] != rec_on["table2"][key]:
-            sys.exit(
-                "perf-smoke: interpreter predecoding changed campaign rows: "
-                f"{key} is {rec_on['table2'][key]} with predecoding on "
-                f"but {rec_interp_off['table2'][key]} with it off"
-            )
-
-# The trail-based solver (engine v10) must be purely an optimization:
-# an undo log instead of per-scope store clones cannot change what the
-# solver answers, so the trail-off rows must equal the all-on rows key
-# for key. The activity counters double-check that the comparison is
-# not vacuous — the all-on run really unwound scopes off a trail, the
-# trail-off run really cloned.
-if rec_on is not None and rec_trail_off is not None:
-    for key in ("tested_instructions", "interpreter_paths", "curated_paths", "differences"):
-        if rec_trail_off["table2"][key] != rec_on["table2"][key]:
-            sys.exit(
-                "perf-smoke: the trail-based solver changed campaign rows: "
-                f"{key} is {rec_on['table2'][key]} with the trail on "
-                f"but {rec_trail_off['table2'][key]} with it off"
-            )
-    trail_on = rec_on["metrics"].get("trail")
-    trail_off = rec_trail_off["metrics"].get("trail")
-    if trail_on is not None and trail_on.get("clones_avoided", 0) == 0:
-        sys.exit(
-            "perf-smoke: the all-on record shows no trail activity — "
-            "solver_trail appears to be silently disabled"
-        )
-    if trail_off is not None and trail_off.get("marks", 0) != 0:
-        sys.exit(
-            "perf-smoke: the solver-trail-off record took trail marks — "
-            "the IGJIT_SOLVER_TRAIL=0 leg is not actually in clone mode"
-        )
-
 # Tier-5 additivity: the meta tier appends one row and changes nothing
 # else, so the rows shared by both configurations must agree — the
-# tier5-off totals can never exceed the all-on totals, and the meta
+# tier5-off totals can never exceed the five-row totals, and the meta
 # row must contribute zero differences (a compiler partially evaluated
 # out of the interpreter agrees with the interpreter by construction).
 if rec_on is not None and rec_t5_off is not None:
     for key in ("tested_instructions", "interpreter_paths", "curated_paths"):
         if rec_t5_off["table2"][key] > rec_on["table2"][key]:
             sys.exit(
-                "perf-smoke: tier5-off totals exceed the all-on totals: "
+                "perf-smoke: tier5-off totals exceed the five-row totals: "
                 f"{key} is {rec_t5_off['table2'][key]} without the meta row "
                 f"but {rec_on['table2'][key]} with it"
             )
@@ -323,8 +195,8 @@ for label, rec in labelled:
                 f"vs explore {stages['explore']:.1f} ms"
             )
 
-# Explore budget: with every engine knob on at 1 thread, the explore
-# stage must stay under its committed budget (engine v8).
+# Explore budget: on the five-row record at 1 thread, the explore
+# stage must stay under its committed budget.
 explore_budget = expect.get("explore_budget_ms")
 if (
     explore_budget is not None
@@ -374,15 +246,13 @@ if kill_floor is not None:
                 f"(floor {kill_floor})"
             )
 
-rec = (rec_on or rec_off or rec_pre_off or rec_fam_off or rec_interp_off or rec_t5_off
-       or rec_trail_off)
+rec = rec_on or rec_t5_off
 metrics = rec["metrics"]
 stages = metrics["stages_ms"]
-speedup = f", materialize speedup {ratio:.2f}x" if ratio is not None else ""
 print(
     "perf-smoke: totals match expectations "
     f"({rec['table2']['differences']} differences, {generated} generated tests); "
     f"wall {metrics['wall_clock_ms']:.0f} ms, explore {stages['explore']:.0f} ms, "
-    f"compile cache hit rate {metrics['compile_cache']['hit_rate']:.2f}{speedup}"
+    f"compile cache hit rate {metrics['compile_cache']['hit_rate']:.2f}"
 )
 PY

@@ -1,25 +1,22 @@
-//! Criterion bench behind the engine-v5 simulation pipeline: the three
-//! ways one compiled test method reaches the machine simulator.
+//! Criterion bench of the two ways one compiled test method reaches
+//! the machine simulator.
 //!
-//! * `one_shot_byte_decode` — engine-v3 shape: every run allocates a
-//!   fresh 64 KB machine stack and decodes each step from bytes.
-//! * `session_byte_decode` — engine-v4/v5 batched-replay shape: a
+//! * `one_shot_byte_decode` — every run allocates a fresh 64 KB
+//!   machine stack.
+//! * `session_byte_decode` — the campaign's batched-replay shape: a
 //!   persistent [`MachineSession`] is reset (low-water-mark zeroing)
-//!   instead of reallocated; fetch still decodes from bytes.
-//! * `session_predecoded` — engine v5: the session plus a
-//!   [`PredecodedCode`] artifact, so fetch is an indexed lookup.
+//!   instead of reallocated.
 //!
-//! `predecode_build` measures the one-time artifact construction that
-//! the compiled-code cache amortizes across every replay of an entry.
-//! (The heap side of batched replay — seal/restore versus fresh
-//! materialization — is covered by the `snapshot` bench.)
+//! Both decode each step from bytes. (The heap side of batched replay
+//! — seal/restore versus fresh materialization — is covered by the
+//! `snapshot` bench.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use igjit_heap::ObjectMemory;
 use igjit_jit::native::igjit_bytecode_native_id::NativeMethodIdLike;
 use igjit_jit::{compile_bytecode_test, compile_native_test, BytecodeTestInput, CompiledCode,
                 Convention, NativeTestInput};
-use igjit_machine::{Isa, Machine, MachineConfig, MachineSession, PredecodedCode};
+use igjit_machine::{Isa, Machine, MachineConfig, MachineSession};
 
 /// Compiled methods covering both unit shapes: a native template
 /// (register-calling-convention, short body) and a bytecode test
@@ -70,7 +67,6 @@ fn bench_simulate_modes(c: &mut Criterion) {
     let mem = ObjectMemory::new();
     for (label, compiled) in subjects(&mem) {
         let isa = compiled.isa;
-        let predecoded = PredecodedCode::new(&compiled.code, isa);
         let mut g = c.benchmark_group(format!("simulate/{label}"));
 
         g.bench_function("one_shot_byte_decode", |b| {
@@ -90,20 +86,6 @@ fn bench_simulate_modes(c: &mut Criterion) {
                 seed_regs(&mut m, isa);
                 m.run(MachineConfig::default())
             })
-        });
-
-        g.bench_function("session_predecoded", |b| {
-            let mut run_mem = ObjectMemory::new();
-            let mut session = MachineSession::new();
-            b.iter(|| {
-                let mut m = Machine::with_predecoded(&mut run_mem, &predecoded, &mut session);
-                seed_regs(&mut m, isa);
-                m.run(MachineConfig::default())
-            })
-        });
-
-        g.bench_function("predecode_build", |b| {
-            b.iter(|| PredecodedCode::new(std::hint::black_box(&compiled.code), isa))
         });
 
         g.finish();

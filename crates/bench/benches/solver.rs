@@ -1,10 +1,8 @@
-//! Criterion microbench for the solver's hypothesis hot path (engine
-//! v10): µs per sibling-hypothesis solve for the classic quadruple
+//! Criterion microbench for the solver's hypothesis hot path: µs per
+//! sibling-hypothesis solve for the classic quadruple
 //! (`push`/`assert`/`solve`/`pop`), [`Session::solve_under`], and
-//! [`Session::solve_under_prepared`], each in trail mode (the
-//! `IGJIT_SOLVER_TRAIL` default — scopes on the undo log) and clone
-//! mode (each scope clones the interval store). The workload mirrors
-//! the kind-probe sweep: one path condition asserted once, ~a dozen
+//! [`Session::solve_under_prepared`]. The workload mirrors the
+//! kind-probe sweep: one path condition asserted once, ~a dozen
 //! sibling hypotheses solved against it per iteration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -62,9 +60,8 @@ fn hypotheses() -> Vec<Constraint> {
     hs
 }
 
-fn session(trail: bool) -> Session {
+fn session() -> Session {
     let mut s = Session::new();
-    s.set_trail(trail);
     s.sync_vars(&specs());
     for c in path_condition() {
         s.assert(c);
@@ -76,41 +73,39 @@ fn bench_hypothesis_solves(c: &mut Criterion) {
     let hyps = hypotheses();
     let prepared: Vec<PreparedConstraint> =
         hyps.iter().map(|h| PreparedConstraint::new(h.clone())).collect();
-    for (mode, trail) in [("trail", true), ("clone", false)] {
-        let mut g = c.benchmark_group(format!("solver_{mode}"));
-        g.sample_size(30);
-        g.bench_function("quadruple", |b| {
-            let mut s = session(trail);
-            b.iter(|| {
-                for h in &hyps {
-                    s.push();
-                    s.assert(h.clone());
-                    let _ = std::hint::black_box(s.solve());
-                    s.pop();
-                    s.clear_cached_model();
-                }
-            })
-        });
-        g.bench_function("solve_under", |b| {
-            let mut s = session(trail);
-            b.iter(|| {
-                for h in &hyps {
-                    let _ = std::hint::black_box(s.solve_under(h));
-                    s.clear_cached_model();
-                }
-            })
-        });
-        g.bench_function("solve_under_prepared", |b| {
-            let mut s = session(trail);
-            b.iter(|| {
-                for p in &prepared {
-                    let _ = std::hint::black_box(s.solve_under_prepared(p));
-                    s.clear_cached_model();
-                }
-            })
-        });
-        g.finish();
-    }
+    let mut g = c.benchmark_group("solver");
+    g.sample_size(30);
+    g.bench_function("quadruple", |b| {
+        let mut s = session();
+        b.iter(|| {
+            for h in &hyps {
+                s.push();
+                s.assert(h.clone());
+                let _ = std::hint::black_box(s.solve());
+                s.pop();
+                s.clear_cached_model();
+            }
+        })
+    });
+    g.bench_function("solve_under", |b| {
+        let mut s = session();
+        b.iter(|| {
+            for h in &hyps {
+                let _ = std::hint::black_box(s.solve_under(h));
+                s.clear_cached_model();
+            }
+        })
+    });
+    g.bench_function("solve_under_prepared", |b| {
+        let mut s = session();
+        b.iter(|| {
+            for p in &prepared {
+                let _ = std::hint::black_box(s.solve_under_prepared(p));
+                s.clear_cached_model();
+            }
+        })
+    });
+    g.finish();
 }
 
 criterion_group!(benches, bench_hypothesis_solves);

@@ -9,8 +9,7 @@
 //! cargo run --release -p igjit-bench --bin explore_profile -- [rounds]
 //! ```
 //!
-//! Knobs: `IGJIT_HASH_CONS`, `IGJIT_FAMILY_SHARE`,
-//! `IGJIT_NEGATE_THREADS`, `IGJIT_SOLVER_TRAIL`.
+//! Knob: `IGJIT_NEGATE_THREADS`.
 
 use std::time::Instant;
 
@@ -25,10 +24,7 @@ fn main() {
         .and_then(|a| a.parse().ok())
         .unwrap_or(20);
     let mut explorer = Explorer::new();
-    explorer.hash_cons = knobs.hash_cons_enabled();
     explorer.negation_threads = knobs.negate_threads_or_default();
-    explorer.solver_trail = knobs.solver_trail_enabled();
-    let family_share = knobs.family_share_enabled();
     let mut total_paths = 0usize;
     let t0 = Instant::now();
     for round in 0..rounds {
@@ -38,22 +34,13 @@ fn main() {
         let tr = Instant::now();
         let mut paths = 0;
         for spec in native_catalog() {
-            let l = cache.get_or_explore_with(
-                &explorer,
-                InstrUnderTest::Native(spec.id),
-                true,
-                family_share,
-            );
+            let l = cache.get_or_explore(&explorer, InstrUnderTest::Native(spec.id), true);
             paths += l.exploration.paths.len();
         }
         let native_ms = tr.elapsed().as_secs_f64() * 1000.0;
         for spec in instruction_catalog() {
-            let l = cache.get_or_explore_with(
-                &explorer,
-                InstrUnderTest::Bytecode(spec.instruction),
-                false,
-                family_share,
-            );
+            let l =
+                cache.get_or_explore(&explorer, InstrUnderTest::Bytecode(spec.instruction), false);
             paths += l.exploration.paths.len();
         }
         total_paths = paths;

@@ -1,7 +1,6 @@
-//! Phase attribution for the solver's hypothesis hot path (engine
-//! v10): where a `solve_under` microsecond actually goes —
-//! assert+propagate, leaf search, scope unwind, model extraction — in
-//! trail mode vs clone mode.
+//! Phase attribution for the solver's hypothesis hot path: where a
+//! `solve_under` microsecond actually goes — assert+propagate+unwind,
+//! leaf search, model extraction.
 //!
 //! The solver's internals are deliberately unhooked (no timing code on
 //! the hot path), so attribution is differential: each phase is
@@ -10,10 +9,7 @@
 //!
 //! * **propagate** — a hypothesis interval propagation refutes
 //!   (`x < -1` against `x ∈ [0, 100]`): classify + assert + propagate
-//!   + scope teardown, no search, no model.
-//! * **unwind** — the same refuted hypothesis, trail vs clone mode:
-//!   the mode delta is what scope setup/teardown itself costs (undo
-//!   log replay vs store clone).
+//!   + trail unwind, no search, no model.
 //! * **model-extract** — a hypothesis that is SAT with search already
 //!   decided (every var kind-pinned, no `Or`, no integer splitting):
 //!   subtracting the propagate baseline leaves leaf construction +
@@ -80,9 +76,8 @@ fn flat_path() -> Vec<Constraint> {
         .collect()
 }
 
-fn session(trail: bool, path: &[Constraint]) -> Session {
+fn session(path: &[Constraint]) -> Session {
     let mut s = Session::new();
-    s.set_trail(trail);
     s.sync_vars(&specs());
     for c in path {
         s.assert(c.clone());
@@ -91,9 +86,9 @@ fn session(trail: bool, path: &[Constraint]) -> Session {
 }
 
 /// Min-of-rounds µs per solve of `hypothesis` against `path`.
-fn measure(rounds: usize, trail: bool, path: &[Constraint], hypothesis: &Constraint) -> f64 {
+fn measure(rounds: usize, path: &[Constraint], hypothesis: &Constraint) -> f64 {
     let prepared = PreparedConstraint::new(hypothesis.clone());
-    let mut s = session(trail, path);
+    let mut s = session(path);
     let mut best = Duration::MAX;
     for _ in 0..rounds {
         let t0 = Instant::now();
@@ -117,36 +112,22 @@ fn main() {
     let sat = Constraint::kind_is(v(4), Kind::Float);
 
     println!("solver_profile: {rounds} rounds x {SOLVES_PER_ROUND} solves, µs/solve (min of rounds)");
-    println!("{:<14} {:>10} {:>10}", "phase", "trail", "clone");
-    let mut rows: Vec<(&str, f64, f64)> = Vec::new();
-    let propagate: Vec<f64> =
-        [true, false].iter().map(|&t| measure(rounds, t, &branchy_path(), &refuted)).collect();
-    rows.push(("propagate", propagate[0], propagate[1]));
-    let flat_sat: Vec<f64> =
-        [true, false].iter().map(|&t| measure(rounds, t, &flat_path(), &sat)).collect();
-    rows.push((
-        "model-extract",
-        (flat_sat[0] - propagate[0]).max(0.0),
-        (flat_sat[1] - propagate[1]).max(0.0),
-    ));
-    let branchy_sat: Vec<f64> =
-        [true, false].iter().map(|&t| measure(rounds, t, &branchy_path(), &sat)).collect();
-    rows.push((
-        "search",
-        (branchy_sat[0] - flat_sat[0]).max(0.0),
-        (branchy_sat[1] - flat_sat[1]).max(0.0),
-    ));
-    // Scope mechanics: the trail/clone delta on the propagate-only
-    // workload — positive means cloning costs more than undo replay.
-    rows.push(("unwind-vs-clone", 0.0, (propagate[1] - propagate[0]).max(0.0)));
-    rows.push(("total (SAT)", branchy_sat[0], branchy_sat[1]));
-    for (name, t, c) in rows {
-        println!("{name:<14} {t:>10.3} {c:>10.3}");
+    println!("{:<14} {:>10}", "phase", "µs");
+    let propagate = measure(rounds, &branchy_path(), &refuted);
+    let flat_sat = measure(rounds, &flat_path(), &sat);
+    let branchy_sat = measure(rounds, &branchy_path(), &sat);
+    let rows = [
+        ("propagate", propagate),
+        ("model-extract", (flat_sat - propagate).max(0.0)),
+        ("search", (branchy_sat - flat_sat).max(0.0)),
+        ("total (SAT)", branchy_sat),
+    ];
+    for (name, us) in rows {
+        println!("{name:<14} {us:>10.3}");
     }
 
-    // Trail accounting over one batch, as a sanity check that the
-    // measured mode is the one configured.
-    let mut s = session(true, &branchy_path());
+    // Trail accounting over one batch.
+    let mut s = session(&branchy_path());
     let p = PreparedConstraint::new(sat);
     for _ in 0..SOLVES_PER_ROUND {
         let _ = s.solve_under_prepared(&p);

@@ -10,11 +10,9 @@
 //! attached, both also carry `corpus_load_ms` (constructing the
 //! campaign on the file) and `corpus_save_ms` (`save_corpus`), so a
 //! warm re-check's end-to-end cost is the rows' `wall_clock_ms` plus
-//! those two. `IGJIT_THREADS` overrides the worker count;
-//! `IGJIT_HEAP_SNAPSHOT=0` disables base-image replay
-//! (re-materializing the heap for every engine run instead).
+//! those two. `IGJIT_THREADS` overrides the worker count.
 //!
-//! Engine v7 adds two scale knobs:
+//! Two scale knobs:
 //!
 //! - `--corpus PATH` (or `IGJIT_CORPUS`): persistent campaign corpus.
 //!   The run warm-starts from entries whose fingerprints match this
@@ -72,10 +70,8 @@ fn usage() -> ! {
          \x20                to a cold run)\n\
          \x20 --help         this text\n\
          \n\
-         environment: IGJIT_THREADS, IGJIT_HEAP_SNAPSHOT, IGJIT_PREDECODE,\n\
-         IGJIT_INTERP_PREDECODE, IGJIT_HASH_CONS, IGJIT_FAMILY_SHARE, IGJIT_TIER5,\n\
-         IGJIT_SOLVER_TRAIL, IGJIT_NEGATE_THREADS, IGJIT_MUTANT, IGJIT_CORPUS,\n\
-         IGJIT_CAMPAIGN_JOBS"
+         environment: IGJIT_THREADS, IGJIT_TIER5, IGJIT_NEGATE_THREADS,\n\
+         IGJIT_MUTANT, IGJIT_CORPUS, IGJIT_CAMPAIGN_JOBS"
     );
     std::process::exit(2);
 }
@@ -320,10 +316,9 @@ fn main() {
     let campaign = with_live_progress(campaign);
     eprintln!(
         "running the native-method and three bytecode campaigns{} \
-         (both ISAs, probing on, {} thread(s), heap snapshots {})…",
+         (both ISAs, probing on, {} thread(s))…",
         if campaign.config().meta_tier { " plus the meta tier" } else { "" },
         campaign.config().threads,
-        if campaign.config().heap_snapshot { "on" } else { "off" },
     );
     let reports = campaign.run_all();
     println!(

@@ -29,58 +29,12 @@ pub fn campaign_threads() -> usize {
     env_knobs().threads_or_default()
 }
 
-/// Whether heap snapshot/restore replay is enabled: the
-/// `IGJIT_HEAP_SNAPSHOT` environment variable (off, every run rebuilds
-/// the heap from the model), default on. Malformed values are fatal.
-pub fn heap_snapshot_enabled() -> bool {
-    env_knobs().heap_snapshot_enabled()
-}
-
-/// Whether predecoded batched replay is enabled: the `IGJIT_PREDECODE`
-/// environment variable (off, every step byte-decodes and every run
-/// reallocates the simulator), default on. Malformed values are fatal.
-pub fn predecode_enabled() -> bool {
-    env_knobs().predecode_enabled()
-}
-
-/// Whether the interpreter-side predecoded pipeline is enabled: the
-/// `IGJIT_INTERP_PREDECODE` environment variable (off, oracle and
-/// sequence runs dispatch per step — the engine-v7 behaviour), default
-/// on. Rows are identical either way. Malformed values are fatal.
-pub fn interp_predecode_enabled() -> bool {
-    env_knobs().interp_predecode_enabled()
-}
-
-/// Whether hash-consed constraint interning is enabled: the
-/// `IGJIT_HASH_CONS` environment variable (on, assertions are interned
-/// and path dedup keys on term ids), default off since engine v7 (the
-/// ablation in EXPERIMENTS.md measured the sweep faster without it).
-/// Malformed values are fatal.
-pub fn hash_cons_enabled() -> bool {
-    env_knobs().hash_cons_enabled()
-}
-
-/// Whether family-shared exploration is enabled: the
-/// `IGJIT_FAMILY_SHARE` environment variable (off, every opcode is
-/// explored from scratch), default on. Malformed values are fatal.
-pub fn family_share_enabled() -> bool {
-    env_knobs().family_share_enabled()
-}
-
-/// Whether the meta-compiled tier (#5, engine v9) runs as a fifth
+/// Whether the meta-compiled tier (#5) runs as a fifth
 /// Table 2 row: the `IGJIT_TIER5` environment variable, default on.
 /// Tiers 1–4 rows are byte-identical either way. Malformed values are
 /// fatal.
 pub fn tier5_enabled() -> bool {
     env_knobs().tier5_enabled()
-}
-
-/// Whether solver sessions run hypothesis scopes on the undo trail
-/// instead of cloning the interval store per scope (engine v10): the
-/// `IGJIT_SOLVER_TRAIL` environment variable, default on. Rows are
-/// byte-identical either way. Malformed values are fatal.
-pub fn solver_trail_enabled() -> bool {
-    env_knobs().solver_trail_enabled()
 }
 
 /// Worker threads for intra-instruction path negation: the
@@ -125,9 +79,9 @@ pub fn arm_mutant_from_env() -> Option<igjit::MutantGuard> {
 
 /// The evaluation configuration used by every harness binary: both
 /// ISAs, probing enabled (the paper's §5.1 setup), worker threads from
-/// [`campaign_threads`], heap snapshots from
-/// [`heap_snapshot_enabled`], predecoded replay from
-/// [`predecode_enabled`], persistent corpus from [`corpus_path`].
+/// [`campaign_threads`], path-negation threads from [`negate_threads`],
+/// the meta tier from [`tier5_enabled`], persistent corpus from
+/// [`corpus_path`].
 pub fn paper_campaign() -> Campaign {
     Campaign::new(paper_config())
 }
@@ -140,15 +94,9 @@ pub fn paper_config() -> CampaignConfig {
         isas: vec![Isa::X86ish, Isa::Arm32ish],
         probes: true,
         threads: campaign_threads(),
-        heap_snapshot: heap_snapshot_enabled(),
-        predecode: predecode_enabled(),
-        interp_predecode: interp_predecode_enabled(),
-        hash_cons: hash_cons_enabled(),
-        family_share: family_share_enabled(),
         negate_threads: negate_threads(),
         corpus: corpus_path(),
         meta_tier: tier5_enabled(),
-        solver_trail: solver_trail_enabled(),
     }
 }
 
@@ -202,23 +150,14 @@ pub fn append_bench_json(path: &str, reports: &[CampaignReport], corpus_io: Opti
     let record = format!(
         concat!(
             "{{\"epoch_s\":{},",
-            "\"knobs\":{{\"heap_snapshot\":{},\"predecode\":{},",
-            "\"interp_predecode\":{},",
-            "\"hash_cons\":{},\"family_share\":{},\"tier5\":{},\"solver_trail\":{},",
-            "\"corpus\":{}}},",
+            "\"knobs\":{{\"tier5\":{},\"corpus\":{}}},",
             "{},",
             "\"metrics\":{},",
             "\"table2\":{{\"tested_instructions\":{},\"interpreter_paths\":{},",
             "\"curated_paths\":{},\"differences\":{}}}}}\n"
         ),
         epoch,
-        knobs.heap_snapshot_enabled(),
-        knobs.predecode_enabled(),
-        knobs.interp_predecode_enabled(),
-        knobs.hash_cons_enabled(),
-        knobs.family_share_enabled(),
         knobs.tier5_enabled(),
-        knobs.solver_trail_enabled(),
         knobs.corpus.is_some(),
         report::corpus_io_fields(corpus_io),
         total.to_json(),
@@ -255,10 +194,9 @@ pub fn print_metrics_summary(total: &Metrics) {
         total.stages.compare.as_secs_f64(),
     );
     println!(
-        "sub-stages: setup {:.3}s, decode {:.3}s, hash {:.3}s, report {:.3}s, \
+        "sub-stages: setup {:.3}s, hash {:.3}s, report {:.3}s, \
          progress {:.3}s, residual other {:.3}s",
         total.stages.setup.as_secs_f64(),
-        total.stages.decode.as_secs_f64(),
         total.stages.hash.as_secs_f64(),
         total.stages.report.as_secs_f64(),
         total.stages.progress.as_secs_f64(),

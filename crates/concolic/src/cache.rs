@@ -64,29 +64,19 @@ impl ExplorationCache {
 
     /// Returns the cached exploration for `(instr, probes)` or runs
     /// `explorer` to produce (and remember) it.
-    pub fn get_or_explore(
-        &self,
-        explorer: &Explorer,
-        instr: InstrUnderTest,
-        probes: bool,
-    ) -> CacheLookup {
-        self.get_or_explore_with(explorer, instr, probes, false)
-    }
-
-    /// [`ExplorationCache::get_or_explore`], optionally with
-    /// family-shared exploration: on a miss for a bytecode whose
+    ///
+    /// Explorations are family-shared: on a miss for a bytecode whose
     /// [`igjit_bytecode::Instruction::family_rep`] differs from
     /// itself, the representative's exploration (cached with a replay
     /// log) is *replayed* for this member — verified step by step,
     /// with a fall back to a full exploration on any mismatch — so a
     /// whole immediate-parameterized family costs one negation-tree
     /// solve instead of one per opcode.
-    pub fn get_or_explore_with(
+    pub fn get_or_explore(
         &self,
         explorer: &Explorer,
         instr: InstrUnderTest,
         probes: bool,
-        family_share: bool,
     ) -> CacheLookup {
         let key = (instr, probes);
         if let Some(found) = self.read_map().get(&key) {
@@ -100,37 +90,29 @@ impl ExplorationCache {
             };
         }
         let t0 = Instant::now();
-        if family_share {
-            if let InstrUnderTest::Bytecode(member) = instr {
-                let rep = member.family_rep();
-                if rep != member {
-                    // A non-representative member: fetch (or build)
-                    // the family's shared exploration, then replay it
-                    // for this opcode. The recursion holds no locks.
-                    let rep_lookup = self.get_or_explore_with(
-                        explorer,
-                        InstrUnderTest::Bytecode(rep),
-                        probes,
-                        true,
-                    );
-                    match crate::family::replay(explorer, &rep_lookup.exploration, member) {
-                        Some(replayed) => {
-                            self.family_hits.fetch_add(1, Ordering::Relaxed);
-                            return self.insert(key, replayed, t0);
-                        }
-                        None => {
-                            self.family_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        }
+        if let InstrUnderTest::Bytecode(member) = instr {
+            let rep = member.family_rep();
+            if rep != member {
+                // A non-representative member: fetch (or build) the
+                // family's shared exploration, then replay it for this
+                // opcode. The recursion holds no locks.
+                let rep_lookup =
+                    self.get_or_explore(explorer, InstrUnderTest::Bytecode(rep), probes);
+                match crate::family::replay(explorer, &rep_lookup.exploration, member) {
+                    Some(replayed) => {
+                        self.family_hits.fetch_add(1, Ordering::Relaxed);
+                        return self.insert(key, replayed, t0);
+                    }
+                    None => {
+                        self.family_fallbacks.fetch_add(1, Ordering::Relaxed);
                     }
                 }
             }
         }
-        // A native, a family representative, a member whose replay
-        // failed verification, or sharing is off: explore in full.
-        // Representatives record the replay log members will need
-        // (one model clone per node, so only paid when sharing).
-        let record = family_share
-            && matches!(instr, InstrUnderTest::Bytecode(b) if b.family_rep() == b);
+        // A native, a family representative, or a member whose replay
+        // failed verification: explore in full. Representatives record
+        // the replay log members will need (one model clone per node).
+        let record = matches!(instr, InstrUnderTest::Bytecode(b) if b.family_rep() == b);
         let explored = self.explore_full(explorer, instr, probes, record);
         self.insert(key, explored, t0)
     }
@@ -152,11 +134,7 @@ impl ExplorationCache {
             // compiler target, so precompute it here: every target
             // (and every worker) sharing this entry reuses one probe
             // pass instead of re-solving the hypotheses per tier.
-            explored.attach_probe_models(
-                crate::probes::DEFAULT_MAX_PROBES,
-                explorer.hash_cons,
-                explorer.solver_trail,
-            );
+            explored.attach_probe_models(crate::probes::DEFAULT_MAX_PROBES);
         }
         explored
     }
@@ -235,7 +213,7 @@ impl ExplorationCache {
     /// Seeds an entry without touching the hit/miss counters (corpus
     /// warm-start: a preloaded entry becomes an ordinary hit when the
     /// sweep first asks for it). First insert wins, like
-    /// [`get_or_explore_with`](Self::get_or_explore_with)'s publish.
+    /// [`get_or_explore`](Self::get_or_explore)'s publish.
     pub fn preload(&self, key: ExplorationKey, exploration: Arc<ExplorationResult>) {
         self.write_map().entry(key).or_insert(exploration);
     }
@@ -275,7 +253,8 @@ mod tests {
     fn second_lookup_hits_and_shares() {
         let cache = ExplorationCache::new();
         let explorer = Explorer::new();
-        let instr = InstrUnderTest::Bytecode(Instruction::PushOne);
+        // A family representative: its miss explores nothing else.
+        let instr = InstrUnderTest::Bytecode(Instruction::PushTrue);
         let first = cache.get_or_explore(&explorer, instr, false);
         assert!(!first.hit);
         assert!(first.explore_time > Duration::ZERO);
@@ -306,17 +285,15 @@ mod tests {
         // Two members of the short-jump-true family: the first miss
         // explores the representative (plus the member itself as a
         // replay), the second only replays.
-        let a = cache.get_or_explore_with(
+        let a = cache.get_or_explore(
             &explorer,
             InstrUnderTest::Bytecode(Instruction::ShortJumpTrue(4)),
             false,
-            true,
         );
-        let b = cache.get_or_explore_with(
+        let b = cache.get_or_explore(
             &explorer,
             InstrUnderTest::Bytecode(Instruction::ShortJumpTrue(7)),
             false,
-            true,
         );
         assert_eq!(cache.family_hits(), 2);
         assert_eq!(cache.family_fallbacks(), 0);
@@ -358,7 +335,7 @@ mod tests {
             Instruction::PushMinusOne,
             Instruction::PushTwo,
         ] {
-            let l = cache.get_or_explore_with(&explorer, InstrUnderTest::Bytecode(i), false, true);
+            let l = cache.get_or_explore(&explorer, InstrUnderTest::Bytecode(i), false);
             assert_eq!(l.exploration.paths.len(), 1, "{i:?}");
             // Each member pushes *its own* constant.
             let top = l.exploration.paths[0].output_stack[0];

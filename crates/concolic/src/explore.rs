@@ -15,9 +15,7 @@ use igjit_heap::{ObjectMemory, Oop};
 use igjit_interp::{
     run_native, step, NativeMethodId, NativeOutcome, Selector, StepOutcome,
 };
-use igjit_solver::{
-    Constraint, Model, Session, SessionStats, SolveError, TermTable, TrailStats, VarId,
-};
+use igjit_solver::{Constraint, Model, Session, SessionStats, SolveError, TrailStats, VarId};
 
 use crate::materialize::{materialize_frame, MaterializedFrame};
 use crate::state::AbstractState;
@@ -200,10 +198,9 @@ pub struct ExplorationResult {
     /// Work counters of the incremental solver session that drove the
     /// negation-tree walk.
     pub solver: SessionStats,
-    /// Trail-mode counters of the same sessions (undo-log marks,
-    /// clones avoided, pool traffic) — separate from
-    /// [`ExplorationResult::solver`] because those are pinned identical
-    /// between trail and clone mode while these measure the mode.
+    /// Undo-trail and buffer-pool counters of the same sessions (marks,
+    /// clones avoided, pool traffic) — bookkeeping, kept apart from the
+    /// answer counters in [`ExplorationResult::solver`].
     pub trail: TrailStats,
     /// Precomputed kind-probe models, aligned index-for-index with
     /// [`ExplorationResult::curated_paths`]. Empty unless
@@ -245,17 +242,15 @@ impl ExplorationResult {
     /// [`ExplorationResult::solver`], so a campaign charging this
     /// exploration charges its probing too.
     /// One solver session serves every path: variables are synced and
-    /// normalization plans warmed once, each path's condition lives in
-    /// its own push/pop scope, and the cached model is cleared between
-    /// paths so no path's reuse can see another's model — keeping the
-    /// models per path exactly those of a fresh per-path session.
-    pub fn attach_probe_models(&mut self, max_probes: usize, hash_cons: bool, solver_trail: bool) {
+    /// hypotheses prepared once, each path's condition lives in its own
+    /// push/pop scope, and the cached model is cleared between paths so
+    /// no path's reuse can see another's model — keeping the models per
+    /// path exactly those of a fresh per-path session.
+    pub fn attach_probe_models(&mut self, max_probes: usize) {
         let probe_t = Instant::now();
         let mut all = Vec::new();
         let mut session = Session::new();
         session.set_reuse_models(true);
-        session.set_hash_cons(hash_cons);
-        session.set_trail(solver_trail);
         session.sync_vars(self.state.specs());
         let plan = crate::probes::ProbePlan::new(&self.state);
         for path in self.curated_paths() {
@@ -280,13 +275,6 @@ pub struct Explorer {
     pub max_iterations: usize,
     /// Max recorded path length considered for negation.
     pub max_path_len: usize,
-    /// Hash-cons constraints inside the walk's solver session and key
-    /// path dedup on interned term ids instead of `format!`ed text
-    /// (`IGJIT_HASH_CONS`). Invisible to results. The campaign runs
-    /// with it on (engine v8: seeded-`FxHash` intern tables made the
-    /// consed walk the faster one again); the bare `Explorer` default
-    /// stays off so direct users get the dependency-free text path.
-    pub hash_cons: bool,
     /// Number of threads negating sibling subtrees of the root path
     /// in parallel (`IGJIT_NEGATE_THREADS`; `1` = sequential).
     /// Subtrees are explored speculatively and spliced back in the
@@ -297,12 +285,6 @@ pub struct Explorer {
     /// Record a [`ReplayStep`] per executed node (family-sharing
     /// support; costs one model clone per node, so off by default).
     pub record_replay: bool,
-    /// Run solver scopes on the session's undo trail instead of
-    /// cloning the interval store per hypothesis
-    /// (`IGJIT_SOLVER_TRAIL`, engine v10). Results are pinned
-    /// identical either way; this only trades clone traffic for trail
-    /// bookkeeping. Defaults on.
-    pub solver_trail: bool,
 }
 
 impl Default for Explorer {
@@ -317,10 +299,8 @@ impl Explorer {
         Explorer {
             max_iterations: 192,
             max_path_len: 48,
-            hash_cons: false,
             negation_threads: 1,
             record_replay: false,
-            solver_trail: true,
         }
     }
 
@@ -373,20 +353,12 @@ impl Explorer {
             ) -> PathOutcome
             + Sync,
     {
-        let mut session = Session::new();
-        session.set_hash_cons(self.hash_cons);
-        session.set_trail(self.solver_trail);
-        // Interned path signatures are only comparable within one
-        // table; speculative subtree workers each build their own, so
-        // the parallel walk keys dedup on the textual signature.
-        let sig_table = (self.hash_cons && self.negation_threads <= 1).then(TermTable::new);
         let mut walk = NegationWalk {
             explorer: self,
             instr,
             exec: &exec,
             state: AbstractState::new(),
-            session,
-            sig_table,
+            session: Session::new(),
             visited: FxHashSet::default(),
             paths: Vec::new(),
             curated_out: Vec::new(),
@@ -434,10 +406,9 @@ struct NegationWalk<'e, F> {
     exec: &'e F,
     state: AbstractState,
     session: Session,
-    /// Present iff dedup keys on interned constraint ids; `None`
-    /// falls back to the historical textual signature.
-    sig_table: Option<TermTable>,
-    visited: FxHashSet<PathSig>,
+    /// Path-dedup keys seen so far: the path condition plus the
+    /// outcome discriminant, as text (see [`path_signature`]).
+    visited: FxHashSet<String>,
     paths: Vec<ExploredPath>,
     curated_out: Vec<CurationReason>,
     iterations: usize,
@@ -458,14 +429,11 @@ struct NegationWalk<'e, F> {
 }
 
 /// A path-dedup key: the path condition plus the outcome
-/// discriminant. Both forms implement the same equivalence — the
-/// interner's structural identity matches `{:?}` text (NaNs collapse,
-/// `-0.0` stays distinct from `0.0`) — but ids are only comparable
-/// within one [`TermTable`].
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-enum PathSig {
-    Text(String),
-    Ids(Vec<u32>, u8),
+/// discriminant, as `{:?}` text (so NaN constants collapse and `-0.0`
+/// stays distinct from `0.0`). Text compares across the parallel
+/// walk's workers, which start from a copy of the walk's key set.
+fn path_signature(path: &[Constraint], disc: u8) -> String {
+    format!("{path:?}|{disc:?}")
 }
 
 /// One speculatively-explored sibling subtree, produced by a worker
@@ -473,7 +441,7 @@ enum PathSig {
 /// node executed.
 struct Subtree {
     state: AbstractState,
-    visited: FxHashSet<PathSig>,
+    visited: FxHashSet<String>,
     paths: Vec<ExploredPath>,
     curated_out: Vec<CurationReason>,
     consumed: usize,
@@ -488,7 +456,7 @@ struct Subtree {
 /// results in canonical (descending suffix position) merge order.
 struct Speculation {
     base_state: AbstractState,
-    base_visited: FxHashSet<PathSig>,
+    base_visited: FxHashSet<String>,
     subtrees: Vec<Option<Subtree>>,
 }
 
@@ -552,11 +520,7 @@ where
         let path = path;
 
         let disc = discriminant_of(&outcome);
-        let signature = match &mut self.sig_table {
-            Some(t) => PathSig::Ids(path.iter().map(|c| t.intern(c).0).collect(), disc),
-            None => PathSig::Text(format!("{path:?}|{disc:?}")),
-        };
-        let is_new = self.visited.insert(signature);
+        let is_new = self.visited.insert(path_signature(&path, disc));
         if self.explorer.record_replay {
             self.replay.push(ReplayStep {
                 model: model.clone(),
@@ -644,16 +608,12 @@ where
                 s.spawn(|| loop {
                     let k = next.fetch_add(1, Ordering::Relaxed);
                     let Some(&i) = order.get(k) else { break };
-                    let mut session = Session::new();
-                    session.set_hash_cons(explorer.hash_cons);
-                    session.set_trail(explorer.solver_trail);
                     let mut w = NegationWalk {
                         explorer,
                         instr,
                         exec,
                         state: base_state.clone(),
-                        session,
-                        sig_table: None,
+                        session: Session::new(),
                         visited: base_visited.clone(),
                         paths: Vec::new(),
                         curated_out: Vec::new(),
@@ -714,7 +674,7 @@ where
         {
             return false;
         }
-        let fresh: Vec<&PathSig> = sub.visited.difference(&sp.base_visited).collect();
+        let fresh: Vec<&String> = sub.visited.difference(&sp.base_visited).collect();
         if fresh.iter().any(|sig| self.visited.contains(*sig)) {
             return false;
         }
@@ -1031,20 +991,6 @@ mod tests {
                 )
             })
             .collect()
-    }
-
-    #[test]
-    fn textual_and_interned_dedup_agree() {
-        for i in [Instruction::Add, Instruction::ShortJumpTrue(4), Instruction::Pop] {
-            let mut consed = Explorer::new();
-            consed.hash_cons = true;
-            let a = consed.explore(InstrUnderTest::Bytecode(i));
-            let b = explore_bytecode(i);
-            assert_eq!(paths_digest(&a), paths_digest(&b), "{i:?}");
-            assert_eq!(a.iterations, b.iterations, "{i:?}");
-            assert_eq!(a.curated_out, b.curated_out, "{i:?}");
-            assert_eq!(a.solver.nodes_visited, b.solver.nodes_visited, "{i:?}");
-        }
     }
 
     #[test]

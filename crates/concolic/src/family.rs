@@ -112,3 +112,50 @@ pub(crate) fn replay(
         probe_solve: Duration::ZERO,
     })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::probes::DEFAULT_MAX_PROBES;
+    use igjit_bytecode::instruction_catalog;
+
+    /// Everything a walk hands the campaign, in comparable form.
+    fn digest(r: &ExplorationResult) -> String {
+        format!(
+            "{:?}|{:?}|{:?}|{}|{:?}|{:?}",
+            r.paths, r.curated_out, r.state, r.iterations, r.solver, r.probe_models
+        )
+    }
+
+    /// The cache serves every non-representative family member by
+    /// replay, so each replay must be exactly what exploring the member
+    /// from scratch produces: paths with their models and oracle
+    /// outputs, curation, final state, iteration and solver counts, and
+    /// probe models.
+    #[test]
+    fn every_family_replay_equals_a_scratch_exploration() {
+        let mut recording = Explorer::new();
+        recording.record_replay = true;
+        let mut reps = std::collections::HashMap::new();
+        let mut replayed = 0;
+        for spec in instruction_catalog() {
+            let member = spec.instruction;
+            let rep = member.family_rep();
+            if rep == member {
+                continue;
+            }
+            let rep_result = reps.entry(rep).or_insert_with(|| {
+                let mut r = recording.explore(InstrUnderTest::Bytecode(rep));
+                r.attach_probe_models(DEFAULT_MAX_PROBES);
+                r
+            });
+            let got = replay(&recording, rep_result, member)
+                .unwrap_or_else(|| panic!("{member:?} failed to replay {rep:?}"));
+            let mut fresh = Explorer::new().explore(InstrUnderTest::Bytecode(member));
+            fresh.attach_probe_models(DEFAULT_MAX_PROBES);
+            assert_eq!(digest(&got), digest(&fresh), "{member:?} replaying {rep:?}");
+            replayed += 1;
+        }
+        assert!(replayed >= 25, "only {replayed} family members in the catalog");
+    }
+}

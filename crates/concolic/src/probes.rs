@@ -57,19 +57,14 @@ fn static_kinds(constraints: &[Constraint], var: VarId) -> KindSet {
 }
 
 /// [`probe_models`], also reporting the incremental-solver work
-/// counters and trail-mode counters (for the campaign metrics).
-/// `solver_trail` selects the session's scope mechanism
-/// (`IGJIT_SOLVER_TRAIL`); models and stats are pinned identical
-/// either way.
+/// counters and undo-trail counters (for the campaign metrics).
 pub fn probe_models_with_stats(
     state: &AbstractState,
     path: &ExploredPath,
     max_probes: usize,
-    solver_trail: bool,
 ) -> (Vec<Model>, SessionStats, TrailStats) {
     let mut session = Session::new();
     session.set_reuse_models(true);
-    session.set_trail(solver_trail);
     let plan = ProbePlan::new(state);
     let models = probe_path(&mut session, state, &plan, path, max_probes);
     (models, session.stats(), session.trail_stats())
@@ -235,7 +230,7 @@ pub(crate) fn probe_path(
 /// concretized arithmetic records no sign constraints). The base model
 /// is always first.
 pub fn probe_models(state: &AbstractState, path: &ExploredPath, max_probes: usize) -> Vec<Model> {
-    probe_models_with_stats(state, path, max_probes, true).0
+    probe_models_with_stats(state, path, max_probes).0
 }
 
 #[cfg(test)]

@@ -378,22 +378,20 @@ impl VmContext for ConcolicContext<'_> {
 
     fn int_mul(&mut self, a: SymInt, b: SymInt) -> SymInt {
         let concrete = a.concrete.saturating_mul(b.concrete);
-        // Linear only when one side is a constant.
+        // Linear only when one side is a constant. Zero terms are
+        // dropped (scaling by a concrete 0 leaves none): the solver's
+        // propagator divides by every coefficient it sees.
+        let scale = |e: LinExpr, k: i64| LinExpr {
+            constant: e.constant * k,
+            terms: e.terms.iter().map(|&(c, v)| (c * k, v)).filter(|t| t.0 != 0).collect(),
+        };
         let expr = match (a.expr, b.expr) {
             (Some(_), None) => {
-                let e = self.expr_of(a);
-                let scaled = LinExpr {
-                    constant: e.constant * b.concrete,
-                    terms: e.terms.iter().map(|&(c, v)| (c * b.concrete, v)).collect(),
-                };
+                let scaled = scale(self.expr_of(a), b.concrete);
                 Some(self.intern(scaled))
             }
             (None, Some(_)) => {
-                let e = self.expr_of(b);
-                let scaled = LinExpr {
-                    constant: e.constant * a.concrete,
-                    terms: e.terms.iter().map(|&(c, v)| (c * a.concrete, v)).collect(),
-                };
+                let scaled = scale(self.expr_of(b), a.concrete);
                 Some(self.intern(scaled))
             }
             _ => None, // nonlinear: concretized

@@ -55,44 +55,11 @@ pub struct CampaignConfig {
     /// each instruction is processed on one worker. Defaults to the
     /// machine's available parallelism.
     pub threads: usize,
-    /// Whether each (path, model) is materialized once into a sealed
-    /// base image replayed across the oracle and every ISA via
-    /// copy-on-write heap restore. Off, every run rebuilds the heap
-    /// from the model (the engine-v3 behaviour). Outcomes are
-    /// identical either way.
-    pub heap_snapshot: bool,
-    /// Whether compiled artifacts are predecoded once per code-cache
-    /// entry and replayed through a persistent simulator session
-    /// (engine v5). Off, every step byte-decodes and every run
-    /// reallocates the simulator (the engine-v4 behaviour). Outcomes
-    /// are identical either way.
-    pub predecode: bool,
-    /// Whether *interpreter* runs go through the predecoded pipeline
-    /// (engine v8): oracle runs execute the per-catalog-entry cached
-    /// [`igjit_interp::PredecodedProgram`] view, and sequence/method
-    /// runs resolve their step functions once up front instead of
-    /// dispatching per step. Off is the engine-v7 behaviour. Outcomes
-    /// are identical either way (`tests/engine_v8_identity.rs`).
-    pub interp_predecode: bool,
-    /// Whether the explorer's solver sessions hash-cons constraints
-    /// (one classification per distinct constraint, interned path
-    /// dedup — engine v6). Outcomes are identical either way. Engine
-    /// v7 turned it off (the consing overhead outweighed the cached
-    /// classifications); engine v8 turned it back on after moving the
-    /// intern tables to the seeded `FxHash` maps, which flipped the
-    /// ablation: the walk now measures ~20% faster *with* consing
-    /// (EXPERIMENTS.md).
-    pub hash_cons: bool,
-    /// Whether one exploration per instruction *family* is verifiably
-    /// replayed for every member (engine v6) instead of re-solving
-    /// each opcode's negation tree. Off is the engine-v5 behaviour.
-    /// Outcomes are identical either way.
-    pub family_share: bool,
     /// Threads negating sibling subtrees of one instruction's path
     /// tree in parallel (1 = sequential; speculative subtrees merge
     /// deterministically, so outcomes are identical at any count).
     pub negate_threads: usize,
-    /// Persistent corpus file (engine v7). When set, the campaign
+    /// Persistent corpus file. When set, the campaign
     /// verifies the file's sections against this build + configuration
     /// before running, answers warm instructions from its outcomes
     /// without re-running the pipeline, decodes its exploration and
@@ -101,20 +68,13 @@ pub struct CampaignConfig {
     /// Any mismatch, truncation or version skew degrades to a cold
     /// run — never an error, never a row change.
     pub corpus: Option<PathBuf>,
-    /// Whether the meta-compiled tier (#5, engine v9) runs as a fifth
+    /// Whether the meta-compiled tier (#5) runs as a fifth
     /// Table 2 row: a partial evaluator over the interpreter's step
     /// functions compiles each (instruction, frame) pair to CogRTL,
     /// with an interpreter trampoline for refused pairs. The tier is
     /// purely additive — the rows for tiers 1–4 are byte-identical
     /// whether it is on or off (`tests/engine_v9_meta_tier.rs`).
     pub meta_tier: bool,
-    /// Whether solver sessions run hypothesis scopes on an undo trail
-    /// instead of cloning the interval store per scope (engine v10,
-    /// `IGJIT_SOLVER_TRAIL`). Rows, models and solver counters are
-    /// byte-identical either way (`tests/engine_v10_identity.rs`);
-    /// this only trades per-solve clone traffic for O(narrowings)
-    /// trail bookkeeping.
-    pub solver_trail: bool,
 }
 
 impl Default for CampaignConfig {
@@ -123,15 +83,9 @@ impl Default for CampaignConfig {
             isas: vec![Isa::X86ish, Isa::Arm32ish],
             probes: true,
             threads: default_threads(),
-            heap_snapshot: true,
-            predecode: true,
-            interp_predecode: true,
-            hash_cons: true,
-            family_share: true,
             negate_threads: 1,
             corpus: None,
             meta_tier: true,
-            solver_trail: true,
         }
     }
 }
@@ -199,11 +153,9 @@ pub struct Metrics {
     /// misses only — cached explorations did no solver work) and kind
     /// probing.
     pub solver: SessionStats,
-    /// Trail-mode solver counters (engine v10), summed the same way:
-    /// scope marks taken, trail ops unwound, store clones the trail
-    /// replaced, and model-pool traffic. All zero with
-    /// `solver_trail` off except the pool counters, which the clone
-    /// path also feeds.
+    /// Undo-trail solver counters, summed the same way: scope marks
+    /// taken, trail ops unwound, store clones the trail replaced, and
+    /// model-pool traffic.
     pub trail: TrailStats,
     /// Models whose materialization hit an unrealizable witness and
     /// were reported as test errors instead of compared.
@@ -801,15 +753,8 @@ impl Campaign {
             }
         }
         let mut explorer = Explorer::new();
-        explorer.hash_cons = self.config.hash_cons;
         explorer.negation_threads = self.config.negate_threads;
-        explorer.solver_trail = self.config.solver_trail;
-        let lookup = self.cache.get_or_explore_with(
-            &explorer,
-            instr,
-            self.config.probes,
-            self.config.family_share,
-        );
+        let lookup = self.cache.get_or_explore(&explorer, instr, self.config.probes);
         let (outcome, mut stages, mut solver, mut trail) = test_instruction_with(
             instr,
             target,
@@ -823,10 +768,6 @@ impl Campaign {
             },
             &self.code_cache,
             &self.meta_cache,
-            self.config.heap_snapshot,
-            self.config.predecode,
-            self.config.interp_predecode,
-            self.config.solver_trail,
         );
         // Exploration solver work is charged once, to the run that
         // actually explored; a cache hit did no exploration solving.

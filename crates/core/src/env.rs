@@ -15,13 +15,7 @@ use igjit_mutate::MutantId;
 /// Every environment knob the harness understands.
 pub const KNOWN_VARS: &[&str] = &[
     "IGJIT_THREADS",
-    "IGJIT_HEAP_SNAPSHOT",
-    "IGJIT_PREDECODE",
-    "IGJIT_INTERP_PREDECODE",
-    "IGJIT_HASH_CONS",
-    "IGJIT_FAMILY_SHARE",
     "IGJIT_TIER5",
-    "IGJIT_SOLVER_TRAIL",
     "IGJIT_NEGATE_THREADS",
     "IGJIT_MUTANT",
     "IGJIT_CORPUS",
@@ -34,33 +28,9 @@ pub const KNOWN_VARS: &[&str] = &[
 pub struct EnvKnobs {
     /// `IGJIT_THREADS`: worker threads for the per-instruction sweep.
     pub threads: Option<usize>,
-    /// `IGJIT_HEAP_SNAPSHOT`: whether materialized heaps are sealed
-    /// once and replayed by copy-on-write restore.
-    pub heap_snapshot: Option<bool>,
-    /// `IGJIT_PREDECODE`: whether compiled artifacts are predecoded
-    /// once per code-cache entry and replayed through a persistent
-    /// simulator session.
-    pub predecode: Option<bool>,
-    /// `IGJIT_INTERP_PREDECODE`: whether *interpreter* runs go through
-    /// the predecoded pipeline (engine v8) — per-catalog-entry cached
-    /// program views for oracle runs, step functions resolved once per
-    /// sequence/method instead of per step.
-    pub interp_predecode: Option<bool>,
-    /// `IGJIT_HASH_CONS`: whether the explorer's solver sessions
-    /// hash-cons constraints and key path dedup on interned ids.
-    pub hash_cons: Option<bool>,
-    /// `IGJIT_FAMILY_SHARE`: whether one exploration per instruction
-    /// family is replayed for every member instead of exploring each
-    /// opcode from scratch.
-    pub family_share: Option<bool>,
-    /// `IGJIT_TIER5`: whether the meta-compiled tier (#5, engine v9)
-    /// runs as a fifth Table 2 row. Tiers 1–4 rows are byte-identical
-    /// either way.
+    /// `IGJIT_TIER5`: whether the meta-compiled tier (#5) runs as a
+    /// fifth Table 2 row. Tiers 1–4 rows are byte-identical either way.
     pub tier5: Option<bool>,
-    /// `IGJIT_SOLVER_TRAIL`: whether solver sessions backtrack scopes
-    /// by undo log (engine v10) instead of per-scope store clones.
-    /// Rows are identical either way.
-    pub solver_trail: Option<bool>,
     /// `IGJIT_NEGATE_THREADS`: threads negating sibling subtrees of
     /// one instruction's path tree in parallel (1 = sequential).
     pub negate_threads: Option<usize>,
@@ -81,41 +51,9 @@ impl EnvKnobs {
         self.threads.unwrap_or_else(crate::default_threads)
     }
 
-    /// Heap snapshots: the knob, default on.
-    pub fn heap_snapshot_enabled(&self) -> bool {
-        self.heap_snapshot.unwrap_or(true)
-    }
-
-    /// Predecoded replay: the knob, default on.
-    pub fn predecode_enabled(&self) -> bool {
-        self.predecode.unwrap_or(true)
-    }
-
-    /// Predecoded interpreter pipeline: the knob, default on.
-    pub fn interp_predecode_enabled(&self) -> bool {
-        self.interp_predecode.unwrap_or(true)
-    }
-
-    /// Hash-consed constraints: the knob, default on again since
-    /// engine v8 (the seeded-`FxHash` intern tables flipped the
-    /// engine-v7 ablation; see EXPERIMENTS.md).
-    pub fn hash_cons_enabled(&self) -> bool {
-        self.hash_cons.unwrap_or(true)
-    }
-
-    /// Family-shared exploration: the knob, default on.
-    pub fn family_share_enabled(&self) -> bool {
-        self.family_share.unwrap_or(true)
-    }
-
     /// Meta-compiled tier: the knob, default on.
     pub fn tier5_enabled(&self) -> bool {
         self.tier5.unwrap_or(true)
-    }
-
-    /// Trail-based solver backtracking: the knob, default on.
-    pub fn solver_trail_enabled(&self) -> bool {
-        self.solver_trail.unwrap_or(true)
     }
 
     /// Parallel path negation: the knob, default 1 (sequential).
@@ -165,25 +103,7 @@ pub fn parse_vars(
         })?;
         match name.as_ref() {
             "IGJIT_THREADS" => knobs.threads = Some(parse_threads(value)?),
-            "IGJIT_HEAP_SNAPSHOT" => {
-                knobs.heap_snapshot = Some(parse_bool("IGJIT_HEAP_SNAPSHOT", value)?)
-            }
-            "IGJIT_PREDECODE" => {
-                knobs.predecode = Some(parse_bool("IGJIT_PREDECODE", value)?)
-            }
-            "IGJIT_INTERP_PREDECODE" => {
-                knobs.interp_predecode = Some(parse_bool("IGJIT_INTERP_PREDECODE", value)?)
-            }
-            "IGJIT_HASH_CONS" => {
-                knobs.hash_cons = Some(parse_bool("IGJIT_HASH_CONS", value)?)
-            }
-            "IGJIT_FAMILY_SHARE" => {
-                knobs.family_share = Some(parse_bool("IGJIT_FAMILY_SHARE", value)?)
-            }
             "IGJIT_TIER5" => knobs.tier5 = Some(parse_bool("IGJIT_TIER5", value)?),
-            "IGJIT_SOLVER_TRAIL" => {
-                knobs.solver_trail = Some(parse_bool("IGJIT_SOLVER_TRAIL", value)?)
-            }
             "IGJIT_NEGATE_THREADS" => {
                 knobs.negate_threads = Some(match value.parse::<usize>() {
                     Ok(n) if n >= 1 => n,
@@ -244,13 +164,7 @@ mod tests {
     fn empty_environment_yields_defaults() {
         let k = parse_vars(vars(&[("PATH", "/usr/bin"), ("HOME", "/root")])).unwrap();
         assert_eq!(k, EnvKnobs::default());
-        assert!(k.heap_snapshot_enabled());
-        assert!(k.predecode_enabled());
-        assert!(k.interp_predecode_enabled());
-        assert!(k.hash_cons_enabled(), "hash-consing is back on by default since engine v8");
-        assert!(k.family_share_enabled());
-        assert!(k.tier5_enabled(), "the meta tier is on by default (engine v9)");
-        assert!(k.solver_trail_enabled(), "the solver trail is on by default (engine v10)");
+        assert!(k.tier5_enabled(), "the meta tier is on by default");
         assert_eq!(k.negate_threads_or_default(), 1);
         assert_eq!(k.campaign_jobs_or_default(), 1);
         assert!(k.threads_or_default() >= 1);
@@ -262,13 +176,7 @@ mod tests {
     fn all_knobs_parse() {
         let k = parse_vars(vars(&[
             ("IGJIT_THREADS", "3"),
-            ("IGJIT_HEAP_SNAPSHOT", "1"),
-            ("IGJIT_PREDECODE", "no"),
-            ("IGJIT_INTERP_PREDECODE", "off"),
-            ("IGJIT_HASH_CONS", "off"),
-            ("IGJIT_FAMILY_SHARE", "0"),
             ("IGJIT_TIER5", "off"),
-            ("IGJIT_SOLVER_TRAIL", "0"),
             ("IGJIT_NEGATE_THREADS", "4"),
             ("IGJIT_MUTANT", "flip-compare-cond"),
             ("IGJIT_CORPUS", "bench/campaign.corpus"),
@@ -276,17 +184,8 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(k.threads, Some(3));
-        assert_eq!(k.heap_snapshot, Some(true));
-        assert_eq!(k.predecode, Some(false));
-        assert!(!k.predecode_enabled());
-        assert_eq!(k.interp_predecode, Some(false));
-        assert!(!k.interp_predecode_enabled());
-        assert!(!k.hash_cons_enabled());
-        assert!(!k.family_share_enabled());
         assert_eq!(k.tier5, Some(false));
         assert!(!k.tier5_enabled());
-        assert_eq!(k.solver_trail, Some(false));
-        assert!(!k.solver_trail_enabled());
         assert_eq!(k.negate_threads_or_default(), 4);
         assert_eq!(k.mutant, Some(igjit_mutate::ops::FLIP_COMPARE_COND));
         assert_eq!(k.corpus.as_deref(), Some(std::path::Path::new("bench/campaign.corpus")));
@@ -297,11 +196,30 @@ mod tests {
     fn unknown_igjit_vars_are_rejected() {
         let err = parse_vars(vars(&[("IGJIT_CODECACHE", "0")])).unwrap_err();
         assert!(err.contains("IGJIT_CODECACHE"), "{err}");
-        assert!(err.contains("IGJIT_HEAP_SNAPSHOT"), "error lists the known knobs: {err}");
-        // A retired knob is unknown too: setting it must not look like
-        // it still switches anything.
-        let err = parse_vars(vars(&[("IGJIT_CODE_CACHE", "0")])).unwrap_err();
-        assert!(err.contains("unknown environment variable IGJIT_CODE_CACHE"), "{err}");
+        assert!(err.contains("IGJIT_TIER5"), "error lists the known knobs: {err}");
+    }
+
+    #[test]
+    fn retired_engine_knobs_are_unknown() {
+        // Each of these once switched an engine path that no longer
+        // exists. Setting one must fail (the binaries exit 2), not look
+        // like it still switches anything — with any value.
+        const RETIRED: &[&str] = &[
+            "IGJIT_CODE_CACHE",
+            "IGJIT_HEAP_SNAPSHOT",
+            "IGJIT_PREDECODE",
+            "IGJIT_INTERP_PREDECODE",
+            "IGJIT_HASH_CONS",
+            "IGJIT_FAMILY_SHARE",
+            "IGJIT_SOLVER_TRAIL",
+        ];
+        for name in RETIRED {
+            assert!(!KNOWN_VARS.contains(name), "{name} is still listed");
+            for value in ["0", "1"] {
+                let err = parse_vars(vars(&[(name, value)])).unwrap_err();
+                assert!(err.contains(&format!("unknown environment variable {name}")), "{err}");
+            }
+        }
     }
 
     #[test]
@@ -309,11 +227,6 @@ mod tests {
         assert!(parse_vars(vars(&[("IGJIT_THREADS", "0")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_THREADS", "many")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_THREADS", "")])).is_err());
-        assert!(parse_vars(vars(&[("IGJIT_HEAP_SNAPSHOT", "2")])).is_err());
-        assert!(parse_vars(vars(&[("IGJIT_PREDECODE", "sometimes")])).is_err());
-        assert!(parse_vars(vars(&[("IGJIT_INTERP_PREDECODE", "perhaps")])).is_err());
-        assert!(parse_vars(vars(&[("IGJIT_HASH_CONS", "2")])).is_err());
-        assert!(parse_vars(vars(&[("IGJIT_FAMILY_SHARE", "maybe")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_NEGATE_THREADS", "0")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_NEGATE_THREADS", "lots")])).is_err());
         assert!(parse_vars(vars(&[("IGJIT_MUTANT", "no-such-operator")])).is_err());
@@ -324,53 +237,27 @@ mod tests {
     }
 
     #[test]
-    fn every_boolean_knob_rejects_garbage_and_names_itself() {
-        // The strict-parse contract, table-driven over every boolean
-        // knob: near-miss spellings ("yess"), stray numerals and empty
-        // values are fatal, and the error names the offending variable
-        // so the fix is obvious from the message alone.
-        const BOOL_KNOBS: &[&str] = &[
-            "IGJIT_HEAP_SNAPSHOT",
-            "IGJIT_PREDECODE",
-            "IGJIT_INTERP_PREDECODE",
-            "IGJIT_HASH_CONS",
-            "IGJIT_FAMILY_SHARE",
-            "IGJIT_TIER5",
-            "IGJIT_SOLVER_TRAIL",
-        ];
-        for name in BOOL_KNOBS {
-            assert!(KNOWN_VARS.contains(name), "{name} missing from KNOWN_VARS");
-            for bad in ["yess", "2", "enabled", ""] {
-                let err = parse_vars(vars(&[(name, bad)]))
-                    .expect_err(&format!("{name}={bad:?} must be rejected"));
-                assert!(err.contains(name), "error must name {name}: {err}");
-            }
-            for (good, want) in [("yes", true), ("OFF", false)] {
-                let k = parse_vars(vars(&[(name, good)])).unwrap();
-                let parsed = match *name {
-                    "IGJIT_HEAP_SNAPSHOT" => k.heap_snapshot,
-                    "IGJIT_PREDECODE" => k.predecode,
-                    "IGJIT_INTERP_PREDECODE" => k.interp_predecode,
-                    "IGJIT_HASH_CONS" => k.hash_cons,
-                    "IGJIT_FAMILY_SHARE" => k.family_share,
-                    "IGJIT_TIER5" => k.tier5,
-                    "IGJIT_SOLVER_TRAIL" => k.solver_trail,
-                    _ => unreachable!(),
-                };
-                assert_eq!(parsed, Some(want), "{name}={good}");
-            }
+    fn the_boolean_knob_rejects_garbage_and_names_itself() {
+        // The strict-parse contract: near-miss spellings ("yess"),
+        // stray numerals and empty values are fatal, and the error
+        // names the offending variable so the fix is obvious from the
+        // message alone.
+        for bad in ["yess", "2", "enabled", ""] {
+            let err = parse_vars(vars(&[("IGJIT_TIER5", bad)]))
+                .expect_err(&format!("IGJIT_TIER5={bad:?} must be rejected"));
+            assert!(err.contains("IGJIT_TIER5"), "error must name the knob: {err}");
         }
     }
 
     #[test]
     fn booleans_accept_both_spellings_case_insensitively() {
         for on in ["1", "on", "TRUE", "Yes"] {
-            let k = parse_vars(vars(&[("IGJIT_PREDECODE", on)])).unwrap();
-            assert_eq!(k.predecode, Some(true), "{on}");
+            let k = parse_vars(vars(&[("IGJIT_TIER5", on)])).unwrap();
+            assert_eq!(k.tier5, Some(true), "{on}");
         }
         for off in ["0", "OFF", "false", "no"] {
-            let k = parse_vars(vars(&[("IGJIT_HEAP_SNAPSHOT", off)])).unwrap();
-            assert_eq!(k.heap_snapshot, Some(false), "{off}");
+            let k = parse_vars(vars(&[("IGJIT_TIER5", off)])).unwrap();
+            assert_eq!(k.tier5, Some(false), "{off}");
         }
     }
 

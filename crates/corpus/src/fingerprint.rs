@@ -104,6 +104,9 @@ mod tests {
 
     #[test]
     fn deterministic_within_a_build() {
+        // Fingerprints read the armed mutant, which a concurrently
+        // running test may arm: hold the disarmed state.
+        let _off = igjit_mutate::FaultInjector::pinned_off();
         let a = fingerprints(true, &[Isa::X86ish, Isa::Arm32ish]);
         let b = fingerprints(true, &[Isa::X86ish, Isa::Arm32ish]);
         assert_eq!(a, b);
@@ -111,6 +114,7 @@ mod tests {
 
     #[test]
     fn config_changes_move_the_right_sections() {
+        let _off = igjit_mutate::FaultInjector::pinned_off();
         let base = fingerprints(true, &[Isa::X86ish, Isa::Arm32ish]);
         let no_probes = fingerprints(false, &[Isa::X86ish, Isa::Arm32ish]);
         // Probes shape what exploration records → exploration + outcomes

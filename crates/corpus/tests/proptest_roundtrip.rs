@@ -120,10 +120,6 @@ fn sample_corpus_bytes(fp: &Fingerprints) -> Vec<u8> {
             ExploreCost::cached(),
             &code_cache,
             &MetaCache::new(),
-            true,
-            true,
-            true,
-            true,
         );
         Corpus {
             explorations: vec![((instr, false), Arc::new(exploration))],

@@ -3,21 +3,19 @@
 use std::time::{Duration, Instant};
 
 use igjit_concolic::{
-    materialize_frame, AbstractState, CurationReason, ExplorationResult, Explorer, InstrUnderTest,
+    materialize_frame, CurationReason, ExplorationResult, Explorer, InstrUnderTest,
 };
-use igjit_heap::fxhash::FxHashMap;
-use igjit_heap::{ObjectMemory, Oop, Snapshot};
-use igjit_interp::Frame;
+use igjit_heap::{ObjectMemory, Snapshot};
 use igjit_jit::{CodeCache, CompilerKind};
 use igjit_machine::Isa;
-use igjit_solver::{Model, SessionStats, TrailStats, VarId};
+use igjit_solver::{Model, SessionStats, TrailStats};
 
 use crate::classify::{classify, CauseKey};
 use crate::compare::{compare_runs, Difference, Verdict};
 use crate::compiled::{run_compiled_for_instr_timed, RunCtx};
 use crate::meta::{run_meta_for_instr_timed, MetaRunCounts};
 use igjit_metajit::MetaCache;
-use crate::oracle::{concrete_frame, run_oracle_on_with, run_oracle_with, EngineExit};
+use crate::oracle::{concrete_frame, run_oracle_on, EngineExit};
 use igjit_concolic::probe_models_with_stats;
 
 /// What compiler the campaign tests against the interpreter.
@@ -238,8 +236,8 @@ impl CampaignRow {
 /// sub-buckets so residual overhead is measured, not asserted:
 /// - `setup`: simulator construction per run — session reset (dirty
 ///   stack extent + registers) and convention-register seeding.
-/// - `decode`: one-time predecoding of cached artifacts (zero when
-///   predecode is off or the artifact's view already exists).
+/// - `decode`: always zero — compiled code is byte-decoded as it runs,
+///   inside `simulate`. The field stays for readers of the stage set.
 /// - `hash`: compile-key construction and cache lookup (the cache's
 ///   hot path), minus any compile time spent inside a miss.
 /// - `report`: engine-exit extraction and verdict/outcome assembly.
@@ -267,7 +265,9 @@ pub struct StageTimes {
     pub compare: Duration,
     /// Machine construction + register/frame seeding per run.
     pub setup: Duration,
-    /// One-time predecode of cached artifacts.
+    /// Always zero: compiled code is byte-decoded as it runs, inside
+    /// [`StageTimes::simulate`]. Kept so readers of the stage set (the
+    /// benchmark's `machine.decode_ms`) keep their field.
     pub decode: Duration,
     /// Compile-key construction + cache lookup.
     pub hash: Duration,
@@ -371,18 +371,7 @@ impl ExploreCost {
     }
 }
 
-fn materialized(
-    state: &AbstractState,
-    model: &Model,
-) -> (ObjectMemory, Frame<Oop>, FxHashMap<VarId, Oop>) {
-    let mut st = state.clone();
-    let mut mem = ObjectMemory::new();
-    let mat = materialize_frame(&mut st, model, &mut mem);
-    let frame = concrete_frame(&mat.frame);
-    (mem, frame, mat.var_oops)
-}
-
-/// The snapshot path's pair of recycled heaps, persisting across all
+/// The replay arena's pair of recycled heaps, persisting across all
 /// (path, model) iterations of one `test_instruction_with` call.
 ///
 /// Both heaps are born blank and sealed; determinism of
@@ -448,10 +437,6 @@ pub fn test_instruction(
         explore_cost,
         &cache,
         &meta_cache,
-        true,
-        true,
-        true,
-        true,
     );
     outcome
 }
@@ -477,32 +462,18 @@ thread_local! {
 /// Compiled artifacts are looked up in `code_cache`, which the caller
 /// may share across instructions and threads.
 ///
-/// With `heap_snapshot` on, the call keeps one replay arena — two
-/// heaps allocated once and recycled across every (path, model): the
-/// *oracle* heap is sealed at its blank image, materialized and
-/// interpreted in place, and rolled back to blank for the next model;
-/// the *replay* heap carries a blank outer seal plus a per-model inner
-/// seal ([`ObjectMemory::push_seal`]) so compiled runs rewind to the
-/// materialized image between ISAs and to blank between models. Every
-/// reset is `restore` — O(words the run dirtied) — so neither
-/// `ObjectMemory::new()` nor full object reconstruction happens more
-/// than twice per model. Off, the legacy rebuild-per-ISA path runs;
-/// both paths produce identical outcomes.
-///
-/// With `predecode` on, every compiled artifact carries a
-/// [`igjit_machine::PredecodedCode`] view built once per cache entry,
-/// and all models of all paths replay through one persistent
-/// [`igjit_machine::MachineSession`] — registers and the dirty stack
-/// extent are reset
-/// between runs instead of reallocating the simulator. Off, the
-/// byte-level decoder runs per step (the oracle path); both modes
-/// produce identical outcomes (`tests/predecode_identity.rs`).
-///
-/// `interp_predecode` is the interpreter-side analogue (engine v8,
-/// `IGJIT_INTERP_PREDECODE`): with it on, oracle runs execute through
-/// the per-catalog-entry cached [`igjit_interp::PredecodedProgram`]
-/// view of the instruction instead of ad-hoc dispatch. Both modes
-/// produce byte-identical rows (`tests/engine_v8_identity.rs`).
+/// The call keeps one replay arena — two heaps allocated once and
+/// recycled across every (path, model): the *oracle* heap is sealed at
+/// its blank image, materialized and interpreted in place, and rolled
+/// back to blank for the next model; the *replay* heap carries a blank
+/// outer seal plus a per-model inner seal ([`ObjectMemory::push_seal`])
+/// so compiled runs rewind to the materialized image between ISAs and
+/// to blank between models. Every reset is `restore` — O(words the run
+/// dirtied) — so neither `ObjectMemory::new()` nor full object
+/// reconstruction happens more than twice per model. All models of all
+/// paths run through one persistent [`igjit_machine::MachineSession`],
+/// whose registers and dirty stack extent are reset between runs
+/// instead of reallocating the simulator.
 #[allow(clippy::too_many_arguments)]
 pub fn test_instruction_with(
     instr: InstrUnderTest,
@@ -513,10 +484,6 @@ pub fn test_instruction_with(
     explore_cost: ExploreCost,
     code_cache: &CodeCache,
     meta_cache: &MetaCache,
-    heap_snapshot: bool,
-    predecode: bool,
-    interp_predecode: bool,
-    solver_trail: bool,
 ) -> (InstructionOutcome, StageTimes, SessionStats, TrailStats) {
     let mut times = StageTimes {
         explore: explore_cost.total,
@@ -534,7 +501,7 @@ pub fn test_instruction_with(
     let mut meta_counts = MetaRunCounts::default();
     let mut arena: Option<ReplayArena> = None;
     let mut session = REUSED_SESSION.with(|slot| slot.take()).unwrap_or_default();
-    let mut ctx = RunCtx { cache: code_cache, predecode, session: &mut session };
+    let mut ctx = RunCtx { cache: code_cache, session: &mut session };
 
     for (pi, path) in curated.iter().enumerate() {
         let t_probe = Instant::now();
@@ -551,7 +518,6 @@ pub fn test_instruction_with(
                 &exploration.state,
                 path,
                 igjit_concolic::DEFAULT_MAX_PROBES,
-                solver_trail,
             );
             solver.merge(&probe_stats);
             trail.merge(&probe_trail);
@@ -571,206 +537,124 @@ pub fn test_instruction_with(
         let mut base_exit_label = String::new();
 
         'models: for (mi, model) in models.iter().enumerate() {
-            // Snapshot path: the oracle runs in place on the arena's
-            // oracle heap; compiled runs replay the arena's replay heap
-            // against the per-model inner seal recorded here. Legacy
-            // path: a fresh oracle materialization owned by this
-            // iteration.
-            let mut replay_snap: Option<Snapshot> = None;
-            let mut legacy_mem: Option<ObjectMemory> = None;
-            let (interp_exit, input_frame, var_oops);
-            if heap_snapshot {
-                let t_mat = Instant::now();
-                let a = arena.get_or_insert_with(|| {
-                    let mut oracle = ObjectMemory::new();
-                    let oracle_blank = oracle.seal();
-                    let mut replay = ObjectMemory::new();
-                    let replay_blank = replay.seal();
-                    snapshot_stats.seals += 2;
-                    ReplayArena {
-                        oracle,
-                        oracle_blank,
-                        oracle_used: false,
-                        replay,
-                        replay_blank,
-                        replay_used: false,
-                    }
-                });
-                // Reset the oracle heap to blank (also cleans up after
-                // a panicked materialization or oracle run) and
-                // materialize this model directly onto it.
-                if a.oracle_used {
-                    let dirty = a.oracle.restore(&a.oracle_blank).expect("blank seal is armed");
-                    snapshot_stats.record_restore(dirty);
+            // The oracle runs in place on the arena's oracle heap;
+            // compiled runs replay the arena's replay heap against the
+            // per-model inner seal recorded here.
+            let t_mat = Instant::now();
+            let a = arena.get_or_insert_with(|| {
+                let mut oracle = ObjectMemory::new();
+                let oracle_blank = oracle.seal();
+                let mut replay = ObjectMemory::new();
+                let replay_blank = replay.seal();
+                snapshot_stats.seals += 2;
+                ReplayArena {
+                    oracle,
+                    oracle_blank,
+                    oracle_used: false,
+                    replay,
+                    replay_blank,
+                    replay_used: false,
                 }
-                a.oracle_used = true;
-                let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut state = exploration.state.clone();
-                    materialize_frame(&mut state, model, &mut a.oracle)
-                }));
-                let mat = match built {
-                    Ok(mat) => mat,
-                    Err(_) => {
-                        times.materialize += t_mat.elapsed();
-                        oracle_panics += 1;
-                        continue 'models;
-                    }
-                };
-                let frame0 = concrete_frame(&mat.frame);
-                let mut oracle_frame = frame0.clone();
-                let oracle_exit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_oracle_on_with(&mut a.oracle, &mut oracle_frame, instr, interp_predecode)
-                }));
-                let exit = match oracle_exit {
-                    Ok(exit) => exit,
-                    Err(_) => {
-                        times.materialize += t_mat.elapsed();
-                        oracle_panics += 1;
-                        continue 'models;
-                    }
-                };
-                if mi == 0 {
-                    base_exit_label = exit_label(&exit);
-                }
-                if !mat.witness_errors.is_empty() {
-                    // The materializer substituted fallback inputs for
-                    // an unrealizable witness: report a test error and
-                    // skip the comparison — the run no longer reflects
-                    // the solver's model.
-                    witness_errors += 1;
-                    times.materialize += t_mat.elapsed();
-                    continue 'models;
-                }
-                if !exit.is_testable() {
-                    times.materialize += t_mat.elapsed();
-                    continue 'models;
-                }
-                // The model is testable: prepare the replay heap —
-                // back to blank, materialize the same model (bit-
-                // identical by determinism), seal the inner level the
-                // ISA loop rewinds to.
-                if a.replay_used {
-                    let dirty = a.replay.restore(&a.replay_blank).expect("blank seal is armed");
-                    snapshot_stats.record_restore(dirty);
-                }
-                a.replay_used = true;
-                let mut state2 = exploration.state.clone();
-                let mat2 = materialize_frame(&mut state2, model, &mut a.replay);
-                debug_assert_eq!(concrete_frame(&mat2.frame).stack, frame0.stack);
-                replay_snap = Some(a.replay.push_seal().expect("blank seal is armed"));
-                snapshot_stats.seals += 1;
-                times.materialize += t_mat.elapsed();
-                interp_exit = exit;
-                input_frame = frame0;
-                var_oops = mat.var_oops;
-            } else {
-                let t_oracle = Instant::now();
-                let oracle_run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    run_oracle_with(&exploration.state, model, instr, interp_predecode)
-                }));
-                times.materialize += t_oracle.elapsed();
-                match oracle_run {
-                    Ok(run) => {
-                        if mi == 0 {
-                            base_exit_label = exit_label(&run.exit);
-                        }
-                        if !run.witness_errors.is_empty() {
-                            witness_errors += 1;
-                            continue 'models;
-                        }
-                        if !run.exit.is_testable() {
-                            continue 'models;
-                        }
-                        interp_exit = run.exit;
-                        legacy_mem = Some(run.mem);
-                        input_frame = run.input_frame;
-                        var_oops = run.var_oops;
-                    }
-                    Err(_) => {
-                        oracle_panics += 1;
-                        continue 'models;
-                    }
-                }
+            });
+            // Reset the oracle heap to blank (also cleans up after a
+            // panicked materialization or oracle run) and materialize
+            // this model directly onto it.
+            if a.oracle_used {
+                let dirty = a.oracle.restore(&a.oracle_blank).expect("blank seal is armed");
+                snapshot_stats.record_restore(dirty);
             }
+            a.oracle_used = true;
+            let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let mut state = exploration.state.clone();
+                materialize_frame(&mut state, model, &mut a.oracle)
+            }));
+            let mat = match built {
+                Ok(mat) => mat,
+                Err(_) => {
+                    times.materialize += t_mat.elapsed();
+                    oracle_panics += 1;
+                    continue 'models;
+                }
+            };
+            let input_frame = concrete_frame(&mat.frame);
+            let mut oracle_frame = input_frame.clone();
+            let oracle_exit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_oracle_on(&mut a.oracle, &mut oracle_frame, instr)
+            }));
+            let interp_exit = match oracle_exit {
+                Ok(exit) => exit,
+                Err(_) => {
+                    times.materialize += t_mat.elapsed();
+                    oracle_panics += 1;
+                    continue 'models;
+                }
+            };
+            if mi == 0 {
+                base_exit_label = exit_label(&interp_exit);
+            }
+            if !mat.witness_errors.is_empty() {
+                // The materializer substituted fallback inputs for an
+                // unrealizable witness: report a test error and skip the
+                // comparison — the run no longer reflects the solver's
+                // model.
+                witness_errors += 1;
+                times.materialize += t_mat.elapsed();
+                continue 'models;
+            }
+            if !interp_exit.is_testable() {
+                times.materialize += t_mat.elapsed();
+                continue 'models;
+            }
+            // The model is testable: prepare the replay heap — back to
+            // blank, materialize the same model (bit-identical by
+            // determinism), seal the inner level the ISA loop rewinds
+            // to.
+            if a.replay_used {
+                let dirty = a.replay.restore(&a.replay_blank).expect("blank seal is armed");
+                snapshot_stats.record_restore(dirty);
+            }
+            a.replay_used = true;
+            let mut state2 = exploration.state.clone();
+            let mat2 = materialize_frame(&mut state2, model, &mut a.replay);
+            debug_assert_eq!(concrete_frame(&mat2.frame).stack, input_frame.stack);
+            let replay_snap = a.replay.push_seal().expect("blank seal is armed");
+            snapshot_stats.seals += 1;
+            times.materialize += t_mat.elapsed();
+            let var_oops = mat.var_oops;
             for (ii, &isa) in isas.iter().enumerate() {
-                let v = match replay_snap {
-                    Some(snap) => {
-                        let a = arena.as_mut().expect("snapshot path armed the arena");
-                        // Replay the sealed image: roll back the
-                        // previous ISA's mutations instead of
-                        // re-materializing.
-                        if ii > 0 {
-                            let t_mat = Instant::now();
-                            let dirty = a.replay.restore(&snap).expect("inner seal is armed");
-                            snapshot_stats.record_restore(dirty);
-                            times.materialize += t_mat.elapsed();
-                        }
-                        let compiled = if target == Target::MetaCompiled {
-                            run_meta_for_instr_timed(
-                                meta_cache,
-                                isa,
-                                instr,
-                                &input_frame,
-                                &mut a.replay,
-                                &mut ctx,
-                                &mut times,
-                                interp_predecode,
-                                &mut meta_counts,
-                            )
-                        } else {
-                            run_compiled_for_instr_timed(
-                                target.compiler_kind(),
-                                isa,
-                                instr,
-                                &input_frame,
-                                &mut a.replay,
-                                &mut ctx,
-                                &mut times,
-                            )
-                        };
-                        let t_cmp = Instant::now();
-                        let v = compare_runs(&interp_exit, &a.oracle, &compiled, &a.replay, &var_oops);
-                        times.compare += t_cmp.elapsed();
-                        v
-                    }
-                    None => {
-                        // Fresh, identical materialization for the
-                        // compiled run.
-                        let t_mat = Instant::now();
-                        let (mut mem2, frame2, _) = materialized(&exploration.state, model);
-                        times.materialize += t_mat.elapsed();
-                        debug_assert_eq!(frame2.stack, input_frame.stack);
-                        let compiled = if target == Target::MetaCompiled {
-                            run_meta_for_instr_timed(
-                                meta_cache,
-                                isa,
-                                instr,
-                                &frame2,
-                                &mut mem2,
-                                &mut ctx,
-                                &mut times,
-                                interp_predecode,
-                                &mut meta_counts,
-                            )
-                        } else {
-                            run_compiled_for_instr_timed(
-                                target.compiler_kind(),
-                                isa,
-                                instr,
-                                &frame2,
-                                &mut mem2,
-                                &mut ctx,
-                                &mut times,
-                            )
-                        };
-                        let t_cmp = Instant::now();
-                        let oracle_mem =
-                            legacy_mem.as_ref().expect("legacy path kept the oracle heap");
-                        let v = compare_runs(&interp_exit, oracle_mem, &compiled, &mem2, &var_oops);
-                        times.compare += t_cmp.elapsed();
-                        v
-                    }
+                // Replay the sealed image: roll back the previous ISA's
+                // mutations instead of re-materializing.
+                if ii > 0 {
+                    let t_mat = Instant::now();
+                    let dirty = a.replay.restore(&replay_snap).expect("inner seal is armed");
+                    snapshot_stats.record_restore(dirty);
+                    times.materialize += t_mat.elapsed();
+                }
+                let compiled = if target == Target::MetaCompiled {
+                    run_meta_for_instr_timed(
+                        meta_cache,
+                        isa,
+                        instr,
+                        &input_frame,
+                        &mut a.replay,
+                        &mut ctx,
+                        &mut times,
+                        &mut meta_counts,
+                    )
+                } else {
+                    run_compiled_for_instr_timed(
+                        target.compiler_kind(),
+                        isa,
+                        instr,
+                        &input_frame,
+                        &mut a.replay,
+                        &mut ctx,
+                        &mut times,
+                    )
                 };
+                let t_cmp = Instant::now();
+                let v = compare_runs(&interp_exit, &a.oracle, &compiled, &a.replay, &var_oops);
+                times.compare += t_cmp.elapsed();
                 if let Verdict::Difference(d) = v {
                     let mut key = classify(instr, target.compiler_kind(), &d);
                     if target == Target::MetaCompiled {

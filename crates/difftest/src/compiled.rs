@@ -25,8 +25,8 @@ pub enum CompiledRun {
 }
 
 /// Shared execution context for a batch of compiled runs: the artifact
-/// cache, the predecode switch and the persistent simulator session
-/// every run replays through (engine v5's batched-replay state).
+/// cache and the persistent simulator session every run replays
+/// through.
 ///
 /// The campaign creates one per `test_instruction_with` call; the
 /// session is *reset* — registers zeroed, dirty stack extent cleared —
@@ -35,9 +35,6 @@ pub struct RunCtx<'c> {
     /// Compiled-artifact cache, shared across instructions and worker
     /// threads by the campaign driver.
     pub cache: &'c CodeCache,
-    /// Step predecoded instructions (built once per cache entry)
-    /// instead of byte-decoding on every step.
-    pub predecode: bool,
     /// The persistent machine session (registers + stack arena).
     pub session: &'c mut MachineSession,
 }
@@ -83,7 +80,7 @@ pub fn run_compiled_sequence(
     let mut scratch = StageTimes::default();
     let cache = CodeCache::disabled();
     let mut session = MachineSession::new();
-    let mut ctx = RunCtx { cache: &cache, predecode: false, session: &mut session };
+    let mut ctx = RunCtx { cache: &cache, session: &mut session };
     let run = run_compiled_sequence_timed(
         kind, isa, instrs, frame, &mut mem, send_arity_hint, &mut ctx, &mut scratch,
     );
@@ -91,7 +88,7 @@ pub fn run_compiled_sequence(
 }
 
 /// [`run_compiled_sequence`] with the campaign's execution context
-/// (artifact cache, predecode switch, persistent session) and with the
+/// (artifact cache, persistent session) and with the
 /// per-stage wall clock split out into `times` for the observability
 /// layer. Mutates `mem` in place so the campaign can run on a sealed
 /// base image and roll it back between ISAs instead of rebuilding it.
@@ -147,13 +144,8 @@ pub fn run_compiled_sequence_timed(
     let frame_bytes = 4 * compiled.ntemps + SPILL_BYTES;
     let conv = Convention::for_isa(isa);
     let ntemps = compiled.ntemps;
-    let predecoded =
-        if ctx.predecode { entry.predecoded_timed(&mut times.decode) } else { None };
     let t_setup = Instant::now();
-    let mut m = match predecoded {
-        Some(pd) => Machine::with_predecoded(mem, pd, ctx.session),
-        None => Machine::with_session(mem, isa, &compiled.code, ctx.session),
-    };
+    let mut m = Machine::with_session(mem, isa, &compiled.code, ctx.session);
     m.set_reg(conv.receiver, frame.receiver.0);
     times.setup += t_setup.elapsed();
     let t_sim = Instant::now();
@@ -218,7 +210,7 @@ pub fn run_compiled_native(
     let mut scratch = StageTimes::default();
     let cache = CodeCache::disabled();
     let mut session = MachineSession::new();
-    let mut ctx = RunCtx { cache: &cache, predecode: false, session: &mut session };
+    let mut ctx = RunCtx { cache: &cache, session: &mut session };
     let run =
         run_compiled_native_timed(isa, id, receiver, args, &mut mem, &mut ctx, &mut scratch);
     (run, mem)
@@ -270,13 +262,8 @@ pub fn run_compiled_native_timed(
     };
     let conv = Convention::for_isa(isa);
     let argc = native_spec(id).map(|s| s.argc as usize).unwrap_or(args.len());
-    let predecoded =
-        if ctx.predecode { entry.predecoded_timed(&mut times.decode) } else { None };
     let t_setup = Instant::now();
-    let mut m = match predecoded {
-        Some(pd) => Machine::with_predecoded(mem, pd, ctx.session),
-        None => Machine::with_session(mem, isa, &compiled.code, ctx.session),
-    };
+    let mut m = Machine::with_session(mem, isa, &compiled.code, ctx.session);
     m.set_reg(conv.receiver, receiver.0);
     for (i, a) in args.iter().take(argc.min(3)).enumerate() {
         m.set_reg(conv.arg(i), a.0);
@@ -320,7 +307,7 @@ pub fn run_compiled_for_instr(
     let mut scratch = StageTimes::default();
     let cache = CodeCache::disabled();
     let mut session = MachineSession::new();
-    let mut ctx = RunCtx { cache: &cache, predecode: false, session: &mut session };
+    let mut ctx = RunCtx { cache: &cache, session: &mut session };
     let run = run_compiled_for_instr_timed(
         target_kind, isa, instr, frame, &mut mem, &mut ctx, &mut scratch,
     );
@@ -427,18 +414,19 @@ mod tests {
     }
 
     #[test]
-    fn predecoded_run_matches_byte_decoded_run() {
-        // The same compiled artifact, replayed through one session with
-        // predecode off then on, must produce the identical exit.
+    fn cached_replay_through_a_reused_session_matches_the_first_run() {
+        // The same compiled artifact, run twice through one session —
+        // the second time from the cache — must produce the identical
+        // exit.
         let cache = CodeCache::new();
         let mut session = MachineSession::new();
         let mut frame = Frame::new(si(0), MethodInfo::empty());
         frame.stack = vec![si(20), si(22)];
         let mut exits = Vec::new();
-        for predecode in [false, true] {
+        for _ in 0..2 {
             let mut mem = ObjectMemory::new();
             let mut times = StageTimes::default();
-            let mut ctx = RunCtx { cache: &cache, predecode, session: &mut session };
+            let mut ctx = RunCtx { cache: &cache, session: &mut session };
             let run = run_compiled_sequence_timed(
                 CompilerKind::StackToRegister,
                 Isa::X86ish,
@@ -455,5 +443,6 @@ mod tests {
             }
         }
         assert_eq!(exits[0], exits[1]);
+        assert_eq!(cache.hits(), 1);
     }
 }

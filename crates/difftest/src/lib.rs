@@ -39,11 +39,10 @@ pub use compiled::{run_compiled_bytecode, run_compiled_for_instr, run_compiled_f
                    run_compiled_native, run_compiled_native_timed, run_compiled_sequence,
                    run_compiled_sequence_timed, CompiledRun};
 pub use meta::{run_meta_for_instr, run_meta_for_instr_timed, MetaRunCounts};
-pub use oracle::{concrete_frame, run_oracle, run_oracle_on, run_oracle_on_with, run_oracle_with,
-                 EngineExit, OracleRun, SelectorId};
+pub use oracle::{concrete_frame, run_oracle, run_oracle_on, EngineExit, OracleRun, SelectorId};
 pub use igjit_concolic::{probe_models, probe_models_with_stats};
-pub use sequence::{minimal_sequence_for_path, run_oracle_sequence, run_oracle_sequence_with,
-                   test_sequence, SequenceOutcome};
+pub use sequence::{minimal_sequence_for_path, run_oracle_sequence, test_sequence,
+                   SequenceOutcome};
 
 /// Compile-time source fingerprint (see `igjit-corpus`).
 pub mod srcid;

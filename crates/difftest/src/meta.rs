@@ -12,8 +12,7 @@
 //! Meta artifacts are not registered in the [`igjit_jit::CodeCache`]
 //! (their key includes the whole embedded frame, which the code
 //! cache's compile keys do not model); they live in the
-//! campaign-owned [`MetaCache`] instead, and replay byte-decoded —
-//! the predecoded-machine-view optimisation is a code-cache feature.
+//! campaign-owned [`MetaCache`] instead.
 
 use std::time::Instant;
 
@@ -26,7 +25,7 @@ use igjit_metajit::{MetaArtifact, MetaCache};
 
 use crate::campaign::StageTimes;
 use crate::compiled::{selector_of, CompiledRun, RunCtx};
-use crate::oracle::{run_oracle_on_with, EngineExit};
+use crate::oracle::{run_oracle_on, EngineExit};
 
 /// Coverage counters for the meta tier: how many compiled runs the
 /// partial evaluator served vs. how many fell back to the trampoline.
@@ -64,7 +63,6 @@ pub fn run_meta_for_instr_timed(
     mem: &mut ObjectMemory,
     ctx: &mut RunCtx<'_>,
     times: &mut StageTimes,
-    interp_predecode: bool,
     counts: &mut MetaRunCounts,
 ) -> CompiledRun {
     if let InstrUnderTest::Bytecode(i) = instr {
@@ -95,26 +93,25 @@ pub fn run_meta_for_instr_timed(
     counts.trampolined += 1;
     let t_sim = Instant::now();
     let mut f = frame.clone();
-    let exit = run_oracle_on_with(mem, &mut f, instr, interp_predecode);
+    let exit = run_oracle_on(mem, &mut f, instr);
     times.simulate += t_sim.elapsed();
     CompiledRun::Ran(exit)
 }
 
 /// Convenience one-shot entry point (the meta analogue of
 /// [`run_compiled_for_instr`](crate::run_compiled_for_instr)): fresh
-/// cache, fresh session, byte-decoded replay. Returns the run, the
+/// cache, fresh session. Returns the run, the
 /// mutated heap and whether the run compiled or trampolined.
 pub fn run_meta_for_instr(
     isa: Isa,
     instr: InstrUnderTest,
     frame: &Frame<Oop>,
     mut mem: ObjectMemory,
-    interp_predecode: bool,
 ) -> (CompiledRun, ObjectMemory, MetaRunCounts) {
     let meta_cache = MetaCache::new();
     let code_cache = igjit_jit::CodeCache::disabled();
     let mut session = igjit_machine::MachineSession::new();
-    let mut ctx = RunCtx { cache: &code_cache, predecode: false, session: &mut session };
+    let mut ctx = RunCtx { cache: &code_cache, session: &mut session };
     let mut times = StageTimes::default();
     let mut counts = MetaRunCounts::default();
     let run = run_meta_for_instr_timed(
@@ -125,7 +122,6 @@ pub fn run_meta_for_instr(
         &mut mem,
         &mut ctx,
         &mut times,
-        interp_predecode,
         &mut counts,
     );
     (run, mem, counts)
@@ -216,7 +212,7 @@ mod tests {
         let cache = MetaCache::new();
         let code_cache = CodeCache::disabled();
         let mut session = MachineSession::new();
-        let mut ctx = RunCtx { cache: &code_cache, predecode: false, session: &mut session };
+        let mut ctx = RunCtx { cache: &code_cache, session: &mut session };
         let mut times = StageTimes::default();
         let mut counts = MetaRunCounts::default();
         let mut mem = ObjectMemory::new();
@@ -228,7 +224,6 @@ mod tests {
             &mut mem,
             &mut ctx,
             &mut times,
-            false,
             &mut counts,
         );
         (run, counts)

@@ -114,8 +114,7 @@ pub struct OracleRun {
 
 /// The predecoded view of one catalog entry's single-instruction
 /// program, built once per distinct instruction and shared by every
-/// oracle run for the rest of the process (engine v8,
-/// `IGJIT_INTERP_PREDECODE`).
+/// oracle run for the rest of the process.
 ///
 /// The instruction is *encoded and sequentially re-decoded* through
 /// [`PredecodedProgram`], so the oracle consumes exactly the artifact
@@ -136,28 +135,14 @@ fn unit_program(i: Instruction) -> &'static PredecodedProgram {
 }
 
 /// The oracle run: materializes `model` into a fresh heap and runs the
-/// interpreter concretely (through the predecoded pipeline; see
-/// [`run_oracle_with`] for the knob).
+/// interpreter concretely (see [`run_oracle_on`]).
 pub fn run_oracle(state: &AbstractState, model: &Model, instr: InstrUnderTest) -> OracleRun {
-    run_oracle_with(state, model, instr, true)
-}
-
-/// [`run_oracle`] with explicit control over the interpreter pipeline:
-/// `interp_predecode` selects the per-catalog-entry
-/// [`PredecodedProgram`] path or the historical ad-hoc dispatch. Both
-/// produce byte-identical rows.
-pub fn run_oracle_with(
-    state: &AbstractState,
-    model: &Model,
-    instr: InstrUnderTest,
-    interp_predecode: bool,
-) -> OracleRun {
     let mut state = state.clone();
     let mut mem = ObjectMemory::new();
     let mat = materialize_frame(&mut state, model, &mut mem);
     let input_frame = concrete_frame(&mat.frame);
     let mut frame = input_frame.clone();
-    let exit = run_oracle_on_with(&mut mem, &mut frame, instr, interp_predecode);
+    let exit = run_oracle_on(&mut mem, &mut frame, instr);
     OracleRun { exit, mem, input_frame, var_oops: mat.var_oops, witness_errors: mat.witness_errors }
 }
 
@@ -165,35 +150,21 @@ pub fn run_oracle_with(
 /// and heap, mutating both. This is the replay-friendly half of
 /// [`run_oracle`]: the campaign materializes a sealed base image once
 /// and feeds (a clone of) it here instead of rebuilding the heap.
+///
+/// A bytecode runs as its cached [`PredecodedProgram`] decodes it (one
+/// sequential decode per catalog entry), not as the enum value handed
+/// in, so encoder/decoder drift shows up as a changed oracle row.
 pub fn run_oracle_on(
     mem: &mut ObjectMemory,
     frame: &mut Frame<Oop>,
     instr: InstrUnderTest,
 ) -> EngineExit {
-    run_oracle_on_with(mem, frame, instr, true)
-}
-
-/// [`run_oracle_on`] with the interpreter-pipeline knob; see
-/// [`run_oracle_with`].
-pub fn run_oracle_on_with(
-    mem: &mut ObjectMemory,
-    frame: &mut Frame<Oop>,
-    instr: InstrUnderTest,
-    interp_predecode: bool,
-) -> EngineExit {
     match instr {
         InstrUnderTest::Bytecode(i) => {
-            // Under the predecoded pipeline the executed instruction
-            // comes from the cached program view (one sequential
-            // decode per catalog entry), not the ad-hoc enum value.
-            let i = if interp_predecode {
-                let prog = unit_program(i);
-                match prog.lookup(0) {
-                    Some(s) => prog.steps()[s].instr,
-                    None => i,
-                }
-            } else {
-                i
+            let prog = unit_program(i);
+            let i = match prog.lookup(0) {
+                Some(s) => prog.steps()[s].instr,
+                None => i,
             };
             let mut ctx = ConcreteContext::new(mem);
             match step(&mut ctx, frame, i) {

@@ -16,7 +16,7 @@
 use igjit_bytecode::Instruction;
 use igjit_concolic::{materialize_frame, AbstractState, Explorer, InstrUnderTest};
 use igjit_heap::{ObjectMemory, Oop};
-use igjit_interp::{resolve_sequence, step, ConcreteContext, Frame, Selector, StepOutcome};
+use igjit_interp::{resolve_sequence, ConcreteContext, Frame, Selector, StepOutcome};
 use igjit_jit::CompilerKind;
 use igjit_machine::Isa;
 use igjit_solver::Model;
@@ -48,29 +48,14 @@ impl SequenceOutcome {
 }
 
 /// The concrete interpreter oracle for a sequence: step instructions
-/// until an exit, running off the end is success. Runs through the
-/// predecoded pipeline; see [`run_oracle_sequence_with`] for the knob.
+/// until an exit, running off the end is success. The sequence's step
+/// functions are resolved once up front ([`resolve_sequence`]) and run
+/// against one [`ConcreteContext`] — the resolved functions *are* what
+/// [`igjit_interp::step`] dispatches to.
 pub fn run_oracle_sequence(
     state: &AbstractState,
     model: &Model,
     instrs: &[Instruction],
-) -> (EngineExit, ObjectMemory, Frame<Oop>) {
-    run_oracle_sequence_with(state, model, instrs, true)
-}
-
-/// [`run_oracle_sequence`] with explicit control over the interpreter
-/// pipeline (engine v8, `IGJIT_INTERP_PREDECODE`): with
-/// `interp_predecode` on, the sequence's step functions are resolved
-/// once up front ([`resolve_sequence`]) and executed against a single
-/// hoisted [`ConcreteContext`], instead of a per-step dispatch match
-/// and a per-step context construction. Both modes produce identical
-/// exits, heaps and frames — the resolved functions *are* what
-/// [`step`] dispatches to.
-pub fn run_oracle_sequence_with(
-    state: &AbstractState,
-    model: &Model,
-    instrs: &[Instruction],
-    interp_predecode: bool,
 ) -> (EngineExit, ObjectMemory, Frame<Oop>) {
     let mut st = state.clone();
     let mut mem = ObjectMemory::new();
@@ -79,13 +64,10 @@ pub fn run_oracle_sequence_with(
     let mut frame = input_frame.clone();
     let mut early_exit = None;
     {
-        let fns = interp_predecode.then(|| resolve_sequence(instrs));
+        let fns = resolve_sequence(instrs);
         let mut ctx = ConcreteContext::new(&mut mem);
-        for (k, &instr) in instrs.iter().enumerate() {
-            let outcome = match &fns {
-                Some(fns) => (fns[k])(&mut ctx, &mut frame, instr),
-                None => step(&mut ctx, &mut frame, instr),
-            };
+        for (&instr, f) in instrs.iter().zip(&fns) {
+            let outcome = f(&mut ctx, &mut frame, instr);
             let exit = match outcome {
                 StepOutcome::Continue => continue,
                 StepOutcome::Jump { .. } => EngineExit::JumpTaken,

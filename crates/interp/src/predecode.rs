@@ -6,8 +6,7 @@
 //! that work are pure functions of the program bytes:
 //! [`PredecodedProgram`] performs them once. A sequential decode from
 //! offset 0 yields a dense vector of decoded steps plus a byte-offset →
-//! step jump table (mirroring engine v5's `PredecodedCode` for machine
-//! artifacts), and [`PredecodedProgram::resolve`] additionally pins
+//! step jump table, and [`PredecodedProgram::resolve`] additionally pins
 //! each step's [`StepFn`] so execution becomes an indexed fetch plus an
 //! indirect call — no per-step decode, no per-step dispatch match.
 //!

@@ -82,9 +82,9 @@ pub fn run_method(
 /// [`run_method`] with explicit control over the fetch loop:
 /// `predecode = true` decodes and dispatch-resolves the method once up
 /// front ([`PredecodedProgram`], engine v8) and executes fused
-/// push-pairs; `predecode = false` is the historical byte-at-a-time
-/// loop. The two are step-for-step identical, including every decode
-/// error — `IGJIT_INTERP_PREDECODE=0` threads through here.
+/// push-pairs; `predecode = false` is the byte-at-a-time loop, kept as
+/// the reference the predecoded one is property-tested against. The two
+/// are step-for-step identical, including every decode error.
 pub fn run_method_with(
     mem: &mut ObjectMemory,
     method: Oop,

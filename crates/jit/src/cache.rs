@@ -20,21 +20,18 @@
 //! that are immediately discarded on a hit — [`CompileKeyRef`] borrows
 //! the frame's slices instead, and the owned key is only materialized
 //! on a miss. Second, every artifact is eventually *executed* many
-//! times, so each cache entry ([`CacheEntry`]) lazily carries a
-//! [`PredecodedCode`] built once from the artifact bytes — after any
-//! armed `igjit-mutate` operator has perturbed them — and shared by
-//! every subsequent replay.
+//! times, so each cache entry ([`CacheEntry`]) is shared behind an
+//! `Arc` and machines borrow its bytes for every replay.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, RwLock};
 
 use igjit_bytecode::fxhash::FxHasher64;
 use igjit_bytecode::Instruction;
 use igjit_heap::Oop;
-use igjit_machine::{Isa, PredecodedCode};
+use igjit_machine::Isa;
 use igjit_mutate::{armed, ops as mutops};
 
 use crate::{CompileError, CompiledCode, CompilerKind};
@@ -345,46 +342,19 @@ impl<'a> CompileKeyRef<'a> {
     }
 }
 
-/// One cache slot: the compiled artifact (or refusal) plus the
-/// predecoded execution view, built lazily on first replay — i.e.
-/// strictly *after* compilation ran under whatever mutant is armed, so
-/// predecoding can never mask a byte-level perturbation.
+/// One cache slot: the compiled artifact (or refusal).
 pub struct CacheEntry {
     artifact: Result<CompiledCode, CompileError>,
-    predecoded: OnceLock<PredecodedCode>,
 }
 
 impl CacheEntry {
     fn new(artifact: Result<CompiledCode, CompileError>) -> CacheEntry {
-        CacheEntry { artifact, predecoded: OnceLock::new() }
+        CacheEntry { artifact }
     }
 
     /// The compiled artifact, or the front-end's refusal.
     pub fn artifact(&self) -> &Result<CompiledCode, CompileError> {
         &self.artifact
-    }
-
-    /// The predecoded view of the artifact bytes (`None` for
-    /// refusals), built on first use and shared by every replay.
-    pub fn predecoded(&self) -> Option<&PredecodedCode> {
-        let mut scratch = Duration::ZERO;
-        self.predecoded_timed(&mut scratch)
-    }
-
-    /// [`CacheEntry::predecoded`], charging the one-time construction
-    /// cost (zero on every later call) to `decode_time` so the
-    /// campaign's `decode` sub-bucket reflects actual predecode work.
-    pub fn predecoded_timed(&self, decode_time: &mut Duration) -> Option<&PredecodedCode> {
-        let compiled = self.artifact.as_ref().ok()?;
-        let mut built = Duration::ZERO;
-        let pd = self.predecoded.get_or_init(|| {
-            let t0 = Instant::now();
-            let pd = PredecodedCode::new(&compiled.code, compiled.isa);
-            built = t0.elapsed();
-            pd
-        });
-        *decode_time += built;
-        Some(pd)
     }
 }
 
@@ -441,7 +411,7 @@ impl CodeCache {
 
     /// Looks up the borrowed `key`, invoking `compile` on a miss. The
     /// returned entry is shared; machines borrow the artifact bytes
-    /// (or the predecoded view) straight out of it.
+    /// straight out of it.
     pub fn get_or_compile_ref(
         &self,
         key: CompileKeyRef<'_>,
@@ -538,8 +508,7 @@ impl CodeCache {
 
     /// All stored entries, for corpus write-back: the artifacts are
     /// shared, not copied. Order is unspecified (the corpus encoder
-    /// canonicalizes by key); the lazily-built predecoded views are
-    /// derived data that the corpus does not persist.
+    /// canonicalizes by key).
     pub fn snapshot(&self) -> Vec<(CompileKey, Arc<CacheEntry>)> {
         self.map
             .read()
@@ -602,7 +571,6 @@ mod tests {
         let r = cache.get_or_compile(key, || panic!("refusal must be cached"));
         assert!(matches!(r.artifact(), Err(CompileError::NotImplemented("ffi"))));
         assert_eq!(cache.hits(), 1);
-        assert!(r.predecoded().is_none(), "refusals have no predecoded view");
     }
 
     #[test]
@@ -676,22 +644,5 @@ mod tests {
         let b = cache.get_or_compile_ref(key, || panic!("must hit"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn predecoded_view_is_built_once_and_charged_once() {
-        let cache = CodeCache::new();
-        // A real Ret (opcode 0x0E) so the predecoder has something to
-        // decode.
-        let entry = cache.get_or_compile(native_key(1), || {
-            Ok(CompiledCode { code: vec![0x0E], isa: Isa::X86ish, ntemps: 0 })
-        });
-        let mut first = Duration::ZERO;
-        let pd = entry.predecoded_timed(&mut first).expect("artifact compiled");
-        assert_eq!(pd.len(), 1);
-        let mut second = Duration::ZERO;
-        let again = entry.predecoded_timed(&mut second).expect("artifact compiled");
-        assert!(std::ptr::eq(pd, again), "one predecode per entry");
-        assert_eq!(second, Duration::ZERO, "construction charged only on first use");
     }
 }

@@ -4,7 +4,6 @@ use igjit_heap::{ClassIndex, ObjectFormat, ObjectMemory};
 
 use crate::encoding::decode_instr;
 use crate::instr::{AluOp, Cond, FAluOp, FReg, Isa, MInstr, Reg, TrampolineKind};
-use crate::predecode::PredecodedCode;
 
 /// Base address of the machine stack region.
 pub const STACK_BASE: u32 = 0x8000_0000;
@@ -163,7 +162,6 @@ pub struct Machine<'m> {
     flags: Flags,
     pc: u32,
     code: &'m [u8],
-    predecoded: Option<&'m PredecodedCode>,
     initial_sp: u32,
 }
 
@@ -171,7 +169,7 @@ impl<'m> Machine<'m> {
     /// Maps `code` at [`CODE_BASE`] and prepares a fresh stack and
     /// register file. One-shot: each call allocates its own session.
     pub fn new(mem: &'m mut ObjectMemory, isa: Isa, code: &'m [u8]) -> Machine<'m> {
-        Machine::build(mem, isa, code, None, SessionRef::Owned(MachineSession::new()))
+        Machine::build(mem, isa, code, SessionRef::Owned(MachineSession::new()))
     }
 
     /// Like [`Machine::new`], but recycling `session`'s register file
@@ -183,34 +181,13 @@ impl<'m> Machine<'m> {
         session: &'m mut MachineSession,
     ) -> Machine<'m> {
         session.reset();
-        Machine::build(mem, isa, code, None, SessionRef::Borrowed(session))
-    }
-
-    /// Runs a [`PredecodedCode`] artifact on a recycled session: the
-    /// fetch stage becomes an indexed lookup, falling back to the byte
-    /// decoder for any pc off the predecoded boundaries, so execution
-    /// is step-for-step identical to [`Machine::with_session`] on the
-    /// artifact's bytes.
-    pub fn with_predecoded(
-        mem: &'m mut ObjectMemory,
-        predecoded: &'m PredecodedCode,
-        session: &'m mut MachineSession,
-    ) -> Machine<'m> {
-        session.reset();
-        Machine::build(
-            mem,
-            predecoded.isa(),
-            predecoded.code(),
-            Some(predecoded),
-            SessionRef::Borrowed(session),
-        )
+        Machine::build(mem, isa, code, SessionRef::Borrowed(session))
     }
 
     fn build(
         mem: &'m mut ObjectMemory,
         isa: Isa,
         code: &'m [u8],
-        predecoded: Option<&'m PredecodedCode>,
         session: SessionRef<'m>,
     ) -> Machine<'m> {
         let mut m = Machine {
@@ -220,7 +197,6 @@ impl<'m> Machine<'m> {
             flags: Flags::default(),
             pc: CODE_BASE,
             code,
-            predecoded,
             initial_sp: 0,
         };
         let top = STACK_BASE + STACK_BYTES;
@@ -424,17 +400,7 @@ impl<'m> Machine<'m> {
                 Some(o) => o as usize,
                 None => return MachineOutcome::DecodeFault { pc: self.pc },
             };
-            // Fetch: indexed when the artifact is predecoded and the
-            // pc sits on a decoded boundary; the byte decoder
-            // otherwise (one-shot runs, mid-instruction jumps, code
-            // past a decode failure) — both answer identically.
-            let fetched = match self.predecoded {
-                Some(pd) => pd
-                    .lookup(off)
-                    .or_else(|| decode_instr(self.code, off, self.isa)),
-                None => decode_instr(self.code, off, self.isa),
-            };
-            let Some((instr, len)) = fetched else {
+            let Some((instr, len)) = decode_instr(self.code, off, self.isa) else {
                 return MachineOutcome::DecodeFault { pc: self.pc };
             };
             let next = self.pc + len as u32;

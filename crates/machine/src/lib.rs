@@ -53,14 +53,12 @@ mod cpu;
 mod disasm;
 mod encoding;
 mod instr;
-mod predecode;
 
 pub use cpu::{Machine, MachineConfig, MachineOutcome, MachineSession, CODE_BASE,
               RETURN_SENTINEL, STACK_BASE, STACK_BYTES};
 pub use disasm::{disassemble, disassemble_to_string, DisasmLine};
 pub use encoding::{decode_instr, encode_instr, EncodeError};
 pub use instr::{AluOp, Cond, FAluOp, Isa, MInstr, Reg, TrampolineKind, FReg};
-pub use predecode::PredecodedCode;
 
 /// Compile-time source fingerprint (see `igjit-corpus`).
 pub mod srcid;

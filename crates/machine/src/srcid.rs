@@ -16,7 +16,6 @@ pub const SRC_FILES: &[&str] = &[
     "encoding.rs",
     "instr.rs",
     "lib.rs",
-    "predecode.rs",
     "srcid.rs",
 ];
 
@@ -26,7 +25,6 @@ const SRC_BYTES: &[&[u8]] = &[
     include_bytes!("encoding.rs"),
     include_bytes!("instr.rs"),
     include_bytes!("lib.rs"),
-    include_bytes!("predecode.rs"),
     include_bytes!("srcid.rs"),
 ];
 

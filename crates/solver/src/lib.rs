@@ -48,14 +48,12 @@
 
 mod constraint;
 mod error;
-mod intern;
 mod model;
 mod search;
 mod session;
 
 pub use constraint::{CmpOp, Constraint, FloatTerm, Kind, KindSet, LinExpr, VarId, VarSpec};
 pub use error::SolveError;
-pub use intern::{ConstraintId, TermId, TermTable};
 pub use model::{Assignment, Model};
 pub use search::{solve, solve_with_limits, Problem, SearchLimits, TrailStats};
 pub use session::{PreparedConstraint, Session, SessionStats};

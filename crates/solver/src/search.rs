@@ -133,7 +133,7 @@ pub(crate) fn solve_counted(
 }
 
 // ---------------------------------------------------------------------------
-// Normalization plans (hash-consed assertion replay)
+// Normalization plans (prepared assertion replay)
 // ---------------------------------------------------------------------------
 
 /// One primitive effect of asserting a constraint into the engine.
@@ -156,8 +156,8 @@ pub(crate) enum NormOp {
 
 /// The cached result of classifying one constraint: its normalized
 /// engine effects plus the per-assert flags the [`crate::Session`]
-/// needs. Built once per structurally-distinct constraint when
-/// hash-consing is on; replayed by [`Engine::apply_norm`].
+/// needs. Built once per [`crate::PreparedConstraint`]; replayed by
+/// [`Engine::apply_norm`].
 #[derive(Clone, Debug)]
 pub(crate) struct NormPlan {
     /// The constraint violates the 56-bit precision gate.
@@ -187,7 +187,10 @@ impl NormPlan {
                 self.ops.push(NormOp::Kind { var: *var, allowed: *allowed });
             }
             Constraint::Int(op, l, r) => {
-                let e = l.minus(r);
+                // Canonical like `Engine::rewrite_expr` on an alias-free
+                // engine: merged terms, no zero coefficients (the
+                // propagator divides by every coefficient it sees).
+                let e = canonical(&l.minus(r));
                 match op {
                     CmpOp::Le => self.ops.push(NormOp::Ineq(e)),
                     CmpOp::Lt => self.ops.push(NormOp::Ineq(e.offset(1))),
@@ -226,6 +229,15 @@ impl NormPlan {
     }
 }
 
+/// `e` rebuilt term by term through [`LinExpr::plus`], which merges
+/// repeated variables and drops zero coefficients — the form
+/// [`Engine::rewrite_expr`] produces when no variable is aliased.
+fn canonical(e: &LinExpr) -> LinExpr {
+    e.terms.iter().fold(LinExpr::constant(e.constant), |acc, &(c, v)| {
+        acc.plus(&LinExpr::scaled_var(c, v))
+    })
+}
+
 // ---------------------------------------------------------------------------
 // Internal solver
 // ---------------------------------------------------------------------------
@@ -246,13 +258,10 @@ enum TrailOp {
     Exclude { var: u32 },
 }
 
-/// Counters describing the trail-mode solver's work, exposed through
-/// [`crate::Session::trail_stats`] and merged into the campaign
-/// metrics. Kept apart from [`crate::SessionStats`] on purpose: the
-/// session stats are pinned byte-identical between trail and clone
-/// mode by the equivalence tests, while these counters *measure the
-/// mode itself* (they are zero in clone mode and the pool counters are
-/// zero in trail mode).
+/// Counters describing a session's undo-trail and buffer-pool work,
+/// exposed through [`crate::Session::trail_stats`] and merged into the
+/// campaign metrics. Kept apart from [`crate::SessionStats`], which
+/// count solver answers rather than bookkeeping.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TrailStats {
     /// Trail marks taken (hypothesis scopes, search branches and
@@ -261,11 +270,11 @@ pub struct TrailStats {
     /// Individual narrowings unwound across all scope exits.
     pub undone_ops: usize,
     /// Store clones avoided — every trail mark stands in for exactly
-    /// one clone the clone-mode solver would have taken.
+    /// one clone the from-scratch search takes at the same point.
     pub clones_avoided: usize,
-    /// Recycled-buffer reuses: clone-mode store copies served from the
-    /// store pool, leaf assignment vectors drawn from the retired-model
-    /// pool, and model copies re-backed by a pooled buffer.
+    /// Recycled-buffer reuses: leaf assignment vectors drawn from the
+    /// retired-model pool and model copies re-backed by a pooled
+    /// buffer.
     pub pool_hits: usize,
     /// The same paths when no retired buffer was available and a fresh
     /// allocation was taken instead.
@@ -304,9 +313,9 @@ pub(crate) struct Store {
     /// recycled across solves (it only ever truncates), so the SAT
     /// fast path allocates nothing once warm.
     trail: Vec<TrailOp>,
-    /// Whether mutations are recorded. Off for one-shot engines and
-    /// clone-mode sessions, so the historical paths pay one predictable
-    /// branch per narrowing and nothing else.
+    /// Whether mutations are recorded. On for a [`crate::Session`]'s
+    /// store; off for the from-scratch solve, whose search copies the
+    /// store per branch and pays one predictable branch per narrowing.
     trail_on: bool,
 }
 
@@ -338,10 +347,10 @@ impl Clone for Store {
 }
 
 impl Store {
-    /// Switches trail recording on or off. Callers flip this once per
-    /// session, before any recorded mutation.
-    pub(crate) fn set_trail(&mut self, on: bool) {
-        self.trail_on = on;
+    /// Starts recording every mutation on the trail. A session calls
+    /// this once, before any recorded mutation.
+    pub(crate) fn record_trail(&mut self) {
+        self.trail_on = true;
     }
 
     /// The current trail position; pass back to [`Store::undo_to`].
@@ -787,39 +796,28 @@ impl Engine {
         true
     }
 
-    /// Search from a freshly built store: the root node propagates
-    /// every inequality.
-    pub(crate) fn search(&mut self, store: Store) -> Option<Model> {
-        self.search_with_suffix(store, 0)
-    }
-
-    /// Search from a store already at its propagated fixpoint (the
-    /// incremental session path): the root node's propagation starts
-    /// with an empty suffix and is free.
-    pub(crate) fn search_incremental(&mut self, store: Store) -> Option<Model> {
-        let first_new = self.inequalities.len();
-        self.search_with_suffix(store, first_new)
-    }
-
-    fn search_with_suffix(&mut self, mut store: Store, first_new: usize) -> Option<Model> {
+    /// Search from a freshly built store (the from-scratch solve): the
+    /// root node propagates every inequality, and every branch works
+    /// on its own copy of the store.
+    pub(crate) fn search(&mut self, mut store: Store) -> Option<Model> {
         let pending_ors: Vec<usize> = (0..self.ors.len()).collect();
-        let result = self.search_inner(&mut store, &pending_ors, first_new);
+        let result = self.search_inner(&mut store, &pending_ors, 0);
         self.recycle_store(store);
         result
     }
 
-    /// Trail-mode counterpart of [`Engine::search_incremental`]: the
-    /// search runs *in place* on the session's live store, recording
-    /// every narrowing on its trail instead of isolating branches in
-    /// cloned stores. The caller takes a trail mark before and unwinds
-    /// to it after (success leaves the winning branch's narrowings on
-    /// the store, exactly like the clone search leaves them in the
-    /// discarded child — the model was already extracted).
+    /// The incremental session's search, from a store already at its
+    /// propagated fixpoint: it runs *in place* on the session's live
+    /// store, recording every narrowing on its trail instead of
+    /// isolating branches in cloned stores. The caller takes a trail
+    /// mark before and unwinds to it after (success leaves the winning
+    /// branch's narrowings on the store — the model was already
+    /// extracted).
     ///
-    /// Visits the same nodes in the same order as the clone search on
+    /// Visits the same nodes in the same order as the copying search on
     /// the same input, by construction: each disjunct/candidate starts
     /// from the identical parent fixpoint, restored by `undo_to` where
-    /// the clone search starts a fresh copy.
+    /// the copying search starts a fresh copy.
     pub(crate) fn search_in_place(&mut self, store: &mut Store) -> Option<Model> {
         let first_new = self.inequalities.len();
         let pending_ors: Vec<usize> = (0..self.ors.len()).collect();
@@ -929,11 +927,11 @@ impl Engine {
 
     /// [`Engine::search_inner`] with trail-based backtracking: a
     /// branch is trail-mark → assert → recurse → unwind instead of a
-    /// store clone per disjunct/candidate. Mirrors the clone search
+    /// store clone per disjunct/candidate. Mirrors the copying search
     /// statement for statement (same node budget decrements, same
-    /// branch order, same candidate selection), which is what makes
-    /// the two modes stats-exact and row-identical; keep the two in
-    /// sync when touching either.
+    /// branch order, same candidate selection), which is what makes a
+    /// session answer exactly like the from-scratch solve; keep the two
+    /// in sync when touching either.
     fn search_inner_in_place(
         &mut self,
         store: &mut Store,
@@ -964,7 +962,7 @@ impl Engine {
                     None
                 };
                 if r.is_some() {
-                    // Success: like the clone search, return without
+                    // Success: like the copying search, return without
                     // restoring — the caller's top-level unwind does.
                     result = r;
                     break;

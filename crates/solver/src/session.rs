@@ -14,11 +14,8 @@
 //! assertion order. The campaign's row-for-row reproducibility depends
 //! on this; the `session_equivalence` property test enforces it.
 
-use igjit_heap::fxhash::FxHashMap;
-
 use crate::constraint::{Constraint, VarId, VarSpec};
 use crate::error::SolveError;
-use crate::intern::{ConstraintId, TermTable};
 use crate::model::Model;
 use crate::search::{
     constraint_is_wide, solve_counted, spec_is_wide, Engine, EngineMark, NormPlan, SearchLimits,
@@ -79,19 +76,13 @@ struct Scope {
 
 /// A cheap engine checkpoint: the classified-constraint lists are
 /// append-only between scopes (sessions never union — aliasing forces
-/// the dirty rebuild path), so restoring is a truncation plus undoing
-/// the interval store back to the scope's state. In trail mode
-/// (default) the store restores by unwinding its undo log to
-/// `trail_mark` — pushing costs O(1); in clone mode (`set_trail(false)`)
-/// `store` holds the pre-scope copy and pop swaps it back — the
-/// engine-v3 behaviour, kept as the semantics baseline the trail is
-/// equivalence-tested against.
+/// the dirty rebuild path), so restoring is a truncation plus
+/// unwinding the interval store's undo log to `trail_mark` — pushing
+/// costs O(1).
 struct Checkpoint {
     mark: EngineMark,
     nvars: usize,
-    /// Pre-scope store copy (clone mode only).
-    store: Option<Store>,
-    /// Trail position at push (trail mode only).
+    /// Trail position at push.
     trail_mark: usize,
     conflict: bool,
 }
@@ -102,8 +93,7 @@ struct Checkpoint {
 /// solve. A probe sweep tries the same dozen hypotheses against
 /// thousands of sibling paths; preparing them hoists the per-solve
 /// constraint-tree walk (wideness check plus `assert_into`'s expression
-/// normalization) out of the loop, independent of whether the session
-/// hash-conses.
+/// normalization) out of the loop.
 pub struct PreparedConstraint {
     constraint: Constraint,
     plan: NormPlan,
@@ -151,15 +141,6 @@ pub struct Session {
     limits: SearchLimits,
     last_model: Option<Model>,
     reuse_models: bool,
-    /// Hash-cons asserted constraints: repeated assertions of a
-    /// structurally-known constraint replay its cached normalization
-    /// instead of re-classifying the term tree.
-    hash_cons: bool,
-    /// Scope backtracking by undo log (default) instead of per-scope
-    /// store clones; see [`Session::set_trail`].
-    trail: bool,
-    table: TermTable,
-    norm_plans: FxHashMap<ConstraintId, NormPlan>,
     /// Retired models ([`Session::recycle_model`]) whose buffers back
     /// the model-reuse fast path's returned copies.
     model_pool: Vec<Model>,
@@ -183,7 +164,7 @@ impl Session {
     pub fn with_limits(limits: SearchLimits) -> Session {
         let engine = Engine::new(0);
         let mut store = engine.init_store(&[]);
-        store.set_trail(true);
+        store.record_trail();
         Session {
             specs: Vec::new(),
             constraints: Vec::new(),
@@ -197,32 +178,12 @@ impl Session {
             limits,
             last_model: None,
             reuse_models: false,
-            hash_cons: false,
-            trail: true,
-            table: TermTable::new(),
-            norm_plans: FxHashMap::default(),
             model_pool: Vec::new(),
             stats: SessionStats::default(),
         }
     }
 
-    /// Chooses how scopes backtrack: `true` (the default) records
-    /// every interval narrowing on an undo log and unwinds it at scope
-    /// exit; `false` restores the engine-v3 behaviour of cloning the
-    /// interval store per scope. Semantically invisible either way —
-    /// the `trail_equivalence` property tests pin results, models and
-    /// [`SessionStats`] byte-identical between the modes. Flip it only
-    /// on a session with no open scopes (the explorer configures
-    /// sessions before use); checkpoints taken in one mode are
-    /// restored in that mode.
-    pub fn set_trail(&mut self, on: bool) {
-        debug_assert!(self.scopes.is_empty(), "set_trail with open scopes");
-        self.trail = on;
-        self.store.set_trail(on);
-    }
-
-    /// The trail-mode work counters (zero when [`Session::set_trail`]
-    /// is off, except the clone-path pool counters).
+    /// The undo-trail and buffer-pool work counters.
     pub fn trail_stats(&self) -> TrailStats {
         self.engine.tstats
     }
@@ -236,15 +197,6 @@ impl Session {
         } else {
             self.engine.recycle_model(m);
         }
-    }
-
-    /// Opt into hash-consing asserted constraints (see
-    /// [`crate::TermTable`]). Semantically invisible: the session
-    /// answers every solve exactly as without it — only the work of
-    /// re-normalizing repeated constraints is saved. Off by default so
-    /// one-shot sessions don't pay for the table.
-    pub fn set_hash_cons(&mut self, on: bool) {
-        self.hash_cons = on;
     }
 
     /// Opt into answering solves by revalidating the previous model
@@ -316,17 +268,11 @@ impl Session {
             None
         } else {
             self.ensure_synced();
-            let store = if self.trail {
-                self.engine.tstats.trail_marks += 1;
-                self.engine.tstats.clones_avoided += 1;
-                None
-            } else {
-                Some(self.engine.clone_store(&self.store))
-            };
+            self.engine.tstats.trail_marks += 1;
+            self.engine.tstats.clones_avoided += 1;
             Some(Checkpoint {
                 mark: self.engine.mark(),
                 nvars: self.engine.var_count(),
-                store,
                 trail_mark: self.store.trail_mark(),
                 conflict: self.conflict,
             })
@@ -341,10 +287,6 @@ impl Session {
 
     /// Asserts a constraint into the current scope.
     pub fn assert(&mut self, c: Constraint) {
-        if self.hash_cons {
-            self.assert_interned(c);
-            return;
-        }
         if constraint_is_wide(&c) {
             self.wide += 1;
         }
@@ -374,41 +316,6 @@ impl Session {
         }
     }
 
-    /// The hash-consing assert path: classification (wideness, engine
-    /// normalization) is computed once per structurally-distinct
-    /// constraint and replayed thereafter. Sound because a session's
-    /// engine never aliases variables — `ObjEq` flips the dirty flag
-    /// before reaching it — so a constraint's normalization cannot
-    /// change between scopes.
-    fn assert_interned(&mut self, c: Constraint) {
-        let id = self.table.intern(&c);
-        let plan = self.norm_plans.entry(id).or_insert_with(|| NormPlan::build(&c));
-        let (wide, is_objeq) = (plan.wide, plan.objeq);
-        self.constraints.push(c);
-        if wide {
-            self.wide += 1;
-        }
-        if self.dirty {
-            return;
-        }
-        if is_objeq {
-            self.dirty = true;
-            return;
-        }
-        if self.conflict {
-            return;
-        }
-        self.ensure_synced();
-        let first_new = self.engine.ineq_count();
-        let plan = self.norm_plans.get(&id).expect("plan just cached");
-        if self.engine.apply_norm(plan, &mut self.store).is_err()
-            || !self.engine.check_distinct_consistency()
-            || !self.engine.propagate_new(&mut self.store, first_new)
-        {
-            self.conflict = true;
-        }
-    }
-
     /// `push()` followed by `assert(c)` — the explorer's per-branch step.
     pub fn push_assert(&mut self, c: Constraint) {
         self.push();
@@ -428,19 +335,10 @@ impl Session {
         if let Some(cp) = scope.saved {
             self.engine.truncate_to(cp.mark);
             self.engine.truncate_vars(cp.nvars);
-            match cp.store {
-                Some(store) => {
-                    let retired = std::mem::replace(&mut self.store, store);
-                    self.engine.recycle_store(retired);
-                }
-                None => {
-                    // Trail mode: unwind the scope's narrowings first
-                    // (some touch the variable suffix), then drop
-                    // variables added inside the scope.
-                    self.engine.tstats.undone_ops += self.store.undo_to(cp.trail_mark);
-                    self.store.truncate(cp.nvars);
-                }
-            }
+            // Unwind the scope's narrowings first (some touch the
+            // variable suffix), then drop variables added inside it.
+            self.engine.tstats.undone_ops += self.store.undo_to(cp.trail_mark);
+            self.store.truncate(cp.nvars);
             self.conflict = cp.conflict;
         }
     }
@@ -482,17 +380,11 @@ impl Session {
         }
         let mark = self.engine.mark();
         self.engine.nodes_left = self.limits.max_nodes;
-        let found = if self.trail {
-            self.engine.tstats.trail_marks += 1;
-            self.engine.tstats.clones_avoided += 1;
-            let tm = self.store.trail_mark();
-            let found = self.engine.search_in_place(&mut self.store);
-            self.engine.tstats.undone_ops += self.store.undo_to(tm);
-            found
-        } else {
-            let root = self.engine.clone_store(&self.store);
-            self.engine.search_incremental(root)
-        };
+        self.engine.tstats.trail_marks += 1;
+        self.engine.tstats.clones_avoided += 1;
+        let tm = self.store.trail_mark();
+        let found = self.engine.search_in_place(&mut self.store);
+        self.engine.tstats.undone_ops += self.store.undo_to(tm);
         let nodes = self.limits.max_nodes - self.engine.nodes_left;
         self.stats.nodes_visited += nodes;
         let result = match found {
@@ -517,36 +409,25 @@ impl Session {
     /// `solve`'s exact branch order (wide gate → model-reuse
     /// revalidation → dirty rebuild → conflict → incremental search).
     ///
-    /// The point is cost: the quadruple clones the interval `Store`
-    /// twice per hypothesis (the push checkpoint plus the search
-    /// root), while this asserts into a single scratch clone and hands
-    /// that directly to the search. It is the batched sibling-scope
-    /// primitive behind engine v8's kind-probe sweep, where each
-    /// curated path tries ~a dozen sibling hypotheses over a shared
-    /// prefix.
+    /// The point is cost: the hypothesis is asserted straight into the
+    /// live store and the search runs in place, with no scope
+    /// bookkeeping. It is the batched sibling-scope primitive behind
+    /// the kind-probe sweep, where each curated path tries ~a dozen
+    /// sibling hypotheses over a shared prefix.
     pub fn solve_under(&mut self, c: &Constraint) -> Result<Model, SolveError> {
-        // Classify the hypothesis without touching the engine,
-        // mirroring `assert`/`assert_interned`. The hypothesis is
-        // borrowed — probe sweeps re-try the same hypothesis across
-        // thousands of sibling paths, and taking it by reference means
-        // the caller builds (and the session clones) each constraint
-        // tree once instead of once per solve.
-        let (wide_c, is_objeq, plan_id) = if self.hash_cons {
-            let id = self.table.intern(c);
-            let plan = self.norm_plans.entry(id).or_insert_with(|| NormPlan::build(c));
-            (plan.wide, plan.objeq, Some(id))
-        } else {
-            (constraint_is_wide(c), matches!(c, Constraint::ObjEq(..)), None)
-        };
-        self.solve_under_inner(c, wide_c, is_objeq, plan_id, None)
+        // The hypothesis is borrowed — probe sweeps re-try the same
+        // hypothesis across thousands of sibling paths, and taking it
+        // by reference means the caller builds each constraint tree
+        // once instead of once per solve.
+        let (wide_c, is_objeq) = (constraint_is_wide(c), matches!(c, Constraint::ObjEq(..)));
+        self.solve_under_inner(c, wide_c, is_objeq, None)
     }
 
     /// [`Session::solve_under`] with a caller-prepared hypothesis:
     /// identical results and stats, but the per-solve classification
-    /// (and, when hash-consing, the per-solve interning) is replaced by
-    /// replaying the prepared normalization plan.
+    /// is replaced by replaying the prepared normalization plan.
     pub fn solve_under_prepared(&mut self, p: &PreparedConstraint) -> Result<Model, SolveError> {
-        self.solve_under_inner(&p.constraint, p.plan.wide, p.plan.objeq, None, Some(&p.plan))
+        self.solve_under_inner(&p.constraint, p.plan.wide, p.plan.objeq, Some(&p.plan))
     }
 
     fn solve_under_inner(
@@ -554,7 +435,6 @@ impl Session {
         c: &Constraint,
         wide_c: bool,
         is_objeq: bool,
-        plan_id: Option<ConstraintId>,
         prepared: Option<&NormPlan>,
     ) -> Result<Model, SolveError> {
         self.stats.pushes += 1;
@@ -602,69 +482,24 @@ impl Session {
         let mark = self.engine.mark();
         let nvars = self.engine.var_count();
         let first_new = self.engine.ineq_count();
-        if self.trail {
-            // Trail mode: the hypothesis is asserted straight into the
-            // live store (every narrowing recorded) and the search runs
-            // in place — no scratch clone at all.
-            self.engine.tstats.trail_marks += 1;
-            self.engine.tstats.clones_avoided += 1;
-            let tm = self.store.trail_mark();
-            let asserted = if let Some(plan) = prepared {
-                self.engine.apply_norm(plan, &mut self.store).is_ok()
-            } else {
-                match plan_id {
-                    Some(id) => {
-                        let plan = self.norm_plans.get(&id).expect("plan just cached");
-                        self.engine.apply_norm(plan, &mut self.store).is_ok()
-                    }
-                    None => self.engine.assert_into(c, &mut self.store).is_ok(),
-                }
-            };
-            let result = if !asserted
-                || !self.engine.check_distinct_consistency()
-                || !self.engine.propagate_new(&mut self.store, first_new)
-            {
-                Err(SolveError::Unsat)
-            } else {
-                self.engine.nodes_left = self.limits.max_nodes;
-                let found = self.engine.search_in_place(&mut self.store);
-                let nodes = self.limits.max_nodes - self.engine.nodes_left;
-                self.stats.nodes_visited += nodes;
-                match found {
-                    Some(model) => Ok(model),
-                    None if self.engine.nodes_left == 0 => Err(SolveError::ResourceLimit),
-                    None => Err(SolveError::Unsat),
-                }
-            };
-            // The hypothesis's narrowings (and whatever the winning
-            // search branch left behind) unwind with the trail; the
-            // engine's classified-list appendices with the truncation.
-            self.engine.tstats.undone_ops += self.store.undo_to(tm);
-            self.engine.truncate_to(mark);
-            self.engine.truncate_vars(nvars);
-            return self.record(result);
-        }
-        let mut scratch = self.engine.clone_store(&self.store);
-        let asserted = if let Some(plan) = prepared {
-            self.engine.apply_norm(plan, &mut scratch).is_ok()
-        } else {
-            match plan_id {
-                Some(id) => {
-                    let plan = self.norm_plans.get(&id).expect("plan just cached");
-                    self.engine.apply_norm(plan, &mut scratch).is_ok()
-                }
-                None => self.engine.assert_into(c, &mut scratch).is_ok(),
-            }
+        // The hypothesis's narrowings (and whatever the winning search
+        // branch leaves behind) unwind with the trail; the engine's
+        // classified-list appendices with the truncation.
+        self.engine.tstats.trail_marks += 1;
+        self.engine.tstats.clones_avoided += 1;
+        let tm = self.store.trail_mark();
+        let asserted = match prepared {
+            Some(plan) => self.engine.apply_norm(plan, &mut self.store).is_ok(),
+            None => self.engine.assert_into(c, &mut self.store).is_ok(),
         };
         let result = if !asserted
             || !self.engine.check_distinct_consistency()
-            || !self.engine.propagate_new(&mut scratch, first_new)
+            || !self.engine.propagate_new(&mut self.store, first_new)
         {
-            self.engine.recycle_store(scratch);
             Err(SolveError::Unsat)
         } else {
             self.engine.nodes_left = self.limits.max_nodes;
-            let found = self.engine.search_incremental(scratch);
+            let found = self.engine.search_in_place(&mut self.store);
             let nodes = self.limits.max_nodes - self.engine.nodes_left;
             self.stats.nodes_visited += nodes;
             match found {
@@ -673,8 +508,7 @@ impl Session {
                 None => Err(SolveError::Unsat),
             }
         };
-        // Both the assert's classifications and the search's
-        // Or-disjunct appendices vanish with one truncation.
+        self.engine.tstats.undone_ops += self.store.undo_to(tm);
         self.engine.truncate_to(mark);
         self.engine.truncate_vars(nvars);
         self.record(result)
@@ -890,14 +724,12 @@ mod tests {
     /// the results, the accumulated stats, and a follow-up solve all
     /// match exactly.
     fn assert_solve_under_equivalent(
-        hash_cons: bool,
         reuse_models: bool,
         prefix: &[Constraint],
         hypotheses: &[Constraint],
     ) {
-        let build = |hc: bool, rm: bool| {
+        let build = |rm: bool| {
             let mut s = Session::new();
-            s.set_hash_cons(hc);
             s.set_reuse_models(rm);
             let _ = s.add_var(VarSpec::counter(100));
             let _ = s.add_var(VarSpec::any());
@@ -908,19 +740,15 @@ mod tests {
             }
             s
         };
-        let mut quad = build(hash_cons, reuse_models);
-        let mut batched = build(hash_cons, reuse_models);
+        let mut quad = build(reuse_models);
+        let mut batched = build(reuse_models);
         for h in hypotheses {
             quad.push_assert(h.clone());
             let expected = quad.solve();
             quad.pop();
             let got = batched.solve_under(h);
-            assert_eq!(expected, got, "hc={hash_cons} rm={reuse_models} {h:?}");
-            assert_eq!(
-                quad.stats(),
-                batched.stats(),
-                "stats diverged: hc={hash_cons} rm={reuse_models} {h:?}"
-            );
+            assert_eq!(expected, got, "rm={reuse_models} {h:?}");
+            assert_eq!(quad.stats(), batched.stats(), "stats diverged: rm={reuse_models} {h:?}");
         }
         // The sessions must be left in indistinguishable states.
         assert_eq!(quad.solve(), batched.solve());
@@ -945,10 +773,8 @@ mod tests {
             Constraint::Int(CmpOp::Lt, LinExpr::var(x), LinExpr::constant(1 << 60)), // wide
             ge(x, 7),
         ];
-        for hash_cons in [false, true] {
-            for reuse_models in [false, true] {
-                assert_solve_under_equivalent(hash_cons, reuse_models, &prefix, &hypotheses);
-            }
+        for reuse_models in [false, true] {
+            assert_solve_under_equivalent(reuse_models, &prefix, &hypotheses);
         }
     }
 
@@ -965,7 +791,7 @@ mod tests {
             Constraint::kind_is(b, Kind::Float), // unsat: aliased kinds
         ];
         for reuse_models in [false, true] {
-            assert_solve_under_equivalent(false, reuse_models, &prefix, &hypotheses);
+            assert_solve_under_equivalent(reuse_models, &prefix, &hypotheses);
         }
     }
 

@@ -13,7 +13,6 @@
 pub const SRC_FILES: &[&str] = &[
     "constraint.rs",
     "error.rs",
-    "intern.rs",
     "lib.rs",
     "model.rs",
     "search.rs",
@@ -24,7 +23,6 @@ pub const SRC_FILES: &[&str] = &[
 const SRC_BYTES: &[&[u8]] = &[
     include_bytes!("constraint.rs"),
     include_bytes!("error.rs"),
-    include_bytes!("intern.rs"),
     include_bytes!("lib.rs"),
     include_bytes!("model.rs"),
     include_bytes!("search.rs"),

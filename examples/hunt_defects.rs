@@ -15,8 +15,6 @@ fn main() {
         isas: vec![Isa::X86ish, Isa::Arm32ish],
         probes: true,
         threads: 4,
-        heap_snapshot: true,
-        predecode: true,
         ..CampaignConfig::default()
     });
 

@@ -13,8 +13,6 @@ fn main() {
         isas: vec![Isa::X86ish, Isa::Arm32ish],
         probes: true,
         threads: 1,
-        heap_snapshot: true,
-        predecode: true,
         ..CampaignConfig::default()
     });
 
