@@ -10,7 +10,7 @@
 #   4. sharded    — no corpus, `--jobs 2` (two worker subprocesses
 #                   plus the deterministic merge).
 #
-# and then asserts, via the BENCH_table2.json records the runs append:
+# and then asserts, via the `table2.metrics.json` each run writes:
 #
 #   * row identity — all four runs print byte-identical Table 2 rows
 #     (a corpus or a shard merge may only ever change the wall clock);
@@ -44,23 +44,23 @@ table2=("${CARGO_TARGET_DIR:-$ci_dir/../target}/$build_dir/table2")
 scratch="$(mktemp -d "${TMPDIR:-/tmp}/igjit-corpus-smoke.XXXXXX")"
 trap 'rm -rf "$scratch"' EXIT
 
-# The harness writes table2.metrics.json and appends BENCH_table2.json
-# in its cwd, so running from the scratch dir keeps the repo's own
-# bench history out of this check (and vice versa).
+# The harness writes table2.metrics.json in its cwd, so each run goes
+# in the scratch dir and its metrics file is copied aside as
+# NAME.metrics.json next to its stdout NAME.out.
 run_table2() {
-    local out="$1"
+    local name="$1"
     shift
-    (cd "$scratch" && "$@" > "$out" )
+    (cd "$scratch" && "$@" > "$name.out" && mv table2.metrics.json "$name.metrics.json")
 }
 
 echo "=== corpus-smoke: baseline (no corpus) ==="
-IGJIT_THREADS=1 run_table2 baseline.out "${table2[@]}"
+IGJIT_THREADS=1 run_table2 baseline "${table2[@]}"
 echo "=== corpus-smoke: cold run (fresh corpus) ==="
-IGJIT_THREADS=1 IGJIT_CORPUS="$scratch/smoke.corpus" run_table2 cold.out "${table2[@]}"
+IGJIT_THREADS=1 IGJIT_CORPUS="$scratch/smoke.corpus" run_table2 cold "${table2[@]}"
 echo "=== corpus-smoke: warm run (saved corpus) ==="
-IGJIT_THREADS=1 IGJIT_CORPUS="$scratch/smoke.corpus" run_table2 warm.out "${table2[@]}"
+IGJIT_THREADS=1 IGJIT_CORPUS="$scratch/smoke.corpus" run_table2 warm "${table2[@]}"
 echo "=== corpus-smoke: sharded run (--jobs 2) ==="
-IGJIT_THREADS=1 run_table2 jobs.out "${table2[@]}" --jobs 2
+IGJIT_THREADS=1 run_table2 jobs "${table2[@]}" --jobs 2
 
 # Row identity across all four runs, on the printed table itself.
 rows() {
@@ -76,18 +76,18 @@ for other in cold warm jobs; do
 done
 echo "corpus-smoke: all four runs print identical Table 2 rows"
 
-python3 - "$scratch/BENCH_table2.json" "$expect" <<'PY'
+python3 - "$scratch" "$expect" <<'PY'
 import json
+import os
 import sys
 
-bench_path, expect_path = sys.argv[1:3]
+scratch, expect_path = sys.argv[1:3]
 with open(expect_path) as f:
     expect = json.load(f)
-with open(bench_path) as f:
-    records = [json.loads(line) for line in f if line.strip()]
-if len(records) != 4:
-    sys.exit(f"corpus-smoke: expected 4 bench records, found {len(records)}")
-baseline, cold, warm, sharded = records
+baseline, cold, warm, sharded = (
+    json.load(open(os.path.join(scratch, f"{name}.metrics.json")))
+    for name in ("baseline", "cold", "warm", "jobs")
+)
 
 for label, rec in (("baseline", baseline), ("cold", cold),
                    ("warm", warm), ("sharded", sharded)):
@@ -100,8 +100,8 @@ for label, rec in (("baseline", baseline), ("cold", cold),
             )
 
 instructions = expect["tested_instructions"]
-cold_corpus = cold["metrics"]["corpus"]
-warm_corpus = warm["metrics"]["corpus"]
+cold_corpus = cold["total"]["corpus"]
+warm_corpus = warm["total"]["corpus"]
 if cold_corpus["hits"] != 0 or cold_corpus["misses"] != instructions:
     sys.exit(f"corpus-smoke: cold run should miss everything: {cold_corpus}")
 if warm_corpus["hits"] != instructions or warm_corpus["misses"] != 0:
@@ -109,7 +109,7 @@ if warm_corpus["hits"] != instructions or warm_corpus["misses"] != 0:
 
 def end_to_end(rec):
     """Rows plus the corpus I/O around them: what a re-check waits for."""
-    return (rec["metrics"]["wall_clock_ms"] + rec["corpus_load_ms"]
+    return (rec["total"]["wall_clock_ms"] + rec["corpus_load_ms"]
             + rec["corpus_save_ms"])
 
 
@@ -126,7 +126,7 @@ if speedup < floor:
 print(
     f"corpus-smoke: warm re-check {speedup:.1f}x faster end to end "
     f"({cold_ms:.1f} ms cold vs {warm_ms:.1f} ms warm: rows "
-    f"{warm['metrics']['wall_clock_ms']:.1f} + load {warm['corpus_load_ms']:.1f} "
+    f"{warm['total']['wall_clock_ms']:.1f} + load {warm['corpus_load_ms']:.1f} "
     f"+ save {warm['corpus_save_ms']:.1f} ms), "
     f"{warm_corpus['hits']}/{instructions} instructions corpus-served, "
     "sharded merge row-identical"

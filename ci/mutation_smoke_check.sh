@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Mutation-smoke drift check.
 #
-# Compares the latest BENCH_mutation.json record (appended by the
-# mutation_campaign driver) against ci/mutation_expectations.json. The
+# Compares the record a mutation_campaign run writes
+# (mutation.metrics.json) against ci/mutation_expectations.json. The
 # pinned set is eight mutants spanning all five injected JIT layers:
 # seven the harness demonstrably kills plus one designed-equivalent
-# survivor. Two regressions fail the check:
+# survivor. Three regressions fail the check:
 #
 #   * a kill/survive flip — a pinned killable mutant surviving means
 #     the harness lost bug-finding power (a new blind spot); a pinned
@@ -13,35 +13,35 @@
 #     comparison crept into the driver;
 #   * a planted-defect regression — the record's disarmed-baseline
 #     Table 2 totals drifting from the expected rows means real
-#     defects were gained/lost while every mutant was disarmed.
+#     defects were gained/lost while every mutant was disarmed;
+#   * a kill-rate regression — on a full-catalog record
+#     (`mutants_run == mutation_full_catalog`, 44), the kill count must
+#     stay at or above `mutation_kill_floor` (35/44). CI's pinned smoke
+#     set runs 8 mutants, so the gate notes a skip there and bites on
+#     full-matrix records.
 #
-# Usage: ci/mutation_smoke_check.sh [BENCH_mutation.json]
+# Usage: ci/mutation_smoke_check.sh [mutation.metrics.json]
 set -euo pipefail
 
-bench="${1:-BENCH_mutation.json}"
+record="${1:-mutation.metrics.json}"
 expect="$(dirname "$0")/mutation_expectations.json"
 
-for f in "$bench" "$expect"; do
+for f in "$record" "$expect"; do
     if [ ! -f "$f" ]; then
         echo "mutation-smoke: missing $f" >&2
         exit 1
     fi
 done
 
-python3 - "$bench" "$expect" <<'PY'
+python3 - "$record" "$expect" <<'PY'
 import json
 import sys
 
-bench_path, expect_path = sys.argv[1:3]
+record_path, expect_path = sys.argv[1:3]
 with open(expect_path) as f:
     expect = json.load(f)
-
-# BENCH_mutation.json is JSON Lines; the last record is this CI run.
-with open(bench_path) as f:
-    records = [json.loads(line) for line in f if line.strip()]
-if not records:
-    sys.exit(f"mutation-smoke: {bench_path} holds no records")
-rec = records[-1]
+with open(record_path) as f:
+    rec = json.load(f)
 
 failures = []
 
@@ -63,6 +63,21 @@ for pin in expect["mutants"]:
         have = "killed" if got["killed"] else "SURVIVED — new blind spot"
         failures.append(f"mutant {pin['id']} ({pin['name']}): expected {want}, got {have}")
 
+# Kill-rate floor over the full catalog.
+killed = sum(1 for m in rec["mutants"] if m["killed"])
+full_catalog = expect["mutation_full_catalog"]
+if rec["mutants_run"] == full_catalog:
+    if killed < expect["mutation_kill_floor"]:
+        failures.append(
+            f"mutation kill rate regressed: {killed}/{full_catalog} killed, "
+            f"expected >= {expect['mutation_kill_floor']}"
+        )
+else:
+    print(
+        f"mutation-smoke: {rec['mutants_run']} of {full_catalog} mutants run — "
+        "kill-rate floor skipped"
+    )
+
 if failures:
     print("mutation-smoke: outputs drifted from ci/mutation_expectations.json:")
     for line in failures:
@@ -70,7 +85,6 @@ if failures:
     print("If the drift is intentional, update ci/mutation_expectations.json in the same PR.")
     sys.exit(1)
 
-killed = sum(1 for m in rec["mutants"] if m["killed"])
 print(
     "mutation-smoke: all pinned verdicts match "
     f"({killed}/{rec['mutants_run']} killed, "

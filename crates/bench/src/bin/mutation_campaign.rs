@@ -22,8 +22,9 @@
 //!                     [--expectations]
 //!
 //! With no `--mutants`, the whole catalog runs. Each invocation
-//! appends one JSON Lines record to `--out` (default
-//! `BENCH_mutation.json`) and prints a human-readable score report.
+//! writes (overwrites) one JSON record to `--out` (default
+//! `mutation.metrics.json` in the working directory) and prints a
+//! human-readable score report.
 //! `--expectations` additionally prints a `ci/mutation_expectations.json`
 //! style document for the selected mutants on stdout.
 //!
@@ -36,15 +37,14 @@
 //! worker compares its sweep against the parent's baseline signatures
 //! (shipped via a temp file) and reports one verdict line on stdout.
 //! The parent merges verdicts back **in catalog order**, so the
-//! appended JSONL record and the printed report are byte-identical to
+//! written record and the printed report are byte-identical to
 //! a sequential run (modulo wall-clock fields) at any job count.
 
 use std::collections::BTreeSet;
-use std::io::Write;
 use std::time::{Duration, Instant};
 
 use igjit::mutate::{self, MutationOp};
-use igjit::{Campaign, CampaignConfig, CampaignReport, FaultInjector, Isa, MutantId};
+use igjit::{report, Campaign, CampaignConfig, CampaignReport, FaultInjector, Isa, MutantId};
 use igjit_bench::env_knobs;
 
 /// Everything the sweep concluded about one mutant.
@@ -384,19 +384,12 @@ fn json_str_list(items: &[String]) -> String {
     format!("[{}]", quoted.join(","))
 }
 
-fn append_record(
+fn write_record(
     path: &str,
     verdicts: &[MutantVerdict],
     baseline: &[igjit::CampaignReport],
     wall: Duration,
 ) {
-    let mut base_row = igjit::CampaignRow::default();
-    for r in baseline {
-        base_row.tested_instructions += r.row.tested_instructions;
-        base_row.interpreter_paths += r.row.interpreter_paths;
-        base_row.curated_paths += r.row.curated_paths;
-        base_row.differences += r.row.differences;
-    }
     let killed = verdicts.iter().filter(|v| v.killed).count();
     let score = killed as f64 / verdicts.len().max(1) as f64;
     let survivors: Vec<String> = verdicts
@@ -404,10 +397,6 @@ fn append_record(
         .filter(|v| !v.killed)
         .map(|v| v.op.name.to_string())
         .collect();
-    let epoch = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
     let mutants: Vec<String> = verdicts
         .iter()
         .map(|v| {
@@ -438,32 +427,21 @@ fn append_record(
         .collect();
     let record = format!(
         concat!(
-            "{{\"epoch_s\":{},\"mutants_run\":{},\"killed\":{},",
+            "{{\"mutants_run\":{},\"killed\":{},",
             "\"mutation_score\":{:.4},\"survivors\":{},\"wall_clock_ms\":{:.3},",
-            "\"baseline\":{{\"tested_instructions\":{},\"interpreter_paths\":{},",
-            "\"curated_paths\":{},\"differences\":{}}},",
-            "\"mutants\":[{}]}}\n"
+            "\"baseline\":{},\"mutants\":[{}]}}\n"
         ),
-        epoch,
         verdicts.len(),
         killed,
         score,
         json_str_list(&survivors),
         wall.as_secs_f64() * 1000.0,
-        base_row.tested_instructions,
-        base_row.interpreter_paths,
-        base_row.curated_paths,
-        base_row.differences,
+        report::table2_json(&report::table2_total(baseline)),
         mutants.join(","),
     );
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| f.write_all(record.as_bytes()));
-    match appended {
-        Ok(()) => eprintln!("mutation record appended: {path}"),
-        Err(e) => eprintln!("could not append {path}: {e}"),
+    match std::fs::write(path, record) {
+        Ok(()) => eprintln!("mutation record: {path}"),
+        Err(e) => eprintln!("could not write {path}: {e}"),
     }
 }
 
@@ -568,7 +546,7 @@ struct Args {
 
 fn parse_args() -> Args {
     let mut mutants = None;
-    let mut out = "BENCH_mutation.json".to_string();
+    let mut out = "mutation.metrics.json".to_string();
     let mut expectations = false;
     let mut jobs = 1usize;
     let mut worker_baseline = None;
@@ -725,7 +703,7 @@ fn main() {
 
     println!();
     print_report(&verdicts, wall);
-    append_record(&args.out, &verdicts, &baseline, wall);
+    write_record(&args.out, &verdicts, &baseline, wall);
     if args.expectations {
         print_expectations(&verdicts);
     }

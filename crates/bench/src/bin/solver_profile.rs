@@ -136,7 +136,7 @@ fn main() {
     let ts = s.trail_stats();
     println!(
         "trail stats over {SOLVES_PER_ROUND} SAT solves: {} marks, {} ops undone, \
-         {} clones avoided, pool {}/{} hit/miss",
-        ts.trail_marks, ts.undone_ops, ts.clones_avoided, ts.pool_hits, ts.pool_misses
+         pool {}/{} hit/miss",
+        ts.trail_marks, ts.undone_ops, ts.pool_hits, ts.pool_misses
     );
 }

@@ -4,13 +4,14 @@
 //! interpreter paths, curated paths and differences.
 //!
 //! Observability: renders a live per-row progress line on stderr,
-//! writes `table2.metrics.json` (per-stage wall-clock, cache hit
-//! rates) next to the textual report, and appends one machine-readable
-//! record per run to `BENCH_table2.json` (JSON Lines). With a corpus
-//! attached, both also carry `corpus_load_ms` (constructing the
-//! campaign on the file) and `corpus_save_ms` (`save_corpus`), so a
-//! warm re-check's end-to-end cost is the rows' `wall_clock_ms` plus
-//! those two. `IGJIT_THREADS` overrides the worker count.
+//! and writes (overwrites) `table2.metrics.json` in the working
+//! directory: the Table 2 totals, per-stage wall-clock, cache hit rates
+//! and the exact work counters. It is the one record a run leaves.
+//! With a corpus attached, it also carries `corpus_load_ms`
+//! (constructing the campaign on the file) and `corpus_save_ms`
+//! (`save_corpus`), so a warm re-check's end-to-end cost is the rows'
+//! `wall_clock_ms` plus those two. `IGJIT_THREADS` overrides the worker
+//! count.
 //!
 //! Two scale knobs:
 //!
@@ -37,8 +38,8 @@ use igjit::{
     NativeMethodId, Target,
 };
 use igjit_bench::{
-    append_bench_json, campaign_jobs, paper_config, print_metrics_summary, print_table2,
-    with_live_progress, write_metrics_json,
+    campaign_jobs, paper_config, print_metrics_summary, print_table2, with_live_progress,
+    write_metrics_json,
 };
 
 const MANIFEST_HEADER: &str = "igjit-table2-manifest v2";
@@ -351,6 +352,5 @@ fn main() {
         .corpus_load_stats()
         .map(|_| CorpusIo { load: corpus_load, save: corpus_save });
     write_metrics_json("table2.metrics.json", &reports, corpus_io);
-    append_bench_json("BENCH_table2.json", &reports, corpus_io);
     let _ = std::io::stderr().flush();
 }

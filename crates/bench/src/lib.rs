@@ -1,5 +1,4 @@
-//! Shared helpers for the table/figure harness binaries and the
-//! Criterion benches.
+//! Shared helpers for the table/figure harness binaries.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -7,7 +6,7 @@
 use std::io::Write;
 
 use igjit::report::{self, CorpusIo};
-use igjit::{aggregate_metrics, Campaign, CampaignConfig, CampaignReport, Isa, Metrics};
+use igjit::{Campaign, CampaignConfig, CampaignReport, Isa, Metrics};
 
 /// The strictly parsed `IGJIT_*` knobs. Unknown `IGJIT_*` variables
 /// and malformed values are fatal (exit status 2): a misspelled knob
@@ -126,57 +125,6 @@ pub fn write_metrics_json(path: &str, reports: &[CampaignReport], corpus_io: Opt
     }
 }
 
-/// Appends one machine-readable benchmark record (JSON Lines) to
-/// `path`: timestamp, the knob configuration it ran under, thread
-/// count, wall clock, corpus load and save times, per-stage sums and
-/// maxima, both cache hit rates and the aggregated Table 2 totals. Appending keeps the history of
-/// runs, so throughput drifts show up as a time series rather than
-/// overwriting the evidence; the `knobs` object lets checkers classify
-/// records without inferring the configuration from stage values.
-pub fn append_bench_json(path: &str, reports: &[CampaignReport], corpus_io: Option<CorpusIo>) {
-    let total = aggregate_metrics(reports);
-    let mut row = igjit::CampaignRow::default();
-    for r in reports {
-        row.tested_instructions += r.row.tested_instructions;
-        row.interpreter_paths += r.row.interpreter_paths;
-        row.curated_paths += r.row.curated_paths;
-        row.differences += r.row.differences;
-    }
-    let epoch = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let knobs = env_knobs();
-    let record = format!(
-        concat!(
-            "{{\"epoch_s\":{},",
-            "\"knobs\":{{\"tier5\":{},\"corpus\":{}}},",
-            "{},",
-            "\"metrics\":{},",
-            "\"table2\":{{\"tested_instructions\":{},\"interpreter_paths\":{},",
-            "\"curated_paths\":{},\"differences\":{}}}}}\n"
-        ),
-        epoch,
-        knobs.tier5_enabled(),
-        knobs.corpus.is_some(),
-        report::corpus_io_fields(corpus_io),
-        total.to_json(),
-        row.tested_instructions,
-        row.interpreter_paths,
-        row.curated_paths,
-        row.differences,
-    );
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| f.write_all(record.as_bytes()));
-    match appended {
-        Ok(()) => eprintln!("bench record appended: {path}"),
-        Err(e) => eprintln!("could not append {path}: {e}"),
-    }
-}
-
 /// Prints a one-paragraph summary of aggregated campaign metrics.
 pub fn print_metrics_summary(total: &Metrics) {
     println!(
@@ -254,11 +202,10 @@ pub fn print_metrics_summary(total: &Metrics) {
     );
     if total.trail.trail_marks + total.trail.pool_hits + total.trail.pool_misses > 0 {
         println!(
-            "trail: {} scope marks, {} ops unwound, {} store clones avoided, \
+            "trail: {} scope marks, {} ops unwound, \
              model pool {} hits / {} misses ({:.1}% hit rate)",
             total.trail.trail_marks,
             total.trail.undone_ops,
-            total.trail.clones_avoided,
             total.trail.pool_hits,
             total.trail.pool_misses,
             100.0 * total.trail.pool_hit_rate(),
@@ -269,13 +216,8 @@ pub fn print_metrics_summary(total: &Metrics) {
 /// Prints a full Table 2 from the given reports.
 pub fn print_table2(reports: &[CampaignReport]) {
     println!("{}", report::table2_header());
-    let mut total = igjit::CampaignRow { label: "Total".into(), ..Default::default() };
     for r in reports {
         println!("{}", report::table2_row(r));
-        total.tested_instructions += r.row.tested_instructions;
-        total.interpreter_paths += r.row.interpreter_paths;
-        total.curated_paths += r.row.curated_paths;
-        total.differences += r.row.differences;
     }
     for r in reports {
         if r.row.meta_compiled_runs + r.row.meta_trampolines > 0 {
@@ -290,6 +232,7 @@ pub fn print_table2(reports: &[CampaignReport]) {
             );
         }
     }
+    let total = report::table2_total(reports);
     println!(
         "{:<34} {:>8} {:>8} {:>8} {:>10} ({:.2}%)",
         total.label,

@@ -266,7 +266,7 @@ impl Metrics {
                 "\"solver\":{{\"solves\":{},\"sat\":{},\"unsat\":{},\"nodes_visited\":{},",
                 "\"propagation_reuse\":{},\"rebuilds\":{},\"model_reuse\":{},",
                 "\"pushes\":{},\"max_depth\":{}}},",
-                "\"trail\":{{\"marks\":{},\"undone_ops\":{},\"clones_avoided\":{},",
+                "\"trail\":{{\"marks\":{},\"undone_ops\":{},",
                 "\"pool_hits\":{},\"pool_misses\":{},\"pool_hit_rate\":{:.4}}},",
                 "\"snapshot\":{{\"seals\":{},\"restores\":{},\"dirty_words\":{},",
                 "\"dirty_hist\":[{}]}},",
@@ -298,7 +298,6 @@ impl Metrics {
             self.solver.max_depth,
             self.trail.trail_marks,
             self.trail.undone_ops,
-            self.trail.clones_avoided,
             self.trail.pool_hits,
             self.trail.pool_misses,
             self.trail.pool_hit_rate(),
@@ -685,7 +684,7 @@ impl Campaign {
             explorations.then(|| encode_section(self.cache.snapshot().iter().map(|(k, e)| (k, e)))),
             code.then(|| {
                 let entries = self.code_cache.snapshot();
-                encode_section(entries.iter().map(|(k, e)| (k, e.artifact())))
+                encode_section(entries.iter().map(|(k, e)| (k, &**e)))
             }),
             outcomes.then(|| {
                 let mut merged: HashMap<&OutcomeKey, &InstructionOutcome> =
@@ -1150,8 +1149,8 @@ mod tests {
         assert!(j.contains("\"stages_max_ms\""));
         assert!(j.contains("\"solver\""));
         assert!(j.contains(
-            "\"trail\":{\"marks\":0,\"undone_ops\":0,\"clones_avoided\":0,\
-             \"pool_hits\":0,\"pool_misses\":0,\"pool_hit_rate\":0.0000}"
+            "\"trail\":{\"marks\":0,\"undone_ops\":0,\"pool_hits\":0,\
+             \"pool_misses\":0,\"pool_hit_rate\":0.0000}"
         ));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }

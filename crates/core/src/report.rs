@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use crate::campaign::{CampaignReport, TimingSample};
-use igjit_difftest::DefectCategory;
+use igjit_difftest::{CampaignRow, DefectCategory};
 
 /// Renders the Table 2 header.
 pub fn table2_header() -> String {
@@ -25,6 +25,26 @@ pub fn table2_row(report: &CampaignReport) -> String {
         r.curated_paths,
         r.differences,
         r.difference_percent()
+    )
+}
+
+/// Sums the Table 2 columns of several reports into one `Total` row.
+pub fn table2_total(reports: &[CampaignReport]) -> CampaignRow {
+    let mut total = CampaignRow { label: "Total".into(), ..Default::default() };
+    for r in reports {
+        total.tested_instructions += r.row.tested_instructions;
+        total.interpreter_paths += r.row.interpreter_paths;
+        total.curated_paths += r.row.curated_paths;
+        total.differences += r.row.differences;
+    }
+    total
+}
+
+/// Renders the four Table 2 columns of a row as a JSON object.
+pub fn table2_json(row: &CampaignRow) -> String {
+    format!(
+        "{{\"tested_instructions\":{},\"interpreter_paths\":{},\"curated_paths\":{},\"differences\":{}}}",
+        row.tested_instructions, row.interpreter_paths, row.curated_paths, row.differences
     )
 }
 
@@ -169,7 +189,7 @@ pub struct CorpusIo {
 
 /// The `"corpus_load_ms":…,"corpus_save_ms":…` JSON fields of a run
 /// (`null` when no corpus was attached).
-pub fn corpus_io_fields(io: Option<CorpusIo>) -> String {
+fn corpus_io_fields(io: Option<CorpusIo>) -> String {
     let ms = |d: Duration| format!("{:.3}", d.as_secs_f64() * 1000.0);
     let (load, save) = match io {
         Some(io) => (ms(io.load), ms(io.save)),
@@ -179,12 +199,17 @@ pub fn corpus_io_fields(io: Option<CorpusIo>) -> String {
 }
 
 /// Renders the observability data of a full campaign run as a JSON
-/// document: the corpus I/O times, the aggregate metrics and one entry
-/// per Table 2 row. The harness binaries write this next to their
-/// textual reports.
+/// document: the corpus I/O times, the Table 2 totals, the aggregate
+/// metrics and one entry per Table 2 row. The harness binaries write
+/// this next to their textual reports; it is the one record a run
+/// leaves.
 pub fn metrics_json(reports: &[CampaignReport], corpus_io: Option<CorpusIo>) -> String {
     let total = crate::campaign::aggregate_metrics(reports);
-    let mut out = format!("{{\n  {},\n  \"total\":", corpus_io_fields(corpus_io));
+    let mut out = format!(
+        "{{\n  {},\n  \"table2\":{},\n  \"total\":",
+        corpus_io_fields(corpus_io),
+        table2_json(&table2_total(reports))
+    );
     out.push_str(&total.to_json());
     out.push_str(",\n  \"rows\":[");
     for (i, r) in reports.iter().enumerate() {
@@ -232,6 +257,13 @@ mod tests {
         );
         let doc = metrics_json(&[], Some(io));
         assert!(doc.starts_with("{\n  \"corpus_load_ms\":2.500,"), "{doc}");
+        assert!(
+            doc.contains(
+                "\"table2\":{\"tested_instructions\":0,\"interpreter_paths\":0,\
+                 \"curated_paths\":0,\"differences\":0}"
+            ),
+            "{doc}"
+        );
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
     }
 

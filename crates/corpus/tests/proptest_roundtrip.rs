@@ -126,7 +126,7 @@ fn sample_corpus_bytes(fp: &Fingerprints) -> Vec<u8> {
             code: code_cache
                 .snapshot()
                 .into_iter()
-                .map(|(key, entry)| (key, entry.artifact().clone()))
+                .map(|(key, entry)| (key, (*entry).clone()))
                 .collect(),
             outcomes: vec![((target, instr), outcome)],
         }

@@ -137,7 +137,7 @@ pub fn run_compiled_sequence_timed(
     });
     times.hash += t_hash.elapsed().saturating_sub(compile_time);
     times.compile += compile_time;
-    let compiled = match entry.artifact() {
+    let compiled = match &*entry {
         Ok(c) => c,
         Err(e) => return CompiledRun::Refused(e.clone()),
     };
@@ -256,7 +256,7 @@ pub fn run_compiled_native_timed(
     });
     times.hash += t_hash.elapsed().saturating_sub(compile_time);
     times.compile += compile_time;
-    let compiled = match entry.artifact() {
+    let compiled = match &*entry {
         Ok(c) => c,
         Err(e) => return CompiledRun::Refused(e.clone()),
     };

@@ -20,7 +20,7 @@
 //! that are immediately discarded on a hit — [`CompileKeyRef`] borrows
 //! the frame's slices instead, and the owned key is only materialized
 //! on a miss. Second, every artifact is eventually *executed* many
-//! times, so each cache entry ([`CacheEntry`]) is shared behind an
+//! times, so each cache entry ([`CachedArtifact`]) is shared behind an
 //! `Arc` and machines borrow its bytes for every replay.
 
 use std::collections::HashMap;
@@ -342,25 +342,13 @@ impl<'a> CompileKeyRef<'a> {
     }
 }
 
-/// One cache slot: the compiled artifact (or refusal).
-pub struct CacheEntry {
-    artifact: Result<CompiledCode, CompileError>,
-}
-
-impl CacheEntry {
-    fn new(artifact: Result<CompiledCode, CompileError>) -> CacheEntry {
-        CacheEntry { artifact }
-    }
-
-    /// The compiled artifact, or the front-end's refusal.
-    pub fn artifact(&self) -> &Result<CompiledCode, CompileError> {
-        &self.artifact
-    }
-}
+/// One cache slot: the compiled artifact, or the front-end's refusal,
+/// shared so machines borrow its bytes for every replay.
+pub type CachedArtifact = Arc<Result<CompiledCode, CompileError>>;
 
 /// One hash bucket: entries whose keys collide on the pre-computed
 /// `u64`, compared exactly on lookup (nearly always a singleton).
-type CacheBucket = Vec<(CompileKey, Arc<CacheEntry>)>;
+type CacheBucket = Vec<(CompileKey, CachedArtifact)>;
 
 /// A concurrent cache of compiled test artifacts (including refusals),
 /// shared across models, probes, paths and worker threads.
@@ -416,10 +404,10 @@ impl CodeCache {
         &self,
         key: CompileKeyRef<'_>,
         compile: impl FnOnce() -> Result<CompiledCode, CompileError>,
-    ) -> Arc<CacheEntry> {
+    ) -> CachedArtifact {
         if !self.enabled {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(CacheEntry::new(compile()));
+            return Arc::new(compile());
         }
         let key = key.mutated();
         let bucket_hash = key.bucket_hash();
@@ -432,7 +420,7 @@ impl CodeCache {
         // Compile outside the lock; a racing thread compiling the same
         // key produces an identical artifact (compilation is pure).
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let entry = Arc::new(CacheEntry::new(compile()));
+        let entry = Arc::new(compile());
         let owned = key.to_owned_key();
         let mut map = self.map.write().expect("code cache poisoned");
         let bucket = map.entry(bucket_hash).or_default();
@@ -450,10 +438,10 @@ impl CodeCache {
         &self,
         key: CompileKey,
         compile: impl FnOnce() -> Result<CompiledCode, CompileError>,
-    ) -> Arc<CacheEntry> {
+    ) -> CachedArtifact {
         if !self.enabled {
             self.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(CacheEntry::new(compile()));
+            return Arc::new(compile());
         }
         let key = mutate_key(key);
         let bucket_hash = key.bucket_hash();
@@ -464,7 +452,7 @@ impl CodeCache {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let entry = Arc::new(CacheEntry::new(compile()));
+        let entry = Arc::new(compile());
         let mut map = self.map.write().expect("code cache poisoned");
         let bucket = map.entry(bucket_hash).or_default();
         if let Some((_, existing)) = bucket.iter().find(|(stored, _)| *stored == key) {
@@ -503,13 +491,13 @@ impl CodeCache {
         if bucket.iter().any(|(stored, _)| *stored == key) {
             return;
         }
-        bucket.push((key, Arc::new(CacheEntry::new(artifact))));
+        bucket.push((key, Arc::new(artifact)));
     }
 
     /// All stored entries, for corpus write-back: the artifacts are
     /// shared, not copied. Order is unspecified (the corpus encoder
     /// canonicalizes by key).
-    pub fn snapshot(&self) -> Vec<(CompileKey, Arc<CacheEntry>)> {
+    pub fn snapshot(&self) -> Vec<(CompileKey, CachedArtifact)> {
         self.map
             .read()
             .expect("code cache poisoned")
@@ -569,7 +557,7 @@ mod tests {
         let key = native_key(120);
         cache.get_or_compile(key.clone(), || Err(CompileError::NotImplemented("ffi")));
         let r = cache.get_or_compile(key, || panic!("refusal must be cached"));
-        assert!(matches!(r.artifact(), Err(CompileError::NotImplemented("ffi"))));
+        assert!(matches!(*r, Err(CompileError::NotImplemented("ffi"))));
         assert_eq!(cache.hits(), 1);
     }
 

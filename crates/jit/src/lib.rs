@@ -42,7 +42,7 @@ mod regalloc;
 
 pub use bytecode_compiler::{compile_bytecode_sequence_test, compile_bytecode_test,
                             BytecodeTestInput, CompilerKind, CompilerOptions};
-pub use cache::{CacheEntry, CodeCache, CompileKey, CompileKeyRef};
+pub use cache::{CachedArtifact, CodeCache, CompileKey, CompileKeyRef};
 pub use native::NativeTestInput;
 pub use regalloc::SPILL_BYTES;
 pub use convention::Convention;

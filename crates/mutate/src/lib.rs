@@ -40,8 +40,8 @@ use std::sync::{Mutex, MutexGuard};
 /// Ids are grouped by the JIT layer they afflict — `1xx` bytecode
 /// front-ends, `2xx` register allocator, `3xx` calling convention,
 /// `4xx` back-end lowering, `5xx` compiled-code cache — and never
-/// reused: benchmark history (`BENCH_mutation.json`) and the CI
-/// expectation file key on them.
+/// reused: the `mutation_campaign` record (`mutation.metrics.json`),
+/// the CI expectation file and the benchmark's kill set key on them.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct MutantId(pub u32);
 

@@ -269,9 +269,6 @@ pub struct TrailStats {
     pub trail_marks: usize,
     /// Individual narrowings unwound across all scope exits.
     pub undone_ops: usize,
-    /// Store clones avoided — every trail mark stands in for exactly
-    /// one clone the from-scratch search takes at the same point.
-    pub clones_avoided: usize,
     /// Recycled-buffer reuses: leaf assignment vectors drawn from the
     /// retired-model pool and model copies re-backed by a pooled
     /// buffer.
@@ -286,7 +283,6 @@ impl TrailStats {
     pub fn merge(&mut self, other: &TrailStats) {
         self.trail_marks += other.trail_marks;
         self.undone_ops += other.undone_ops;
-        self.clones_avoided += other.clones_avoided;
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;
     }
@@ -951,7 +947,6 @@ impl Engine {
             for d in &disjuncts {
                 let tm = store.trail_mark();
                 self.tstats.trail_marks += 1;
-                self.tstats.clones_avoided += 1;
                 let saved = self.mark();
                 let ok = self.assert_into(d, store).is_ok();
                 let mut new_pending: Vec<usize> = rest.to_vec();
@@ -1014,7 +1009,6 @@ impl Engine {
                 tried.push(v);
                 let tm = store.trail_mark();
                 self.tstats.trail_marks += 1;
-                self.tstats.clones_avoided += 1;
                 store.set_lo(i, v);
                 store.set_hi(i, v);
                 let r = self.search_inner_in_place(store, &[], 0);

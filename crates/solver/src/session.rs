@@ -269,7 +269,6 @@ impl Session {
         } else {
             self.ensure_synced();
             self.engine.tstats.trail_marks += 1;
-            self.engine.tstats.clones_avoided += 1;
             Some(Checkpoint {
                 mark: self.engine.mark(),
                 nvars: self.engine.var_count(),
@@ -381,7 +380,6 @@ impl Session {
         let mark = self.engine.mark();
         self.engine.nodes_left = self.limits.max_nodes;
         self.engine.tstats.trail_marks += 1;
-        self.engine.tstats.clones_avoided += 1;
         let tm = self.store.trail_mark();
         let found = self.engine.search_in_place(&mut self.store);
         self.engine.tstats.undone_ops += self.store.undo_to(tm);
@@ -486,7 +484,6 @@ impl Session {
         // branch leaves behind) unwind with the trail; the engine's
         // classified-list appendices with the truncation.
         self.engine.tstats.trail_marks += 1;
-        self.engine.tstats.clones_avoided += 1;
         let tm = self.store.trail_mark();
         let asserted = match prepared {
             Some(plan) => self.engine.apply_norm(plan, &mut self.store).is_ok(),

@@ -42,7 +42,7 @@ fn cached_native_artifacts_are_byte_identical_to_fresh_compiles() {
             let second = cache.get_or_compile(key, || panic!("must hit"));
             assert_eq!(cache.hits(), hits_before + 1);
             for artifact in [&first, &second] {
-                let cached = artifact.artifact().as_ref().expect("compiles");
+                let cached = (**artifact).as_ref().expect("compiles");
                 assert_eq!(cached.code, fresh.code, "native {id} on {isa:?}");
                 assert_eq!(cached.ntemps, fresh.ntemps);
                 assert_eq!(cached.isa, fresh.isa);
@@ -84,7 +84,7 @@ fn cached_bytecode_artifacts_are_byte_identical_to_fresh_compiles() {
             let cached = cache.get_or_compile(key, || {
                 compile_bytecode_sequence_test(kind, &[Instruction::Add], &input, isa)
             });
-            let cached = cached.artifact().as_ref().expect("compiles");
+            let cached = (*cached).as_ref().expect("compiles");
             assert_eq!(cached.code, fresh.code, "{kind:?} on {isa:?}");
         }
     }

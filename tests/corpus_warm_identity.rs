@@ -176,7 +176,7 @@ fn merged_encoding(
     }
     let mut code: HashMap<_, _> = file.code.into_iter().collect();
     for (key, entry) in campaign.code_cache().snapshot() {
-        code.entry(key).or_insert_with(|| entry.artifact().clone());
+        code.entry(key).or_insert_with(|| (*entry).clone());
     }
     let mut outcomes: HashMap<_, _> = file.outcomes.into_iter().collect();
     for (target, report) in rows {

@@ -2,7 +2,8 @@
 //! cause set and the per-path verdicts of the one engine the campaign
 //! runs, pinned to their published values — at any worker count, at any
 //! path-negation thread count, and still moved by an armed compiler
-//! mutant.
+//! mutant. The aggregate work counters repeat exactly across worker and
+//! path-negation thread counts too, which is what lets CI pin them.
 
 use std::sync::OnceLock;
 
@@ -121,6 +122,33 @@ fn assert_reports_identical(a: &[CampaignReport], b: &[CampaignReport]) {
     }
 }
 
+/// The aggregate work counters a sweep records: solver solves, sat
+/// answers, nodes and pushes; code-cache hits and misses; heap
+/// restores and dirty words; exploration-cache hits, misses and family
+/// hits.
+fn work_counters(reports: &[CampaignReport]) -> [(&'static str, u64); 11] {
+    let m = igjit::aggregate_metrics(reports);
+    [
+        ("solver.solves", m.solver.solves as u64),
+        ("solver.sat", m.solver.sat as u64),
+        ("solver.nodes_visited", m.solver.nodes_visited as u64),
+        ("solver.pushes", m.solver.pushes as u64),
+        ("compile_cache.hits", m.compile_hits as u64),
+        ("compile_cache.misses", m.compile_misses as u64),
+        ("snapshot.restores", m.snapshot.restores),
+        ("snapshot.dirty_words", m.snapshot.dirty_words),
+        ("cache.hits", m.cache_hits as u64),
+        ("cache.misses", m.cache_misses as u64),
+        ("cache.family_hits", m.family_hits as u64),
+    ]
+}
+
+/// Identical reports and identical work counters.
+fn assert_runs_identical(a: &[CampaignReport], b: &[CampaignReport]) {
+    assert_reports_identical(a, b);
+    assert_eq!(work_counters(a), work_counters(b));
+}
+
 #[test]
 fn rows_match_the_golden_tuples() {
     let reports = reference();
@@ -171,12 +199,12 @@ fn table3_cause_set_is_golden() {
 
 #[test]
 fn rows_are_identical_at_one_and_two_threads() {
-    assert_reports_identical(&sweep(2, 1), reference());
+    assert_runs_identical(&sweep(2, 1), reference());
 }
 
 #[test]
 fn rows_are_identical_with_parallel_negation() {
-    assert_reports_identical(&sweep(1, 4), reference());
+    assert_runs_identical(&sweep(1, 4), reference());
 }
 
 #[test]
