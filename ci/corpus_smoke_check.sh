@@ -1,19 +1,17 @@
 #!/usr/bin/env bash
-# Engine v7 corpus smoke: warm replay and process sharding must be
-# invisible in every output and the warm path must actually pay off.
+# Corpus smoke: warm replay must be invisible in every output and the
+# warm path must actually pay off.
 #
-# Runs the Table 2 harness four times in a scratch directory:
+# Runs the Table 2 harness three times in a scratch directory:
 #
 #   1. baseline   — no corpus, sequential (the reference rows);
 #   2. cold       — fresh corpus file attached (records + saves);
 #   3. warm       — same corpus file (replays the saved outcomes);
-#   4. sharded    — no corpus, `--jobs 2` (two worker subprocesses
-#                   plus the deterministic merge).
 #
 # and then asserts, via the `table2.metrics.json` each run writes:
 #
-#   * row identity — all four runs print byte-identical Table 2 rows
-#     (a corpus or a shard merge may only ever change the wall clock);
+#   * row identity — all three runs print byte-identical Table 2 rows
+#     (a corpus may only ever change the wall clock);
 #   * full warm coverage — the warm run serves every instruction from
 #     the corpus (hits == tested instructions, misses == 0) while the
 #     cold run serves none;
@@ -59,22 +57,20 @@ echo "=== corpus-smoke: cold run (fresh corpus) ==="
 IGJIT_THREADS=1 IGJIT_CORPUS="$scratch/smoke.corpus" run_table2 cold "${table2[@]}"
 echo "=== corpus-smoke: warm run (saved corpus) ==="
 IGJIT_THREADS=1 IGJIT_CORPUS="$scratch/smoke.corpus" run_table2 warm "${table2[@]}"
-echo "=== corpus-smoke: sharded run (--jobs 2) ==="
-IGJIT_THREADS=1 run_table2 jobs "${table2[@]}" --jobs 2
 
-# Row identity across all four runs, on the printed table itself.
+# Row identity across all three runs, on the printed table itself.
 rows() {
     grep -E "Native Methods|BC Compiler|Meta-Compiled|meta tier coverage|^Total" "$scratch/$1"
 }
 rows baseline.out > "$scratch/baseline.rows"
-for other in cold warm jobs; do
+for other in cold warm; do
     rows "$other.out" > "$scratch/$other.rows"
     if ! diff -u "$scratch/baseline.rows" "$scratch/$other.rows"; then
         echo "corpus-smoke: $other run printed different Table 2 rows" >&2
         exit 1
     fi
 done
-echo "corpus-smoke: all four runs print identical Table 2 rows"
+echo "corpus-smoke: all three runs print identical Table 2 rows"
 
 python3 - "$scratch" "$expect" <<'PY'
 import json
@@ -84,13 +80,12 @@ import sys
 scratch, expect_path = sys.argv[1:3]
 with open(expect_path) as f:
     expect = json.load(f)
-baseline, cold, warm, sharded = (
+baseline, cold, warm = (
     json.load(open(os.path.join(scratch, f"{name}.metrics.json")))
-    for name in ("baseline", "cold", "warm", "jobs")
+    for name in ("baseline", "cold", "warm")
 )
 
-for label, rec in (("baseline", baseline), ("cold", cold),
-                   ("warm", warm), ("sharded", sharded)):
+for label, rec in (("baseline", baseline), ("cold", cold), ("warm", warm)):
     for key in ("tested_instructions", "interpreter_paths",
                 "curated_paths", "differences"):
         if rec["table2"][key] != expect[key]:
@@ -128,7 +123,6 @@ print(
     f"({cold_ms:.1f} ms cold vs {warm_ms:.1f} ms warm: rows "
     f"{warm['total']['wall_clock_ms']:.1f} + load {warm['corpus_load_ms']:.1f} "
     f"+ save {warm['corpus_save_ms']:.1f} ms), "
-    f"{warm_corpus['hits']}/{instructions} instructions corpus-served, "
-    "sharded merge row-identical"
+    f"{warm_corpus['hits']}/{instructions} instructions corpus-served"
 )
 PY

@@ -8,37 +8,34 @@
 # count means a behaviour change slipped into a perf-motivated PR —
 # exactly what this check exists to catch.
 #
-# Each metrics file is named with its kind: `five-row=FILE` for a
-# default run, `tier5-off=FILE` for an `IGJIT_TIER5=0` run. Per file,
-# the check enforces:
+# Per metrics file, the check enforces:
 #
-#   * rows — the Table 2 totals match the committed ones (the
-#     `tier5_off` totals for a tier5-off run);
+#   * rows — the Table 2 totals match the committed ones;
+#   * meta row — the meta-compiled tier (row 5) adds no differences: a
+#     compiler partially evaluated out of the interpreter agrees with
+#     the interpreter by construction;
 #   * work counters — solver solves/sat/nodes/pushes, code-cache
 #     hits/misses, heap restores/dirty words and exploration-cache
 #     hits/misses/family hits equal `work_counters` exactly. They repeat
-#     to the last digit at any worker or path-negation thread count, so
-#     a change that does more (or less) work fails here on any runner;
-#     slowdowns that keep them constant are `perf`'s job, not CI's;
+#     to the last digit at any worker count, so a change that does more
+#     (or less) work fails here on any runner; slowdowns that keep them
+#     constant are `perf`'s job, not CI's;
 #   * sub-stage layout — the stage buckets are exactly the expected set
 #     (a silently added or dropped bucket breaks every downstream
 #     consumer of the metrics);
 #   * honest stage accounting — at 1 thread, the per-stage sum
 #     (including the `other` bucket) lands within 10% of the wall clock;
-#   * residual budget — on a five-row run at 1 thread, the unattributed
-#     `other` bucket stays within 15% of the wall clock;
+#   * residual budget — at 1 thread, the unattributed `other` bucket
+#     stays within 15% of the wall clock;
 #   * explore sub-slices — `walk_run` and `probe_solve` re-attribute
 #     time already inside `explore`, so their sum never exceeds it.
 #
-# Across the first five-row and tier5-off files it checks tier-5
-# additivity: the meta tier appends one row and adds no differences.
-#
-# Usage: ci/perf_smoke_check.sh TESTGEN_OUT KIND=METRICS_JSON...
+# Usage: ci/perf_smoke_check.sh TESTGEN_OUT METRICS_JSON...
 set -euo pipefail
 
 expect="$(dirname "$0")/perf_expectations.json"
 if [ "$#" -lt 2 ]; then
-    echo "usage: $0 TESTGEN_OUT five-row=FILE|tier5-off=FILE..." >&2
+    echo "usage: $0 TESTGEN_OUT METRICS_JSON..." >&2
     exit 2
 fi
 
@@ -57,25 +54,25 @@ if not m:
     sys.exit(f"perf-smoke: no 'generated N tests' line in {testgen_path}")
 generated = int(m.group(1))
 
-labelled = []
-for arg in runs:
-    kind, _, path = arg.partition("=")
-    if kind not in ("five-row", "tier5-off") or not path:
-        sys.exit(f"perf-smoke: expected five-row=FILE or tier5-off=FILE, got {arg!r}")
+records = []
+for path in runs:
     with open(path) as f:
-        labelled.append((kind, path, json.load(f)))
+        records.append((path, json.load(f)))
 
 drifted = []
 if generated != expect["generated_tests"]:
     drifted.append(f"generated_tests: expected {expect['generated_tests']}, got {generated}")
-for kind, path, doc in labelled:
-    # The tier5-off run drops the fifth row, so it pins its own totals
-    # (the four-row table) and counters.
-    want = expect["tier5_off"] if kind == "tier5-off" else expect
+for path, doc in records:
     for key in ("tested_instructions", "interpreter_paths", "curated_paths", "differences"):
-        if doc["table2"][key] != want[key]:
-            drifted.append(f"{key} ({path}): expected {want[key]}, got {doc['table2'][key]}")
-    for section, counters in want["work_counters"].items():
+        if doc["table2"][key] != expect[key]:
+            drifted.append(f"{key} ({path}): expected {expect[key]}, got {doc['table2'][key]}")
+    meta = doc["rows"][4]
+    if meta["label"] != "Meta-Compiled (tier 5)" or meta["table2"]["differences"] != 0:
+        drifted.append(
+            f"meta row ({path}): expected 0 differences in 'Meta-Compiled (tier 5)', "
+            f"got {meta['table2']['differences']} in {meta['label']!r}"
+        )
+    for section, counters in expect["work_counters"].items():
         for key, value in counters.items():
             got = doc["total"][section][key]
             if got != value:
@@ -88,7 +85,7 @@ if drifted:
     sys.exit(1)
 
 SUB_SLICES = {"walk_run", "probe_solve"}
-for kind, path, doc in labelled:
+for path, doc in records:
     metrics = doc["total"]
     stages = metrics["stages_ms"]
     got = sorted(k for k in stages if k != "total")
@@ -116,36 +113,15 @@ for kind, path, doc in labelled:
             f"perf-smoke: stage accounting drifted ({path}): stages sum "
             f"{total:.1f} ms vs wall {wall:.1f} ms (>10% apart)"
         )
-    if kind == "five-row" and wall > 0 and stages["other"] > 0.15 * wall:
+    if wall > 0 and stages["other"] > 0.15 * wall:
         sys.exit(
             f"perf-smoke: residual `other` bucket exceeds its budget ({path}): "
             f"{stages['other']:.1f} ms of {wall:.1f} ms wall "
             f"({100 * stages['other'] / wall:.1f}%, expected <= 15%)"
         )
 
-# Tier-5 additivity: the rows shared by both configurations agree, so
-# the tier5-off totals never exceed the five-row ones, and the meta row
-# contributes zero differences (a compiler partially evaluated out of
-# the interpreter agrees with the interpreter by construction).
-first = {}
-for kind, path, doc in labelled:
-    first.setdefault(kind, doc["table2"])
-if "five-row" in first and "tier5-off" in first:
-    on, off = first["five-row"], first["tier5-off"]
-    for key in ("tested_instructions", "interpreter_paths", "curated_paths"):
-        if off[key] > on[key]:
-            sys.exit(
-                f"perf-smoke: tier5-off totals exceed the five-row totals: {key} is "
-                f"{off[key]} without the meta row but {on[key]} with it"
-            )
-    if on["differences"] != off["differences"]:
-        sys.exit(
-            "perf-smoke: the meta tier changed the difference count: "
-            f"{on['differences']} with tier 5 on vs {off['differences']} with it off"
-        )
-
 print(
-    f"perf-smoke: {len(labelled)} metrics file(s) match expectations: rows, "
-    f"work counters, stage layout and accounting; {generated} generated tests"
+    f"perf-smoke: {len(records)} metrics file(s) match expectations: rows, "
+    f"meta row, work counters, stage layout and accounting; {generated} generated tests"
 )
 PY

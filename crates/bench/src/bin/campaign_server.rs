@@ -31,12 +31,14 @@
 //! it, any other connection is answered immediately with one
 //! `{"ok":false,"event":"busy"}` line and closed, instead of hanging
 //! silently in the accept queue until the first client disconnects.
+//! A request whose sweep panicked leaves the campaign's caches and
+//! overlay half-updated, so the next client gets a fresh campaign.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
-use igjit::{aggregate_metrics, Campaign};
+use igjit::{aggregate_metrics, Campaign, CampaignConfig};
 use igjit_bench::paper_config;
 
 struct Args {
@@ -59,8 +61,8 @@ fn usage() -> ! {
          \x20 --corpus PATH  persistent corpus (also IGJIT_CORPUS)\n\
          \x20 --help         this text\n\
          \n\
-         environment: IGJIT_THREADS, IGJIT_TIER5, IGJIT_NEGATE_THREADS,\n\
-         IGJIT_CORPUS (IGJIT_MUTANT is refused)"
+         environment: {} (IGJIT_MUTANT is refused)",
+        igjit::env::KNOWN_VARS.join(", ")
     );
     std::process::exit(2);
 }
@@ -206,6 +208,26 @@ fn serve_stream(
     Ok(true)
 }
 
+/// Takes the campaign for one connection, or `None` while another
+/// connection holds it. A poisoned lock means a sweep panicked midway
+/// through updating the caches and the overlay, so the caller gets a
+/// fresh campaign on `config` instead of that one.
+fn acquire<'a>(
+    campaign: &'a Mutex<Campaign>,
+    config: &CampaignConfig,
+) -> Option<MutexGuard<'a, Campaign>> {
+    match campaign.try_lock() {
+        Ok(guard) => Some(guard),
+        Err(TryLockError::WouldBlock) => None,
+        Err(TryLockError::Poisoned(poisoned)) => {
+            let mut guard = poisoned.into_inner();
+            *guard = Campaign::new(config.clone());
+            campaign.clear_poison();
+            Some(guard)
+        }
+    }
+}
+
 fn main() {
     let args = parse_args();
     let knobs = igjit_bench::env_knobs();
@@ -220,7 +242,7 @@ fn main() {
     if args.corpus.is_some() {
         config.corpus = args.corpus.clone();
     }
-    let mut campaign = Campaign::new(config);
+    let mut campaign = Campaign::new(config.clone());
     if let Some(stats) = campaign.corpus_load_stats() {
         eprintln!(
             "corpus: {} outcomes, {} explorations, {} artifacts loaded",
@@ -262,6 +284,7 @@ fn main() {
                         }
                     };
                     let campaign = Arc::clone(&campaign);
+                    let config = &config;
                     scope.spawn(move || {
                         let reader = match stream.try_clone() {
                             Ok(r) => r,
@@ -271,14 +294,10 @@ fn main() {
                             }
                         };
                         let mut writer = stream;
-                        let mut guard = match campaign.try_lock() {
-                            Ok(g) => g,
-                            Err(TryLockError::WouldBlock) => {
-                                let _ = writeln!(writer, "{{\"ok\":false,\"event\":\"busy\"}}");
-                                let _ = writer.flush();
-                                return;
-                            }
-                            Err(TryLockError::Poisoned(p)) => p.into_inner(),
+                        let Some(mut guard) = acquire(&campaign, config) else {
+                            let _ = writeln!(writer, "{{\"ok\":false,\"event\":\"busy\"}}");
+                            let _ = writer.flush();
+                            return;
                         };
                         match serve_stream(&mut guard, reader, &mut writer) {
                             Ok(true) => {}
@@ -298,5 +317,41 @@ fn main() {
             });
             let _ = std::fs::remove_file(path);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use igjit::{CompilerKind, Instruction, Isa};
+
+    fn config() -> CampaignConfig {
+        CampaignConfig { isas: vec![Isa::X86ish], probes: false, threads: 1, corpus: None }
+    }
+
+    #[test]
+    fn a_held_campaign_is_busy() {
+        let campaign = Mutex::new(Campaign::new(config()));
+        let _held = acquire(&campaign, &config()).unwrap();
+        assert!(acquire(&campaign, &config()).is_none());
+    }
+
+    #[test]
+    fn a_panicked_request_leaves_a_fresh_campaign_for_the_next_client() {
+        let campaign = Mutex::new(Campaign::new(config()));
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let guard = acquire(&campaign, &config()).unwrap();
+            guard.test_bytecode_instruction(Instruction::Add, CompilerKind::SimpleStackBased);
+            assert!(!guard.cache().is_empty());
+            panic!("sweep failed midway");
+        }));
+        assert!(result.is_err());
+        assert!(campaign.is_poisoned());
+
+        let guard = acquire(&campaign, &config()).expect("the lock is free again");
+        assert!(guard.cache().is_empty(), "the next client must not inherit the caches");
+        assert_eq!(guard.code_cache().len(), 0);
+        drop(guard);
+        assert!(!campaign.is_poisoned());
     }
 }

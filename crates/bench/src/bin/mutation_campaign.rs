@@ -18,8 +18,7 @@
 //! mutant because compiled artifacts do depend on the armed fault.
 //!
 //! Usage:
-//!   mutation_campaign [--mutants id,name,…] [--jobs N] [--out FILE]
-//!                     [--expectations]
+//!   mutation_campaign [--mutants id,name,…] [--out FILE] [--expectations]
 //!
 //! With no `--mutants`, the whole catalog runs. Each invocation
 //! writes (overwrites) one JSON record to `--out` (default
@@ -28,24 +27,16 @@
 //! `--expectations` additionally prints a `ci/mutation_expectations.json`
 //! style document for the selected mutants on stdout.
 //!
-//! `--jobs N` shards the per-mutant sweeps across up to `N` concurrent
-//! worker subprocesses. The fault-injection flag is process-global
-//! state, so in-process parallelism across *mutants* is impossible —
-//! but separate processes each arm their own mutant. Workers are this
-//! same binary re-executed in a hidden mode (`--worker-verdict`) with
-//! the mutant passed through the `IGJIT_MUTANT` environment knob; each
-//! worker compares its sweep against the parent's baseline signatures
-//! (shipped via a temp file) and reports one verdict line on stdout.
-//! The parent merges verdicts back **in catalog order**, so the
-//! written record and the printed report are byte-identical to
-//! a sequential run (modulo wall-clock fields) at any job count.
+//! The fault-injection flag is process-global, so mutants run one
+//! after another; each mutant's sweep runs on `IGJIT_THREADS` worker
+//! threads.
 
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
 use igjit::mutate::{self, MutationOp};
-use igjit::{report, Campaign, CampaignConfig, CampaignReport, FaultInjector, Isa, MutantId};
-use igjit_bench::env_knobs;
+use igjit::{report, Campaign, CampaignConfig, CampaignReport, FaultInjector, MutantId};
+use igjit_bench::{env_knobs, paper_config};
 
 /// Everything the sweep concluded about one mutant.
 struct MutantVerdict {
@@ -174,209 +165,6 @@ fn compare(
         new_categories,
         masked_categories,
     }
-}
-
-// ---------------------------------------------------------------------
-// --jobs worker protocol
-//
-// Baseline file, one record per line (none of the fields can contain a
-// tab or newline — labels are `row/instruction` names and signatures
-// are single-line formats):
-//   SIG   <row-index> <label> <signature>
-//   CAUSE <category> <instruction> <compiler>
-// Worker stdout, exactly one line:
-//   VERDICT <id> <killed 0|1> <ttfd-ns or ""> <first-divergence or "">
-//           <new-categories, \x1f-joined> <masked-categories> <elapsed-ns>
-// ---------------------------------------------------------------------
-
-/// Writes the disarmed baseline (row signatures + cause keys) for
-/// workers to compare against.
-fn write_baseline_file(
-    path: &std::path::Path,
-    base_sigs: &[Vec<(String, String)>],
-    base_causes: &BTreeSet<(String, String, String)>,
-) -> std::io::Result<()> {
-    let mut buf = String::new();
-    for (row, sigs) in base_sigs.iter().enumerate() {
-        for (label, sig) in sigs {
-            buf.push_str(&format!("SIG\t{row}\t{label}\t{sig}\n"));
-        }
-    }
-    for (cat, instr, comp) in base_causes {
-        buf.push_str(&format!("CAUSE\t{cat}\t{instr}\t{comp}\n"));
-    }
-    std::fs::write(path, buf)
-}
-
-/// Parses the baseline file back into the shapes `compare` wants.
-#[allow(clippy::type_complexity)]
-fn read_baseline_file(
-    path: &str,
-) -> Result<(Vec<Vec<(String, String)>>, BTreeSet<(String, String, String)>), String> {
-    let text = std::fs::read_to_string(path)
-        .map_err(|e| format!("cannot read baseline file {path}: {e}"))?;
-    let mut sigs: Vec<Vec<(String, String)>> = Vec::new();
-    let mut causes = BTreeSet::new();
-    for line in text.lines() {
-        let mut parts = line.splitn(4, '\t');
-        match parts.next() {
-            Some("SIG") => {
-                let row: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| format!("malformed SIG line: {line:?}"))?;
-                let label = parts.next().ok_or_else(|| format!("malformed SIG line: {line:?}"))?;
-                let sig = parts.next().ok_or_else(|| format!("malformed SIG line: {line:?}"))?;
-                if sigs.len() <= row {
-                    sigs.resize_with(row + 1, Vec::new);
-                }
-                sigs[row].push((label.to_string(), sig.to_string()));
-            }
-            Some("CAUSE") => {
-                let cat = parts.next().ok_or_else(|| format!("malformed CAUSE line: {line:?}"))?;
-                let instr =
-                    parts.next().ok_or_else(|| format!("malformed CAUSE line: {line:?}"))?;
-                let comp =
-                    parts.next().ok_or_else(|| format!("malformed CAUSE line: {line:?}"))?;
-                causes.insert((cat.to_string(), instr.to_string(), comp.to_string()));
-            }
-            _ => return Err(format!("unrecognized baseline line: {line:?}")),
-        }
-    }
-    Ok((sigs, causes))
-}
-
-/// Flattens a verdict to the worker's one-line wire format.
-fn verdict_line(v: &MutantVerdict) -> String {
-    format!(
-        "VERDICT\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-        v.op.id.0,
-        u8::from(v.killed),
-        v.ttfd.map(|d| d.as_nanos().to_string()).unwrap_or_default(),
-        v.first_divergence.clone().unwrap_or_default(),
-        v.new_categories.join("\u{1f}"),
-        v.masked_categories.join("\u{1f}"),
-        v.elapsed.as_nanos(),
-    )
-}
-
-/// Parses a worker's VERDICT line; `op` must be the mutant the worker
-/// was assigned (the id on the line is cross-checked).
-fn parse_verdict_line(line: &str, op: &'static MutationOp) -> Result<MutantVerdict, String> {
-    let fields: Vec<&str> = line.split('\t').collect();
-    if fields.len() != 8 || fields[0] != "VERDICT" {
-        return Err(format!("malformed worker verdict: {line:?}"));
-    }
-    if fields[1] != op.id.0.to_string() {
-        return Err(format!("worker answered for mutant {} (expected {})", fields[1], op.id.0));
-    }
-    let killed = fields[2] == "1";
-    let nanos = |s: &str| -> Result<Duration, String> {
-        s.parse::<u64>()
-            .map(Duration::from_nanos)
-            .map_err(|e| format!("malformed worker verdict {line:?}: {e}"))
-    };
-    let split_list = |s: &str| -> Vec<String> {
-        if s.is_empty() { Vec::new() } else { s.split('\u{1f}').map(str::to_string).collect() }
-    };
-    Ok(MutantVerdict {
-        op,
-        killed,
-        elapsed: nanos(fields[7])?,
-        ttfd: if fields[3].is_empty() { None } else { Some(nanos(fields[3])?) },
-        first_divergence: (!fields[4].is_empty()).then(|| fields[4].to_string()),
-        new_categories: split_list(fields[5]),
-        masked_categories: split_list(fields[6]),
-    })
-}
-
-/// Hidden worker mode: sweep one mutant (named by `IGJIT_MUTANT`),
-/// compare against the baseline file, print one VERDICT line.
-fn run_worker(baseline_path: &str, config: &CampaignConfig) -> Result<(), String> {
-    let op = env_knobs()
-        .mutant
-        .and_then(mutate::find)
-        .ok_or("worker mode needs IGJIT_MUTANT set to a catalog mutant")?;
-    let (base_sigs, base_causes) = read_baseline_file(baseline_path)?;
-    let t0 = Instant::now();
-    let reports = {
-        let _armed = FaultInjector::arm(op.id)?;
-        Campaign::new(config.clone()).run_all()
-    };
-    let v = compare(op, &base_sigs, &base_causes, &reports, t0.elapsed());
-    println!("{}", verdict_line(&v));
-    Ok(())
-}
-
-/// Shards the selected mutants across up to `jobs` concurrent worker
-/// subprocesses and merges their verdicts back in catalog order.
-fn run_sharded(
-    ops: &[&'static MutationOp],
-    jobs: usize,
-    base_sigs: &[Vec<(String, String)>],
-    base_causes: &BTreeSet<(String, String, String)>,
-) -> Result<Vec<MutantVerdict>, String> {
-    let exe = std::env::current_exe().map_err(|e| format!("cannot locate own binary: {e}"))?;
-    let base_path = std::env::temp_dir()
-        .join(format!("igjit_mutation_baseline_{}.tsv", std::process::id()));
-    write_baseline_file(&base_path, base_sigs, base_causes)
-        .map_err(|e| format!("cannot write {}: {e}", base_path.display()))?;
-    let mut verdicts = Vec::with_capacity(ops.len());
-    let result = (|| {
-        // Chunked scheduling: per-mutant sweeps cost within ~2× of each
-        // other, so waiting out each wave loses little and keeps the
-        // collection order (hence the merged record) deterministic.
-        for wave in ops.chunks(jobs.max(1)) {
-            let children: Vec<(&'static MutationOp, std::process::Child)> = wave
-                .iter()
-                .map(|op| {
-                    let child = std::process::Command::new(&exe)
-                        .arg("--worker-verdict")
-                        .arg(&base_path)
-                        .env("IGJIT_MUTANT", op.id.0.to_string())
-                        .stdout(std::process::Stdio::piped())
-                        .stderr(std::process::Stdio::piped())
-                        .spawn()
-                        .map_err(|e| format!("cannot spawn worker: {e}"))?;
-                    Ok((*op, child))
-                })
-                .collect::<Result<_, String>>()?;
-            for (op, child) in children {
-                let out = child
-                    .wait_with_output()
-                    .map_err(|e| format!("worker for mutant {}: {e}", op.id.0))?;
-                if !out.status.success() {
-                    return Err(format!(
-                        "worker for mutant {} failed ({}):\n{}",
-                        op.id.0,
-                        out.status,
-                        String::from_utf8_lossy(&out.stderr),
-                    ));
-                }
-                let stdout = String::from_utf8_lossy(&out.stdout);
-                let line = stdout
-                    .lines()
-                    .find(|l| l.starts_with("VERDICT\t"))
-                    .ok_or_else(|| format!("worker for mutant {} sent no verdict", op.id.0))?;
-                let v = parse_verdict_line(line, op)?;
-                eprintln!(
-                    "  {:>3} {:<30} {:<9} {:.2}s{}",
-                    op.id.0,
-                    op.name,
-                    if v.killed { "KILLED" } else { "survived" },
-                    v.elapsed.as_secs_f64(),
-                    v.first_divergence
-                        .as_ref()
-                        .map(|l| format!("  first at {l}"))
-                        .unwrap_or_default(),
-                );
-                verdicts.push(v);
-            }
-        }
-        Ok(verdicts)
-    })();
-    let _ = std::fs::remove_file(&base_path);
-    result
 }
 
 fn json_str_list(items: &[String]) -> String {
@@ -539,17 +327,12 @@ struct Args {
     mutants: Option<Vec<MutantId>>,
     out: String,
     expectations: bool,
-    jobs: usize,
-    /// Hidden worker mode: path to the parent's baseline file.
-    worker_baseline: Option<String>,
 }
 
 fn parse_args() -> Args {
     let mut mutants = None;
     let mut out = "mutation.metrics.json".to_string();
     let mut expectations = false;
-    let mut jobs = 1usize;
-    let mut worker_baseline = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -577,62 +360,27 @@ fn parse_args() -> Args {
                 });
             }
             "--expectations" => expectations = true,
-            "--jobs" => {
-                let n = args.next().unwrap_or_else(|| {
-                    eprintln!("error: --jobs needs a worker count");
-                    std::process::exit(2);
-                });
-                jobs = n.parse().unwrap_or_else(|_| {
-                    eprintln!("error: --jobs: {n:?} is not a number");
-                    std::process::exit(2);
-                });
-                if jobs == 0 {
-                    eprintln!("error: --jobs needs at least 1 worker");
-                    std::process::exit(2);
-                }
-            }
-            "--worker-verdict" => {
-                worker_baseline = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("error: --worker-verdict needs the baseline file path");
-                    std::process::exit(2);
-                }));
-            }
             other => {
                 eprintln!(
                     "error: unknown argument {other:?} \
-                     (usage: mutation_campaign [--mutants id,name,…] [--jobs N] \
+                     (usage: mutation_campaign [--mutants id,name,…] \
                      [--out FILE] [--expectations])"
                 );
                 std::process::exit(2);
             }
         }
     }
-    Args { mutants, out, expectations, jobs, worker_baseline }
+    Args { mutants, out, expectations }
 }
 
 fn main() {
     let args = parse_args();
-    let knobs = env_knobs();
-    let config = CampaignConfig {
-        isas: vec![Isa::X86ish, Isa::Arm32ish],
-        probes: true,
-        threads: knobs.threads_or_default(),
-        negate_threads: knobs.negate_threads_or_default(),
-        // The mutation sweep arms a different mutant per campaign;
-        // corpus persistence is deliberately not plumbed here (each
-        // mutant would need its own file, and the kill verdicts must
-        // never replay from a stale arming state).
-        corpus: None,
-        meta_tier: knobs.tier5_enabled(),
-    };
-    if let Some(baseline_path) = &args.worker_baseline {
-        if let Err(e) = run_worker(baseline_path, &config) {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }
-        return;
-    }
-    if knobs.mutant.is_some() {
+    // The mutation sweep arms a different mutant per campaign; corpus
+    // persistence is deliberately not plumbed here (each mutant would
+    // need its own file, and the kill verdicts must never replay from
+    // a stale arming state).
+    let config = CampaignConfig { corpus: None, ..paper_config() };
+    if env_knobs().mutant.is_some() {
         eprintln!(
             "error: IGJIT_MUTANT must not be set for mutation_campaign — \
              this driver arms and disarms mutants itself (use --mutants to select)"
@@ -666,39 +414,30 @@ fn main() {
         wall0.elapsed().as_secs_f64(),
     );
 
-    let verdicts = if args.jobs > 1 {
-        eprintln!("sharding {} mutant sweep(s) across {} worker(s)…", ops.len(), args.jobs);
-        run_sharded(&ops, args.jobs, &base_sigs, &base_causes).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        })
-    } else {
-        let mut verdicts = Vec::with_capacity(ops.len());
-        for op in ops {
-            let t0 = Instant::now();
-            let reports = {
-                let _armed = FaultInjector::arm(op.id).unwrap_or_else(|e| {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                });
-                run_sweep(&config, &baseline_campaign)
-            };
-            let v = compare(op, &base_sigs, &base_causes, &reports, t0.elapsed());
-            eprintln!(
-                "  {:>3} {:<30} {:<9} {:.2}s{}",
-                op.id.0,
-                op.name,
-                if v.killed { "KILLED" } else { "survived" },
-                v.elapsed.as_secs_f64(),
-                v.first_divergence
-                    .as_ref()
-                    .map(|l| format!("  first at {l}"))
-                    .unwrap_or_default(),
-            );
-            verdicts.push(v);
-        }
-        verdicts
-    };
+    let mut verdicts = Vec::with_capacity(ops.len());
+    for op in ops {
+        let t0 = Instant::now();
+        let reports = {
+            let _armed = FaultInjector::arm(op.id).unwrap_or_else(|e| {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            });
+            run_sweep(&config, &baseline_campaign)
+        };
+        let v = compare(op, &base_sigs, &base_causes, &reports, t0.elapsed());
+        eprintln!(
+            "  {:>3} {:<30} {:<9} {:.2}s{}",
+            op.id.0,
+            op.name,
+            if v.killed { "KILLED" } else { "survived" },
+            v.elapsed.as_secs_f64(),
+            v.first_divergence
+                .as_ref()
+                .map(|l| format!("  first at {l}"))
+                .unwrap_or_default(),
+        );
+        verdicts.push(v);
+    }
     let wall = wall0.elapsed();
 
     println!();

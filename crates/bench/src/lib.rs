@@ -28,33 +28,11 @@ pub fn campaign_threads() -> usize {
     env_knobs().threads_or_default()
 }
 
-/// Whether the meta-compiled tier (#5) runs as a fifth
-/// Table 2 row: the `IGJIT_TIER5` environment variable, default on.
-/// Tiers 1–4 rows are byte-identical either way. Malformed values are
-/// fatal.
-pub fn tier5_enabled() -> bool {
-    env_knobs().tier5_enabled()
-}
-
-/// Worker threads for intra-instruction path negation: the
-/// `IGJIT_NEGATE_THREADS` environment variable, default 1
-/// (sequential). Malformed values are fatal.
-pub fn negate_threads() -> usize {
-    env_knobs().negate_threads_or_default()
-}
-
 /// Path of the persistent campaign corpus: the `IGJIT_CORPUS`
 /// environment variable, default none (no persistence). Malformed
 /// values (an empty path) are fatal.
 pub fn corpus_path() -> Option<std::path::PathBuf> {
     env_knobs().corpus
-}
-
-/// Worker *processes* sharding the main campaign: the
-/// `IGJIT_CAMPAIGN_JOBS` environment variable, default 1 (in-process).
-/// Malformed values are fatal.
-pub fn campaign_jobs() -> usize {
-    env_knobs().campaign_jobs_or_default()
 }
 
 /// Arms the mutation operator named by `IGJIT_MUTANT`, if any,
@@ -78,9 +56,7 @@ pub fn arm_mutant_from_env() -> Option<igjit::MutantGuard> {
 
 /// The evaluation configuration used by every harness binary: both
 /// ISAs, probing enabled (the paper's §5.1 setup), worker threads from
-/// [`campaign_threads`], path-negation threads from [`negate_threads`],
-/// the meta tier from [`tier5_enabled`], persistent corpus from
-/// [`corpus_path`].
+/// [`campaign_threads`], persistent corpus from [`corpus_path`].
 pub fn paper_campaign() -> Campaign {
     Campaign::new(paper_config())
 }
@@ -93,9 +69,7 @@ pub fn paper_config() -> CampaignConfig {
         isas: vec![Isa::X86ish, Isa::Arm32ish],
         probes: true,
         threads: campaign_threads(),
-        negate_threads: negate_threads(),
         corpus: corpus_path(),
-        meta_tier: tier5_enabled(),
     }
 }
 

@@ -5,8 +5,6 @@
 //! stop at failing paths — every exit condition (§3.4) is a result the
 //! differential tester wants.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use igjit_bytecode::fxhash::FxHashSet;
@@ -275,13 +273,6 @@ pub struct Explorer {
     pub max_iterations: usize,
     /// Max recorded path length considered for negation.
     pub max_path_len: usize,
-    /// Number of threads negating sibling subtrees of the root path
-    /// in parallel (`IGJIT_NEGATE_THREADS`; `1` = sequential).
-    /// Subtrees are explored speculatively and spliced back in the
-    /// sequential walk order, falling back to an in-place sequential
-    /// re-run whenever a speculation is not provably equivalent — so
-    /// results are deterministic and identical to a sequential walk.
-    pub negation_threads: usize,
     /// Record a [`ReplayStep`] per executed node (family-sharing
     /// support; costs one model clone per node, so off by default).
     pub record_replay: bool,
@@ -299,7 +290,6 @@ impl Explorer {
         Explorer {
             max_iterations: 192,
             max_path_len: 48,
-            negation_threads: 1,
             record_replay: false,
         }
     }
@@ -350,8 +340,7 @@ impl Explorer {
         F: Fn(
                 &mut crate::trace::ConcolicContext<'_>,
                 &mut igjit_interp::Frame<SymOop>,
-            ) -> PathOutcome
-            + Sync,
+            ) -> PathOutcome,
     {
         let mut walk = NegationWalk {
             explorer: self,
@@ -364,24 +353,18 @@ impl Explorer {
             curated_out: Vec::new(),
             iterations: 0,
             budget_noted: false,
-            extra_stats: SessionStats::default(),
-            extra_trail: TrailStats::default(),
             replay: Vec::new(),
             scratch: None,
             run_time: Duration::ZERO,
         };
         walk.visit(0);
-        let mut solver = walk.session.stats();
-        solver.merge(&walk.extra_stats);
-        let mut trail = walk.session.trail_stats();
-        trail.merge(&walk.extra_trail);
         ExplorationResult {
             paths: walk.paths,
             curated_out: walk.curated_out,
             state: walk.state,
             iterations: walk.iterations,
-            solver,
-            trail,
+            solver: walk.session.stats(),
+            trail: walk.session.trail_stats(),
             probe_models: Vec::new(),
             replay_log: self.record_replay.then_some(walk.replay),
             walk_run: walk.run_time,
@@ -413,11 +396,6 @@ struct NegationWalk<'e, F> {
     curated_out: Vec<CurationReason>,
     iterations: usize,
     budget_noted: bool,
-    /// Solver work done by spliced speculative subtrees (their fresh
-    /// sessions), folded into the final result's counters.
-    extra_stats: SessionStats,
-    /// Trail-mode counters of those same spliced subtree sessions.
-    extra_trail: TrailStats,
     /// Walk-order replay log (only fed when `record_replay` is on).
     replay: Vec<ReplayStep>,
     /// Scratch heap reused across visits (reset to fresh each time)
@@ -429,52 +407,15 @@ struct NegationWalk<'e, F> {
 }
 
 /// A path-dedup key: the path condition plus the outcome
-/// discriminant, as `{:?}` text (so NaN constants collapse and `-0.0`
-/// stays distinct from `0.0`). Text compares across the parallel
-/// walk's workers, which start from a copy of the walk's key set.
+/// discriminant, as `{:?}` text, so NaN constants collapse and `-0.0`
+/// stays distinct from `0.0`.
 fn path_signature(path: &[Constraint], disc: u8) -> String {
     format!("{path:?}|{disc:?}")
 }
 
-/// One speculatively-explored sibling subtree, produced by a worker
-/// thread from a snapshot of the walk taken right after the parent
-/// node executed.
-struct Subtree {
-    state: AbstractState,
-    visited: FxHashSet<String>,
-    paths: Vec<ExploredPath>,
-    curated_out: Vec<CurationReason>,
-    consumed: usize,
-    budget_noted: bool,
-    stats: SessionStats,
-    trail: TrailStats,
-    replay: Vec<ReplayStep>,
-    run_time: Duration,
-}
-
-/// The walk snapshot speculative workers start from, plus their
-/// results in canonical (descending suffix position) merge order.
-struct Speculation {
-    base_state: AbstractState,
-    base_visited: FxHashSet<String>,
-    subtrees: Vec<Option<Subtree>>,
-}
-
-/// Sibling subtrees below which root-level speculation
-/// (`IGJIT_NEGATE_THREADS > 1`) is skipped: on shallow negation trees
-/// the thread spawn + snapshot overhead exceeds the parallel win (the
-/// v8 ablation measured ~33 ms vs ~27 ms sequential at 2 subtrees), so
-/// the walk only speculates when the root path offers at least this
-/// many independent suffix negations. The splice order is unchanged —
-/// below the threshold the walk simply takes the sequential branch it
-/// would fall back to anyway, so results are identical by
-/// construction.
-const SPECULATION_MIN_SUBTREES: usize = 4;
-
 impl<F> NegationWalk<'_, F>
 where
-    F: Fn(&mut crate::trace::ConcolicContext<'_>, &mut igjit_interp::Frame<SymOop>) -> PathOutcome
-        + Sync,
+    F: Fn(&mut crate::trace::ConcolicContext<'_>, &mut igjit_interp::Frame<SymOop>) -> PathOutcome,
 {
     /// Visits the node whose path condition is currently in scope in
     /// the session; `depth` is the number of prefix steps already
@@ -566,130 +507,12 @@ where
         for step in path.iter().take(len).skip(depth) {
             self.session.push_assert(step.clone());
         }
-        let mut speculation = (depth == 0
-            && self.explorer.negation_threads > 1
-            && len - depth >= SPECULATION_MIN_SUBTREES)
-            .then(|| self.speculate_subtrees(depth, &path));
-        for (k, i) in (depth..len).rev().enumerate() {
+        for i in (depth..len).rev() {
             self.session.pop(); // retract `path[i]`…
             self.session.push_assert(path[i].negated()); // …negate it…
-            let sub = speculation.as_mut().and_then(|sp| sp.subtrees[k].take());
-            let spliced = match (sub, &speculation) {
-                (Some(sub), Some(sp)) => self.try_splice(sub, sp),
-                _ => false,
-            };
-            if !spliced {
-                self.visit(i + 1); // …and explore that subtree.
-            }
+            self.visit(i + 1); // …and explore that subtree.
             self.session.pop();
         }
-    }
-
-    /// Explores every sibling subtree of the root node concurrently,
-    /// each worker starting from a snapshot of the walk and a fresh
-    /// solver session asserting the same in-scope constraint sequence
-    /// (which the session determinism contract makes equivalent).
-    /// Workers drain one shared atomic index — no locks anywhere —
-    /// and results land in per-subtree slots for the deterministic
-    /// in-order merge done by [`NegationWalk::try_splice`].
-    fn speculate_subtrees(&mut self, depth: usize, path: &[Constraint]) -> Speculation {
-        let len = path.len();
-        let base_state = self.state.clone();
-        let base_visited = self.visited.clone();
-        let base_iter = self.iterations;
-        let order: Vec<usize> = (depth..len).rev().collect();
-        let next = AtomicUsize::new(0);
-        let slots: Vec<OnceLock<Subtree>> = order.iter().map(|_| OnceLock::new()).collect();
-        let explorer = self.explorer;
-        let instr = self.instr;
-        let exec = self.exec;
-        std::thread::scope(|s| {
-            for _ in 0..explorer.negation_threads.min(order.len()) {
-                s.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = order.get(k) else { break };
-                    let mut w = NegationWalk {
-                        explorer,
-                        instr,
-                        exec,
-                        state: base_state.clone(),
-                        session: Session::new(),
-                        visited: base_visited.clone(),
-                        paths: Vec::new(),
-                        curated_out: Vec::new(),
-                        iterations: base_iter,
-                        budget_noted: false,
-                        extra_stats: SessionStats::default(),
-                        extra_trail: TrailStats::default(),
-                        replay: Vec::new(),
-                        scratch: None,
-                        run_time: Duration::ZERO,
-                    };
-                    w.session.sync_vars(w.state.specs());
-                    for c in &path[..i] {
-                        w.session.push_assert(c.clone());
-                    }
-                    w.session.push_assert(path[i].negated());
-                    w.visit(i + 1);
-                    let stats = w.session.stats();
-                    let mut trail = w.session.trail_stats();
-                    trail.merge(&w.extra_trail);
-                    let _ = slots[k].set(Subtree {
-                        state: w.state,
-                        visited: w.visited,
-                        paths: w.paths,
-                        curated_out: w.curated_out,
-                        consumed: w.iterations - base_iter,
-                        budget_noted: w.budget_noted,
-                        stats,
-                        trail,
-                        replay: w.replay,
-                        run_time: w.run_time,
-                    });
-                });
-            }
-        });
-        Speculation {
-            base_state,
-            base_visited,
-            subtrees: slots.into_iter().map(OnceLock::into_inner).collect(),
-        }
-    }
-
-    /// Adopts a speculative subtree's results if they are provably
-    /// what the sequential walk would have computed in place:
-    ///
-    /// * no earlier subtree changed the abstract state the worker
-    ///   snapshot started from (new variables would renumber),
-    /// * none of the worker's newly-visited path signatures collide
-    ///   with signatures an earlier subtree claimed (dedup races),
-    /// * the iteration budget provably never cuts in mid-subtree.
-    ///
-    /// Returns `false` (splice refused, caller re-runs sequentially)
-    /// otherwise.
-    fn try_splice(&mut self, sub: Subtree, sp: &Speculation) -> bool {
-        if sub.budget_noted
-            || self.iterations + sub.consumed > self.explorer.max_iterations
-            || self.state != sp.base_state
-        {
-            return false;
-        }
-        let fresh: Vec<&String> = sub.visited.difference(&sp.base_visited).collect();
-        if fresh.iter().any(|sig| self.visited.contains(*sig)) {
-            return false;
-        }
-        self.state = sub.state;
-        for sig in sub.visited {
-            self.visited.insert(sig);
-        }
-        self.paths.extend(sub.paths);
-        self.curated_out.extend(sub.curated_out);
-        self.iterations += sub.consumed;
-        self.extra_stats.merge(&sub.stats);
-        self.extra_trail.merge(&sub.trail);
-        self.replay.extend(sub.replay);
-        self.run_time += sub.run_time;
-        true
     }
 }
 
@@ -979,32 +802,6 @@ mod tests {
             Explorer::new().explore_sequence(&[]).err(),
             Some(ExploreError::EmptySequence)
         );
-    }
-
-    fn paths_digest(r: &ExplorationResult) -> Vec<String> {
-        r.paths
-            .iter()
-            .map(|p| {
-                format!(
-                    "{:?}|{:?}|{:?}|{:?}|{:?}",
-                    p.constraints, p.outcome, p.output_stack, p.output_temps, p.object_dumps
-                )
-            })
-            .collect()
-    }
-
-    #[test]
-    fn parallel_negation_matches_sequential() {
-        for i in [Instruction::Add, Instruction::ShortJumpTrue(4), Instruction::BitShift] {
-            let mut par = Explorer::new();
-            par.negation_threads = 4;
-            let a = par.explore(InstrUnderTest::Bytecode(i));
-            let b = explore_bytecode(i);
-            assert_eq!(paths_digest(&a), paths_digest(&b), "{i:?}");
-            assert_eq!(a.iterations, b.iterations, "{i:?}");
-            assert_eq!(a.curated_out, b.curated_out, "{i:?}");
-            assert_eq!(a.state, b.state, "{i:?}");
-        }
     }
 
     #[test]

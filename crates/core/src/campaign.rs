@@ -55,10 +55,6 @@ pub struct CampaignConfig {
     /// each instruction is processed on one worker. Defaults to the
     /// machine's available parallelism.
     pub threads: usize,
-    /// Threads negating sibling subtrees of one instruction's path
-    /// tree in parallel (1 = sequential; speculative subtrees merge
-    /// deterministically, so outcomes are identical at any count).
-    pub negate_threads: usize,
     /// Persistent corpus file. When set, the campaign
     /// verifies the file's sections against this build + configuration
     /// before running, answers warm instructions from its outcomes
@@ -68,13 +64,6 @@ pub struct CampaignConfig {
     /// Any mismatch, truncation or version skew degrades to a cold
     /// run — never an error, never a row change.
     pub corpus: Option<PathBuf>,
-    /// Whether the meta-compiled tier (#5) runs as a fifth
-    /// Table 2 row: a partial evaluator over the interpreter's step
-    /// functions compiles each (instruction, frame) pair to CogRTL,
-    /// with an interpreter trampoline for refused pairs. The tier is
-    /// purely additive — the rows for tiers 1–4 are byte-identical
-    /// whether it is on or off (`tests/engine_v9_meta_tier.rs`).
-    pub meta_tier: bool,
 }
 
 impl Default for CampaignConfig {
@@ -83,9 +72,7 @@ impl Default for CampaignConfig {
             isas: vec![Isa::X86ish, Isa::Arm32ish],
             probes: true,
             threads: default_threads(),
-            negate_threads: 1,
             corpus: None,
-            meta_tier: true,
         }
     }
 }
@@ -323,13 +310,21 @@ pub struct Campaign {
     corpus: Option<Arc<CorpusState>>,
 }
 
-/// The warm overlay: outcomes loaded from a corpus file plus outcomes
-/// recorded (or preloaded) during this process's runs, consulted by
-/// `run_one` before running the pipeline.
+/// A corpus file bound to a campaign: what loading found, the
+/// sections still waiting to be decoded, and what is on disk — plus
+/// the warm overlay `run_one` consults before running the pipeline:
+/// outcomes loaded from the file and outcomes recorded during this
+/// process's runs.
 struct CorpusState {
-    /// File binding. `None` for a detached overlay (outcomes injected
-    /// via [`Campaign::preload_outcomes`] without persistence).
-    file: Option<CorpusFile>,
+    path: PathBuf,
+    fps: igjit_corpus::Fingerprints,
+    stats: igjit_corpus::LoadStats,
+    /// The image as loaded. Its exploration and code sections reach
+    /// the caches once, on the first pipeline miss — a fully warm
+    /// sweep never decodes them.
+    image: Arc<Image>,
+    preloaded: Once,
+    saved: Mutex<Saved>,
     /// Outcomes from the corpus file; immutable after construction, so
     /// workers read it lock-free.
     loaded: HashMap<OutcomeKey, InstructionOutcome>,
@@ -337,20 +332,6 @@ struct CorpusState {
     /// file, and what makes a repeated request warm within one process
     /// (the serve mode's amortization).
     recorded: Mutex<HashMap<OutcomeKey, InstructionOutcome>>,
-}
-
-/// A corpus file bound to a campaign: what loading found, the
-/// sections still waiting to be decoded, and what is on disk.
-struct CorpusFile {
-    path: PathBuf,
-    fps: igjit_corpus::Fingerprints,
-    stats: igjit_corpus::LoadStats,
-    /// The image as loaded. Its exploration and code sections reach
-    /// the caches once, on the first pipeline miss — a fully warm
-    /// sweep never decodes them.
-    loaded: Arc<Image>,
-    preloaded: Once,
-    saved: Mutex<Saved>,
 }
 
 /// The image last loaded or written, with per section the size of the
@@ -364,10 +345,6 @@ struct Saved {
 }
 
 impl CorpusState {
-    fn detached() -> CorpusState {
-        CorpusState { file: None, loaded: HashMap::new(), recorded: Mutex::new(HashMap::new()) }
-    }
-
     fn recorded(&self) -> std::sync::MutexGuard<'_, HashMap<OutcomeKey, InstructionOutcome>> {
         self.recorded.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -382,9 +359,7 @@ impl CorpusState {
     fn record(&self, target: Target, instr: InstrUnderTest, outcome: InstructionOutcome) {
         self.recorded().entry((target, instr)).or_insert(outcome);
     }
-}
 
-impl CorpusFile {
     fn saved(&self) -> std::sync::MutexGuard<'_, Saved> {
         self.saved.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -397,7 +372,7 @@ impl CorpusFile {
         self.preloaded.call_once(|| {
             let before = [cache.len(), code_cache.len()];
             let mut decoded = [true; 2];
-            match self.loaded.explorations() {
+            match self.image.explorations() {
                 Some(Ok(entries)) => {
                     for (key, exploration) in entries {
                         cache.preload(key, exploration);
@@ -406,7 +381,7 @@ impl CorpusFile {
                 Some(Err(_)) => decoded[0] = false,
                 None => {}
             }
-            match self.loaded.code() {
+            match self.image.code() {
                 Some(Ok(entries)) => {
                     for (key, artifact) in entries {
                         code_cache.preload(key, artifact);
@@ -458,25 +433,23 @@ fn attach_corpus(
         eprintln!("igjit: corpus {}: {}", path.display(), w);
     }
     let image = Arc::new(image);
-    let file = CorpusFile {
+    let state = CorpusState {
         path: path.clone(),
         fps,
         stats,
-        loaded: Arc::clone(&image),
+        image: Arc::clone(&image),
         preloaded: Once::new(),
         saved: Mutex::new(Saved { image, current_at }),
+        loaded,
+        recorded: Mutex::new(HashMap::new()),
     };
     // A shared exploration cache that already holds entries gets the
     // file's now, so other campaigns on it see them and the next save
     // writes the union.
     if !cache.is_empty() {
-        file.preload(cache, code_cache);
+        state.preload(cache, code_cache);
     }
-    Some(Arc::new(CorpusState {
-        file: Some(file),
-        loaded,
-        recorded: Mutex::new(HashMap::new()),
-    }))
+    Some(Arc::new(state))
 }
 
 impl std::fmt::Debug for Campaign {
@@ -616,36 +589,15 @@ impl Campaign {
     }
 
     /// Load statistics of the configured corpus file, when one is
-    /// attached (`None` for no corpus or a detached overlay).
+    /// attached.
     pub fn corpus_load_stats(&self) -> Option<&igjit_corpus::LoadStats> {
-        self.corpus.as_ref()?.file.as_ref().map(|file| &file.stats)
+        self.corpus.as_ref().map(|state| &state.stats)
     }
 
     /// Overrides the worker-thread count after construction. The serve
     /// mode adjusts this per request without rebuilding the caches.
     pub fn set_threads(&mut self, threads: usize) {
         self.config.threads = threads.max(1);
-    }
-
-    /// Injects precomputed outcomes into the warm overlay without
-    /// binding a corpus file. The sharded campaign's parent feeds its
-    /// workers' results through this, turning the merge into an
-    /// ordinary (fully warm) sequential sweep — which is exactly why
-    /// the merged report is byte-identical to a sequential run.
-    pub fn preload_outcomes(
-        &mut self,
-        outcomes: impl IntoIterator<Item = ((Target, InstrUnderTest), InstructionOutcome)>,
-    ) {
-        let state = self.corpus.get_or_insert_with(|| Arc::new(CorpusState::detached()));
-        let mut recorded = state.recorded.lock().unwrap_or_else(|e| e.into_inner());
-        recorded.extend(outcomes);
-    }
-
-    /// Runs the pipeline for one instruction × target (or answers it
-    /// from the warm overlay) — the sharded campaign's worker entry
-    /// point.
-    pub fn outcome_for(&self, instr: InstrUnderTest, target: Target) -> InstructionOutcome {
-        self.run_one(instr, target).1
     }
 
     /// Writes the caches and recorded outcomes back to the configured
@@ -661,7 +613,6 @@ impl Campaign {
     /// merged corpus either way.
     pub fn save_corpus(&self) -> Option<std::io::Result<igjit_corpus::SaveOutcome>> {
         let state = self.corpus.as_ref()?;
-        let file = state.file.as_ref()?;
         let recorded = state.recorded();
         let sizes = || [self.cache.len(), self.code_cache.len(), recorded.len()];
         let dirty = |saved: &Saved, sizes: [usize; 3]| {
@@ -669,16 +620,16 @@ impl Campaign {
         };
         // A cache section is re-encoded from its cache, which must then
         // also hold the loaded image's entries.
-        let [explorations, code, _] = dirty(&file.saved(), sizes());
+        let [explorations, code, _] = dirty(&state.saved(), sizes());
         if explorations || code {
-            file.preload(&self.cache, &self.code_cache);
+            state.preload(&self.cache, &self.code_cache);
         }
-        let mut saved = file.saved();
+        let mut saved = state.saved();
         let sizes = sizes();
         let [explorations, code, outcomes] = dirty(&saved, sizes);
         if !(explorations || code || outcomes) && saved.image.is_canonical() {
             // Reassembling would reproduce the image: compare it as is.
-            return Some(saved.image.save(&file.path));
+            return Some(saved.image.save(&state.path));
         }
         let fresh = [
             explorations.then(|| encode_section(self.cache.snapshot().iter().map(|(k, e)| (k, e)))),
@@ -693,8 +644,8 @@ impl Campaign {
                 encode_section(merged)
             }),
         ];
-        let image = saved.image.rebuild(&file.fps, fresh);
-        let result = image.save(&file.path);
+        let image = saved.image.rebuild(&state.fps, fresh);
+        let result = image.save(&state.path);
         if result.is_ok() {
             // What is on disk now is the baseline the next save reuses.
             *saved = Saved { image: Arc::new(image), current_at: sizes.map(Some) };
@@ -747,13 +698,9 @@ impl Campaign {
                 };
                 return (info, outcome);
             }
-            if let Some(file) = &state.file {
-                file.preload(&self.cache, &self.code_cache);
-            }
+            state.preload(&self.cache, &self.code_cache);
         }
-        let mut explorer = Explorer::new();
-        explorer.negation_threads = self.config.negate_threads;
-        let lookup = self.cache.get_or_explore(&explorer, instr, self.config.probes);
+        let lookup = self.cache.get_or_explore(&Explorer::new(), instr, self.config.probes);
         let (outcome, mut stages, mut solver, mut trail) = test_instruction_with(
             instr,
             target,
@@ -993,8 +940,7 @@ impl Campaign {
     }
 
     /// The full Table 2: native methods, the three bytecode tiers and
-    /// (unless [`CampaignConfig::meta_tier`] is off) the meta-compiled
-    /// tier.
+    /// the meta-compiled tier.
     ///
     /// Thanks to the shared exploration cache, each bytecode
     /// instruction is explored once for the first tier and reused by
@@ -1004,9 +950,7 @@ impl Campaign {
         for kind in CompilerKind::ALL {
             reports.push(self.run_bytecodes(kind));
         }
-        if self.config.meta_tier {
-            reports.push(self.run_meta_compiled());
-        }
+        reports.push(self.run_meta_compiled());
         reports
     }
 }

@@ -200,7 +200,8 @@ fn corpus_io_fields(io: Option<CorpusIo>) -> String {
 
 /// Renders the observability data of a full campaign run as a JSON
 /// document: the corpus I/O times, the Table 2 totals, the aggregate
-/// metrics and one entry per Table 2 row. The harness binaries write
+/// metrics and one entry per Table 2 row (its label, its four Table 2
+/// columns and its metrics). The harness binaries write
 /// this next to their textual reports; it is the one record a run
 /// leaves.
 pub fn metrics_json(reports: &[CampaignReport], corpus_io: Option<CorpusIo>) -> String {
@@ -218,6 +219,8 @@ pub fn metrics_json(reports: &[CampaignReport], corpus_io: Option<CorpusIo>) -> 
         }
         out.push_str("\n    {\"label\":");
         out.push_str(&json_string(&r.row.label));
+        out.push_str(",\"table2\":");
+        out.push_str(&table2_json(&r.row));
         out.push_str(",\"metrics\":");
         out.push_str(&r.metrics.to_json());
         out.push('}');
@@ -265,6 +268,31 @@ mod tests {
             "{doc}"
         );
         assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+    }
+
+    #[test]
+    fn every_row_entry_carries_its_table2_columns() {
+        let row = CampaignRow {
+            label: "Meta-Compiled (tier 5)".into(),
+            tested_instructions: 148,
+            interpreter_paths: 512,
+            curated_paths: 511,
+            ..Default::default()
+        };
+        let report = CampaignReport {
+            row,
+            outcomes: Vec::new(),
+            timings: Vec::new(),
+            metrics: Default::default(),
+        };
+        let doc = metrics_json(&[report], None);
+        assert!(
+            doc.contains(
+                "{\"label\":\"Meta-Compiled (tier 5)\",\"table2\":{\"tested_instructions\":148,\
+                 \"interpreter_paths\":512,\"curated_paths\":511,\"differences\":0},\"metrics\":"
+            ),
+            "{doc}"
+        );
     }
 
     #[test]

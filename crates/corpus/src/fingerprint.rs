@@ -45,7 +45,7 @@ pub struct Fingerprints {
 ///
 /// `probes` and `isas` must match the sweep's `CampaignConfig`; the
 /// current mutant-arming state (`igjit_mutate::current()`) is read
-/// here, so a worker process running with an armed mutant gets corpus
+/// here, so a process running with an armed mutant gets corpus
 /// keys disjoint from every pristine run's.
 pub fn fingerprints(probes: bool, isas: &[Isa]) -> Fingerprints {
     let interp_side = [

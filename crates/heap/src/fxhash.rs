@@ -13,11 +13,10 @@
 //!
 //! * **Deterministic**: the seed is a compile-time constant, so hash
 //!   values — and therefore any iteration order an unordered map might
-//!   leak — are identical across processes and runs. (SipHash's
-//!   per-process random key is exactly what the campaign's shard-merge
-//!   determinism must *not* depend on; every consumer of these maps is
-//!   already iteration-order independent, and the row-identity suites
-//!   gate that.)
+//!   leak — are identical across processes and runs. (Row identity
+//!   across runs must *not* depend on SipHash's per-process random
+//!   key; every consumer of these maps is already iteration-order
+//!   independent, and the row-identity suites gate that.)
 //! * **Not a fingerprint**: like any non-cryptographic hash this is
 //!   for bucketing only; equality is always confirmed on the full key.
 //!

@@ -61,13 +61,7 @@ impl Drop for ScratchCorpus {
 }
 
 fn config(corpus: Option<PathBuf>) -> CampaignConfig {
-    CampaignConfig {
-        isas: vec![Isa::X86ish],
-        probes: false,
-        threads: 1,
-        corpus,
-        ..CampaignConfig::default()
-    }
+    CampaignConfig { isas: vec![Isa::X86ish], probes: false, threads: 1, corpus }
 }
 
 #[test]

@@ -1,15 +1,17 @@
 //! The whole-catalog golden test: the five Table 2 rows, the Table 3
 //! cause set and the per-path verdicts of the one engine the campaign
-//! runs, pinned to their published values — at any worker count, at any
-//! path-negation thread count, and still moved by an armed compiler
-//! mutant. The aggregate work counters repeat exactly across worker and
-//! path-negation thread counts too, which is what lets CI pin them.
+//! runs, pinned to their published values — at any worker count, and
+//! still moved by an armed compiler mutant. The aggregate work counters
+//! repeat exactly across worker counts too, which is what lets CI pin
+//! them. The fifth row is the meta-compiled tier: the partial evaluator
+//! carries most of the catalog, and the hand-written tiers never touch
+//! it.
 
 use std::sync::OnceLock;
 
 use igjit::mutate::ops;
-use igjit::{native_catalog, Campaign, CampaignConfig, CampaignReport, DefectCategory,
-            FaultInjector};
+use igjit::{instruction_catalog, native_catalog, Campaign, CampaignConfig, CampaignReport,
+            DefectCategory, FaultInjector};
 
 /// Per row, in `Campaign::run_all` order: tested instructions,
 /// interpreter paths, curated paths, differences.
@@ -71,20 +73,20 @@ const GOLDEN_CAUSES: [(DefectCategory, &[&str]); 5] = [
     ),
 ];
 
-fn config(threads: usize, negate_threads: usize) -> CampaignConfig {
-    CampaignConfig { threads, negate_threads, ..CampaignConfig::default() }
+fn config(threads: usize) -> CampaignConfig {
+    CampaignConfig { threads, ..CampaignConfig::default() }
 }
 
 /// A full five-row sweep with the compiler pristine.
-fn sweep(threads: usize, negate_threads: usize) -> Vec<CampaignReport> {
+fn sweep(threads: usize) -> Vec<CampaignReport> {
     let _off = FaultInjector::pinned_off();
-    Campaign::new(config(threads, negate_threads)).run_all()
+    Campaign::new(config(threads)).run_all()
 }
 
 /// The sequential sweep every other run is compared against.
 fn reference() -> &'static [CampaignReport] {
     static REFERENCE: OnceLock<Vec<CampaignReport>> = OnceLock::new();
-    REFERENCE.get_or_init(|| sweep(1, 1))
+    REFERENCE.get_or_init(|| sweep(1))
 }
 
 fn rows(reports: &[CampaignReport]) -> Vec<[usize; 4]> {
@@ -198,20 +200,41 @@ fn table3_cause_set_is_golden() {
 }
 
 #[test]
-fn rows_are_identical_at_one_and_two_threads() {
-    assert_runs_identical(&sweep(2, 1), reference());
+fn meta_row_covers_the_catalog_through_the_evaluator() {
+    let reports = reference();
+    // The hand-written tiers never touch the evaluator.
+    for r in &reports[..4] {
+        assert_eq!(r.row.meta_compiled_runs, 0, "{}", r.row.label);
+        assert_eq!(r.row.meta_trampolines, 0, "{}", r.row.label);
+    }
+    // The fifth row is the meta tier, it covers the whole catalog, and
+    // the partial evaluator — not the trampoline — carries it.
+    let meta = &reports[4].row;
+    assert_eq!(meta.label, "Meta-Compiled (tier 5)");
+    assert_eq!(meta.tested_instructions, instruction_catalog().len());
+    assert!(meta.meta_compiled_runs > 0);
+    assert!(
+        meta.meta_coverage() >= 0.6,
+        "meta tier must fully compile >= 60% of the catalog, got {:.1}% \
+         ({} of {} instructions; {} compiled runs, {} trampolined)",
+        100.0 * meta.meta_coverage(),
+        meta.meta_full_instructions,
+        meta.tested_instructions,
+        meta.meta_compiled_runs,
+        meta.meta_trampolines,
+    );
 }
 
 #[test]
-fn rows_are_identical_with_parallel_negation() {
-    assert_runs_identical(&sweep(1, 4), reference());
+fn rows_are_identical_at_one_and_two_threads() {
+    assert_runs_identical(&sweep(2), reference());
 }
 
 #[test]
 fn armed_flip_compare_cond_still_changes_verdicts() {
     let armed = {
         let _armed = FaultInjector::arm(ops::FLIP_COMPARE_COND).expect("catalog mutant arms");
-        Campaign::new(config(1, 1)).run_all()
+        Campaign::new(config(1)).run_all()
     };
     // Flipped compare branches surface on the two register tiers only.
     let mut expected = GOLDEN_ROWS;
