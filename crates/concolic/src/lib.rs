@@ -56,8 +56,8 @@ pub use cache::{CacheLookup, ExplorationCache, ExplorationKey};
 pub use probes::{probe_models, probe_models_with_stats, DEFAULT_MAX_PROBES};
 pub use explore::{CurationReason, ExplorationResult, ExploreError, Explorer, ExploredPath,
                   InstrUnderTest, ObjectDump, PathOutcome, ReplayStep, SendRecord};
-pub use materialize::{materialize_base, materialize_frame, BaseImage, MaterializedFrame,
-    WitnessError};
+pub use materialize::{materialize_base, materialize_frame, materialize_shared, BaseImage,
+                      MaterializedFrame, WitnessError};
 pub use state::{byte_kinds, class_for_kind, kind_for_class, pointer_slot_kinds, AbstractState,
                 ObjShape, VarRole};
 pub use sym::{Origin, SymFloat, SymInt, SymOop};

@@ -76,9 +76,8 @@ pub struct BaseImage {
 /// `mem` and then `mem.restore(&snapshot)` rewinds only the words the
 /// run actually dirtied.
 pub fn materialize_base(state: &AbstractState, model: &Model) -> BaseImage {
-    let mut state = state.clone();
     let mut mem = ObjectMemory::new();
-    let mat = materialize_frame(&mut state, model, &mut mem);
+    let mat = materialize_shared(state, model, &mut mem);
     let snapshot = mem.seal();
     BaseImage {
         mem,
@@ -90,7 +89,7 @@ pub fn materialize_base(state: &AbstractState, model: &Model) -> BaseImage {
 }
 
 struct Materializer<'a> {
-    state: &'a mut AbstractState,
+    state: &'a AbstractState,
     model: &'a Model,
     mem: &'a mut ObjectMemory,
     /// Memo keyed by alias root so `ObjEq` variables share one object.
@@ -205,52 +204,85 @@ impl Materializer<'_> {
     }
 }
 
-/// Materializes a fresh concrete frame from `model` into `mem`.
+/// The frame's stack, temp and literal element counts under `model`.
+fn frame_counts(state: &AbstractState, model: &Model) -> [usize; 3] {
+    [state.stack_size, state.temp_count, state.literal_count]
+        .map(|v| model.int_value(v).clamp(0, MAX_FRAME_ELEMS) as usize)
+}
+
+/// Whether `model`'s frame counters exceed the slots `state` has
+/// registered (constraint negation can push them past), so that
+/// materializing must first create the missing variables.
+fn exceeds_registered_slots(state: &AbstractState, model: &Model) -> bool {
+    let [stack, temps, literals] = frame_counts(state, model);
+    stack > state.stack_vars.len()
+        || temps > state.temp_vars.len()
+        || literals > state.literal_vars.len()
+}
+
+/// Materializes a fresh concrete frame from `model` into `mem`,
+/// registering any frame variables the model's counters need first.
 pub fn materialize_frame(
     state: &mut AbstractState,
     model: &Model,
     mem: &mut ObjectMemory,
 ) -> MaterializedFrame {
-    let stack_size = model.int_value(state.stack_size).clamp(0, MAX_FRAME_ELEMS) as usize;
-    let temp_count = model.int_value(state.temp_count).clamp(0, MAX_FRAME_ELEMS) as usize;
-    let literal_count = model.int_value(state.literal_count).clamp(0, MAX_FRAME_ELEMS) as usize;
-    // Make sure the variables exist (the counters may have been pushed
-    // past the currently-registered slots by constraint negation).
-    for d in 0..stack_size {
+    let [stack, temps, literals] = frame_counts(state, model);
+    for d in 0..stack {
         state.stack_var_at(d);
     }
-    for i in 0..temp_count {
+    for i in 0..temps {
         state.temp_var_at(i);
     }
-    for i in 0..literal_count {
+    for i in 0..literals {
         state.literal_var_at(i);
     }
+    build_frame(state, model, mem)
+}
 
+/// [`materialize_frame`] over a state it leaves untouched: the result
+/// is the same as materializing on a clone of `state`, and the clone is
+/// made only when the model's frame counters exceed the slots `state`
+/// has registered.
+pub fn materialize_shared(
+    state: &AbstractState,
+    model: &Model,
+    mem: &mut ObjectMemory,
+) -> MaterializedFrame {
+    if exceeds_registered_slots(state, model) {
+        return materialize_frame(&mut state.clone(), model, mem);
+    }
+    build_frame(state, model, mem)
+}
+
+/// Materializes the frame over a state that already registers every
+/// frame variable the model's counters name.
+fn build_frame(state: &AbstractState, model: &Model, mem: &mut ObjectMemory) -> MaterializedFrame {
+    let [stack_size, temp_count, literal_count] = frame_counts(state, model);
+    let vars = state.var_count();
     let mut m = Materializer {
         state,
         model,
         mem,
-        memo: FxHashMap::default(),
-        var_oops: FxHashMap::default(),
+        memo: FxHashMap::with_capacity_and_hasher(vars, Default::default()),
+        var_oops: FxHashMap::with_capacity_and_hasher(vars, Default::default()),
         witness_errors: Vec::new(),
     };
 
-    let receiver_var = m.state.receiver;
+    let receiver_var = state.receiver;
     let receiver = SymOop::var(m.value_of(receiver_var, 0), receiver_var);
 
     let mut stack = Vec::with_capacity(stack_size);
     for d in (0..stack_size).rev() {
-        let var = m.state.stack_vars[d];
+        let var = state.stack_vars[d];
         stack.push(SymOop::var(m.value_of(var, 0), var));
     }
     let mut temps = Vec::with_capacity(temp_count);
-    for i in 0..temp_count {
-        let var = m.state.temp_vars[i];
+    for &var in &state.temp_vars[..temp_count] {
         temps.push(SymOop::var(m.value_of(var, 0), var));
     }
     let mut literals = Vec::with_capacity(literal_count);
-    for i in 0..literal_count {
-        let var = m.state.literal_vars[i];
+    for &var in &state.literal_vars[..literal_count] {
         literals.push(SymOop::var(m.value_of(var, 0), var));
     }
 
@@ -402,6 +434,43 @@ mod tests {
             Oop::from_small_int(igjit_heap::SMALL_INT_MAX),
             "fallback is the nearest representable value"
         );
+    }
+
+    #[test]
+    fn counters_past_the_registered_slots_take_the_grow_path() {
+        // A hand-built model asking for more stack, temp and literal
+        // slots than a fresh state registers: the shared entry point
+        // must grow a copy, and build what `materialize_frame` builds
+        // on a clone.
+        let state = AbstractState::new();
+        let mut assignments = vec![
+            igjit_solver::Assignment { kind: Kind::SmallInt, int: 0, float: 0.0, alias: 0 };
+            state.var_count()
+        ];
+        for (i, a) in assignments.iter_mut().enumerate() {
+            a.alias = i as u32;
+        }
+        for (var, count) in [(state.stack_size, 3), (state.temp_count, 2), (state.literal_count, 1)]
+        {
+            assignments[var.index()].int = count;
+        }
+        let model = igjit_solver::Model::from_assignments(assignments);
+        assert!(exceeds_registered_slots(&state, &model));
+
+        let mut shared_mem = ObjectMemory::new();
+        let shared = materialize_shared(&state, &model, &mut shared_mem);
+        let mut grown = state.clone();
+        let mut cloned_mem = ObjectMemory::new();
+        let cloned = materialize_frame(&mut grown, &model, &mut cloned_mem);
+        assert_eq!(
+            (shared.frame.depth(), shared.frame.temps.len(), shared.frame.method.literals.len()),
+            (3, 2, 1)
+        );
+        assert!(grown.var_count() > state.var_count(), "the clone grew");
+        assert!(!exceeds_registered_slots(&grown, &model));
+        assert_eq!(shared.frame, cloned.frame);
+        assert_eq!(shared.var_oops, cloned.var_oops);
+        assert!(shared_mem == cloned_mem);
     }
 
     #[test]

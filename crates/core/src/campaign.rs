@@ -722,9 +722,10 @@ impl Campaign {
             trail.merge(&lookup.exploration.trail);
         }
         let elapsed = t0.elapsed();
-        // Whatever the named stages didn't cover — cache lookup,
-        // curation bookkeeping, verdict assembly — lands in `other`,
-        // so the per-item stage sum equals the item's wall clock.
+        // The stages split `test_instruction_with`'s clock; what is
+        // left — the exploration-cache lookup around it — lands in
+        // `other`, so the per-item stage sum equals the item's wall
+        // clock.
         stages.other += elapsed.saturating_sub(stages.total());
         let corpus_hit = match &self.corpus {
             Some(state) => {

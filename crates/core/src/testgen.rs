@@ -65,9 +65,8 @@ impl GeneratedTest {
         if !interp_exit.is_testable() {
             return TestResult::Skipped;
         }
-        let mut st = (*self.state).clone();
         let mut mem = ObjectMemory::new();
-        let mat = igjit_concolic::materialize_frame(&mut st, &self.model, &mut mem);
+        let mat = igjit_concolic::materialize_shared(&self.state, &self.model, &mut mem);
         let frame = igjit_difftest::concrete_frame(&mat.frame);
         let kind = match self.target {
             Target::NativeMethods | Target::MetaCompiled => None,

@@ -3,7 +3,7 @@
 use std::time::{Duration, Instant};
 
 use igjit_concolic::{
-    materialize_frame, CurationReason, ExplorationResult, Explorer, InstrUnderTest,
+    materialize_shared, CurationReason, ExplorationResult, Explorer, InstrUnderTest,
 };
 use igjit_heap::{ObjectMemory, Snapshot};
 use igjit_jit::{CodeCache, CompilerKind};
@@ -221,16 +221,23 @@ impl CampaignRow {
 /// Wall-clock spent in each stage of the differential pipeline for
 /// one instruction (the observability layer's unit of account).
 ///
+/// Inside [`test_instruction_with`] the stages are consecutive splits
+/// of one clock: each stage boundary reads the clock once and charges
+/// the time since the previous boundary to the stage that just ended,
+/// so no time inside the call falls between two stages.
+///
 /// Stage boundaries:
 /// - `explore`: concolic exploration plus kind-probe model solving.
 ///   Zero when the exploration came from a cache.
 /// - `materialize`: model-to-heap materialization *and* the concrete
 ///   interpreter oracle run it feeds (they share one traversal).
-/// - `compile`: JIT front-end + back-end time for the target tier.
+/// - `compile`: JIT front-end + back-end time for the target tier,
+///   charged inside the code cache's miss (zero on a hit).
 /// - `simulate`: machine-simulator execution of the compiled code
 ///   (the run loop only — construction and exit extraction are
 ///   attributed to `setup`/`report`).
-/// - `compare`: behavioural comparison and defect classification.
+/// - `compare`: behavioural comparison and defect classification
+///   (one split: classification is part of the comparison stage).
 ///
 /// Engine v5 split the formerly-opaque `other` bucket into named
 /// sub-buckets so residual overhead is measured, not asserted:
@@ -243,10 +250,10 @@ impl CampaignRow {
 /// - `report`: engine-exit extraction and verdict/outcome assembly.
 /// - `progress`: the driver's per-instruction progress callback
 ///   (stderr write + flush when a reporter is installed).
-/// - `other`: the residual — whatever the named stages still don't
-///   cover. Attributed by the driver as elapsed-minus-stages so the
-///   stage sum accounts for the whole wall clock instead of silently
-///   dropping driver overhead.
+/// - `other`: only the campaign's work outside `test_instruction_with`
+///   (exploration-cache and corpus lookups). The campaign attributes
+///   it as elapsed-minus-stages so the stage sum accounts for the
+///   whole wall clock.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimes {
     /// Concolic exploration + probe-model solving.
@@ -256,12 +263,13 @@ pub struct StageTimes {
     pub materialize: Duration,
     /// JIT compilation.
     pub compile: Duration,
-    /// Partial evaluation + lowering in the meta-compiled tier
-    /// (engine v9; zero on every other target).
+    /// Partial evaluation + lowering in the meta-compiled tier, charged
+    /// inside the meta cache's miss (zero on a hit and on every other
+    /// target).
     pub meta_compile: Duration,
     /// Machine simulation of compiled code.
     pub simulate: Duration,
-    /// Comparison + classification.
+    /// Comparison + classification, one split.
     pub compare: Duration,
     /// Machine construction + register/frame seeding per run.
     pub setup: Duration,
@@ -276,7 +284,7 @@ pub struct StageTimes {
     /// Per-instruction progress reporting (the driver's callback,
     /// typically a stderr write + flush).
     pub progress: Duration,
-    /// Driver overhead outside the named stages.
+    /// The campaign's work outside `test_instruction_with`.
     pub other: Duration,
     /// **Sub-slice of `explore`** (engine v8): frame materialization +
     /// concrete execution inside the negation walk. Not part of
@@ -375,7 +383,7 @@ impl ExploreCost {
 /// (path, model) iterations of one `test_instruction_with` call.
 ///
 /// Both heaps are born blank and sealed; determinism of
-/// `materialize_frame` from identical blank states guarantees the two
+/// `materialize_shared` from identical blank states guarantees the two
 /// materializations of a model produce bit-identical addresses, so the
 /// oracle's `var_oops` apply to the replay heap unchanged (spot-checked
 /// by a `debug_assert` on the input frames).
@@ -485,6 +493,8 @@ pub fn test_instruction_with(
     code_cache: &CodeCache,
     meta_cache: &MetaCache,
 ) -> (InstructionOutcome, StageTimes, SessionStats, TrailStats) {
+    let mut session = REUSED_SESSION.with(|slot| slot.take()).unwrap_or_default();
+    let mut ctx = RunCtx::new(code_cache, &mut session);
     let mut times = StageTimes {
         explore: explore_cost.total,
         walk_run: explore_cost.walk_run,
@@ -500,11 +510,8 @@ pub fn test_instruction_with(
     let mut snapshot_stats = SnapshotStats::default();
     let mut meta_counts = MetaRunCounts::default();
     let mut arena: Option<ReplayArena> = None;
-    let mut session = REUSED_SESSION.with(|slot| slot.take()).unwrap_or_default();
-    let mut ctx = RunCtx { cache: code_cache, session: &mut session };
 
     for (pi, path) in curated.iter().enumerate() {
-        let t_probe = Instant::now();
         let mut probes_solved_here = false;
         let models: std::borrow::Cow<'_, [Model]> = if !enable_probes {
             std::borrow::Cow::Borrowed(std::slice::from_ref(&path.model))
@@ -524,10 +531,9 @@ pub fn test_instruction_with(
             probes_solved_here = true;
             std::borrow::Cow::Owned(models)
         };
-        let probe_elapsed = t_probe.elapsed();
-        times.explore += probe_elapsed;
+        let probe_split = ctx.lap.charge(&mut times.explore);
         if probes_solved_here {
-            times.probe_solve += probe_elapsed;
+            times.probe_solve += probe_split;
         }
         let mut verdict: Verdict = Verdict::Agree;
         let mut cause = None;
@@ -540,7 +546,6 @@ pub fn test_instruction_with(
             // The oracle runs in place on the arena's oracle heap;
             // compiled runs replay the arena's replay heap against the
             // per-model inner seal recorded here.
-            let t_mat = Instant::now();
             let a = arena.get_or_insert_with(|| {
                 let mut oracle = ObjectMemory::new();
                 let oracle_blank = oracle.seal();
@@ -565,13 +570,12 @@ pub fn test_instruction_with(
             }
             a.oracle_used = true;
             let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut state = exploration.state.clone();
-                materialize_frame(&mut state, model, &mut a.oracle)
+                materialize_shared(&exploration.state, model, &mut a.oracle)
             }));
             let mat = match built {
                 Ok(mat) => mat,
                 Err(_) => {
-                    times.materialize += t_mat.elapsed();
+                    ctx.lap.charge(&mut times.materialize);
                     oracle_panics += 1;
                     continue 'models;
                 }
@@ -584,7 +588,7 @@ pub fn test_instruction_with(
             let interp_exit = match oracle_exit {
                 Ok(exit) => exit,
                 Err(_) => {
-                    times.materialize += t_mat.elapsed();
+                    ctx.lap.charge(&mut times.materialize);
                     oracle_panics += 1;
                     continue 'models;
                 }
@@ -598,11 +602,11 @@ pub fn test_instruction_with(
                 // comparison — the run no longer reflects the solver's
                 // model.
                 witness_errors += 1;
-                times.materialize += t_mat.elapsed();
+                ctx.lap.charge(&mut times.materialize);
                 continue 'models;
             }
             if !interp_exit.is_testable() {
-                times.materialize += t_mat.elapsed();
+                ctx.lap.charge(&mut times.materialize);
                 continue 'models;
             }
             // The model is testable: prepare the replay heap — back to
@@ -614,21 +618,19 @@ pub fn test_instruction_with(
                 snapshot_stats.record_restore(dirty);
             }
             a.replay_used = true;
-            let mut state2 = exploration.state.clone();
-            let mat2 = materialize_frame(&mut state2, model, &mut a.replay);
+            let mat2 = materialize_shared(&exploration.state, model, &mut a.replay);
             debug_assert_eq!(concrete_frame(&mat2.frame).stack, input_frame.stack);
             let replay_snap = a.replay.push_seal().expect("blank seal is armed");
             snapshot_stats.seals += 1;
-            times.materialize += t_mat.elapsed();
+            ctx.lap.charge(&mut times.materialize);
             let var_oops = mat.var_oops;
             for (ii, &isa) in isas.iter().enumerate() {
                 // Replay the sealed image: roll back the previous ISA's
                 // mutations instead of re-materializing.
                 if ii > 0 {
-                    let t_mat = Instant::now();
                     let dirty = a.replay.restore(&replay_snap).expect("inner seal is armed");
                     snapshot_stats.record_restore(dirty);
-                    times.materialize += t_mat.elapsed();
+                    ctx.lap.charge(&mut times.materialize);
                 }
                 let compiled = if target == Target::MetaCompiled {
                     run_meta_for_instr_timed(
@@ -652,10 +654,8 @@ pub fn test_instruction_with(
                         &mut times,
                     )
                 };
-                let t_cmp = Instant::now();
                 let v = compare_runs(&interp_exit, &a.oracle, &compiled, &a.replay, &var_oops);
-                times.compare += t_cmp.elapsed();
-                if let Verdict::Difference(d) = v {
+                let differs = if let Verdict::Difference(d) = v {
                     let mut key = classify(instr, target.compiler_kind(), &d);
                     if target == Target::MetaCompiled {
                         // The classifier only knows the hand-written
@@ -672,21 +672,26 @@ pub fn test_instruction_with(
                         found_by_probe = mi > 0;
                         on_isa = Some(isa);
                     }
-                    // Compile refusals cannot change across models.
-                    if matches!(
+                    true
+                } else {
+                    false
+                };
+                ctx.lap.charge(&mut times.compare);
+                // Compile refusals cannot change across models.
+                if differs
+                    && matches!(
                         verdict,
                         Verdict::Difference(Difference {
                             kind: crate::compare::DifferenceKind::CompileRefused,
                             ..
                         })
-                    ) {
-                        break 'models;
-                    }
+                    )
+                {
+                    break 'models;
                 }
             }
         }
 
-        let t_report = Instant::now();
         verdicts.push(PathVerdict {
             instruction: instr,
             interp_exit: base_exit_label,
@@ -696,10 +701,9 @@ pub fn test_instruction_with(
             found_by_probe,
             isa: on_isa,
         });
-        times.report += t_report.elapsed();
+        ctx.lap.charge(&mut times.report);
     }
 
-    let t_report = Instant::now();
     let outcome = InstructionOutcome {
         instruction: instr,
         paths_found: exploration.paths.len(),
@@ -713,7 +717,7 @@ pub fn test_instruction_with(
         meta_compiled_runs: meta_counts.compiled,
         meta_trampolines: meta_counts.trampolined,
     };
-    times.report += t_report.elapsed();
+    ctx.lap.charge(&mut times.report);
     REUSED_SESSION.with(|slot| slot.set(Some(session)));
     (outcome, times, solver, trail)
 }

@@ -25,8 +25,8 @@ pub enum CompiledRun {
 }
 
 /// Shared execution context for a batch of compiled runs: the artifact
-/// cache and the persistent simulator session every run replays
-/// through.
+/// cache, the persistent simulator session every run replays through,
+/// and the stage clock the runs are charged on.
 ///
 /// The campaign creates one per `test_instruction_with` call; the
 /// session is *reset* — registers zeroed, dirty stack extent cleared —
@@ -37,6 +37,40 @@ pub struct RunCtx<'c> {
     pub cache: &'c CodeCache,
     /// The persistent machine session (registers + stack arena).
     pub session: &'c mut MachineSession,
+    /// The stage clock, started when the context is made.
+    pub lap: Lap,
+}
+
+impl<'c> RunCtx<'c> {
+    /// A context over `cache` and `session` whose stage clock starts now.
+    pub fn new(cache: &'c CodeCache, session: &'c mut MachineSession) -> RunCtx<'c> {
+        RunCtx { cache, session, lap: Lap::start() }
+    }
+}
+
+/// A stage clock that reads the clock once per stage boundary: each
+/// [`Lap::charge`] ends the current split and charges the time since
+/// the previous boundary to the stage that just finished, so the stages
+/// of a [`StageTimes`] are consecutive splits of one clock.
+pub struct Lap {
+    last: Instant,
+}
+
+impl Lap {
+    /// A clock whose first split starts now.
+    pub fn start() -> Lap {
+        Lap { last: Instant::now() }
+    }
+
+    /// Charges the time since the previous boundary to `stage`, starts
+    /// the next split, and returns the charged time.
+    pub fn charge(&mut self, stage: &mut Duration) -> Duration {
+        let now = Instant::now();
+        let split = now.duration_since(self.last);
+        self.last = now;
+        *stage += split;
+        split
+    }
 }
 
 pub(crate) fn selector_of(id: u32) -> SelectorId {
@@ -80,7 +114,7 @@ pub fn run_compiled_sequence(
     let mut scratch = StageTimes::default();
     let cache = CodeCache::disabled();
     let mut session = MachineSession::new();
-    let mut ctx = RunCtx { cache: &cache, session: &mut session };
+    let mut ctx = RunCtx::new(&cache, &mut session);
     let run = run_compiled_sequence_timed(
         kind, isa, instrs, frame, &mut mem, send_arity_hint, &mut ctx, &mut scratch,
     );
@@ -88,10 +122,10 @@ pub fn run_compiled_sequence(
 }
 
 /// [`run_compiled_sequence`] with the campaign's execution context
-/// (artifact cache, persistent session) and with the
-/// per-stage wall clock split out into `times` for the observability
-/// layer. Mutates `mem` in place so the campaign can run on a sealed
-/// base image and roll it back between ISAs instead of rebuilding it.
+/// (artifact cache, persistent session, stage clock), charging each
+/// stage's split of `ctx.lap` to `times` for the observability layer.
+/// Mutates `mem` in place so the campaign can run on a sealed base
+/// image and roll it back between ISAs instead of rebuilding it.
 #[allow(clippy::too_many_arguments)]
 pub fn run_compiled_sequence_timed(
     kind: CompilerKind,
@@ -116,7 +150,6 @@ pub fn run_compiled_sequence_timed(
     // embedded as constants; the receiver rides in a register and is
     // deliberately absent). The key borrows the frame's own slices —
     // an owned key is only materialized inside the cache on a miss.
-    let t_hash = Instant::now();
     let key = CompileKeyRef::Bytecode {
         kind,
         isa,
@@ -128,15 +161,14 @@ pub fn run_compiled_sequence_timed(
         true_obj: mem.true_object().0,
         false_obj: mem.false_object().0,
     };
-    let mut compile_time = Duration::ZERO;
+    let lap = &mut ctx.lap;
     let entry = ctx.cache.get_or_compile_ref(key, || {
-        let t0 = Instant::now();
+        lap.charge(&mut times.hash);
         let artifact = igjit_jit::compile_bytecode_sequence_test(kind, instrs, &input, isa);
-        compile_time = t0.elapsed();
+        lap.charge(&mut times.compile);
         artifact
     });
-    times.hash += t_hash.elapsed().saturating_sub(compile_time);
-    times.compile += compile_time;
+    ctx.lap.charge(&mut times.hash);
     let compiled = match &*entry {
         Ok(c) => c,
         Err(e) => return CompiledRun::Refused(e.clone()),
@@ -144,14 +176,11 @@ pub fn run_compiled_sequence_timed(
     let frame_bytes = 4 * compiled.ntemps + SPILL_BYTES;
     let conv = Convention::for_isa(isa);
     let ntemps = compiled.ntemps;
-    let t_setup = Instant::now();
     let mut m = Machine::with_session(mem, isa, &compiled.code, ctx.session);
     m.set_reg(conv.receiver, frame.receiver.0);
-    times.setup += t_setup.elapsed();
-    let t_sim = Instant::now();
+    ctx.lap.charge(&mut times.setup);
     let outcome = m.run(MachineConfig::default());
-    times.simulate += t_sim.elapsed();
-    let t_report = Instant::now();
+    ctx.lap.charge(&mut times.simulate);
     let exit = match outcome {
         MachineOutcome::Breakpoint { code } if code == igjit_jit::stops::FALL_THROUGH => {
             // Operand stack: words between SP and the frame base,
@@ -194,7 +223,7 @@ pub fn run_compiled_sequence_timed(
             EngineExit::EngineError(format!("decode fault at 0x{pc:08x}"))
         }
     };
-    times.report += t_report.elapsed();
+    ctx.lap.charge(&mut times.report);
     CompiledRun::Ran(exit)
 }
 
@@ -210,7 +239,7 @@ pub fn run_compiled_native(
     let mut scratch = StageTimes::default();
     let cache = CodeCache::disabled();
     let mut session = MachineSession::new();
-    let mut ctx = RunCtx { cache: &cache, session: &mut session };
+    let mut ctx = RunCtx::new(&cache, &mut session);
     let run =
         run_compiled_native_timed(isa, id, receiver, args, &mut mem, &mut ctx, &mut scratch);
     (run, mem)
@@ -235,7 +264,6 @@ pub fn run_compiled_native_timed(
     };
     // Native templates depend only on the method id, the ISA and the
     // special oops — receiver and arguments ride in registers.
-    let t_hash = Instant::now();
     let key = CompileKeyRef::Native {
         id: u32::from(id.0),
         isa,
@@ -243,36 +271,32 @@ pub fn run_compiled_native_timed(
         true_obj: mem.true_object().0,
         false_obj: mem.false_object().0,
     };
-    let mut compile_time = Duration::ZERO;
+    let lap = &mut ctx.lap;
     let entry = ctx.cache.get_or_compile_ref(key, || {
-        let t0 = Instant::now();
+        lap.charge(&mut times.hash);
         let artifact = compile_native_test(
             igjit_jit::native::igjit_bytecode_native_id::NativeMethodIdLike(id.0),
             input,
             isa,
         );
-        compile_time = t0.elapsed();
+        lap.charge(&mut times.compile);
         artifact
     });
-    times.hash += t_hash.elapsed().saturating_sub(compile_time);
-    times.compile += compile_time;
+    ctx.lap.charge(&mut times.hash);
     let compiled = match &*entry {
         Ok(c) => c,
         Err(e) => return CompiledRun::Refused(e.clone()),
     };
     let conv = Convention::for_isa(isa);
     let argc = native_spec(id).map(|s| s.argc as usize).unwrap_or(args.len());
-    let t_setup = Instant::now();
     let mut m = Machine::with_session(mem, isa, &compiled.code, ctx.session);
     m.set_reg(conv.receiver, receiver.0);
     for (i, a) in args.iter().take(argc.min(3)).enumerate() {
         m.set_reg(conv.arg(i), a.0);
     }
-    times.setup += t_setup.elapsed();
-    let t_sim = Instant::now();
+    ctx.lap.charge(&mut times.setup);
     let outcome = m.run(MachineConfig::default());
-    times.simulate += t_sim.elapsed();
-    let t_report = Instant::now();
+    ctx.lap.charge(&mut times.simulate);
     let exit = match outcome {
         MachineOutcome::ReturnedToCaller => EngineExit::Success {
             stack: Vec::new(),
@@ -292,7 +316,7 @@ pub fn run_compiled_native_timed(
             EngineExit::EngineError(format!("decode fault at 0x{pc:08x}"))
         }
     };
-    times.report += t_report.elapsed();
+    ctx.lap.charge(&mut times.report);
     CompiledRun::Ran(exit)
 }
 
@@ -307,7 +331,7 @@ pub fn run_compiled_for_instr(
     let mut scratch = StageTimes::default();
     let cache = CodeCache::disabled();
     let mut session = MachineSession::new();
-    let mut ctx = RunCtx { cache: &cache, session: &mut session };
+    let mut ctx = RunCtx::new(&cache, &mut session);
     let run = run_compiled_for_instr_timed(
         target_kind, isa, instr, frame, &mut mem, &mut ctx, &mut scratch,
     );
@@ -356,6 +380,7 @@ mod tests {
     use super::*;
     use igjit_bytecode::Instruction;
     use igjit_interp::{Frame, MethodInfo};
+    use igjit_machine::MachineSession;
 
     fn si(v: i64) -> Oop {
         Oop::from_small_int(v)
@@ -426,7 +451,7 @@ mod tests {
         for _ in 0..2 {
             let mut mem = ObjectMemory::new();
             let mut times = StageTimes::default();
-            let mut ctx = RunCtx { cache: &cache, session: &mut session };
+            let mut ctx = RunCtx::new(&cache, &mut session);
             let run = run_compiled_sequence_timed(
                 CompilerKind::StackToRegister,
                 Isa::X86ish,
@@ -444,5 +469,34 @@ mod tests {
         }
         assert_eq!(exits[0], exits[1]);
         assert_eq!(cache.hits(), 1);
+    }
+
+    #[test]
+    fn compile_is_charged_on_a_miss_and_hash_on_a_hit() {
+        let cache = CodeCache::new();
+        let mut session = MachineSession::new();
+        let mut frame = Frame::new(si(0), MethodInfo::empty());
+        frame.stack = vec![si(20), si(22)];
+        let mut charged = Vec::new();
+        for _ in 0..2 {
+            let mut mem = ObjectMemory::new();
+            let mut times = StageTimes::default();
+            let mut ctx = RunCtx::new(&cache, &mut session);
+            run_compiled_sequence_timed(
+                CompilerKind::StackToRegister,
+                Isa::X86ish,
+                &[Instruction::Add],
+                &frame,
+                &mut mem,
+                1,
+                &mut ctx,
+                &mut times,
+            );
+            charged.push(times);
+        }
+        assert!(charged[0].compile > Duration::ZERO, "the miss compiles");
+        assert_eq!(charged[1].compile, Duration::ZERO, "the hit does not");
+        assert!(charged[1].hash > Duration::ZERO, "the hit is a lookup");
+        assert_eq!((cache.misses(), cache.hits()), (1, 1));
     }
 }

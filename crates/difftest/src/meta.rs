@@ -14,14 +14,12 @@
 //! cache's compile keys do not model); they live in the
 //! campaign-owned [`MetaCache`] instead.
 
-use std::time::Instant;
-
 use igjit_concolic::InstrUnderTest;
 use igjit_heap::{ObjectMemory, Oop};
 use igjit_interp::Frame;
 use igjit_jit::{stops, Convention, SPILL_BYTES};
 use igjit_machine::{Isa, Machine, MachineConfig, MachineOutcome};
-use igjit_metajit::{MetaArtifact, MetaCache};
+use igjit_metajit::{compile_meta, MetaArtifact, MetaCache};
 
 use crate::campaign::StageTimes;
 use crate::compiled::{selector_of, CompiledRun, RunCtx};
@@ -51,9 +49,10 @@ impl MetaRunCounts {
 /// frame) pair, run it on the simulator, and extract the engine exit —
 /// or trampoline through the interpreter on refusal.
 ///
-/// Evaluator+lowering time lands in [`StageTimes::meta_compile`],
-/// cache lookups in [`StageTimes::hash`], and trampoline interpretation
-/// in [`StageTimes::simulate`] (it substitutes for the simulator run).
+/// Evaluator+lowering time lands in [`StageTimes::meta_compile`], charged
+/// inside the cache miss; cache lookups land in [`StageTimes::hash`],
+/// and trampoline interpretation in [`StageTimes::simulate`] (it
+/// substitutes for the simulator run).
 #[allow(clippy::too_many_arguments)]
 pub fn run_meta_for_instr_timed(
     meta_cache: &MetaCache,
@@ -66,22 +65,15 @@ pub fn run_meta_for_instr_timed(
     counts: &mut MetaRunCounts,
 ) -> CompiledRun {
     if let InstrUnderTest::Bytecode(i) = instr {
-        let t0 = Instant::now();
-        let misses_before = meta_cache.misses();
-        let entry = meta_cache.get_or_compile(
-            isa,
-            i,
-            frame,
-            mem.nil(),
-            mem.true_object(),
-            mem.false_object(),
-        );
-        let elapsed = t0.elapsed();
-        if meta_cache.misses() > misses_before {
-            times.meta_compile += elapsed;
-        } else {
-            times.hash += elapsed;
-        }
+        let (nil, true_obj, false_obj) = (mem.nil(), mem.true_object(), mem.false_object());
+        let lap = &mut ctx.lap;
+        let entry = meta_cache.get_or_compile(isa, i, frame, nil, true_obj, false_obj, || {
+            lap.charge(&mut times.hash);
+            let artifact = compile_meta(i, frame, nil, true_obj, false_obj, isa);
+            lap.charge(&mut times.meta_compile);
+            artifact
+        });
+        ctx.lap.charge(&mut times.hash);
         if let Ok(artifact) = entry.as_ref() {
             counts.compiled += 1;
             return run_meta_artifact(artifact, isa, i, frame, mem, ctx, times);
@@ -91,10 +83,9 @@ pub fn run_meta_for_instr_timed(
     // where the comparison looks. The exit is the interpreter's own,
     // which by construction agrees with the oracle.
     counts.trampolined += 1;
-    let t_sim = Instant::now();
     let mut f = frame.clone();
     let exit = run_oracle_on(mem, &mut f, instr);
-    times.simulate += t_sim.elapsed();
+    ctx.lap.charge(&mut times.simulate);
     CompiledRun::Ran(exit)
 }
 
@@ -111,7 +102,7 @@ pub fn run_meta_for_instr(
     let meta_cache = MetaCache::new();
     let code_cache = igjit_jit::CodeCache::disabled();
     let mut session = igjit_machine::MachineSession::new();
-    let mut ctx = RunCtx { cache: &code_cache, session: &mut session };
+    let mut ctx = RunCtx::new(&code_cache, &mut session);
     let mut times = StageTimes::default();
     let mut counts = MetaRunCounts::default();
     let run = run_meta_for_instr_timed(
@@ -145,14 +136,11 @@ fn run_meta_artifact(
     let conv = Convention::for_isa(isa);
     let ntemps = compiled.ntemps;
     let send_arity_hint = (instr.stack_arity() as usize).saturating_sub(1);
-    let t_setup = Instant::now();
     let mut m = Machine::with_session(mem, isa, &compiled.code, ctx.session);
     m.set_reg(conv.receiver, frame.receiver.0);
-    times.setup += t_setup.elapsed();
-    let t_sim = Instant::now();
+    ctx.lap.charge(&mut times.setup);
     let outcome = m.run(MachineConfig::default());
-    times.simulate += t_sim.elapsed();
-    let t_report = Instant::now();
+    ctx.lap.charge(&mut times.simulate);
     let exit = match outcome {
         MachineOutcome::Breakpoint { code } if code == stops::FALL_THROUGH => {
             let sp = m.reg(conv.sp);
@@ -192,7 +180,7 @@ fn run_meta_artifact(
             EngineExit::EngineError(format!("decode fault at 0x{pc:08x}"))
         }
     };
-    times.report += t_report.elapsed();
+    ctx.lap.charge(&mut times.report);
     CompiledRun::Ran(exit)
 }
 
@@ -212,7 +200,7 @@ mod tests {
         let cache = MetaCache::new();
         let code_cache = CodeCache::disabled();
         let mut session = MachineSession::new();
-        let mut ctx = RunCtx { cache: &code_cache, session: &mut session };
+        let mut ctx = RunCtx::new(&code_cache, &mut session);
         let mut times = StageTimes::default();
         let mut counts = MetaRunCounts::default();
         let mut mem = ObjectMemory::new();
@@ -227,6 +215,42 @@ mod tests {
             &mut counts,
         );
         (run, counts)
+    }
+
+    #[test]
+    fn meta_compile_is_charged_only_on_a_miss() {
+        // One compiling and one refused (trampolining) bytecode: each
+        // runs the evaluator once, on its miss, and then hits.
+        let mut add = Frame::new(si(0), MethodInfo::empty());
+        add.stack = vec![si(20), si(22)];
+        let refused: Frame<Oop> = Frame::new(si(0), MethodInfo::empty());
+        for (instr, frame) in [(Instruction::Add, add), (Instruction::PushThisContext, refused)] {
+            let cache = MetaCache::new();
+            let code_cache = CodeCache::disabled();
+            let mut session = MachineSession::new();
+            let mut charged = Vec::new();
+            for _ in 0..2 {
+                let mut ctx = RunCtx::new(&code_cache, &mut session);
+                let mut times = StageTimes::default();
+                let mut mem = ObjectMemory::new();
+                run_meta_for_instr_timed(
+                    &cache,
+                    Isa::X86ish,
+                    InstrUnderTest::Bytecode(instr),
+                    &frame,
+                    &mut mem,
+                    &mut ctx,
+                    &mut times,
+                    &mut MetaRunCounts::default(),
+                );
+                charged.push(times);
+            }
+            let zero = std::time::Duration::ZERO;
+            assert!(charged[0].meta_compile > zero, "{instr:?}: the miss evaluates");
+            assert_eq!(charged[1].meta_compile, zero, "{instr:?}: the hit does not");
+            assert!(charged[1].hash > zero, "{instr:?}: the hit is a lookup");
+            assert_eq!((cache.misses(), cache.hits()), (1, 1), "{instr:?}");
+        }
     }
 
     #[test]

@@ -4,7 +4,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 
 use igjit_bytecode::fxhash::FxHashMap;
 use igjit_bytecode::{encode, Instruction, SpecialSelector};
-use igjit_concolic::{materialize_frame, AbstractState, InstrUnderTest};
+use igjit_concolic::{materialize_shared, AbstractState, InstrUnderTest};
 use igjit_heap::{ObjectMemory, Oop};
 use igjit_interp::{
     native_spec, run_native, step, ConcreteContext, Frame, MethodInfo, NativeOutcome,
@@ -137,9 +137,8 @@ fn unit_program(i: Instruction) -> &'static PredecodedProgram {
 /// The oracle run: materializes `model` into a fresh heap and runs the
 /// interpreter concretely (see [`run_oracle_on`]).
 pub fn run_oracle(state: &AbstractState, model: &Model, instr: InstrUnderTest) -> OracleRun {
-    let mut state = state.clone();
     let mut mem = ObjectMemory::new();
-    let mat = materialize_frame(&mut state, model, &mut mem);
+    let mat = materialize_shared(state, model, &mut mem);
     let input_frame = concrete_frame(&mat.frame);
     let mut frame = input_frame.clone();
     let exit = run_oracle_on(&mut mem, &mut frame, instr);

@@ -14,7 +14,7 @@
 //! bytecodes, yielding a self-contained test method.
 
 use igjit_bytecode::Instruction;
-use igjit_concolic::{materialize_frame, AbstractState, Explorer, InstrUnderTest};
+use igjit_concolic::{materialize_shared, AbstractState, Explorer, InstrUnderTest};
 use igjit_heap::{ObjectMemory, Oop};
 use igjit_interp::{resolve_sequence, ConcreteContext, Frame, Selector, StepOutcome};
 use igjit_jit::CompilerKind;
@@ -57,9 +57,8 @@ pub fn run_oracle_sequence(
     model: &Model,
     instrs: &[Instruction],
 ) -> (EngineExit, ObjectMemory, Frame<Oop>) {
-    let mut st = state.clone();
     let mut mem = ObjectMemory::new();
-    let mat = materialize_frame(&mut st, model, &mut mem);
+    let mat = materialize_shared(state, model, &mut mem);
     let input_frame = concrete_frame(&mat.frame);
     let mut frame = input_frame.clone();
     let mut early_exit = None;
@@ -144,9 +143,8 @@ pub fn test_sequence(
             run_oracle_sequence(&exploration.state, &path.model, instrs);
         if interp_exit.is_testable() {
             'isas: for &isa in isas {
-                let mut st = exploration.state.clone();
                 let mut mem2 = ObjectMemory::new();
-                let mat = materialize_frame(&mut st, &path.model, &mut mem2);
+                let mat = materialize_shared(&exploration.state, &path.model, &mut mem2);
                 let frame2 = concrete_frame(&mat.frame);
                 let arity = instrs.iter().map(|i| i.stack_arity() as usize).max().unwrap_or(0);
                 let (compiled, compiled_mem) = run_compiled_sequence(

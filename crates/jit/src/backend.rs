@@ -27,10 +27,9 @@ fn invert_cc(cc: Cond) -> Cond {
 }
 
 fn phys(v: VReg) -> Result<Reg, CompileError> {
-    v.as_phys().ok_or(CompileError::Backend(format!(
-        "virtual register v{} reached the backend unallocated",
-        v.0
-    )))
+    v.as_phys().ok_or_else(|| {
+        CompileError::Backend(format!("virtual register v{} reached the backend unallocated", v.0))
+    })
 }
 
 fn is_commutative(op: AluOp) -> bool {
@@ -303,8 +302,25 @@ mod tests {
 
     #[test]
     fn virtual_registers_are_rejected() {
-        let ir = vec![Ir::MovImm { dst: VReg(40), imm: 1 }];
-        assert!(matches!(lower(&ir, Isa::X86ish), Err(CompileError::Backend(_))));
+        // The error is built only on failure; it must still name the
+        // offending vreg, whether it is a destination or an operand.
+        for isa in [Isa::X86ish, Isa::Arm32ish] {
+            for ir in [
+                vec![Ir::MovImm { dst: VReg(40), imm: 1 }],
+                vec![
+                    Ir::MovImm { dst: p(0), imm: 1 },
+                    Ir::Alu { op: AluOp::Add, dst: p(0), a: p(0), b: VReg(40) },
+                ],
+            ] {
+                match lower(&ir, isa) {
+                    Err(CompileError::Backend(msg)) => assert_eq!(
+                        msg, "virtual register v40 reached the backend unallocated",
+                        "{isa:?}"
+                    ),
+                    other => panic!("{isa:?}: {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
 
     let mut pool = Convention::allocatable(isa);
     // Reserve the last pool register as the spill temp.
-    let spill_temp = pool.pop().ok_or(CompileError::Backend("no registers".into()))?;
+    let spill_temp = pool.pop().ok_or_else(|| CompileError::Backend("no registers".into()))?;
     // A second transient temp for ops with two spilled uses.
     let spill_temp2 = if armed(mutops::SPILL_TEMP_ALIASES_ARG0) {
         Convention::for_isa(isa).arg0

@@ -17,7 +17,7 @@ use igjit_heap::Oop;
 use igjit_interp::Frame;
 use igjit_machine::Isa;
 
-use crate::compile::{compile_meta, MetaArtifact, MetaRefusal};
+use crate::compile::{MetaArtifact, MetaRefusal};
 
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct MetaKey {
@@ -46,8 +46,13 @@ impl MetaCache {
         MetaCache::default()
     }
 
-    /// Looks up (or compiles and remembers) the artifact for one
-    /// (instruction, frame shape) on one ISA.
+    /// Looks up the artifact for one (instruction, frame shape) on one
+    /// ISA, or runs `compile` — [`compile_meta`] over the same inputs,
+    /// wrapped however the caller needs, e.g. to time the miss — and
+    /// remembers what it returns.
+    ///
+    /// [`compile_meta`]: crate::compile_meta
+    #[allow(clippy::too_many_arguments)]
     pub fn get_or_compile(
         &self,
         isa: Isa,
@@ -56,6 +61,7 @@ impl MetaCache {
         nil: Oop,
         true_obj: Oop,
         false_obj: Oop,
+        compile: impl FnOnce() -> Result<MetaArtifact, MetaRefusal>,
     ) -> Arc<Result<MetaArtifact, MetaRefusal>> {
         let key = MetaKey {
             isa,
@@ -76,7 +82,7 @@ impl MetaCache {
         }
         // Compile outside the lock: evaluation is pure, so a racing
         // duplicate compile returns an identical artifact.
-        let compiled = Arc::new(compile_meta(instr, frame, nil, true_obj, false_obj, isa));
+        let compiled = Arc::new(compile());
         self.misses.fetch_add(1, Ordering::Relaxed);
         let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
         Arc::clone(entries.entry(key).or_insert(compiled))

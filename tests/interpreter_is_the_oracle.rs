@@ -4,9 +4,9 @@
 //! and produce the same outputs — the concolic engine really is the
 //! plain interpreter plus recording, not a second semantics.
 
-use igjit::{Explorer, InstrUnderTest, Instruction, NativeMethodId, PathOutcome};
+use igjit::{native_catalog, Explorer, InstrUnderTest, Instruction, NativeMethodId, PathOutcome};
 use igjit_bytecode::instruction_catalog;
-use igjit_concolic::materialize_frame;
+use igjit_concolic::{materialize_frame, materialize_shared, probe_models, DEFAULT_MAX_PROBES};
 use igjit_difftest::{run_oracle, EngineExit};
 use igjit_heap::ObjectMemory;
 
@@ -77,6 +77,37 @@ fn materialization_is_reproducible_across_heaps() {
         assert_eq!(c1, c2);
         assert_eq!(f1.frame.receiver.concrete, f2.frame.receiver.concrete);
     }
+}
+
+#[test]
+fn shared_materialization_matches_a_cloned_state() {
+    // The campaign materializes over the exploration's state without
+    // cloning it. For every catalog instruction, curated path and probe
+    // model, that must build the frame, variable map and heap that
+    // `materialize_frame` builds on a clone.
+    let explorer = Explorer::new();
+    let instrs = instruction_catalog()
+        .into_iter()
+        .map(|s| InstrUnderTest::Bytecode(s.instruction))
+        .chain(native_catalog().into_iter().map(|s| InstrUnderTest::Native(s.id)));
+    let mut models = 0usize;
+    for instr in instrs {
+        let r = explorer.explore(instr);
+        for p in r.curated_paths() {
+            for model in probe_models(&r.state, p, DEFAULT_MAX_PROBES) {
+                let mut shared_mem = ObjectMemory::new();
+                let shared = materialize_shared(&r.state, &model, &mut shared_mem);
+                let mut cloned_mem = ObjectMemory::new();
+                let cloned = materialize_frame(&mut r.state.clone(), &model, &mut cloned_mem);
+                assert_eq!(shared.frame, cloned.frame, "{instr:?}");
+                assert_eq!(shared.var_oops, cloned.var_oops, "{instr:?}");
+                assert_eq!(shared.witness_errors, cloned.witness_errors, "{instr:?}");
+                assert!(shared_mem == cloned_mem, "{instr:?}: heaps differ");
+                models += 1;
+            }
+        }
+    }
+    assert!(models > 0);
 }
 
 #[test]
