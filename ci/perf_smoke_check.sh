@@ -8,6 +8,11 @@
 # count means a behaviour change slipped into a perf-motivated PR —
 # exactly what this check exists to catch.
 #
+# From the testgen output it checks the generated-test count and the
+# replay split (passed / failed / skipped): replaying the suite is the
+# one end-to-end run of `GeneratedTest::run` through the differential
+# step the campaign uses.
+#
 # Per metrics file, the check enforces:
 #
 #   * rows — the Table 2 totals match the committed ones;
@@ -49,10 +54,15 @@ with open(expect_path) as f:
     expect = json.load(f)
 
 with open(testgen_path) as f:
-    m = re.search(r"generated (\d+) tests", f.read())
+    testgen = f.read()
+m = re.search(r"generated (\d+) tests", testgen)
 if not m:
     sys.exit(f"perf-smoke: no 'generated N tests' line in {testgen_path}")
 generated = int(m.group(1))
+m = re.search(r"(\d+) passed, (\d+) failed .*?, (\d+) skipped", testgen)
+if not m:
+    sys.exit(f"perf-smoke: no 'N passed, N failed, N skipped' line in {testgen_path}")
+replay = dict(zip(("passed", "failed", "skipped"), map(int, m.groups())))
 
 records = []
 for path in runs:
@@ -62,6 +72,8 @@ for path in runs:
 drifted = []
 if generated != expect["generated_tests"]:
     drifted.append(f"generated_tests: expected {expect['generated_tests']}, got {generated}")
+if replay != expect["replay"]:
+    drifted.append(f"replay: expected {expect['replay']}, got {replay}")
 for path, doc in records:
     for key in ("tested_instructions", "interpreter_paths", "curated_paths", "differences"):
         if doc["table2"][key] != expect[key]:
@@ -122,6 +134,7 @@ for path, doc in records:
 
 print(
     f"perf-smoke: {len(records)} metrics file(s) match expectations: rows, "
-    f"meta row, work counters, stage layout and accounting; {generated} generated tests"
+    f"meta row, work counters, stage layout and accounting; {generated} generated tests, "
+    f"replayed {replay['passed']} passed / {replay['failed']} failed / {replay['skipped']} skipped"
 )
 PY

@@ -4,38 +4,9 @@
 //! scale. Deterministic (fixed seed) so results are reproducible.
 
 use igjit::{CompilerKind, Instruction, Isa, Verdict};
-use igjit_difftest::test_sequence;
+use igjit_difftest::{test_sequence, SEQUENCE_POOL};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Instructions safe to draw into random sequences (no unsupported
-/// features, bounded frame demands).
-const POOL: [Instruction; 24] = [
-    Instruction::PushZero,
-    Instruction::PushOne,
-    Instruction::PushTwo,
-    Instruction::PushMinusOne,
-    Instruction::PushInteger(13),
-    Instruction::PushInteger(-77),
-    Instruction::PushTrue,
-    Instruction::PushFalse,
-    Instruction::PushNil,
-    Instruction::PushReceiver,
-    Instruction::Dup,
-    Instruction::Pop,
-    Instruction::Add,
-    Instruction::Subtract,
-    Instruction::Multiply,
-    Instruction::Modulo,
-    Instruction::LessThan,
-    Instruction::GreaterOrEqual,
-    Instruction::Equal,
-    Instruction::BitAnd,
-    Instruction::BitOr,
-    Instruction::IdentityEqual,
-    Instruction::SpecialSendSize,
-    Instruction::ShortJumpTrue(3),
-];
 
 fn main() {
     let _mutant = igjit_bench::arm_mutant_from_env();
@@ -44,14 +15,22 @@ fn main() {
     let rounds = 200;
     let mut total_paths = 0usize;
     let mut total_diffs = 0usize;
+    let mut test_errors = 0usize;
     let mut optimisation_only = true;
 
     for round in 0..rounds {
         let len = rng.gen_range(2..=5);
         let seq: Vec<Instruction> =
-            (0..len).map(|_| POOL[rng.gen_range(0..POOL.len())]).collect();
+            (0..len).map(|_| SEQUENCE_POOL[rng.gen_range(0..SEQUENCE_POOL.len())]).collect();
         let o = test_sequence(&seq, CompilerKind::StackToRegister, &isas);
         total_paths += o.paths_found;
+        if o.witness_errors + o.oracle_panics > 0 {
+            test_errors += o.witness_errors + o.oracle_panics;
+            println!(
+                "round {round}: {} unrealizable witness(es), {} oracle panic(s) on {seq:?}",
+                o.witness_errors, o.oracle_panics
+            );
+        }
         let diffs = o.difference_count();
         total_diffs += diffs;
         for v in &o.verdicts {
@@ -70,6 +49,7 @@ fn main() {
 
     println!("\nsequence fuzzing: {rounds} random sequences, {total_paths} paths explored");
     println!("{total_diffs} differing paths, all of them the known float-optimisation gap: {optimisation_only}");
+    assert_eq!(test_errors, 0, "every model of every sequence must be realizable and interpretable");
     assert!(
         optimisation_only,
         "random sequences uncovered a divergence outside the planted defect set"

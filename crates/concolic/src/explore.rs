@@ -294,12 +294,19 @@ impl Explorer {
         }
     }
 
-    /// Explores every reachable execution path of `instr`.
+    /// Explores every reachable execution path of `instr`. A bytecode
+    /// is explored as the one-instruction sequence `[instr]` (see
+    /// [`Explorer::explore_sequence`]); a native method runs its own
+    /// primitive.
     pub fn explore(&self, instr: InstrUnderTest) -> ExplorationResult {
-        self.explore_impl(instr, |ctx, frame| match instr {
-            InstrUnderTest::Bytecode(i) => convert_step(step(ctx, frame, i)),
-            InstrUnderTest::Native(id) => convert_native(run_native(ctx, frame, id)),
-        })
+        match instr {
+            InstrUnderTest::Bytecode(i) => {
+                self.explore_impl(instr, |ctx, frame| run_sequence(ctx, frame, &[i]))
+            }
+            InstrUnderTest::Native(id) => self.explore_impl(instr, |ctx, frame| {
+                convert_native(run_native(ctx, frame, id))
+            }),
+        }
     }
 
     /// Explores a straight-line bytecode **sequence** (the paper's
@@ -318,21 +325,7 @@ impl Explorer {
             return Err(ExploreError::EmptySequence);
         };
         let tag = InstrUnderTest::Bytecode(tag);
-        let instrs = instrs.to_vec();
-        Ok(self.explore_impl(tag, move |ctx, frame| {
-            for (i, &instr) in instrs.iter().enumerate() {
-                let last = i + 1 == instrs.len();
-                match step(ctx, frame, instr) {
-                    StepOutcome::Continue => {
-                        if last {
-                            return PathOutcome::Success;
-                        }
-                    }
-                    other => return convert_step(other),
-                }
-            }
-            PathOutcome::Success
-        }))
+        Ok(self.explore_impl(tag, |ctx, frame| run_sequence(ctx, frame, instrs)))
     }
 
     fn explore_impl<F>(&self, instr: InstrUnderTest, exec: F) -> ExplorationResult
@@ -563,6 +556,23 @@ pub(crate) fn discriminant_of(o: &PathOutcome) -> u8 {
         PathOutcome::InvalidMemoryAccess => 6,
         PathOutcome::Unsupported { .. } => 7,
     }
+}
+
+/// Runs `instrs` in order on the concolic context: the first exit that
+/// is not a fall-through ends the path with that outcome, and running
+/// off the end is a success.
+fn run_sequence(
+    ctx: &mut crate::trace::ConcolicContext<'_>,
+    frame: &mut igjit_interp::Frame<SymOop>,
+    instrs: &[Instruction],
+) -> PathOutcome {
+    for &instr in instrs {
+        match step(ctx, frame, instr) {
+            StepOutcome::Continue => {}
+            other => return convert_step(other),
+        }
+    }
+    PathOutcome::Success
 }
 
 pub(crate) fn convert_step(outcome: StepOutcome<SymOop>) -> PathOutcome {

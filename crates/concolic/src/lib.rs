@@ -16,8 +16,9 @@
 //!
 //! 1. solve the current path-condition prefix with `igjit-solver`,
 //! 2. **materialize** a concrete VM frame (and its object graph) from
-//!    the model into a fresh heap,
-//! 3. run the instruction, recording the actually-taken path and its
+//!    the model into the walk's scratch heap, reset to its blank image
+//!    before every run,
+//! 3. run the instruction (or sequence), recording the actually-taken path and its
 //!    **exit condition** (§3.4),
 //! 4. negate the last not-yet-negated condition and iterate, growing
 //!    the frame whenever an `InvalidFrame`/`InvalidMemoryAccess` exit

@@ -12,12 +12,11 @@ use std::sync::Arc;
 
 use igjit_bytecode::instruction_catalog;
 use igjit_concolic::{AbstractState, Explorer, InstrUnderTest};
-use igjit_difftest::{
-    compare_runs, run_oracle, CompiledRun, Target, Verdict,
-};
-use igjit_heap::ObjectMemory;
+use igjit_difftest::{Checked, Harness, PathVerdict, Program, Target, Verdict};
 use igjit_interp::native_catalog;
+use igjit_jit::CodeCache;
 use igjit_machine::Isa;
+use igjit_metajit::MetaCache;
 use igjit_solver::Model;
 
 /// One reproducible differential unit test.
@@ -52,69 +51,25 @@ pub enum TestResult {
 }
 
 impl GeneratedTest {
-    /// Replays the test: fresh frames, fresh heaps, both engines.
+    /// Replays the test through the campaign's differential step on
+    /// this test's ISA: a fresh replay arena, no artifact cache.
     pub fn run(&self) -> TestResult {
-        let oracle = run_oracle(&self.state, &self.model, self.instruction);
-        if !oracle.witness_errors.is_empty() {
-            return TestResult::Fail(format!(
-                "unrealizable witness: {}",
-                oracle.witness_errors[0]
-            ));
-        }
-        let (interp_exit, interp_mem, var_oops) = (oracle.exit, oracle.mem, oracle.var_oops);
-        if !interp_exit.is_testable() {
-            return TestResult::Skipped;
-        }
-        let mut mem = ObjectMemory::new();
-        let mat = igjit_concolic::materialize_shared(&self.state, &self.model, &mut mem);
-        let frame = igjit_difftest::concrete_frame(&mat.frame);
-        let kind = match self.target {
-            Target::NativeMethods | Target::MetaCompiled => None,
-            Target::Bytecode(k) => Some(k),
-        };
-        if self.target == Target::MetaCompiled {
-            // The meta tier replays through its own runner (partial
-            // evaluation + trampoline fallback); totality means this
-            // never refuses.
-            let (compiled, compiled_mem, _counts) = igjit_difftest::run_meta_for_instr(
-                self.isa, self.instruction, &frame, mem,
-            );
-            return match compare_runs(&interp_exit, &interp_mem, &compiled, &compiled_mem, &var_oops)
-            {
+        let code_cache = CodeCache::disabled();
+        let meta_cache = MetaCache::new();
+        let isas = std::slice::from_ref(&self.isa);
+        let mut harness = Harness::new(self.target, isas, &code_cache, &meta_cache);
+        let mut path = PathVerdict::new(self.instruction);
+        let program = Program::of(&self.instruction);
+        let checked = harness.check(&self.state, &self.model, program, false, &mut path);
+        harness.finish();
+        match checked {
+            Checked::OraclePanic => TestResult::Fail("the interpreter oracle panicked".into()),
+            Checked::Unrealizable(e) => TestResult::Fail(format!("unrealizable witness: {e}")),
+            Checked::Untestable => TestResult::Skipped,
+            Checked::Compared | Checked::Refused => match path.verdict {
                 Verdict::Agree => TestResult::Pass,
                 Verdict::Difference(d) => TestResult::Fail(d.detail),
-            };
-        }
-        let (compiled, compiled_mem): (CompiledRun, ObjectMemory) = match self.instruction {
-            InstrUnderTest::Bytecode(i) => igjit_difftest::run_compiled_bytecode(
-                kind.expect("bytecode test has a tier"),
-                self.isa,
-                i,
-                &frame,
-                mem,
-                (i.stack_arity() as usize).saturating_sub(1),
-            ),
-            InstrUnderTest::Native(id) => {
-                let rcvr_args = {
-                    let argc = igjit_interp::native_spec(id).map(|s| s.argc).unwrap_or(0) as usize;
-                    let depth = frame.stack.len();
-                    if depth < argc + 1 {
-                        None
-                    } else {
-                        Some((frame.stack[depth - 1 - argc], frame.stack[depth - argc..].to_vec()))
-                    }
-                };
-                match rcvr_args {
-                    Some((receiver, args)) => igjit_difftest::run_compiled_native(
-                        self.isa, id, receiver, &args, mem,
-                    ),
-                    None => return TestResult::Skipped,
-                }
-            }
-        };
-        match compare_runs(&interp_exit, &interp_mem, &compiled, &compiled_mem, &var_oops) {
-            Verdict::Agree => TestResult::Pass,
-            Verdict::Difference(d) => TestResult::Fail(d.detail),
+            },
         }
     }
 }

@@ -3,20 +3,16 @@
 use std::time::{Duration, Instant};
 
 use igjit_concolic::{
-    materialize_shared, CurationReason, ExplorationResult, Explorer, InstrUnderTest,
+    probe_models_with_stats, CurationReason, ExplorationResult, Explorer, InstrUnderTest,
 };
-use igjit_heap::{ObjectMemory, Snapshot};
 use igjit_jit::{CodeCache, CompilerKind};
 use igjit_machine::Isa;
+use igjit_metajit::MetaCache;
 use igjit_solver::{Model, SessionStats, TrailStats};
 
-use crate::classify::{classify, CauseKey};
-use crate::compare::{compare_runs, Difference, Verdict};
-use crate::compiled::{run_compiled_for_instr_timed, RunCtx};
-use crate::meta::{run_meta_for_instr_timed, MetaRunCounts};
-use igjit_metajit::MetaCache;
-use crate::oracle::{concrete_frame, run_oracle_on, EngineExit};
-use igjit_concolic::probe_models_with_stats;
+use crate::classify::CauseKey;
+use crate::compare::Verdict;
+use crate::step::{Checked, Harness, Program};
 
 /// What compiler the campaign tests against the interpreter.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -42,7 +38,7 @@ impl Target {
         }
     }
 
-    fn compiler_kind(self) -> Option<CompilerKind> {
+    pub(crate) fn compiler_kind(self) -> Option<CompilerKind> {
         match self {
             Target::NativeMethods | Target::MetaCompiled => None,
             Target::Bytecode(k) => Some(k),
@@ -70,6 +66,22 @@ pub struct PathVerdict {
     pub found_by_probe: bool,
     /// ISA on which the difference was (first) observed.
     pub isa: Option<Isa>,
+}
+
+impl PathVerdict {
+    /// An agreeing verdict filed under `instruction`, before any model
+    /// of the path was checked.
+    pub fn new(instruction: InstrUnderTest) -> PathVerdict {
+        PathVerdict {
+            instruction,
+            interp_exit: String::new(),
+            verdict: Verdict::Agree,
+            cause: None,
+            all_causes: Vec::new(),
+            found_by_probe: false,
+            isa: None,
+        }
+    }
 }
 
 /// Everything the campaign learned about one instruction.
@@ -379,41 +391,6 @@ impl ExploreCost {
     }
 }
 
-/// The replay arena's pair of recycled heaps, persisting across all
-/// (path, model) iterations of one `test_instruction_with` call.
-///
-/// Both heaps are born blank and sealed; determinism of
-/// `materialize_shared` from identical blank states guarantees the two
-/// materializations of a model produce bit-identical addresses, so the
-/// oracle's `var_oops` apply to the replay heap unchanged (spot-checked
-/// by a `debug_assert` on the input frames).
-struct ReplayArena {
-    /// Runs the interpreter oracle: materialized and executed in
-    /// place, then rolled back to blank for the next model.
-    oracle: ObjectMemory,
-    oracle_blank: Snapshot,
-    oracle_used: bool,
-    /// Runs the compiled code: blank outer seal + per-model inner seal,
-    /// restored to the inner between ISAs and to blank between models.
-    replay: ObjectMemory,
-    replay_blank: Snapshot,
-    replay_used: bool,
-}
-
-fn exit_label(e: &EngineExit) -> String {
-    match e {
-        EngineExit::Success { .. } => "Success".into(),
-        EngineExit::JumpTaken => "Success".into(),
-        EngineExit::Failure => "Failure".into(),
-        EngineExit::Return { .. } => "MethodReturn".into(),
-        EngineExit::Send { .. } => "MessageSend".into(),
-        EngineExit::InvalidFrame => "InvalidFrame".into(),
-        EngineExit::InvalidMemory => "InvalidMemoryAccess".into(),
-        EngineExit::SimulationError(_) => "SimulationError".into(),
-        EngineExit::EngineError(_) => "EngineError".into(),
-    }
-}
-
 /// Runs the full differential pipeline for one instruction: concolic
 /// exploration, curation, (optional) kind probing, and a compiled run
 /// per ISA per model, compared against the interpreter oracle.
@@ -449,16 +426,6 @@ pub fn test_instruction(
     outcome
 }
 
-thread_local! {
-    /// Simulator session reused across `test_instruction_with` calls on
-    /// this thread. `Machine::with_session` resets registers and the
-    /// dirty stack extent before every run, so reuse is outcome-neutral;
-    /// a panic mid-call merely drops the slot and the next call
-    /// allocates a fresh session.
-    static REUSED_SESSION: std::cell::Cell<Option<igjit_machine::MachineSession>> =
-        const { std::cell::Cell::new(None) };
-}
-
 /// Runs the differential pipeline against an exploration produced (and
 /// possibly shared) by the caller, returning per-stage wall-clock and
 /// the probe solver's work counters next to the outcome.
@@ -470,18 +437,9 @@ thread_local! {
 /// Compiled artifacts are looked up in `code_cache`, which the caller
 /// may share across instructions and threads.
 ///
-/// The call keeps one replay arena — two heaps allocated once and
-/// recycled across every (path, model): the *oracle* heap is sealed at
-/// its blank image, materialized and interpreted in place, and rolled
-/// back to blank for the next model; the *replay* heap carries a blank
-/// outer seal plus a per-model inner seal ([`ObjectMemory::push_seal`])
-/// so compiled runs rewind to the materialized image between ISAs and
-/// to blank between models. Every reset is `restore` — O(words the run
-/// dirtied) — so neither `ObjectMemory::new()` nor full object
-/// reconstruction happens more than twice per model. All models of all
-/// paths run through one persistent [`igjit_machine::MachineSession`],
-/// whose registers and dirty stack extent are reset between runs
-/// instead of reallocating the simulator.
+/// Every model of every curated path goes through one [`Harness`]:
+/// the differential step with one replay arena and the thread's
+/// simulator session for the whole call.
 #[allow(clippy::too_many_arguments)]
 pub fn test_instruction_with(
     instr: InstrUnderTest,
@@ -493,23 +451,16 @@ pub fn test_instruction_with(
     code_cache: &CodeCache,
     meta_cache: &MetaCache,
 ) -> (InstructionOutcome, StageTimes, SessionStats, TrailStats) {
-    let mut session = REUSED_SESSION.with(|slot| slot.take()).unwrap_or_default();
-    let mut ctx = RunCtx::new(code_cache, &mut session);
-    let mut times = StageTimes {
-        explore: explore_cost.total,
-        walk_run: explore_cost.walk_run,
-        probe_solve: explore_cost.probe_solve,
-        ..StageTimes::default()
-    };
+    let mut harness = Harness::new(target, isas, code_cache, meta_cache);
+    let times = &mut harness.tally.times;
+    times.explore = explore_cost.total;
+    times.walk_run = explore_cost.walk_run;
+    times.probe_solve = explore_cost.probe_solve;
     let mut solver = SessionStats::default();
     let mut trail = TrailStats::default();
+    let program = Program::of(&instr);
     let curated = exploration.curated_paths();
-    let mut verdicts = Vec::new();
-    let mut witness_errors = 0usize;
-    let mut oracle_panics = 0usize;
-    let mut snapshot_stats = SnapshotStats::default();
-    let mut meta_counts = MetaRunCounts::default();
-    let mut arena: Option<ReplayArena> = None;
+    let mut verdicts = Vec::with_capacity(curated.len());
 
     for (pi, path) in curated.iter().enumerate() {
         let mut probes_solved_here = false;
@@ -531,179 +482,22 @@ pub fn test_instruction_with(
             probes_solved_here = true;
             std::borrow::Cow::Owned(models)
         };
-        let probe_split = ctx.lap.charge(&mut times.explore);
+        let probe_split = harness.charge(|t| &mut t.explore);
         if probes_solved_here {
-            times.probe_solve += probe_split;
+            harness.tally.times.probe_solve += probe_split;
         }
-        let mut verdict: Verdict = Verdict::Agree;
-        let mut cause = None;
-        let mut all_causes: Vec<CauseKey> = Vec::new();
-        let mut found_by_probe = false;
-        let mut on_isa = None;
-        let mut base_exit_label = String::new();
-
-        'models: for (mi, model) in models.iter().enumerate() {
-            // The oracle runs in place on the arena's oracle heap;
-            // compiled runs replay the arena's replay heap against the
-            // per-model inner seal recorded here.
-            let a = arena.get_or_insert_with(|| {
-                let mut oracle = ObjectMemory::new();
-                let oracle_blank = oracle.seal();
-                let mut replay = ObjectMemory::new();
-                let replay_blank = replay.seal();
-                snapshot_stats.seals += 2;
-                ReplayArena {
-                    oracle,
-                    oracle_blank,
-                    oracle_used: false,
-                    replay,
-                    replay_blank,
-                    replay_used: false,
-                }
-            });
-            // Reset the oracle heap to blank (also cleans up after a
-            // panicked materialization or oracle run) and materialize
-            // this model directly onto it.
-            if a.oracle_used {
-                let dirty = a.oracle.restore(&a.oracle_blank).expect("blank seal is armed");
-                snapshot_stats.record_restore(dirty);
-            }
-            a.oracle_used = true;
-            let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                materialize_shared(&exploration.state, model, &mut a.oracle)
-            }));
-            let mat = match built {
-                Ok(mat) => mat,
-                Err(_) => {
-                    ctx.lap.charge(&mut times.materialize);
-                    oracle_panics += 1;
-                    continue 'models;
-                }
-            };
-            let input_frame = concrete_frame(&mat.frame);
-            let mut oracle_frame = input_frame.clone();
-            let oracle_exit = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_oracle_on(&mut a.oracle, &mut oracle_frame, instr)
-            }));
-            let interp_exit = match oracle_exit {
-                Ok(exit) => exit,
-                Err(_) => {
-                    ctx.lap.charge(&mut times.materialize);
-                    oracle_panics += 1;
-                    continue 'models;
-                }
-            };
-            if mi == 0 {
-                base_exit_label = exit_label(&interp_exit);
-            }
-            if !mat.witness_errors.is_empty() {
-                // The materializer substituted fallback inputs for an
-                // unrealizable witness: report a test error and skip the
-                // comparison — the run no longer reflects the solver's
-                // model.
-                witness_errors += 1;
-                ctx.lap.charge(&mut times.materialize);
-                continue 'models;
-            }
-            if !interp_exit.is_testable() {
-                ctx.lap.charge(&mut times.materialize);
-                continue 'models;
-            }
-            // The model is testable: prepare the replay heap — back to
-            // blank, materialize the same model (bit-identical by
-            // determinism), seal the inner level the ISA loop rewinds
-            // to.
-            if a.replay_used {
-                let dirty = a.replay.restore(&a.replay_blank).expect("blank seal is armed");
-                snapshot_stats.record_restore(dirty);
-            }
-            a.replay_used = true;
-            let mat2 = materialize_shared(&exploration.state, model, &mut a.replay);
-            debug_assert_eq!(concrete_frame(&mat2.frame).stack, input_frame.stack);
-            let replay_snap = a.replay.push_seal().expect("blank seal is armed");
-            snapshot_stats.seals += 1;
-            ctx.lap.charge(&mut times.materialize);
-            let var_oops = mat.var_oops;
-            for (ii, &isa) in isas.iter().enumerate() {
-                // Replay the sealed image: roll back the previous ISA's
-                // mutations instead of re-materializing.
-                if ii > 0 {
-                    let dirty = a.replay.restore(&replay_snap).expect("inner seal is armed");
-                    snapshot_stats.record_restore(dirty);
-                    ctx.lap.charge(&mut times.materialize);
-                }
-                let compiled = if target == Target::MetaCompiled {
-                    run_meta_for_instr_timed(
-                        meta_cache,
-                        isa,
-                        instr,
-                        &input_frame,
-                        &mut a.replay,
-                        &mut ctx,
-                        &mut times,
-                        &mut meta_counts,
-                    )
-                } else {
-                    run_compiled_for_instr_timed(
-                        target.compiler_kind(),
-                        isa,
-                        instr,
-                        &input_frame,
-                        &mut a.replay,
-                        &mut ctx,
-                        &mut times,
-                    )
-                };
-                let v = compare_runs(&interp_exit, &a.oracle, &compiled, &a.replay, &var_oops);
-                let differs = if let Verdict::Difference(d) = v {
-                    let mut key = classify(instr, target.compiler_kind(), &d);
-                    if target == Target::MetaCompiled {
-                        // The classifier only knows the hand-written
-                        // tiers; tag the cause with the meta tier's
-                        // own name so causes stay per-tier distinct.
-                        key.compiler = std::borrow::Cow::Borrowed("Meta-Compiled");
-                    }
-                    if !all_causes.contains(&key) {
-                        all_causes.push(key.clone());
-                    }
-                    if cause.is_none() {
-                        cause = Some(key);
-                        verdict = Verdict::Difference(d);
-                        found_by_probe = mi > 0;
-                        on_isa = Some(isa);
-                    }
-                    true
-                } else {
-                    false
-                };
-                ctx.lap.charge(&mut times.compare);
-                // Compile refusals cannot change across models.
-                if differs
-                    && matches!(
-                        verdict,
-                        Verdict::Difference(Difference {
-                            kind: crate::compare::DifferenceKind::CompileRefused,
-                            ..
-                        })
-                    )
-                {
-                    break 'models;
-                }
+        let mut verdict = PathVerdict::new(instr);
+        for (mi, model) in models.iter().enumerate() {
+            let checked = harness.check(&exploration.state, model, program, mi > 0, &mut verdict);
+            if checked == Checked::Refused {
+                break;
             }
         }
-
-        verdicts.push(PathVerdict {
-            instruction: instr,
-            interp_exit: base_exit_label,
-            verdict,
-            cause,
-            all_causes,
-            found_by_probe,
-            isa: on_isa,
-        });
-        ctx.lap.charge(&mut times.report);
+        verdicts.push(verdict);
+        harness.charge(|t| &mut t.report);
     }
 
+    let tally = &harness.tally;
     let outcome = InstructionOutcome {
         instruction: instr,
         paths_found: exploration.paths.len(),
@@ -711,15 +505,14 @@ pub fn test_instruction_with(
         curated_out: exploration.curated_out.clone(),
         verdicts,
         explore_iterations: exploration.iterations,
-        witness_errors,
-        oracle_panics,
-        snapshot: snapshot_stats,
-        meta_compiled_runs: meta_counts.compiled,
-        meta_trampolines: meta_counts.trampolined,
+        witness_errors: tally.witness_errors,
+        oracle_panics: tally.oracle_panics,
+        snapshot: tally.snapshot.clone(),
+        meta_compiled_runs: tally.meta.compiled,
+        meta_trampolines: tally.meta.trampolined,
     };
-    ctx.lap.charge(&mut times.report);
-    REUSED_SESSION.with(|slot| slot.set(Some(session)));
-    (outcome, times, solver, trail)
+    harness.charge(|t| &mut t.report);
+    (outcome, harness.finish().times, solver, trail)
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! Running the meta-compiled tier (#5) for one explored path.
 //!
 //! The tier is **total from day one**: when the partial evaluator
-//! refuses an (instruction, frame) pair — or the instruction is a
-//! native method, which the evaluator does not model — the run falls
-//! back to an *interpreter trampoline*: the instruction is interpreted
-//! directly on the replay heap, so its side effects land exactly where
+//! refuses an (instruction, frame) pair — or the program is a native
+//! method or longer than one instruction, which the evaluator does not
+//! model — the run falls back to an *interpreter trampoline*: the
+//! program is interpreted directly on the replay heap, so its side effects land exactly where
 //! the comparison looks, and the row stays comparable. Coverage (runs
 //! executed as machine code vs. trampolined) is counted per call and
 //! reported per campaign run.
@@ -14,16 +14,15 @@
 //! cache's compile keys do not model); they live in the
 //! campaign-owned [`MetaCache`] instead.
 
-use igjit_concolic::InstrUnderTest;
 use igjit_heap::{ObjectMemory, Oop};
 use igjit_interp::Frame;
-use igjit_jit::{stops, Convention, SPILL_BYTES};
-use igjit_machine::{Isa, Machine, MachineConfig, MachineOutcome};
-use igjit_metajit::{compile_meta, MetaArtifact, MetaCache};
+use igjit_machine::Isa;
+use igjit_metajit::{compile_meta, MetaCache};
 
 use crate::campaign::StageTimes;
-use crate::compiled::{selector_of, CompiledRun, RunCtx};
-use crate::oracle::{run_oracle_on, EngineExit};
+use crate::compiled::{run_machine, CompiledRun, RunCtx};
+use crate::oracle::run_program_on;
+use crate::step::Program;
 
 /// Coverage counters for the meta tier: how many compiled runs the
 /// partial evaluator served vs. how many fell back to the trampoline.
@@ -43,28 +42,29 @@ impl MetaRunCounts {
     }
 }
 
-/// The meta tier's analogue of
-/// [`run_compiled_for_instr_timed`](crate::run_compiled_for_instr_timed):
-/// look up (or partially evaluate) the artifact for this (instruction,
-/// frame) pair, run it on the simulator, and extract the engine exit —
-/// or trampoline through the interpreter on refusal.
+/// The meta tier's analogue of the compiled runner: look up (or
+/// partially evaluate) the artifact for a one-instruction program and
+/// its frame, run it through the shared machine half, or trampoline
+/// through the interpreter on refusal. A native method or a program
+/// longer than one instruction is a refusal: the evaluator models
+/// neither.
 ///
 /// Evaluator+lowering time lands in [`StageTimes::meta_compile`], charged
 /// inside the cache miss; cache lookups land in [`StageTimes::hash`],
 /// and trampoline interpretation in [`StageTimes::simulate`] (it
 /// substitutes for the simulator run).
 #[allow(clippy::too_many_arguments)]
-pub fn run_meta_for_instr_timed(
+pub(crate) fn run_meta(
     meta_cache: &MetaCache,
     isa: Isa,
-    instr: InstrUnderTest,
+    program: Program<'_>,
     frame: &Frame<Oop>,
     mem: &mut ObjectMemory,
     ctx: &mut RunCtx<'_>,
     times: &mut StageTimes,
     counts: &mut MetaRunCounts,
 ) -> CompiledRun {
-    if let InstrUnderTest::Bytecode(i) = instr {
+    if let Program::Bytecode(&[i]) = program {
         let (nil, true_obj, false_obj) = (mem.nil(), mem.true_object(), mem.false_object());
         let lap = &mut ctx.lap;
         let entry = meta_cache.get_or_compile(isa, i, frame, nil, true_obj, false_obj, || {
@@ -76,7 +76,10 @@ pub fn run_meta_for_instr_timed(
         ctx.lap.charge(&mut times.hash);
         if let Ok(artifact) = entry.as_ref() {
             counts.compiled += 1;
-            return run_meta_artifact(artifact, isa, i, frame, mem, ctx, times);
+            // A meta artifact follows the same §4.2 schema
+            // (frame-pointer preamble, temp pushes, spill reserve,
+            // breakpoint exit codes) as the hand-written tiers.
+            return run_machine(&artifact.code, isa, program, frame.receiver, &[], mem, ctx, times);
         }
     }
     // Trampoline: interpret on the replay heap so side effects land
@@ -84,109 +87,15 @@ pub fn run_meta_for_instr_timed(
     // which by construction agrees with the oracle.
     counts.trampolined += 1;
     let mut f = frame.clone();
-    let exit = run_oracle_on(mem, &mut f, instr);
+    let exit = run_program_on(mem, &mut f, program);
     ctx.lap.charge(&mut times.simulate);
-    CompiledRun::Ran(exit)
-}
-
-/// Convenience one-shot entry point (the meta analogue of
-/// [`run_compiled_for_instr`](crate::run_compiled_for_instr)): fresh
-/// cache, fresh session. Returns the run, the
-/// mutated heap and whether the run compiled or trampolined.
-pub fn run_meta_for_instr(
-    isa: Isa,
-    instr: InstrUnderTest,
-    frame: &Frame<Oop>,
-    mut mem: ObjectMemory,
-) -> (CompiledRun, ObjectMemory, MetaRunCounts) {
-    let meta_cache = MetaCache::new();
-    let code_cache = igjit_jit::CodeCache::disabled();
-    let mut session = igjit_machine::MachineSession::new();
-    let mut ctx = RunCtx::new(&code_cache, &mut session);
-    let mut times = StageTimes::default();
-    let mut counts = MetaRunCounts::default();
-    let run = run_meta_for_instr_timed(
-        &meta_cache,
-        isa,
-        instr,
-        frame,
-        &mut mem,
-        &mut ctx,
-        &mut times,
-        &mut counts,
-    );
-    (run, mem, counts)
-}
-
-/// The machine half, mirroring `run_compiled_sequence_timed`'s setup,
-/// run and exit extraction exactly — a meta artifact follows the same
-/// §4.2 schema (frame-pointer preamble, temp pushes, spill reserve,
-/// breakpoint exit codes) as the hand-written tiers.
-fn run_meta_artifact(
-    artifact: &MetaArtifact,
-    isa: Isa,
-    instr: igjit_bytecode::Instruction,
-    frame: &Frame<Oop>,
-    mem: &mut ObjectMemory,
-    ctx: &mut RunCtx<'_>,
-    times: &mut StageTimes,
-) -> CompiledRun {
-    let compiled = &artifact.code;
-    let frame_bytes = 4 * compiled.ntemps + SPILL_BYTES;
-    let conv = Convention::for_isa(isa);
-    let ntemps = compiled.ntemps;
-    let send_arity_hint = (instr.stack_arity() as usize).saturating_sub(1);
-    let mut m = Machine::with_session(mem, isa, &compiled.code, ctx.session);
-    m.set_reg(conv.receiver, frame.receiver.0);
-    ctx.lap.charge(&mut times.setup);
-    let outcome = m.run(MachineConfig::default());
-    ctx.lap.charge(&mut times.simulate);
-    let exit = match outcome {
-        MachineOutcome::Breakpoint { code } if code == stops::FALL_THROUGH => {
-            let sp = m.reg(conv.sp);
-            let limit = m.initial_sp().wrapping_sub(frame_bytes);
-            let mut stack = Vec::new();
-            let mut a = sp;
-            while a < limit {
-                match m.read_stack(a) {
-                    Ok(w) => stack.push(Oop(w)),
-                    Err(_) => break,
-                }
-                a += 4;
-            }
-            stack.reverse();
-            let fp = m.reg(conv.fp);
-            let temps: Vec<Oop> = (0..ntemps)
-                .map(|i| Oop(m.read_stack(fp.wrapping_sub(4 * (i + 1))).unwrap_or(0)))
-                .collect();
-            EngineExit::Success { stack, temps, result: None }
-        }
-        MachineOutcome::Breakpoint { .. } => EngineExit::JumpTaken,
-        MachineOutcome::ReturnedToCaller => {
-            EngineExit::Return { value: Oop(m.reg(conv.receiver)) }
-        }
-        MachineOutcome::Send { selector_id } => {
-            let selector = selector_of(selector_id);
-            let receiver = Oop(m.reg(conv.receiver));
-            let args: Vec<Oop> = (0..send_arity_hint.min(3))
-                .map(|i| Oop(m.reg(conv.arg(i))))
-                .collect();
-            EngineExit::Send { selector, receiver, args }
-        }
-        MachineOutcome::MemoryFault { .. } => EngineExit::InvalidMemory,
-        MachineOutcome::SimulationError { register } => EngineExit::SimulationError(register),
-        MachineOutcome::StepLimit => EngineExit::EngineError("machine step limit".into()),
-        MachineOutcome::DecodeFault { pc } => {
-            EngineExit::EngineError(format!("decode fault at 0x{pc:08x}"))
-        }
-    };
-    ctx.lap.charge(&mut times.report);
     CompiledRun::Ran(exit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::EngineExit;
     use igjit_bytecode::Instruction;
     use igjit_interp::{MethodInfo, NativeMethodId};
     use igjit_jit::CodeCache;
@@ -196,18 +105,17 @@ mod tests {
         Oop::from_small_int(v)
     }
 
-    fn run_one(instr: InstrUnderTest, frame: &Frame<Oop>) -> (CompiledRun, MetaRunCounts) {
+    fn run_one(program: Program<'_>, frame: &Frame<Oop>) -> (CompiledRun, MetaRunCounts) {
         let cache = MetaCache::new();
         let code_cache = CodeCache::disabled();
-        let mut session = MachineSession::new();
-        let mut ctx = RunCtx::new(&code_cache, &mut session);
+        let mut ctx = RunCtx::new(&code_cache, MachineSession::new());
         let mut times = StageTimes::default();
         let mut counts = MetaRunCounts::default();
         let mut mem = ObjectMemory::new();
-        let run = run_meta_for_instr_timed(
+        let run = run_meta(
             &cache,
             Isa::X86ish,
-            instr,
+            program,
             frame,
             &mut mem,
             &mut ctx,
@@ -227,16 +135,15 @@ mod tests {
         for (instr, frame) in [(Instruction::Add, add), (Instruction::PushThisContext, refused)] {
             let cache = MetaCache::new();
             let code_cache = CodeCache::disabled();
-            let mut session = MachineSession::new();
+            let mut ctx = RunCtx::new(&code_cache, MachineSession::new());
             let mut charged = Vec::new();
             for _ in 0..2 {
-                let mut ctx = RunCtx::new(&code_cache, &mut session);
                 let mut times = StageTimes::default();
                 let mut mem = ObjectMemory::new();
-                run_meta_for_instr_timed(
+                run_meta(
                     &cache,
                     Isa::X86ish,
-                    InstrUnderTest::Bytecode(instr),
+                    Program::Bytecode(&[instr]),
                     &frame,
                     &mut mem,
                     &mut ctx,
@@ -257,7 +164,7 @@ mod tests {
     fn meta_add_compiles_and_folds() {
         let mut frame = Frame::new(si(0), MethodInfo::empty());
         frame.stack = vec![si(20), si(22)];
-        let (run, counts) = run_one(InstrUnderTest::Bytecode(Instruction::Add), &frame);
+        let (run, counts) = run_one(Program::Bytecode(&[Instruction::Add]), &frame);
         assert_eq!(counts, MetaRunCounts { compiled: 1, trampolined: 0 });
         match run {
             CompiledRun::Ran(EngineExit::Success { stack, .. }) => {
@@ -272,7 +179,7 @@ mod tests {
         let frame = Frame::new(si(20), MethodInfo { literals: vec![si(3)], num_args: 1, num_temps: 0 });
         let mut frame = frame;
         frame.temps = vec![si(3)];
-        let (run, counts) = run_one(InstrUnderTest::Native(NativeMethodId(1)), &frame);
+        let (run, counts) = run_one(Program::Native(NativeMethodId(1)), &frame);
         assert_eq!(counts, MetaRunCounts { compiled: 0, trampolined: 1 });
         assert!(matches!(run, CompiledRun::Ran(_)));
     }
@@ -281,10 +188,27 @@ mod tests {
     fn meta_unsupported_bytecode_trampolines() {
         let frame: Frame<Oop> = Frame::new(si(0), MethodInfo::empty());
         let (run, counts) =
-            run_one(InstrUnderTest::Bytecode(Instruction::PushThisContext), &frame);
+            run_one(Program::Bytecode(&[Instruction::PushThisContext]), &frame);
         assert_eq!(counts, MetaRunCounts { compiled: 0, trampolined: 1 });
         // The trampoline reports the interpreter's own exit for the
         // unsupported opcode — never a refusal.
         assert!(matches!(run, CompiledRun::Ran(_)));
+    }
+
+    #[test]
+    fn meta_multi_instruction_program_trampolines() {
+        // The evaluator models one instruction; a longer program runs
+        // through the trampoline, which interprets all of it.
+        let mut frame = Frame::new(si(0), MethodInfo::empty());
+        frame.stack = vec![si(20), si(22)];
+        let (run, counts) =
+            run_one(Program::Bytecode(&[Instruction::Add, Instruction::Dup]), &frame);
+        assert_eq!(counts, MetaRunCounts { compiled: 0, trampolined: 1 });
+        match run {
+            CompiledRun::Ran(EngineExit::Success { stack, .. }) => {
+                assert_eq!(stack, vec![si(42), si(42)]);
+            }
+            other => panic!("{other:?}"),
+        }
     }
 }

@@ -1,5 +1,6 @@
 //! The interpreter oracle: concrete re-execution of an explored path.
 
+use std::borrow::Cow;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use igjit_bytecode::fxhash::FxHashMap;
@@ -11,6 +12,8 @@ use igjit_interp::{
     PredecodedProgram, Selector, StepOutcome,
 };
 use igjit_solver::Model;
+
+use crate::step::Program;
 
 /// A message-send selector, comparable across engines.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -112,26 +115,33 @@ pub struct OracleRun {
     pub witness_errors: Vec<igjit_concolic::WitnessError>,
 }
 
-/// The predecoded view of one catalog entry's single-instruction
-/// program, built once per distinct instruction and shared by every
-/// oracle run for the rest of the process.
+/// The predecoded view of a bytecode program: its instructions are
+/// *encoded and sequentially re-decoded* through [`PredecodedProgram`],
+/// so the oracle consumes exactly the artifact the predecoded fetch
+/// loop would — any encode/decode drift shows up as a changed oracle
+/// row instead of hiding behind the ad-hoc enum values.
 ///
-/// The instruction is *encoded and sequentially re-decoded* through
-/// [`PredecodedProgram`], so the oracle consumes exactly the artifact
-/// the predecoded fetch loop would — any encode/decode drift shows up
-/// as a changed oracle row instead of hiding behind the ad-hoc enum
-/// value. Entries are leaked: the universe of distinct instructions is
-/// bounded by the catalog plus test-local immediates.
-fn unit_program(i: Instruction) -> &'static PredecodedProgram {
+/// One-instruction programs are built once per distinct instruction and
+/// shared by every oracle run for the rest of the process; entries are
+/// leaked, as the universe of distinct instructions is bounded by the
+/// catalog plus test-local immediates. Longer programs, whose universe
+/// is not bounded, are decoded per run.
+fn unit_program(program: &[Instruction]) -> Cow<'static, PredecodedProgram> {
+    fn predecode(program: &[Instruction]) -> PredecodedProgram {
+        let mut bytes = Vec::new();
+        for &i in program {
+            encode(i, &mut bytes);
+        }
+        PredecodedProgram::new(&bytes)
+    }
     static CACHE: OnceLock<Mutex<FxHashMap<Instruction, &'static PredecodedProgram>>> =
         OnceLock::new();
+    let &[i] = program else {
+        return Cow::Owned(predecode(program));
+    };
     let cache = CACHE.get_or_init(|| Mutex::new(FxHashMap::default()));
     let mut map = cache.lock().unwrap_or_else(PoisonError::into_inner);
-    map.entry(i).or_insert_with(|| {
-        let mut bytes = Vec::new();
-        encode(i, &mut bytes);
-        Box::leak(Box::new(PredecodedProgram::new(&bytes)))
-    })
+    Cow::Borrowed(*map.entry(i).or_insert_with(|| Box::leak(Box::new(predecode(&[i])))))
 }
 
 /// The oracle run: materializes `model` into a fresh heap and runs the
@@ -148,7 +158,7 @@ pub fn run_oracle(state: &AbstractState, model: &Model, instr: InstrUnderTest) -
 /// Runs the interpreter concretely on an already-materialized frame
 /// and heap, mutating both. This is the replay-friendly half of
 /// [`run_oracle`]: the campaign materializes a sealed base image once
-/// and feeds (a clone of) it here instead of rebuilding the heap.
+/// and feeds it here instead of rebuilding the heap.
 ///
 /// A bytecode runs as its cached [`PredecodedProgram`] decodes it (one
 /// sequential decode per catalog entry), not as the enum value handed
@@ -158,56 +168,67 @@ pub fn run_oracle_on(
     frame: &mut Frame<Oop>,
     instr: InstrUnderTest,
 ) -> EngineExit {
-    match instr {
-        InstrUnderTest::Bytecode(i) => {
-            let prog = unit_program(i);
-            let i = match prog.lookup(0) {
-                Some(s) => prog.steps()[s].instr,
-                None => i,
-            };
-            let mut ctx = ConcreteContext::new(mem);
-            match step(&mut ctx, frame, i) {
-                StepOutcome::Continue => EngineExit::Success {
-                    stack: frame.stack.clone(),
-                    temps: frame.temps.clone(),
-                    result: None,
-                },
-                StepOutcome::Jump { displacement: _ } => EngineExit::JumpTaken,
-                StepOutcome::MethodReturn { value } => EngineExit::Return { value },
-                StepOutcome::MessageSend { selector, receiver, args } => EngineExit::Send {
-                    selector: match selector {
-                        Selector::Special(s) => SelectorId::Special(s),
-                        Selector::MustBeBoolean => SelectorId::MustBeBoolean,
-                        Selector::Literal(v) => SelectorId::Literal(v),
+    run_program_on(mem, frame, Program::of(&instr))
+}
+
+/// [`run_oracle_on`] for a whole program. Bytecodes run in order as
+/// [`unit_program`] decodes them; a send, return, taken jump or fault
+/// ends the run with that exit, and running off the end is a success.
+pub(crate) fn run_program_on(
+    mem: &mut ObjectMemory,
+    frame: &mut Frame<Oop>,
+    program: Program<'_>,
+) -> EngineExit {
+    let mut ctx = ConcreteContext::new(mem);
+    match program {
+        Program::Bytecode(instrs) => {
+            let decoded = unit_program(instrs);
+            for (k, &instr) in instrs.iter().enumerate() {
+                // The decoder's reading; the enum value only past the
+                // point where decoding stopped.
+                let instr = decoded.steps().get(k).map_or(instr, |s| s.instr);
+                let exit = match step(&mut ctx, frame, instr) {
+                    StepOutcome::Continue => continue,
+                    StepOutcome::Jump { displacement: _ } => EngineExit::JumpTaken,
+                    StepOutcome::MethodReturn { value } => EngineExit::Return { value },
+                    StepOutcome::MessageSend { selector, receiver, args } => EngineExit::Send {
+                        selector: match selector {
+                            Selector::Special(s) => SelectorId::Special(s),
+                            Selector::MustBeBoolean => SelectorId::MustBeBoolean,
+                            Selector::Literal(v) => SelectorId::Literal(v),
+                        },
+                        receiver,
+                        args,
                     },
-                    receiver,
-                    args,
-                },
-                StepOutcome::InvalidFrame => EngineExit::InvalidFrame,
-                StepOutcome::InvalidMemoryAccess => EngineExit::InvalidMemory,
-                StepOutcome::Unsupported { reason } => EngineExit::EngineError(reason.into()),
+                    StepOutcome::InvalidFrame => EngineExit::InvalidFrame,
+                    StepOutcome::InvalidMemoryAccess => EngineExit::InvalidMemory,
+                    StepOutcome::Unsupported { reason } => EngineExit::EngineError(reason.into()),
+                };
+                return exit;
+            }
+            EngineExit::Success {
+                stack: frame.stack.clone(),
+                temps: frame.temps.clone(),
+                result: None,
             }
         }
-        InstrUnderTest::Native(id) => {
-            let mut ctx = ConcreteContext::new(mem);
-            match run_native(&mut ctx, frame, id) {
-                NativeOutcome::Success { result } => EngineExit::Success {
-                    stack: frame.stack.clone(),
-                    temps: frame.temps.clone(),
-                    result: Some(result),
-                },
-                NativeOutcome::Failure => EngineExit::Failure,
-                NativeOutcome::InvalidFrame => EngineExit::InvalidFrame,
-                NativeOutcome::InvalidMemoryAccess => EngineExit::InvalidMemory,
-                NativeOutcome::Unsupported { reason } => EngineExit::EngineError(reason.into()),
-            }
-        }
+        Program::Native(id) => match run_native(&mut ctx, frame, id) {
+            NativeOutcome::Success { result } => EngineExit::Success {
+                stack: frame.stack.clone(),
+                temps: frame.temps.clone(),
+                result: Some(result),
+            },
+            NativeOutcome::Failure => EngineExit::Failure,
+            NativeOutcome::InvalidFrame => EngineExit::InvalidFrame,
+            NativeOutcome::InvalidMemoryAccess => EngineExit::InvalidMemory,
+            NativeOutcome::Unsupported { reason } => EngineExit::EngineError(reason.into()),
+        },
     }
 }
 
 /// The receiver and argument slice of a native-method frame (receiver
 /// deepest, per the native calling convention).
-pub fn native_operands(frame: &Frame<Oop>, id: igjit_interp::NativeMethodId) -> Option<(Oop, Vec<Oop>)> {
+pub(crate) fn native_operands(frame: &Frame<Oop>, id: igjit_interp::NativeMethodId) -> Option<(Oop, Vec<Oop>)> {
     let argc = native_spec(id)?.argc as usize;
     let depth = frame.stack.len();
     if depth < argc + 1 {

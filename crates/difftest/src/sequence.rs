@@ -14,18 +14,43 @@
 //! bytecodes, yielding a self-contained test method.
 
 use igjit_bytecode::Instruction;
-use igjit_concolic::{materialize_shared, AbstractState, Explorer, InstrUnderTest};
-use igjit_heap::{ObjectMemory, Oop};
-use igjit_interp::{resolve_sequence, ConcreteContext, Frame, Selector, StepOutcome};
-use igjit_jit::CompilerKind;
+use igjit_concolic::{AbstractState, Explorer};
+use igjit_jit::{CodeCache, CompilerKind};
 use igjit_machine::Isa;
+use igjit_metajit::MetaCache;
 use igjit_solver::Model;
 
-use crate::campaign::PathVerdict;
-use crate::classify::classify;
-use crate::compare::{compare_runs, Verdict};
-use crate::compiled::run_compiled_sequence;
-use crate::oracle::{concrete_frame, EngineExit, SelectorId};
+use crate::campaign::{PathVerdict, Target};
+use crate::step::{Harness, Program};
+
+/// The instructions a random sequence is drawn from: each is supported
+/// by every tier and makes bounded frame demands.
+pub const SEQUENCE_POOL: [Instruction; 24] = [
+    Instruction::PushZero,
+    Instruction::PushOne,
+    Instruction::PushTwo,
+    Instruction::PushMinusOne,
+    Instruction::PushInteger(13),
+    Instruction::PushInteger(-77),
+    Instruction::PushTrue,
+    Instruction::PushFalse,
+    Instruction::PushNil,
+    Instruction::PushReceiver,
+    Instruction::Dup,
+    Instruction::Pop,
+    Instruction::Add,
+    Instruction::Subtract,
+    Instruction::Multiply,
+    Instruction::Modulo,
+    Instruction::LessThan,
+    Instruction::GreaterOrEqual,
+    Instruction::Equal,
+    Instruction::BitAnd,
+    Instruction::BitOr,
+    Instruction::IdentityEqual,
+    Instruction::SpecialSendSize,
+    Instruction::ShortJumpTrue(3),
+];
 
 /// Result of differentially testing one sequence.
 #[derive(Clone, Debug)]
@@ -38,6 +63,12 @@ pub struct SequenceOutcome {
     pub curated: usize,
     /// One verdict per curated path.
     pub verdicts: Vec<PathVerdict>,
+    /// Models whose materialization produced an unrealizable witness
+    /// (test errors; not compared).
+    pub witness_errors: usize,
+    /// Models whose materialization or oracle run panicked (test
+    /// errors; not compared).
+    pub oracle_panics: usize,
 }
 
 impl SequenceOutcome {
@@ -47,72 +78,12 @@ impl SequenceOutcome {
     }
 }
 
-/// The concrete interpreter oracle for a sequence: step instructions
-/// until an exit, running off the end is success. The sequence's step
-/// functions are resolved once up front ([`resolve_sequence`]) and run
-/// against one [`ConcreteContext`] — the resolved functions *are* what
-/// [`igjit_interp::step`] dispatches to.
-pub fn run_oracle_sequence(
-    state: &AbstractState,
-    model: &Model,
-    instrs: &[Instruction],
-) -> (EngineExit, ObjectMemory, Frame<Oop>) {
-    let mut mem = ObjectMemory::new();
-    let mat = materialize_shared(state, model, &mut mem);
-    let input_frame = concrete_frame(&mat.frame);
-    let mut frame = input_frame.clone();
-    let mut early_exit = None;
-    {
-        let fns = resolve_sequence(instrs);
-        let mut ctx = ConcreteContext::new(&mut mem);
-        for (&instr, f) in instrs.iter().zip(&fns) {
-            let outcome = f(&mut ctx, &mut frame, instr);
-            let exit = match outcome {
-                StepOutcome::Continue => continue,
-                StepOutcome::Jump { .. } => EngineExit::JumpTaken,
-                StepOutcome::MethodReturn { value } => EngineExit::Return { value },
-                StepOutcome::MessageSend { selector, receiver, args } => {
-                    let selector = match selector {
-                        Selector::Special(s) => SelectorId::Special(s),
-                        Selector::MustBeBoolean => SelectorId::MustBeBoolean,
-                        Selector::Literal(v) => SelectorId::Literal(v),
-                    };
-                    EngineExit::Send { selector, receiver, args }
-                }
-                StepOutcome::InvalidFrame => EngineExit::InvalidFrame,
-                StepOutcome::InvalidMemoryAccess => EngineExit::InvalidMemory,
-                StepOutcome::Unsupported { reason } => EngineExit::EngineError(reason.into()),
-            };
-            early_exit = Some(exit);
-            break;
-        }
-    }
-    let exit = early_exit.unwrap_or_else(|| EngineExit::Success {
-        stack: frame.stack.clone(),
-        temps: frame.temps.clone(),
-        result: None,
-    });
-    (exit, mem, input_frame)
-}
-
-/// Finds the sequence instruction a divergent compiled send points
-/// at: when the compiled code bailed to a send the interpreter inlined
-/// past, the sent *selector* names the diverging instruction.
-fn diverging_instruction(
-    instrs: &[Instruction],
-    compiled: &crate::compiled::CompiledRun,
-) -> Option<Instruction> {
-    let crate::compiled::CompiledRun::Ran(EngineExit::Send {
-        selector: SelectorId::Special(sel),
-        ..
-    }) = compiled
-    else {
-        return None;
-    };
-    instrs.iter().copied().find(|i| i.special_selector() == Some(*sel))
-}
-
-/// Differentially tests a bytecode sequence against one tier.
+/// Differentially tests a bytecode sequence against one tier: every
+/// curated path of the sequence's exploration goes through the same
+/// differential step as a single instruction's, with kind probes off
+/// and no artifact cache. Verdicts are filed under the sequence's last
+/// instruction; a difference is classified under the instruction whose
+/// fast path diverged when the compiled send names one.
 pub fn test_sequence(
     instrs: &[Instruction],
     kind: CompilerKind,
@@ -120,78 +91,37 @@ pub fn test_sequence(
 ) -> SequenceOutcome {
     // An empty sequence has no instruction under test; report the
     // trivially empty outcome instead of panicking deep in the engine.
-    let Some(&last) = instrs.last() else {
+    let Ok(exploration) = Explorer::new().explore_sequence(instrs) else {
         return SequenceOutcome {
             instructions: Vec::new(),
             paths_found: 0,
             curated: 0,
             verdicts: Vec::new(),
+            witness_errors: 0,
+            oracle_panics: 0,
         };
     };
-    let exploration = Explorer::new()
-        .explore_sequence(instrs)
-        .expect("sequence checked non-empty above");
-    let curated: Vec<_> = exploration.curated_paths().into_iter().cloned().collect();
-    let mut verdicts = Vec::new();
-    let tag = InstrUnderTest::Bytecode(last);
-
-    for path in &curated {
-        let mut verdict = Verdict::Agree;
-        let mut cause = None;
-        let mut on_isa = None;
-        let (interp_exit, interp_mem, _input) =
-            run_oracle_sequence(&exploration.state, &path.model, instrs);
-        if interp_exit.is_testable() {
-            'isas: for &isa in isas {
-                let mut mem2 = ObjectMemory::new();
-                let mat = materialize_shared(&exploration.state, &path.model, &mut mem2);
-                let frame2 = concrete_frame(&mat.frame);
-                let arity = instrs.iter().map(|i| i.stack_arity() as usize).max().unwrap_or(0);
-                let (compiled, compiled_mem) = run_compiled_sequence(
-                    kind,
-                    isa,
-                    instrs,
-                    &frame2,
-                    mem2,
-                    arity.saturating_sub(1),
-                );
-                let v = compare_runs(
-                    &interp_exit,
-                    &interp_mem,
-                    &compiled,
-                    &compiled_mem,
-                    &mat.var_oops,
-                );
-                if let Verdict::Difference(d) = v {
-                    // Attribute the cause to the instruction whose
-                    // fast path diverged, not the sequence tail.
-                    let culprit = diverging_instruction(instrs, &compiled)
-                        .map(InstrUnderTest::Bytecode)
-                        .unwrap_or(tag);
-                    cause = Some(classify(culprit, Some(kind), &d));
-                    verdict = Verdict::Difference(d);
-                    on_isa = Some(isa);
-                    break 'isas;
-                }
-            }
-        }
-        let all_causes = cause.clone().into_iter().collect();
-        verdicts.push(PathVerdict {
-            instruction: tag,
-            interp_exit: String::new(),
-            verdict,
-            cause,
-            all_causes,
-            found_by_probe: false,
-            isa: on_isa,
-        });
-    }
-
+    let program = Program::Bytecode(instrs);
+    let curated = exploration.curated_paths();
+    let code_cache = CodeCache::disabled();
+    let meta_cache = MetaCache::new();
+    let mut harness = Harness::new(Target::Bytecode(kind), isas, &code_cache, &meta_cache);
+    let verdicts = curated
+        .iter()
+        .map(|path| {
+            let mut verdict = PathVerdict::new(program.tag());
+            harness.check(&exploration.state, &path.model, program, false, &mut verdict);
+            verdict
+        })
+        .collect();
+    let tally = harness.finish();
     SequenceOutcome {
         instructions: instrs.to_vec(),
         paths_found: exploration.paths.len(),
         curated: curated.len(),
         verdicts,
+        witness_errors: tally.witness_errors,
+        oracle_panics: tally.oracle_panics,
     }
 }
 
@@ -239,6 +169,8 @@ pub fn minimal_sequence_for_path(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compare::Verdict;
+    use igjit_concolic::InstrUnderTest;
 
     const BOTH: [Isa; 2] = [Isa::X86ish, Isa::Arm32ish];
 

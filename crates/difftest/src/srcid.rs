@@ -20,6 +20,7 @@ pub const SRC_FILES: &[&str] = &[
     "oracle.rs",
     "sequence.rs",
     "srcid.rs",
+    "step.rs",
 ];
 
 const SRC_BYTES: &[&[u8]] = &[
@@ -32,6 +33,7 @@ const SRC_BYTES: &[&[u8]] = &[
     include_bytes!("oracle.rs"),
     include_bytes!("sequence.rs"),
     include_bytes!("srcid.rs"),
+    include_bytes!("step.rs"),
 ];
 
 /// FNV-1a over the concatenation of [`SRC_FILES`] contents (with a

@@ -1,0 +1,446 @@
+//! The differential step (Fig. 1) for one model of one explored path:
+//! materialize the model, run the interpreter, run the compiled code on
+//! every ISA, compare, classify.
+//!
+//! The campaign, [`test_sequence`](crate::test_sequence) and the
+//! generated unit tests all call [`Harness::check`]; none of them
+//! re-implements a stage. A bytecode instruction is a [`Program`] of
+//! length one, so instructions and sequences take the same path.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::time::Duration;
+
+use igjit_bytecode::Instruction;
+use igjit_concolic::{materialize_shared, AbstractState, InstrUnderTest, WitnessError};
+use igjit_heap::{ObjectMemory, Snapshot};
+use igjit_interp::NativeMethodId;
+use igjit_jit::CodeCache;
+use igjit_machine::{Isa, MachineSession};
+use igjit_metajit::MetaCache;
+use igjit_solver::Model;
+
+use crate::campaign::{PathVerdict, SnapshotStats, StageTimes, Target};
+use crate::classify::classify;
+use crate::compare::{compare_runs, Difference, DifferenceKind, Verdict};
+use crate::compiled::{run_compiled, CompiledRun, RunCtx};
+use crate::meta::{run_meta, MetaRunCounts};
+use crate::oracle::{concrete_frame, run_program_on, EngineExit, SelectorId};
+
+/// What one differential step runs: a straight-line bytecode program
+/// (an instruction is a program of length one) or a native method.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Program<'p> {
+    /// Bytecodes executed in order; never empty.
+    Bytecode(&'p [Instruction]),
+    /// One native method.
+    Native(NativeMethodId),
+}
+
+impl<'p> Program<'p> {
+    /// The program of one instruction under test.
+    pub fn of(instr: &'p InstrUnderTest) -> Program<'p> {
+        match instr {
+            InstrUnderTest::Bytecode(i) => Program::Bytecode(std::slice::from_ref(i)),
+            InstrUnderTest::Native(id) => Program::Native(*id),
+        }
+    }
+
+    /// The instruction a verdict on this program is filed under: the
+    /// native method, or the program's last bytecode.
+    pub(crate) fn tag(self) -> InstrUnderTest {
+        match self {
+            Program::Bytecode(instrs) => {
+                InstrUnderTest::Bytecode(*instrs.last().expect("a bytecode program is never empty"))
+            }
+            Program::Native(id) => InstrUnderTest::Native(id),
+        }
+    }
+
+    /// How many argument registers a compiled send of this program
+    /// carries: the widest send any of its bytecodes can make, and none
+    /// for a native method.
+    pub(crate) fn send_args(self) -> usize {
+        match self {
+            Program::Bytecode(instrs) => {
+                let widest = instrs.iter().map(|i| i.stack_arity() as usize).max();
+                widest.unwrap_or(0).saturating_sub(1)
+            }
+            Program::Native(_) => 0,
+        }
+    }
+
+    /// The instruction a difference is classified under. When the
+    /// compiled code bailed to a special send the interpreter inlined
+    /// past, the sent selector names the diverging bytecode; otherwise
+    /// the difference is filed under [`Program::tag`].
+    fn culprit(self, compiled: &CompiledRun) -> InstrUnderTest {
+        if let (
+            Program::Bytecode(instrs),
+            CompiledRun::Ran(EngineExit::Send {
+                selector: SelectorId::Special(sel),
+                ..
+            }),
+        ) = (self, compiled)
+        {
+            if let Some(&i) = instrs.iter().find(|i| i.special_selector() == Some(*sel)) {
+                return InstrUnderTest::Bytecode(i);
+            }
+        }
+        self.tag()
+    }
+}
+
+/// What [`Harness::check`] did with one model.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum Checked {
+    /// Materialization or the interpreter panicked; counted in
+    /// [`Tally::oracle_panics`], nothing compared.
+    OraclePanic,
+    /// The materializer could not realize the model (the first error
+    /// is kept); counted in [`Tally::witness_errors`], nothing compared.
+    Unrealizable(WitnessError),
+    /// The interpreter exit is an expected failure (§3.4); no compiled
+    /// code ran.
+    Untestable,
+    /// Compiled code ran and was compared on every ISA.
+    Compared,
+    /// The path's first difference is a compile refusal, which no
+    /// other model of the path can change: the remaining ISAs were
+    /// skipped and the caller should skip the remaining models.
+    Refused,
+}
+
+/// What a [`Harness`] accumulated over its checks.
+#[derive(Clone, Debug, Default)]
+pub struct Tally {
+    /// Wall clock per stage, one split per stage boundary.
+    pub times: StageTimes,
+    /// Seal/restore accounting of the replay arena.
+    pub snapshot: SnapshotStats,
+    /// Meta-tier coverage (zero on other targets).
+    pub meta: MetaRunCounts,
+    /// Models the materializer could not realize.
+    pub witness_errors: usize,
+    /// Models whose materialization or oracle run panicked.
+    pub oracle_panics: usize,
+}
+
+/// The replay arena's pair of recycled heaps, persisting across all
+/// models one [`Harness`] checks.
+///
+/// Both heaps are born blank and sealed; determinism of
+/// `materialize_shared` from identical blank states guarantees the two
+/// materializations of a model produce bit-identical addresses, so the
+/// oracle's `var_oops` apply to the replay heap unchanged (spot-checked
+/// by a `debug_assert` on the input frames).
+struct ReplayArena {
+    /// Runs the interpreter oracle: materialized and executed in
+    /// place, then rolled back to blank for the next model.
+    oracle: ObjectMemory,
+    oracle_blank: Snapshot,
+    oracle_used: bool,
+    /// Runs the compiled code: blank outer seal + per-model inner seal,
+    /// restored to the inner between ISAs and to blank between models.
+    replay: ObjectMemory,
+    replay_blank: Snapshot,
+    replay_used: bool,
+}
+
+impl ReplayArena {
+    fn new(stats: &mut SnapshotStats) -> ReplayArena {
+        let mut oracle = ObjectMemory::new();
+        let oracle_blank = oracle.seal();
+        let mut replay = ObjectMemory::new();
+        let replay_blank = replay.seal();
+        stats.seals += 2;
+        ReplayArena {
+            oracle,
+            oracle_blank,
+            oracle_used: false,
+            replay,
+            replay_blank,
+            replay_used: false,
+        }
+    }
+}
+
+thread_local! {
+    /// Simulator session reused across harnesses on this thread.
+    /// `Machine::with_session` resets registers and the dirty stack
+    /// extent before every run, so reuse is outcome-neutral; a panic
+    /// mid-check merely drops the session and the next harness
+    /// allocates a fresh one.
+    static REUSED_SESSION: std::cell::Cell<Option<MachineSession>> =
+        const { std::cell::Cell::new(None) };
+}
+
+fn exit_label(e: &EngineExit) -> String {
+    match e {
+        EngineExit::Success { .. } => "Success".into(),
+        EngineExit::JumpTaken => "Success".into(),
+        EngineExit::Failure => "Failure".into(),
+        EngineExit::Return { .. } => "MethodReturn".into(),
+        EngineExit::Send { .. } => "MessageSend".into(),
+        EngineExit::InvalidFrame => "InvalidFrame".into(),
+        EngineExit::InvalidMemory => "InvalidMemoryAccess".into(),
+        EngineExit::SimulationError(_) => "SimulationError".into(),
+        EngineExit::EngineError(_) => "EngineError".into(),
+    }
+}
+
+/// The execution context of the differential step against one target
+/// on a fixed set of ISAs: the artifact caches, the thread's simulator
+/// session, the stage clock and one replay arena.
+///
+/// The arena is two heaps allocated on the first check and recycled
+/// across every later one: the *oracle* heap is sealed at its blank
+/// image, materialized and interpreted in place, and rolled back to
+/// blank for the next model; the *replay* heap carries a blank outer
+/// seal plus a per-model inner seal ([`ObjectMemory::push_seal`]) so
+/// compiled runs rewind to the materialized image between ISAs and to
+/// blank between models. Every reset is `restore` — O(words the run
+/// dirtied).
+pub struct Harness<'c> {
+    target: Target,
+    isas: &'c [Isa],
+    meta_cache: &'c MetaCache,
+    ctx: RunCtx<'c>,
+    arena: Option<ReplayArena>,
+    /// What the checks so far accumulated.
+    pub(crate) tally: Tally,
+}
+
+impl<'c> Harness<'c> {
+    /// A harness testing `target` on `isas`, looking compiled artifacts
+    /// up in `code_cache` and meta artifacts in `meta_cache`. Its stage
+    /// clock starts now.
+    pub fn new(
+        target: Target,
+        isas: &'c [Isa],
+        code_cache: &'c CodeCache,
+        meta_cache: &'c MetaCache,
+    ) -> Harness<'c> {
+        let session = REUSED_SESSION.with(|slot| slot.take()).unwrap_or_default();
+        Harness {
+            target,
+            isas,
+            meta_cache,
+            ctx: RunCtx::new(code_cache, session),
+            arena: None,
+            tally: Tally::default(),
+        }
+    }
+
+    /// Charges the time since the previous stage boundary to the stage
+    /// `pick` selects and returns it.
+    pub(crate) fn charge(&mut self, pick: fn(&mut StageTimes) -> &mut Duration) -> Duration {
+        self.ctx.lap.charge(pick(&mut self.tally.times))
+    }
+
+    /// Returns the simulator session to the thread and the tally to
+    /// the caller.
+    pub fn finish(self) -> Tally {
+        REUSED_SESSION.with(|slot| slot.set(Some(self.ctx.session)));
+        self.tally
+    }
+
+    /// The differential step for one model of a path of `program`'s
+    /// exploration over `state`: run the interpreter (panics caught),
+    /// gate on witness errors and testability, materialize the replay
+    /// image, run the target on every ISA, compare and classify.
+    /// Differences are folded into `path`; `probe` marks a kind-probe
+    /// model (the path's base model is not one and labels its
+    /// interpreter exit).
+    pub fn check(
+        &mut self,
+        state: &AbstractState,
+        model: &Model,
+        program: Program<'_>,
+        probe: bool,
+        path: &mut PathVerdict,
+    ) -> Checked {
+        let tally = &mut self.tally;
+        let a = self.arena.get_or_insert_with(|| ReplayArena::new(&mut tally.snapshot));
+        // Reset the oracle heap to blank (also cleans up after a
+        // panicked materialization or oracle run) and materialize this
+        // model directly onto it.
+        if a.oracle_used {
+            let dirty = a.oracle.restore(&a.oracle_blank).expect("blank seal is armed");
+            tally.snapshot.record_restore(dirty);
+        }
+        a.oracle_used = true;
+        let Ok(mut mat) = catch_unwind(AssertUnwindSafe(|| {
+            materialize_shared(state, model, &mut a.oracle)
+        })) else {
+            self.ctx.lap.charge(&mut tally.times.materialize);
+            tally.oracle_panics += 1;
+            return Checked::OraclePanic;
+        };
+        let input_frame = concrete_frame(&mat.frame);
+        let mut oracle_frame = input_frame.clone();
+        let Ok(interp_exit) = catch_unwind(AssertUnwindSafe(|| {
+            run_program_on(&mut a.oracle, &mut oracle_frame, program)
+        })) else {
+            self.ctx.lap.charge(&mut tally.times.materialize);
+            tally.oracle_panics += 1;
+            return Checked::OraclePanic;
+        };
+        if !probe {
+            path.interp_exit = exit_label(&interp_exit);
+        }
+        if !mat.witness_errors.is_empty() {
+            // The materializer substituted fallback inputs for an
+            // unrealizable witness: the run no longer reflects the
+            // solver's model, so it is a test error, not a comparison.
+            tally.witness_errors += 1;
+            self.ctx.lap.charge(&mut tally.times.materialize);
+            return Checked::Unrealizable(mat.witness_errors.swap_remove(0));
+        }
+        if !interp_exit.is_testable() {
+            self.ctx.lap.charge(&mut tally.times.materialize);
+            return Checked::Untestable;
+        }
+        // The model is testable: prepare the replay heap — back to
+        // blank, materialize the same model (bit-identical by
+        // determinism), seal the inner level the ISA loop rewinds to.
+        if a.replay_used {
+            let dirty = a.replay.restore(&a.replay_blank).expect("blank seal is armed");
+            tally.snapshot.record_restore(dirty);
+        }
+        a.replay_used = true;
+        let replayed = materialize_shared(state, model, &mut a.replay);
+        debug_assert_eq!(concrete_frame(&replayed.frame).stack, input_frame.stack);
+        let replay_snap = a.replay.push_seal().expect("blank seal is armed");
+        tally.snapshot.seals += 1;
+        self.ctx.lap.charge(&mut tally.times.materialize);
+        for (ii, &isa) in self.isas.iter().enumerate() {
+            // Replay the sealed image: roll back the previous ISA's
+            // mutations instead of re-materializing.
+            if ii > 0 {
+                let dirty = a.replay.restore(&replay_snap).expect("inner seal is armed");
+                tally.snapshot.record_restore(dirty);
+                self.ctx.lap.charge(&mut tally.times.materialize);
+            }
+            let compiled = match self.target {
+                Target::MetaCompiled => run_meta(
+                    self.meta_cache,
+                    isa,
+                    program,
+                    &input_frame,
+                    &mut a.replay,
+                    &mut self.ctx,
+                    &mut tally.times,
+                    &mut tally.meta,
+                ),
+                target => run_compiled(
+                    target.compiler_kind(),
+                    isa,
+                    program,
+                    &input_frame,
+                    &mut a.replay,
+                    &mut self.ctx,
+                    &mut tally.times,
+                ),
+            };
+            let v = compare_runs(&interp_exit, &a.oracle, &compiled, &a.replay, &mat.var_oops);
+            let differs = if let Verdict::Difference(d) = v {
+                let mut key = classify(program.culprit(&compiled), self.target.compiler_kind(), &d);
+                if self.target == Target::MetaCompiled {
+                    // The classifier only knows the hand-written tiers;
+                    // tag the cause with the meta tier's own name so
+                    // causes stay per-tier distinct.
+                    key.compiler = std::borrow::Cow::Borrowed("Meta-Compiled");
+                }
+                if !path.all_causes.contains(&key) {
+                    path.all_causes.push(key.clone());
+                }
+                if path.cause.is_none() {
+                    path.cause = Some(key);
+                    path.verdict = Verdict::Difference(d);
+                    path.found_by_probe = probe;
+                    path.isa = Some(isa);
+                }
+                true
+            } else {
+                false
+            };
+            self.ctx.lap.charge(&mut tally.times.compare);
+            if differs
+                && matches!(
+                    path.verdict,
+                    Verdict::Difference(Difference { kind: DifferenceKind::CompileRefused, .. })
+                )
+            {
+                return Checked::Refused;
+            }
+        }
+        Checked::Compared
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use igjit_concolic::Explorer;
+    use igjit_jit::CompilerKind;
+    use igjit_solver::{Assignment, Kind, VarId};
+
+    /// `model` with the receiver assigned a SmallInteger outside the
+    /// tagged range, which no heap can hold.
+    fn unrealizable(state: &AbstractState, model: &Model) -> Model {
+        let receiver = state.receiver.index();
+        let mut assignments: Vec<Assignment> = (0..model.len().max(receiver + 1))
+            .map(|i| model.assignment(VarId(i as u32)))
+            .collect();
+        assignments[receiver].kind = Kind::SmallInt;
+        assignments[receiver].int = igjit_heap::SMALL_INT_MAX + 1;
+        Model::from_assignments(assignments)
+    }
+
+    #[test]
+    fn unrealizable_models_are_counted_not_compared() {
+        // The Simple tier's `Add` always sends where the interpreter
+        // inlines, so the solver's own models do differ; the same
+        // models made unrealizable must be counted and never compared.
+        let code_cache = CodeCache::disabled();
+        let meta_cache = MetaCache::new();
+        let isas = [Isa::X86ish, Isa::Arm32ish];
+        let target = Target::Bytecode(CompilerKind::SimpleStackBased);
+        for instrs in [
+            &[Instruction::Add][..],
+            &[Instruction::PushOne, Instruction::Add],
+        ] {
+            let program = Program::Bytecode(instrs);
+            let explored = Explorer::new().explore_sequence(instrs).expect("non-empty");
+            let curated = explored.curated_paths();
+            let mut harness = Harness::new(target, &isas, &code_cache, &meta_cache);
+            let mut differences = 0;
+            for path in &curated {
+                let mut honest = PathVerdict::new(program.tag());
+                harness.check(&explored.state, &path.model, program, false, &mut honest);
+                differences += usize::from(honest.verdict.is_difference());
+
+                let mut verdict = PathVerdict::new(program.tag());
+                let bad = unrealizable(&explored.state, &path.model);
+                let checked = harness.check(&explored.state, &bad, program, false, &mut verdict);
+                let receiver = explored.state.receiver;
+                assert!(
+                    matches!(&checked, Checked::Unrealizable(e) if e.var == receiver),
+                    "{instrs:?}: {checked:?}"
+                );
+                assert!(!verdict.verdict.is_difference(), "{instrs:?}: {verdict:?}");
+                assert!(
+                    verdict.all_causes.is_empty() && verdict.isa.is_none(),
+                    "{verdict:?}"
+                );
+            }
+            let tally = harness.finish();
+            assert!(
+                differences > 0,
+                "{instrs:?}: the solver's models compare and differ"
+            );
+            assert_eq!(tally.witness_errors, curated.len(), "{instrs:?}");
+            assert_eq!(tally.oracle_panics, 0, "{instrs:?}");
+        }
+    }
+}

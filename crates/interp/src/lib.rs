@@ -70,7 +70,7 @@ pub use exit::{ExitCondition, Selector, StepOutcome};
 pub use frame::{Frame, MethodInfo};
 pub use natives::{native_catalog, native_spec, run_native, NativeGroup, NativeMethodId,
                   NativeMethodSpec, NativeOutcome};
-pub use predecode::{resolve_sequence, PredecodedProgram};
+pub use predecode::PredecodedProgram;
 pub use runner::{run_method, run_method_with, MethodResult, RunError};
 pub use spec::{step_spec, StepSpec};
 pub use step::{resolve_step, step, StepFn};

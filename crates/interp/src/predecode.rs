@@ -145,14 +145,6 @@ impl PredecodedProgram {
     }
 }
 
-/// Pre-resolves a straight-line instruction sequence (no program
-/// bytes, no jump table) to step functions — the predecoded form of
-/// the oracle/explorer sequence runners, which execute an
-/// already-decoded `&[Instruction]` slice.
-pub fn resolve_sequence<C: VmContext>(instrs: &[Instruction]) -> Vec<StepFn<C>> {
-    instrs.iter().map(|&i| resolve_step::<C>(i)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

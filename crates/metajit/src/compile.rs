@@ -42,7 +42,7 @@ impl std::fmt::Display for MetaRefusal {
 /// Partially evaluates `instr` against the concrete frame shape and
 /// emits a compiled test method following the §4.2 schema — same
 /// preamble, exit tails and breakpoint codes as the hand-written
-/// tiers, so `run_compiled_sequence_timed`'s exit extraction applies
+/// tiers, so the differential runner's machine-exit decoding applies
 /// unchanged.
 ///
 /// The receiver is the only dynamic input: it rides in the

@@ -13,9 +13,10 @@ pub mod harness {
     //! counterexample seeds).
 
     use igjit_bytecode::Instruction;
-    use igjit_difftest::{run_compiled_bytecode, CompiledRun, EngineExit, SelectorId};
+    use igjit_concolic::InstrUnderTest;
+    use igjit_difftest::{run_compiled_for_instr, run_oracle_on, CompiledRun, EngineExit};
     use igjit_heap::{ObjectMemory, Oop};
-    use igjit_interp::{step, ConcreteContext, Frame, MethodInfo, Selector, StepOutcome};
+    use igjit_interp::{Frame, MethodInfo};
     use igjit_jit::CompilerKind;
     use igjit_machine::Isa;
 
@@ -26,28 +27,7 @@ pub mod harness {
         let nil = mem.nil();
         let mut frame = Frame::new(nil, MethodInfo::empty());
         frame.stack = stack.to_vec();
-        let mut ctx = ConcreteContext::new(&mut mem);
-        let exit = match step(&mut ctx, &mut frame, instr) {
-            StepOutcome::Continue => EngineExit::Success {
-                stack: frame.stack.clone(),
-                temps: frame.temps.clone(),
-                result: None,
-            },
-            StepOutcome::Jump { .. } => EngineExit::JumpTaken,
-            StepOutcome::MethodReturn { value } => EngineExit::Return { value },
-            StepOutcome::MessageSend { selector, receiver, args } => EngineExit::Send {
-                selector: match selector {
-                    Selector::Special(s) => SelectorId::Special(s),
-                    Selector::MustBeBoolean => SelectorId::MustBeBoolean,
-                    Selector::Literal(v) => SelectorId::Literal(v),
-                },
-                receiver,
-                args,
-            },
-            StepOutcome::InvalidFrame => EngineExit::InvalidFrame,
-            StepOutcome::InvalidMemoryAccess => EngineExit::InvalidMemory,
-            StepOutcome::Unsupported { reason } => EngineExit::EngineError(reason.into()),
-        };
+        let exit = run_oracle_on(&mut mem, &mut frame, InstrUnderTest::Bytecode(instr));
         (exit, mem)
     }
 
@@ -61,8 +41,8 @@ pub mod harness {
         let nil = mem.nil();
         let mut frame = Frame::new(nil, MethodInfo::empty());
         frame.stack = stack.clone();
-        let arity = (instr.stack_arity() as usize).saturating_sub(1);
-        let (compiled, _cmem) = run_compiled_bytecode(kind, isa, instr, &frame, mem, arity);
+        let (compiled, _cmem) =
+            run_compiled_for_instr(Some(kind), isa, InstrUnderTest::Bytecode(instr), &frame, mem);
         let cexit = match compiled {
             CompiledRun::Ran(e) => e,
             CompiledRun::Refused(e) => panic!("{instr:?} refused: {e}"),

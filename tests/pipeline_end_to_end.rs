@@ -3,9 +3,10 @@
 //! execution → comparison → classification.
 
 use igjit::{
-    test_instruction, CompilerKind, DefectCategory, InstrUnderTest, Instruction, Isa,
-    NativeMethodId, Target, Verdict,
+    instruction_catalog, test_instruction, CompilerKind, DefectCategory, InstrUnderTest,
+    Instruction, Isa, NativeMethodId, PathVerdict, Target, Verdict,
 };
+use igjit_difftest::test_sequence;
 
 const BOTH: [Isa; 2] = [Isa::X86ish, Isa::Arm32ish];
 
@@ -194,3 +195,36 @@ fn simple_tier_differs_strictly_more_than_register_tiers() {
     assert!(simple > s2r, "{counts:?}");
     assert_eq!(s2r, alloc, "{counts:?}");
 }
+
+#[test]
+fn every_bytecode_is_a_sequence_of_length_one() {
+    // The campaign without probes and the sequence tester run the same
+    // differential step on the same exploration, so for every catalog
+    // bytecode on every tier they agree on the paths, the curated paths
+    // and each path's difference, cause and ISA.
+    let outcome = |v: &PathVerdict| {
+        (v.instruction, v.verdict.is_difference(), v.cause.clone(), v.isa, v.interp_exit.clone())
+    };
+    let mut pairs = 0;
+    for spec in instruction_catalog() {
+        let i = spec.instruction;
+        for kind in CompilerKind::ALL {
+            let single =
+                test_instruction(InstrUnderTest::Bytecode(i), Target::Bytecode(kind), &BOTH, false);
+            let sequence = test_sequence(&[i], kind, &BOTH);
+            assert_eq!(
+                (sequence.paths_found, sequence.curated),
+                (single.paths_found, single.curated),
+                "{i:?} on {kind:?}"
+            );
+            assert_eq!(
+                sequence.verdicts.iter().map(outcome).collect::<Vec<_>>(),
+                single.verdicts.iter().map(outcome).collect::<Vec<_>>(),
+                "{i:?} on {kind:?}"
+            );
+            pairs += 1;
+        }
+    }
+    assert_eq!(pairs, 444);
+}
+

@@ -5,7 +5,7 @@
 
 use igjit::{CompilerKind, DefectCategory, Instruction, Isa, Verdict};
 use igjit_concolic::{probe_models, Explorer, DEFAULT_MAX_PROBES};
-use igjit_difftest::test_sequence;
+use igjit_difftest::{test_sequence, SEQUENCE_POOL};
 use igjit_solver::Constraint;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,6 +37,7 @@ fn random_sequences_never_diverge_unexpectedly() {
         let seq: Vec<Instruction> =
             (0..len).map(|_| POOL[rng.gen_range(0..POOL.len())]).collect();
         let o = test_sequence(&seq, CompilerKind::StackToRegister, &[Isa::X86ish]);
+        assert_eq!((o.witness_errors, o.oracle_panics), (0, 0), "{seq:?}");
         for v in &o.verdicts {
             if let Verdict::Difference(_) = v.verdict {
                 assert_eq!(
@@ -48,35 +49,6 @@ fn random_sequences_never_diverge_unexpectedly() {
         }
     }
 }
-
-/// The benchmark's sequence-fuzzing pool: every instruction a random
-/// sequence may draw.
-const FUZZ_POOL: [Instruction; 24] = [
-    Instruction::PushZero,
-    Instruction::PushOne,
-    Instruction::PushTwo,
-    Instruction::PushMinusOne,
-    Instruction::PushInteger(13),
-    Instruction::PushInteger(-77),
-    Instruction::PushTrue,
-    Instruction::PushFalse,
-    Instruction::PushNil,
-    Instruction::PushReceiver,
-    Instruction::Dup,
-    Instruction::Pop,
-    Instruction::Add,
-    Instruction::Subtract,
-    Instruction::Multiply,
-    Instruction::Modulo,
-    Instruction::LessThan,
-    Instruction::GreaterOrEqual,
-    Instruction::Equal,
-    Instruction::BitAnd,
-    Instruction::BitOr,
-    Instruction::IdentityEqual,
-    Instruction::SpecialSendSize,
-    Instruction::ShortJumpTrue(3),
-];
 
 /// Whether any integer comparison inside `c` carries a term with a
 /// zero coefficient.
@@ -98,10 +70,10 @@ fn has_zero_term(c: &Constraint) -> bool {
 fn every_short_pool_sequence_explores_and_probes() {
     let explorer = Explorer::new();
     let mut sequences = 0;
-    for a in FUZZ_POOL {
-        for b in FUZZ_POOL {
+    for a in SEQUENCE_POOL {
+        for b in SEQUENCE_POOL {
             let mut seqs = vec![vec![a, b]];
-            seqs.extend(FUZZ_POOL.iter().map(|&c| vec![a, b, c]));
+            seqs.extend(SEQUENCE_POOL.iter().map(|&c| vec![a, b, c]));
             for seq in seqs {
                 let r = explorer.explore_sequence(&seq).expect("non-empty");
                 for path in &r.paths {

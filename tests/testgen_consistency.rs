@@ -2,37 +2,43 @@
 //! test suite and the campaign must agree on which paths diverge.
 
 use igjit::{
-    test_instruction, CompilerKind, GeneratedSuite, InstrUnderTest, Instruction, Isa,
-    NativeMethodId, Target, TestResult,
+    instruction_catalog, native_catalog, test_instruction, CompilerKind, GeneratedSuite,
+    InstrUnderTest, Isa, NativeMethodId, Target, TestResult,
 };
 
 #[test]
 fn suite_failures_match_campaign_differences() {
-    for (instr, target) in [
-        (
-            InstrUnderTest::Bytecode(Instruction::Add),
-            Target::Bytecode(CompilerKind::StackToRegister),
-        ),
-        (
-            InstrUnderTest::Bytecode(Instruction::BitAnd),
-            Target::Bytecode(CompilerKind::SimpleStackBased),
-        ),
-        (InstrUnderTest::Native(NativeMethodId(1)), Target::NativeMethods),
-        (InstrUnderTest::Native(NativeMethodId(14)), Target::NativeMethods),
-        (InstrUnderTest::Native(NativeMethodId(120)), Target::NativeMethods),
-    ] {
-        let isas = [Isa::X86ish];
-        // Campaign without probing (the suite replays base models only).
-        let campaign = test_instruction(instr, target, &isas, false);
-        let suite = GeneratedSuite::generate_for(instr, target, &isas);
-        let report = suite.run();
-        assert_eq!(
-            report.failed,
-            campaign.difference_count(),
-            "{instr:?} vs {target:?}: suite {report:?}, campaign {} diffs",
-            campaign.difference_count()
-        );
+    // Every catalog entry against every target it is tested on, on
+    // each ISA: the suite replays base models only, so it matches the
+    // campaign without probing.
+    let (native_specs, bytecode_specs) = (native_catalog(), instruction_catalog());
+    let natives = native_specs
+        .iter()
+        .map(|spec| (InstrUnderTest::Native(spec.id), Target::NativeMethods));
+    let bytecodes = bytecode_specs.iter().flat_map(|spec| {
+        let instr = InstrUnderTest::Bytecode(spec.instruction);
+        CompilerKind::ALL
+            .into_iter()
+            .map(Target::Bytecode)
+            .chain([Target::MetaCompiled])
+            .map(move |target| (instr, target))
+    });
+    let mut pairs = 0;
+    for (instr, target) in natives.chain(bytecodes) {
+        for isa in [Isa::X86ish, Isa::Arm32ish] {
+            let isas = [isa];
+            let campaign = test_instruction(instr, target, &isas, false);
+            let report = GeneratedSuite::generate_for(instr, target, &isas).run();
+            assert_eq!(
+                report.failed,
+                campaign.difference_count(),
+                "{instr:?} vs {target:?} on {isa:?}: suite {report:?}, campaign {} diffs",
+                campaign.difference_count()
+            );
+            pairs += 1;
+        }
     }
+    assert_eq!(pairs, 1408);
 }
 
 #[test]
