@@ -15,6 +15,8 @@
 #   * full warm coverage — the warm run serves every instruction from
 #     the corpus (hits == tested instructions, misses == 0) while the
 #     cold run serves none;
+#   * unchanged re-save — the fully warm run leaves the corpus file
+#     byte-identical to what the cold run saved;
 #   * warm payoff — end to end (the rows' wall clock plus the corpus
 #     load and save times table2 records), the warm run beats the cold
 #     one by at least `warm_speedup_min` from ci/perf_expectations.json;
@@ -55,8 +57,14 @@ echo "=== corpus-smoke: baseline (no corpus) ==="
 IGJIT_THREADS=1 run_table2 baseline "${table2[@]}"
 echo "=== corpus-smoke: cold run (fresh corpus) ==="
 IGJIT_THREADS=1 IGJIT_CORPUS="$scratch/smoke.corpus" run_table2 cold "${table2[@]}"
+cp "$scratch/smoke.corpus" "$scratch/cold.corpus"
 echo "=== corpus-smoke: warm run (saved corpus) ==="
 IGJIT_THREADS=1 IGJIT_CORPUS="$scratch/smoke.corpus" run_table2 warm "${table2[@]}"
+if ! cmp "$scratch/cold.corpus" "$scratch/smoke.corpus"; then
+    echo "corpus-smoke: a fully warm run rewrote the corpus file" >&2
+    exit 1
+fi
+echo "corpus-smoke: the warm run left the corpus file byte-identical"
 
 # Row identity across all three runs, on the printed table itself.
 rows() {

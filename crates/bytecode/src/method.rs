@@ -32,6 +32,10 @@ pub struct MethodHeader {
 }
 
 impl MethodHeader {
+    /// The most temporaries (arguments included) a frame can have: the
+    /// widest `num_args` plus the widest `num_temps` a header packs.
+    pub const MAX_FRAME_TEMPS: u32 = 0x0f + 0x3f;
+
     /// Packs the header into its tagged-SmallInteger encoding.
     pub fn pack(self) -> i64 {
         i64::from(self.num_args & 0x0f)

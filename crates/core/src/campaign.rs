@@ -25,7 +25,7 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, Once};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use igjit_bytecode::{instruction_catalog, Instruction};
@@ -300,7 +300,7 @@ impl Metrics {
 
 /// The campaign driver: explores, compiles, runs and compares every
 /// instruction of the VM against a chosen compiler.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct Campaign {
     config: CampaignConfig,
     cache: Arc<ExplorationCache>,
@@ -311,37 +311,25 @@ pub struct Campaign {
 }
 
 /// A corpus file bound to a campaign: what loading found, the
-/// sections still waiting to be decoded, and what is on disk — plus
-/// the warm overlay `run_one` consults before running the pipeline:
-/// outcomes loaded from the file and outcomes recorded during this
-/// process's runs.
+/// sections still waiting to be decoded, and the warm overlay
+/// `run_one` consults before running the pipeline.
 struct CorpusState {
     path: PathBuf,
     fps: igjit_corpus::Fingerprints,
     stats: igjit_corpus::LoadStats,
     /// The image as loaded. Its exploration and code sections reach
-    /// the caches once, on the first pipeline miss — a fully warm
-    /// sweep never decodes them.
-    image: Arc<Image>,
-    preloaded: Once,
-    saved: Mutex<Saved>,
+    /// the caches once, on the first pipeline miss or at a save that
+    /// re-encodes them — a fully warm sweep never decodes them.
+    image: Image,
+    /// Set by that one-time preload: per cache section, whether it
+    /// decoded and every entry landed in the cache as a new key.
+    preloaded: OnceLock<[bool; 2]>,
     /// Outcomes from the corpus file; immutable after construction, so
-    /// workers read it lock-free.
+    /// workers read it lock-free. The only outcomes a lookup sees.
     loaded: HashMap<OutcomeKey, InstructionOutcome>,
-    /// Outcomes produced by this process — what a save adds to the
-    /// file, and what makes a repeated request warm within one process
-    /// (the serve mode's amortization).
+    /// Outcomes produced by this campaign's pipeline runs: written
+    /// during a sweep, read only by a save.
     recorded: Mutex<HashMap<OutcomeKey, InstructionOutcome>>,
-}
-
-/// The image last loaded or written, with per section the size of the
-/// store behind it (exploration-cache length, code-cache length,
-/// recorded outcomes) at which that image's payload is still current.
-/// `None` marks a section that must be re-encoded at the next save:
-/// absent, stale or damaged in the file, or since grown.
-struct Saved {
-    image: Arc<Image>,
-    current_at: [Option<usize>; 3],
 }
 
 impl CorpusState {
@@ -350,26 +338,18 @@ impl CorpusState {
     }
 
     fn lookup(&self, target: Target, instr: InstrUnderTest) -> Option<InstructionOutcome> {
-        if let Some(o) = self.loaded.get(&(target, instr)) {
-            return Some(o.clone());
-        }
-        self.recorded().get(&(target, instr)).cloned()
+        self.loaded.get(&(target, instr)).cloned()
     }
 
     fn record(&self, target: Target, instr: InstrUnderTest, outcome: InstructionOutcome) {
-        self.recorded().entry((target, instr)).or_insert(outcome);
-    }
-
-    fn saved(&self) -> std::sync::MutexGuard<'_, Saved> {
-        self.saved.lock().unwrap_or_else(|e| e.into_inner())
+        self.recorded().insert((target, instr), outcome);
     }
 
     /// Decodes the loaded exploration and code sections into the
     /// caches, once. A section that fails to decode warns and runs
-    /// cold; one the caches were current with stays current at their
-    /// new length.
+    /// cold.
     fn preload(&self, cache: &ExplorationCache, code_cache: &CodeCache) {
-        self.preloaded.call_once(|| {
+        self.preloaded.get_or_init(|| {
             let before = [cache.len(), code_cache.len()];
             let mut decoded = [true; 2];
             match self.image.explorations() {
@@ -391,17 +371,13 @@ impl CorpusState {
                 None => {}
             }
             let after = [cache.len(), code_cache.len()];
-            let mut saved = self.saved();
-            for (i, section) in [Section::Explorations, Section::Code].into_iter().enumerate() {
+            [Section::Explorations, Section::Code].map(|section| {
+                let i = section as usize;
                 if !decoded[i] {
                     eprintln!("igjit: corpus {}: {}", self.path.display(), section.decode_warning());
                 }
-                let current = &mut saved.current_at[i];
-                *current = match *current {
-                    Some(n) if decoded[i] && n == before[i] => Some(after[i]),
-                    _ => None,
-                };
-            }
+                decoded[i] && after[i] == before[i] + self.stats.count(section)
+            })
         });
     }
 }
@@ -409,22 +385,15 @@ impl CorpusState {
 /// Loads the configured corpus file (if any): every section is
 /// verified, only the outcomes are decoded. Load problems are warnings
 /// on stderr, never errors — a bad corpus is a cold run.
-fn attach_corpus(
-    config: &CampaignConfig,
-    cache: &ExplorationCache,
-    code_cache: &CodeCache,
-) -> Option<Arc<CorpusState>> {
+fn attach_corpus(config: &CampaignConfig) -> Option<Arc<CorpusState>> {
     let path = config.corpus.as_ref()?;
     let fps = igjit_corpus::fingerprints(config.probes, &config.isas);
-    let (image, mut stats) = Image::load(path, &fps);
-    // Accepted sections start current with empty stores: the caches
-    // hold nothing yet, and nothing has been recorded.
-    let mut current_at = Section::ALL.map(|s| image.payload(s).map(|_| 0));
+    let (mut image, mut stats) = Image::load(path, &fps);
     let loaded = match image.outcomes() {
         Some(Ok(outcomes)) => outcomes.into_iter().collect(),
         Some(Err(_)) => {
             stats.decode_failed(Section::Outcomes);
-            current_at[Section::Outcomes as usize] = None;
+            image.reject(Section::Outcomes);
             HashMap::new()
         }
         None => HashMap::new(),
@@ -432,24 +401,15 @@ fn attach_corpus(
     for w in &stats.warnings {
         eprintln!("igjit: corpus {}: {}", path.display(), w);
     }
-    let image = Arc::new(image);
-    let state = CorpusState {
+    Some(Arc::new(CorpusState {
         path: path.clone(),
         fps,
         stats,
-        image: Arc::clone(&image),
-        preloaded: Once::new(),
-        saved: Mutex::new(Saved { image, current_at }),
+        image,
+        preloaded: OnceLock::new(),
         loaded,
         recorded: Mutex::new(HashMap::new()),
-    };
-    // A shared exploration cache that already holds entries gets the
-    // file's now, so other campaigns on it see them and the next save
-    // writes the union.
-    if !cache.is_empty() {
-        state.preload(cache, code_cache);
-    }
-    Some(Arc::new(state))
+    }))
 }
 
 impl std::fmt::Debug for Campaign {
@@ -537,12 +497,17 @@ impl Campaign {
     /// valid for every mutant and the cache can be carried over. The
     /// compiled-code cache is still fresh per campaign — compiled
     /// artifacts *do* depend on the armed mutant.
+    ///
+    /// A configured corpus file's explorations reach a shared cache as
+    /// they reach an owned one: on the first pipeline miss, or at
+    /// [`Campaign::save_corpus`], which then writes the union of the
+    /// file's entries and the cache's.
     pub fn with_exploration_cache(
         config: CampaignConfig,
         cache: Arc<ExplorationCache>,
     ) -> Campaign {
         let code_cache = Arc::new(CodeCache::new());
-        let corpus = attach_corpus(&config, &cache, &code_cache);
+        let corpus = attach_corpus(&config);
         // Like the code cache, the meta cache is fresh per campaign:
         // meta artifacts are lowered through the (mutable-by-fault-
         // injection) backend, so they must never outlive an arming.
@@ -594,63 +559,58 @@ impl Campaign {
         self.corpus.as_ref().map(|state| &state.stats)
     }
 
-    /// Overrides the worker-thread count after construction. The serve
-    /// mode adjusts this per request without rebuilding the caches.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.config.threads = threads.max(1);
-    }
-
     /// Writes the caches and recorded outcomes back to the configured
     /// corpus file: atomically (temp file + rename), and not at all
     /// when the file already holds these bytes. `None` when no corpus
     /// file is configured.
     ///
-    /// A section that has gained nothing since it was loaded or last
-    /// written is copied from that image's payload bytes; only the
-    /// others are encoded — from the caches' shared entries and from
-    /// references into the outcome maps, never from deep copies. The
-    /// written bytes equal [`igjit_corpus::file::encode`] of the
-    /// merged corpus either way.
+    /// A loaded section whose store still holds exactly its entries is
+    /// copied from the loaded payload bytes; only the others are
+    /// encoded — from the caches' shared entries and from references
+    /// into the outcome maps, never from deep copies. The written
+    /// bytes equal [`igjit_corpus::file::encode`] of the merged corpus
+    /// either way.
     pub fn save_corpus(&self) -> Option<std::io::Result<igjit_corpus::SaveOutcome>> {
         let state = self.corpus.as_ref()?;
         let recorded = state.recorded();
-        let sizes = || [self.cache.len(), self.code_cache.len(), recorded.len()];
-        let dirty = |saved: &Saved, sizes: [usize; 3]| {
-            [0, 1, 2].map(|i| saved.current_at[i] != Some(sizes[i]))
+        // Per section, whether the loaded payload is still the whole
+        // store: a cache holds none of it yet (no preload) or exactly
+        // its entries; no outcome was recorded.
+        let reusable = |landed: Option<&[bool; 2]>| {
+            let cache = |i: usize, len: usize| match landed {
+                None => len == 0,
+                Some(landed) => landed[i] && len == state.stats.count(Section::ALL[i]),
+            };
+            let held =
+                [cache(0, self.cache.len()), cache(1, self.code_cache.len()), recorded.is_empty()];
+            Section::ALL.map(|s| held[s as usize] && state.image.payload(s).is_some())
         };
         // A cache section is re-encoded from its cache, which must then
         // also hold the loaded image's entries.
-        let [explorations, code, _] = dirty(&state.saved(), sizes());
-        if explorations || code {
+        let [explorations, code, _] = reusable(state.preloaded.get());
+        if !(explorations && code) {
             state.preload(&self.cache, &self.code_cache);
         }
-        let mut saved = state.saved();
-        let sizes = sizes();
-        let [explorations, code, outcomes] = dirty(&saved, sizes);
-        if !(explorations || code || outcomes) && saved.image.is_canonical() {
+        let [explorations, code, outcomes] = reusable(state.preloaded.get());
+        if explorations && code && outcomes && state.image.is_canonical() {
             // Reassembling would reproduce the image: compare it as is.
-            return Some(saved.image.save(&state.path));
+            return Some(state.image.save(&state.path));
         }
         let fresh = [
-            explorations.then(|| encode_section(self.cache.snapshot().iter().map(|(k, e)| (k, e)))),
-            code.then(|| {
+            (!explorations)
+                .then(|| encode_section(self.cache.snapshot().iter().map(|(k, e)| (k, e)))),
+            (!code).then(|| {
                 let entries = self.code_cache.snapshot();
                 encode_section(entries.iter().map(|(k, e)| (k, &**e)))
             }),
-            outcomes.then(|| {
+            (!outcomes).then(|| {
                 let mut merged: HashMap<&OutcomeKey, &InstructionOutcome> =
                     state.loaded.iter().collect();
                 merged.extend(recorded.iter());
                 encode_section(merged)
             }),
         ];
-        let image = saved.image.rebuild(&state.fps, fresh);
-        let result = image.save(&state.path);
-        if result.is_ok() {
-            // What is on disk now is the baseline the next save reuses.
-            *saved = Saved { image: Arc::new(image), current_at: sizes.map(Some) };
-        }
-        Some(result)
+        Some(state.image.rebuild(&state.fps, fresh).save(&state.path))
     }
 
     /// Registers a progress callback, invoked from worker threads

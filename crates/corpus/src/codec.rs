@@ -18,7 +18,7 @@
 //!   canonicalization the live catalog uses.
 
 use crate::wire::{Decoder, Encoder, WireError};
-use igjit_bytecode::{Instruction, SpecialSelector};
+use igjit_bytecode::{Instruction, MethodHeader, SpecialSelector};
 use igjit_concolic::{
     AbstractState, CurationReason, ExplorationResult, ExploredPath, InstrUnderTest, ObjShape,
     ObjectDump, PathOutcome, ReplayStep, SendRecord, VarRole,
@@ -816,7 +816,15 @@ impl Wire for CompiledCode {
         e.u32(self.ntemps);
     }
     fn dec(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(CompiledCode { code: d.bytes()?.to_vec(), isa: Isa::dec(d)?, ntemps: d.u32()? })
+        let (code, isa) = (d.bytes()?.to_vec(), Isa::dec(d)?);
+        // The compilers emit one temp per frame slot; a larger count
+        // would size the replayed frame off a corrupted word.
+        match d.u32()? {
+            ntemps if ntemps <= MethodHeader::MAX_FRAME_TEMPS => {
+                Ok(CompiledCode { code, isa, ntemps })
+            }
+            _ => Err(WireError::BadLength),
+        }
     }
 }
 

@@ -158,6 +158,15 @@ impl LoadStats {
         }
     }
 
+    /// Entries in an accepted section, from its leading entry count.
+    pub fn count(&self, s: Section) -> usize {
+        match s {
+            Section::Explorations => self.explorations,
+            Section::Code => self.code,
+            Section::Outcomes => self.outcomes,
+        }
+    }
+
     /// Records that an accepted section failed to decode: its entries
     /// no longer count, and a warning says it runs cold.
     pub fn decode_failed(&mut self, s: Section) {
@@ -247,6 +256,12 @@ impl Image {
     /// absent, stale or damaged).
     pub fn payload(&self, s: Section) -> Option<&[u8]> {
         self.sections[s as usize].as_ref().map(|a| &self.bytes[a.payload.clone()])
+    }
+
+    /// Drops an accepted section whose payload turned out not to
+    /// decode, so that no rebuild reuses its bytes.
+    pub fn reject(&mut self, s: Section) {
+        self.sections[s as usize] = None;
     }
 
     fn decode<T: Wire>(&self, s: Section) -> Option<Result<Vec<T>, WireError>> {

@@ -36,9 +36,9 @@
 //! but decodes no section; the campaign decodes the outcomes at
 //! attach, and the exploration and code sections only on its first
 //! pipeline miss. Saving reuses the loaded payload bytes of every
-//! section that gained nothing since it was loaded or last written
-//! ([`Image::rebuild`]), so re-saving an unchanged corpus re-encodes
-//! nothing and still compares the result against the bytes on disk.
+//! section that gained nothing since it was loaded ([`Image::rebuild`]),
+//! so re-saving an unchanged corpus re-encodes nothing and still
+//! compares the result against the bytes on disk.
 
 pub mod codec;
 pub mod file;

@@ -20,8 +20,9 @@ pub enum WireError {
     /// An enum tag, index or flag byte had no meaning.
     BadTag(&'static str),
     /// A collection length larger than the remaining input could
-    /// possibly encode (corruption guard: prevents pre-allocating
-    /// gigabytes off a flipped length byte).
+    /// possibly encode, or a count no encoder writes (corruption
+    /// guard: prevents allocating gigabytes off a flipped length
+    /// byte).
     BadLength,
     /// A string payload was not UTF-8.
     BadUtf8,

@@ -10,16 +10,21 @@
 //! the bytes `save_corpus` leaves on disk equal `file::encode` of the
 //! previous file, fully decoded, merged with everything the campaign
 //! holds.
+//!
+//! A corpus file is untrusted input. The last tests flip bits inside
+//! its payloads and re-seal the section checksums, so that the damage
+//! reaches the decoders and the campaign; neither may panic or abort.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use igjit::{
     Campaign, CampaignConfig, CampaignReport, CompilerKind, ExplorationCache, Explorer,
-    InstrUnderTest, Isa, NativeMethodId, Target,
+    InstrUnderTest, Instruction, Isa, NativeMethodId, Target,
 };
 use igjit_corpus::{Corpus, Image, SaveOutcome, Section};
+use proptest::prelude::*;
 
 fn assert_row_identical(a: &CampaignReport, b: &CampaignReport) {
     assert_eq!(a.row, b.row);
@@ -274,14 +279,14 @@ fn golden_save_with_a_non_empty_shared_exploration_cache() {
     let shared = Arc::new(ExplorationCache::new());
     shared.get_or_explore(&Explorer::new(), InstrUnderTest::Native(NativeMethodId(1)), false);
     let warm = Campaign::with_exploration_cache(config(Some(scratch.0.clone())), Arc::clone(&shared));
-    // A non-empty shared cache gets the file's entries at attach, as
-    // it always has.
-    let file_entries = warm.corpus_load_stats().expect("corpus attached").explorations;
-    assert_eq!(shared.len(), file_entries + 1);
-    assert!(!warm.code_cache().is_empty());
     let report = warm.run_bytecodes(CompilerKind::SimpleStackBased);
     let saved = warm.save_corpus().expect("corpus attached").expect("save succeeds");
     assert!(matches!(saved, SaveOutcome::Written { .. }), "the native exploration is new");
+    // The fully warm row decoded nothing; the save brought the file's
+    // entries into the shared cache so that it writes the union.
+    let file_entries = warm.corpus_load_stats().expect("corpus attached").explorations;
+    assert_eq!(shared.len(), file_entries + 1);
+    assert!(!warm.code_cache().is_empty());
     assert_eq!(read(&scratch.0), merged_encoding(&before, &warm, &[(SIMPLE, &report)]));
 }
 
@@ -305,9 +310,97 @@ fn golden_save_twice_in_a_row() {
     let second = read(&scratch.0);
     assert_eq!(second, merged_encoding(&first, &warm, &[(STACK, &stack), (NATIVE, &natives)]));
 
-    // Nothing new since: the written image is the baseline, and the
-    // file is left alone.
+    // Nothing new since: the save encodes what is already on disk,
+    // and the file is left alone.
     let saved = warm.save_corpus().expect("corpus attached").expect("save succeeds");
     assert_eq!(saved, SaveOutcome::Unchanged);
     assert_eq!(read(&scratch.0), second);
+}
+
+// ---------------------------------------------------- re-sealed files
+
+/// A corpus file holding one campaign's run of `Add` on
+/// StackToRegister (every section populated), built once.
+fn add_corpus() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let scratch = ScratchCorpus::new("add");
+        let campaign = Campaign::new(config(Some(scratch.0.clone())));
+        campaign.test_bytecode_instruction(Instruction::Add, CompilerKind::StackToRegister);
+        campaign.save_corpus().expect("corpus attached").expect("save succeeds");
+        read(&scratch.0)
+    })
+}
+
+/// Recomputes the checksum of the section whose payload lies at
+/// `payload`, as a writer would. The checksum sits in the 8 bytes
+/// before the payload.
+fn reseal(bytes: &mut [u8], payload: std::ops::Range<usize>) {
+    let sum = igjit_corpus::wire::checksum(&bytes[payload.clone()]);
+    bytes[payload.start - 8..payload.start].copy_from_slice(&sum.to_le_bytes());
+}
+
+#[test]
+fn resealed_out_of_range_ntemps_is_rejected_at_decode() {
+    let mut bytes = add_corpus().to_vec();
+    let fps = fingerprints();
+    let code = payload_range(&bytes, Section::Code);
+    let (image, _) = Image::parse(bytes.clone(), &fps);
+    let entries = image.code().expect("code accepted").expect("code decodes");
+    let (key, artifact) =
+        entries.iter().find(|(_, artifact)| artifact.is_ok()).expect("a compiled artifact");
+    // An entry is its key, then its value; a compiled artifact's value
+    // ends with its u32 temp count.
+    let entry = [igjit_corpus::to_bytes(key), igjit_corpus::to_bytes(artifact)].concat();
+    let at = bytes[code.clone()]
+        .windows(entry.len())
+        .position(|w| w == entry)
+        .expect("the entry lies in the payload");
+    let ntemps = code.start + at + entry.len() - 4;
+    bytes[ntemps..ntemps + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    reseal(&mut bytes, code);
+
+    let (image, stats) = Image::parse(bytes.clone(), &fps);
+    assert!(stats.warnings.is_empty(), "the re-sealed section passes its checksum: {stats:?}");
+    assert!(matches!(image.code(), Some(Err(_))), "an out-of-range temp count must not decode");
+    let (corpus, stats) = igjit_corpus::file::decode(&bytes, &fps);
+    assert!(corpus.code.is_empty());
+    assert!(stats.warnings.contains(&Section::Code.decode_warning()), "{stats:?}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// A bit flip inside any payload, re-sealed, decodes and runs
+    /// without a panic or an abort. Verdicts may change: a re-sealed
+    /// exploration is a different, well-formed one.
+    #[test]
+    fn prop_resealed_bit_flip_never_panics(
+        section in 0usize..3,
+        pos in any::<u32>(),
+        bit in 0u8..8,
+    ) {
+        let mut bytes = add_corpus().to_vec();
+        let section = Section::ALL[section];
+        let payload = payload_range(&bytes, section);
+        let outcomes = payload_range(&bytes, Section::Outcomes);
+        bytes[payload.start + pos as usize % payload.len()] ^= 1 << bit;
+        reseal(&mut bytes, payload);
+        if section != Section::Outcomes {
+            // A stale outcome section sends the campaign down the
+            // pipeline, through the flipped explorations or code.
+            bytes[outcomes.start - 24] ^= 0x01;
+        }
+        let _ = igjit_corpus::file::decode(&bytes, &fingerprints());
+
+        let scratch = ScratchCorpus::new("resealed");
+        std::fs::write(&scratch.0, &bytes).expect("write the flipped corpus");
+        let campaign = Campaign::new(config(Some(scratch.0.clone())));
+        let outcome =
+            campaign.test_bytecode_instruction(Instruction::Add, CompilerKind::StackToRegister);
+        prop_assert_eq!(outcome.oracle_panics, 0);
+        if section != Section::Outcomes {
+            prop_assert!(!campaign.code_cache().is_empty(), "the pipeline ran");
+        }
+    }
 }
