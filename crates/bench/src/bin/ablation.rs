@@ -70,7 +70,7 @@ fn main() {
 
     println!("\n== ablation 3: exploration budget sweep ==");
     for budget in [4usize, 8, 16, 32, 64, 192] {
-        let explorer = Explorer { max_iterations: budget, max_path_len: 48, ..Explorer::new() };
+        let explorer = Explorer { max_iterations: budget, max_path_len: 48 };
         let mut paths = 0;
         for spec in instruction_catalog().into_iter().take(40) {
             paths += explorer.explore(InstrUnderTest::Bytecode(spec.instruction)).paths.len();

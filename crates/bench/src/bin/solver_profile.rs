@@ -22,6 +22,9 @@
 //! ```sh
 //! cargo run --release -p igjit-bench --bin solver_profile -- [rounds]
 //! ```
+//!
+//! `rounds` is a positive integer (default 12); anything else prints
+//! usage and exits 2, as does an unknown `IGJIT_*` variable.
 
 use std::time::{Duration, Instant};
 
@@ -31,6 +34,7 @@ use igjit_solver::{
 
 const VARS: usize = 8;
 const SOLVES_PER_ROUND: usize = 2000;
+const DEFAULT_ROUNDS: usize = 12;
 
 fn v(i: usize) -> VarId {
     VarId(i as u32)
@@ -101,8 +105,27 @@ fn measure(rounds: usize, path: &[Constraint], hypothesis: &Constraint) -> f64 {
     best.as_secs_f64() * 1e6 / SOLVES_PER_ROUND as f64
 }
 
+/// The round count from the arguments after the program name: none
+/// means [`DEFAULT_ROUNDS`], one must be a positive decimal integer.
+fn parse_rounds(args: &[String]) -> Result<usize, String> {
+    match args {
+        [] => Ok(DEFAULT_ROUNDS),
+        [arg] => match arg.parse::<usize>() {
+            Ok(n) if n > 0 && arg.bytes().all(|b| b.is_ascii_digit()) => Ok(n),
+            _ => Err(format!("rounds must be a positive integer, got {arg:?}")),
+        },
+        _ => Err(format!("expected at most one argument, got {}", args.len())),
+    }
+}
+
 fn main() {
-    let rounds: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(12);
+    let _mutant = igjit_bench::arm_mutant_from_env();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let rounds = parse_rounds(&args).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        eprintln!("usage: solver_profile [rounds]  (a positive integer, default {DEFAULT_ROUNDS})");
+        std::process::exit(2);
+    });
     // Refuted by interval propagation against `x ∈ [0, 100]`.
     let refuted = Constraint::And(vec![
         Constraint::kind_is(v(0), Kind::SmallInt),
@@ -139,4 +162,24 @@ fn main() {
          pool {}/{} hit/miss",
         ts.trail_marks, ts.undone_ops, ts.pool_hits, ts.pool_misses
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<usize, String> {
+        parse_rounds(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn rounds_must_be_one_positive_integer() {
+        assert_eq!(parse(&[]), Ok(DEFAULT_ROUNDS));
+        assert_eq!(parse(&["1"]), Ok(1));
+        assert_eq!(parse(&["30"]), Ok(30));
+        for bad in ["0", "abc", "-3", "+3", "", " 3", "3.0", "99999999999999999999999"] {
+            assert!(parse(&[bad]).is_err(), "{bad:?} accepted");
+        }
+        assert!(parse(&["3", "4"]).is_err());
+    }
 }

@@ -311,39 +311,6 @@ impl Instruction {
         }
     }
 
-    /// The *exploration representative* of this instruction: the
-    /// family member whose concolic path tree is structurally
-    /// identical up to the immediate operand, so one exploration per
-    /// representative can be replayed for every member.
-    ///
-    /// Only immediates that provably never enter a path condition are
-    /// abstracted: jump displacements (the displacement is an exit
-    /// payload, never a constraint), pushed constants, and the
-    /// constant-return group. Index-carrying forms (`PushTemp(n)`,
-    /// slot stores, …) keep their operand — the index appears in
-    /// recorded bounds constraints, so their trees genuinely differ.
-    ///
-    /// Sharing stays sound even if a mapping here were too eager: the
-    /// family replay verifies the member's recorded constraints and
-    /// exit shapes against the representative's and falls back to a
-    /// full exploration on any mismatch.
-    pub fn family_rep(self) -> Instruction {
-        use Instruction as I;
-        match self {
-            I::PushTrue | I::PushFalse | I::PushNil | I::PushZero | I::PushOne
-            | I::PushMinusOne | I::PushTwo => I::PushTrue,
-            I::PushInteger(_) => I::PushInteger(2),
-            I::ReturnTrue | I::ReturnFalse | I::ReturnNil => I::ReturnTrue,
-            I::ShortJumpForward(_) => I::ShortJumpForward(1),
-            I::ShortJumpTrue(_) => I::ShortJumpTrue(1),
-            I::ShortJumpFalse(_) => I::ShortJumpFalse(1),
-            I::LongJumpForward(_) => I::LongJumpForward(2),
-            I::LongJumpTrue(_) => I::LongJumpTrue(2),
-            I::LongJumpFalse(_) => I::LongJumpFalse(2),
-            other => other,
-        }
-    }
-
     /// Whether this instruction is a conditional or unconditional jump.
     pub fn is_jump(self) -> bool {
         matches!(
@@ -397,42 +364,5 @@ mod tests {
         assert!(Instruction::ShortJumpForward(3).is_jump());
         assert!(Instruction::LongJumpFalse(10).is_jump());
         assert!(!Instruction::Add.is_jump());
-    }
-
-    #[test]
-    fn family_reps_abstract_only_constraint_free_immediates() {
-        // Constant pushes collapse onto one representative.
-        assert_eq!(Instruction::PushNil.family_rep(), Instruction::PushTrue);
-        assert_eq!(Instruction::PushZero.family_rep(), Instruction::PushTrue);
-        assert_eq!(
-            Instruction::PushInteger(-7).family_rep(),
-            Instruction::PushInteger(2)
-        );
-        // Jump displacements never enter a path condition.
-        assert_eq!(
-            Instruction::ShortJumpTrue(8).family_rep(),
-            Instruction::ShortJumpTrue(1)
-        );
-        assert_eq!(
-            Instruction::LongJumpForward(-3).family_rep(),
-            Instruction::LongJumpForward(2)
-        );
-        // Indexed accesses keep their operand: the index appears in
-        // bounds constraints, so the trees genuinely differ.
-        assert_eq!(
-            Instruction::PushTemp(3).family_rep(),
-            Instruction::PushTemp(3)
-        );
-        assert_eq!(
-            Instruction::PushReceiverVariable(1).family_rep(),
-            Instruction::PushReceiverVariable(1)
-        );
-        // A representative is its own representative (idempotence),
-        // and never leaves the member's family.
-        for spec in crate::instruction_catalog() {
-            let rep = spec.instruction.family_rep();
-            assert_eq!(rep.family_rep(), rep);
-            assert_eq!(rep.family(), spec.instruction.family());
-        }
     }
 }

@@ -159,28 +159,6 @@ pub enum CurationReason {
     Budget,
 }
 
-/// One executed node of a negation walk, recorded (in walk order) so
-/// a family member can *replay* its representative's exploration:
-/// re-run the member's instruction against the same solver models and
-/// verify the recorded tree shape holds, instead of re-solving the
-/// whole tree.
-#[derive(Clone, Debug)]
-pub struct ReplayStep {
-    /// The model the node's concrete frame was built from.
-    pub model: Model,
-    /// The path condition execution recorded (post-truncation).
-    pub constraints: Vec<Constraint>,
-    /// Outcome discriminant (payloads are member-specific and are
-    /// recomputed by the replay, e.g. jump displacements).
-    pub disc: u8,
-    /// The curation reason when the outcome was `Unsupported`.
-    pub unsupported: Option<&'static str>,
-    /// Whether this node survived path dedup and stored a path
-    /// (`false` for signature-duplicate nodes that only burned an
-    /// iteration).
-    pub stored: bool,
-}
-
 /// The result of exploring one instruction.
 #[derive(Clone, Debug)]
 pub struct ExplorationResult {
@@ -208,11 +186,6 @@ pub struct ExplorationResult {
     /// function of the exploration, so attaching it to the shared
     /// result lets every compiler target reuse one probe pass.
     pub probe_models: Vec<Vec<Model>>,
-    /// The walk-order execution log, present only when the explorer
-    /// ran with [`Explorer::record_replay`] — the exploration cache
-    /// records it on family representatives so members can replay
-    /// them.
-    pub replay_log: Option<Vec<ReplayStep>>,
     /// Time spent materializing frames and concretely executing the
     /// instruction inside the negation walk — a sub-slice of the
     /// campaign's `explore` stage, attributed separately so the stage
@@ -273,9 +246,6 @@ pub struct Explorer {
     pub max_iterations: usize,
     /// Max recorded path length considered for negation.
     pub max_path_len: usize,
-    /// Record a [`ReplayStep`] per executed node (family-sharing
-    /// support; costs one model clone per node, so off by default).
-    pub record_replay: bool,
 }
 
 impl Default for Explorer {
@@ -290,7 +260,6 @@ impl Explorer {
         Explorer {
             max_iterations: 192,
             max_path_len: 48,
-            record_replay: false,
         }
     }
 
@@ -346,7 +315,6 @@ impl Explorer {
             curated_out: Vec::new(),
             iterations: 0,
             budget_noted: false,
-            replay: Vec::new(),
             scratch: None,
             run_time: Duration::ZERO,
         };
@@ -359,7 +327,6 @@ impl Explorer {
             solver: walk.session.stats(),
             trail: walk.session.trail_stats(),
             probe_models: Vec::new(),
-            replay_log: self.record_replay.then_some(walk.replay),
             walk_run: walk.run_time,
             probe_solve: Duration::ZERO,
         }
@@ -389,8 +356,6 @@ struct NegationWalk<'e, F> {
     curated_out: Vec<CurationReason>,
     iterations: usize,
     budget_noted: bool,
-    /// Walk-order replay log (only fed when `record_replay` is on).
-    replay: Vec<ReplayStep>,
     /// Scratch heap reused across visits (reset to fresh each time)
     /// so the walk does not pay an arena allocation per node.
     scratch: Option<ObjectMemory>,
@@ -453,21 +418,7 @@ where
         path.truncate(self.explorer.max_path_len);
         let path = path;
 
-        let disc = discriminant_of(&outcome);
-        let is_new = self.visited.insert(path_signature(&path, disc));
-        if self.explorer.record_replay {
-            self.replay.push(ReplayStep {
-                model: model.clone(),
-                constraints: path.clone(),
-                disc,
-                unsupported: match outcome {
-                    PathOutcome::Unsupported { reason } => Some(reason),
-                    _ => None,
-                },
-                stored: is_new,
-            });
-        }
-        if !is_new {
+        if !self.visited.insert(path_signature(&path, discriminant_of(&outcome))) {
             self.session.recycle_model(model);
             self.scratch = Some(mem);
             return;
@@ -509,11 +460,9 @@ where
     }
 }
 
-/// Snapshots a frame's oracle outputs — operand stack, temps and the
-/// post-state of every live materialized input object — shared by the
-/// negation walk and the family-replay path so both produce
-/// byte-identical [`ExploredPath`] rows.
-pub(crate) fn snapshot_outputs(
+/// Snapshots a frame's oracle outputs: operand stack, temps and the
+/// post-state of every live materialized input object.
+fn snapshot_outputs(
     frame: &igjit_interp::Frame<SymOop>,
     mem: &ObjectMemory,
     var_oops: &igjit_heap::fxhash::FxHashMap<VarId, Oop>,
@@ -545,7 +494,7 @@ pub(crate) fn snapshot_outputs(
     (output_stack, output_temps, object_dumps)
 }
 
-pub(crate) fn discriminant_of(o: &PathOutcome) -> u8 {
+fn discriminant_of(o: &PathOutcome) -> u8 {
     match o {
         PathOutcome::Success => 0,
         PathOutcome::Jump { .. } => 1,
@@ -575,7 +524,7 @@ fn run_sequence(
     PathOutcome::Success
 }
 
-pub(crate) fn convert_step(outcome: StepOutcome<SymOop>) -> PathOutcome {
+fn convert_step(outcome: StepOutcome<SymOop>) -> PathOutcome {
     match outcome {
         StepOutcome::Continue => PathOutcome::Success,
         StepOutcome::Jump { displacement } => PathOutcome::Jump { displacement },
@@ -812,21 +761,6 @@ mod tests {
             Explorer::new().explore_sequence(&[]).err(),
             Some(ExploreError::EmptySequence)
         );
-    }
-
-    #[test]
-    fn replay_log_covers_every_stored_path() {
-        let mut ex = Explorer::new();
-        ex.record_replay = true;
-        let r = ex.explore(InstrUnderTest::Bytecode(Instruction::Add));
-        let log = r.replay_log.as_ref().expect("log recorded");
-        let stored: Vec<_> = log.iter().filter(|s| s.stored).collect();
-        assert_eq!(stored.len(), r.paths.len());
-        for (step, path) in stored.iter().zip(&r.paths) {
-            assert_eq!(step.constraints, path.constraints);
-            assert_eq!(step.model, path.model);
-            assert_eq!(step.disc, discriminant_of(&path.outcome));
-        }
     }
 
     #[test]

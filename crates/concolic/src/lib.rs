@@ -28,6 +28,12 @@
 //! a failing path — failure exits are first-class results, because the
 //! differential tester needs them (§2.2).
 //!
+//! Campaigns take their explorations from the [`ExplorationCache`],
+//! the one place an exploration comes from: it explores each
+//! instruction once, in full, attaches the kind-probe models
+//! ([`probe_models`]) when probing is on, and shares the result with
+//! every compiler target and worker (§5.4).
+//!
 //! ## Example
 //!
 //! ```
@@ -45,7 +51,6 @@
 #![forbid(unsafe_code)]
 
 mod explore;
-mod family;
 mod materialize;
 mod probes;
 mod state;
@@ -54,9 +59,9 @@ mod cache;
 mod trace;
 
 pub use cache::{CacheLookup, ExplorationCache, ExplorationKey};
-pub use probes::{probe_models, probe_models_with_stats, DEFAULT_MAX_PROBES};
+pub use probes::{probe_models, DEFAULT_MAX_PROBES};
 pub use explore::{CurationReason, ExplorationResult, ExploreError, Explorer, ExploredPath,
-                  InstrUnderTest, ObjectDump, PathOutcome, ReplayStep, SendRecord};
+                  InstrUnderTest, ObjectDump, PathOutcome, SendRecord};
 pub use materialize::{materialize_base, materialize_frame, materialize_shared, BaseImage,
                       MaterializedFrame, WitnessError};
 pub use state::{byte_kinds, class_for_kind, kind_for_class, pointer_slot_kinds, AbstractState,

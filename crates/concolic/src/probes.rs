@@ -15,8 +15,7 @@
 
 use crate::{AbstractState, ExploredPath};
 use igjit_solver::{
-    CmpOp, Constraint, Kind, KindSet, LinExpr, Model, PreparedConstraint, Session, SessionStats,
-    TrailStats, VarId,
+    CmpOp, Constraint, Kind, KindSet, LinExpr, Model, PreparedConstraint, Session, VarId,
 };
 
 /// Kinds tried for each probed variable.
@@ -54,20 +53,6 @@ fn static_kinds(constraints: &[Constraint], var: VarId) -> KindSet {
         narrow(c, var, &mut acc);
     }
     acc
-}
-
-/// [`probe_models`], also reporting the incremental-solver work
-/// counters and undo-trail counters (for the campaign metrics).
-pub fn probe_models_with_stats(
-    state: &AbstractState,
-    path: &ExploredPath,
-    max_probes: usize,
-) -> (Vec<Model>, SessionStats, TrailStats) {
-    let mut session = Session::new();
-    session.set_reuse_models(true);
-    let plan = ProbePlan::new(state);
-    let models = probe_path(&mut session, state, &plan, path, max_probes);
-    (models, session.stats(), session.trail_stats())
 }
 
 /// The candidate hypotheses for one exploration, built once and tried
@@ -153,7 +138,7 @@ impl ProbePlan {
 /// (plus [`Session::clear_cached_model`]) and pay variable sync and
 /// constraint normalization once per exploration instead of once per
 /// path — returning, by the session determinism contract, exactly
-/// what the fresh-session wrapper above returns.
+/// what the fresh-session [`probe_models`] returns.
 ///
 /// Model reuse is safe here: a revalidated model satisfies the path
 /// condition *and* the hypothesis, so it drives the interpreter down
@@ -230,7 +215,10 @@ pub(crate) fn probe_path(
 /// concretized arithmetic records no sign constraints). The base model
 /// is always first.
 pub fn probe_models(state: &AbstractState, path: &ExploredPath, max_probes: usize) -> Vec<Model> {
-    probe_models_with_stats(state, path, max_probes).0
+    let mut session = Session::new();
+    session.set_reuse_models(true);
+    let plan = ProbePlan::new(state);
+    probe_path(&mut session, state, &plan, path, max_probes)
 }
 
 #[cfg(test)]

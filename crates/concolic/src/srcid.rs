@@ -13,7 +13,6 @@
 pub const SRC_FILES: &[&str] = &[
     "cache.rs",
     "explore.rs",
-    "family.rs",
     "lib.rs",
     "materialize.rs",
     "probes.rs",
@@ -26,7 +25,6 @@ pub const SRC_FILES: &[&str] = &[
 const SRC_BYTES: &[&[u8]] = &[
     include_bytes!("cache.rs"),
     include_bytes!("explore.rs"),
-    include_bytes!("family.rs"),
     include_bytes!("lib.rs"),
     include_bytes!("materialize.rs"),
     include_bytes!("probes.rs"),

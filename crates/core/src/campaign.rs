@@ -29,11 +29,11 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use igjit_bytecode::{instruction_catalog, Instruction};
-use igjit_concolic::{ExplorationCache, Explorer, InstrUnderTest};
+use igjit_concolic::{ExplorationCache, InstrUnderTest};
 use igjit_corpus::{encode_section, Image, OutcomeKey, Section};
 use igjit_difftest::{
-    test_instruction_with, CampaignRow, DefectCategory, ExploreCost, InstructionOutcome,
-    SnapshotStats, StageTimes, Target,
+    test_instruction_with, CampaignRow, DefectCategory, InstructionOutcome, SnapshotStats,
+    StageTimes, Target,
 };
 use igjit_interp::{native_catalog, NativeMethodId};
 use igjit_jit::{CodeCache, CompilerKind};
@@ -119,12 +119,10 @@ pub struct Metrics {
     pub cache_hits: usize,
     /// Exploration-cache misses (explorations actually run).
     pub cache_misses: usize,
-    /// Cache misses served by verified family replay instead of a
-    /// full negation-tree exploration.
+    /// Always zero: every exploration-cache miss explores in full.
+    /// Kept so readers of the work counters (the benchmark's
+    /// `concolic.family_hits`) keep their field.
     pub family_hits: usize,
-    /// Family replays that failed verification and fell back to a
-    /// full exploration.
-    pub family_fallbacks: usize,
     /// Compiled-code-cache hits (lookups answered without compiling).
     pub compile_hits: usize,
     /// Compiled-code-cache misses (compiler invocations actually run).
@@ -187,8 +185,6 @@ impl Metrics {
         self.stages_max.merge(&other.stages_max);
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
-        self.family_hits += other.family_hits;
-        self.family_fallbacks += other.family_fallbacks;
         self.compile_hits += other.compile_hits;
         self.compile_misses += other.compile_misses;
         self.corpus_hits += other.corpus_hits;
@@ -246,8 +242,7 @@ impl Metrics {
             concat!(
                 "{{\"threads\":{},\"instructions\":{},\"wall_clock_ms\":{:.3},",
                 "\"witness_errors\":{},\"oracle_panics\":{},",
-                "\"cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.4},",
-                "\"family_hits\":{},\"family_fallbacks\":{}}},",
+                "\"cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.4}}},",
                 "\"compile_cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.4}}},",
                 "\"corpus\":{{\"hits\":{},\"misses\":{}}},",
                 "\"solver\":{{\"solves\":{},\"sat\":{},\"unsat\":{},\"nodes_visited\":{},",
@@ -267,8 +262,6 @@ impl Metrics {
             self.cache_hits,
             self.cache_misses,
             self.cache_hit_rate(),
-            self.family_hits,
-            self.family_fallbacks,
             self.compile_hits,
             self.compile_misses,
             self.compile_hit_rate(),
@@ -660,27 +653,22 @@ impl Campaign {
             }
             state.preload(&self.cache, &self.code_cache);
         }
-        let lookup = self.cache.get_or_explore(&Explorer::new(), instr, self.config.probes);
-        let (outcome, mut stages, mut solver, mut trail) = test_instruction_with(
+        let lookup = self.cache.get_or_explore(instr, self.config.probes);
+        let (outcome, mut stages) = test_instruction_with(
             instr,
             target,
             &self.config.isas,
-            self.config.probes,
-            &lookup.exploration,
-            ExploreCost {
-                total: lookup.explore_time,
-                walk_run: lookup.walk_run,
-                probe_solve: lookup.probe_solve,
-            },
+            &lookup,
             &self.code_cache,
             &self.meta_cache,
         );
-        // Exploration solver work is charged once, to the run that
-        // actually explored; a cache hit did no exploration solving.
-        if !lookup.hit {
-            solver.merge(&lookup.exploration.solver);
-            trail.merge(&lookup.exploration.trail);
-        }
+        // Exploration solver work (probing included) is charged once,
+        // to the run that actually explored; a cache hit did none.
+        let (solver, trail) = if lookup.hit {
+            (SessionStats::default(), TrailStats::default())
+        } else {
+            (lookup.exploration.solver, lookup.exploration.trail)
+        };
         let elapsed = t0.elapsed();
         // The stages split `test_instruction_with`'s clock; what is
         // left — the exploration-cache lookup around it — lands in
@@ -711,7 +699,6 @@ impl Campaign {
         let threads = self.config.threads.clamp(1, items.len().max(1));
         let wall0 = Instant::now();
         let compile_lookups0 = (self.code_cache.hits(), self.code_cache.misses());
-        let family0 = (self.cache.family_hits(), self.cache.family_fallbacks());
         let done = AtomicUsize::new(0);
         let total = items.len();
         let report_progress = |name: &str| {
@@ -832,8 +819,6 @@ impl Campaign {
         }
         metrics.compile_hits = self.code_cache.hits() - compile_lookups0.0;
         metrics.compile_misses = self.code_cache.misses() - compile_lookups0.1;
-        metrics.family_hits = self.cache.family_hits() - family0.0;
-        metrics.family_fallbacks = self.cache.family_fallbacks() - family0.1;
         metrics.wall_clock = wall0.elapsed();
         // Batch-level driver overhead (scheduling, result collection,
         // report assembly) goes to `other` so the stage accounting sums

@@ -21,7 +21,7 @@ use crate::wire::{Decoder, Encoder, WireError};
 use igjit_bytecode::{Instruction, MethodHeader, SpecialSelector};
 use igjit_concolic::{
     AbstractState, CurationReason, ExplorationResult, ExploredPath, InstrUnderTest, ObjShape,
-    ObjectDump, PathOutcome, ReplayStep, SendRecord, VarRole,
+    ObjectDump, PathOutcome, SendRecord, VarRole,
 };
 use igjit_difftest::{
     CauseKey, DefectCategory, Difference, DifferenceKind, InstructionOutcome, PathVerdict,
@@ -626,25 +626,6 @@ impl Wire for CurationReason {
     }
 }
 
-impl Wire for ReplayStep {
-    fn enc(&self, e: &mut Encoder) {
-        self.model.enc(e);
-        self.constraints.enc(e);
-        e.u8(self.disc);
-        self.unsupported.enc(e);
-        e.bool(self.stored);
-    }
-    fn dec(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(ReplayStep {
-            model: Model::dec(d)?,
-            constraints: Vec::dec(d)?,
-            disc: d.u8()?,
-            unsupported: Option::dec(d)?,
-            stored: d.bool()?,
-        })
-    }
-}
-
 impl Wire for VarRole {
     fn enc(&self, e: &mut Encoder) {
         e.u8(match self {
@@ -708,7 +689,6 @@ impl Wire for ExplorationResult {
         e.usize(self.iterations);
         self.solver.enc(e);
         self.probe_models.enc(e);
-        self.replay_log.enc(e);
     }
     fn dec(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(ExplorationResult {
@@ -718,7 +698,6 @@ impl Wire for ExplorationResult {
             iterations: d.usize()?,
             solver: SessionStats::dec(d)?,
             probe_models: Vec::dec(d)?,
-            replay_log: Option::dec(d)?,
             // Timings and trail counters are run diagnostics, not
             // results: a corpus hit costs no walk, probe or trail
             // work, so they are not on the wire.

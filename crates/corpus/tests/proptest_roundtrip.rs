@@ -4,12 +4,12 @@
 //! of that file must degrade (cold sections, warnings) without ever
 //! panicking or inventing entries.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use igjit_bytecode::Instruction;
-use igjit_concolic::{Explorer, InstrUnderTest};
+use igjit_concolic::{ExplorationCache, InstrUnderTest};
 use igjit_corpus::{from_bytes, to_bytes, Corpus, Fingerprints, Image, Section};
-use igjit_difftest::{test_instruction_with, ExploreCost, Target};
+use igjit_difftest::{test_instruction_with, Target};
 use igjit_jit::{CodeCache, CompilerKind};
 use igjit_machine::Isa;
 use igjit_metajit::MetaCache;
@@ -109,20 +109,18 @@ fn sample_corpus_bytes(fp: &Fingerprints) -> Vec<u8> {
     let corpus = SAMPLE.get_or_init(|| {
         let instr = InstrUnderTest::Bytecode(Instruction::Add);
         let target = Target::Bytecode(CompilerKind::StackToRegister);
-        let exploration = Explorer::new().explore(instr);
+        let lookup = ExplorationCache::new().get_or_explore(instr, false);
         let code_cache = CodeCache::new();
-        let (outcome, ..) = test_instruction_with(
+        let (outcome, _) = test_instruction_with(
             instr,
             target,
             &[Isa::X86ish],
-            false,
-            &exploration,
-            ExploreCost::cached(),
+            &lookup,
             &code_cache,
             &MetaCache::new(),
         );
         Corpus {
-            explorations: vec![((instr, false), Arc::new(exploration))],
+            explorations: vec![((instr, false), lookup.exploration)],
             code: code_cache
                 .snapshot()
                 .into_iter()

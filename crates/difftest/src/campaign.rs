@@ -1,14 +1,11 @@
 //! The per-instruction differential campaign.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use igjit_concolic::{
-    probe_models_with_stats, CurationReason, ExplorationResult, Explorer, InstrUnderTest,
-};
+use igjit_concolic::{CacheLookup, CurationReason, ExplorationCache, InstrUnderTest};
 use igjit_jit::{CodeCache, CompilerKind};
 use igjit_machine::Isa;
 use igjit_metajit::MetaCache;
-use igjit_solver::{Model, SessionStats, TrailStats};
 
 use crate::classify::CauseKey;
 use crate::compare::Verdict;
@@ -368,124 +365,64 @@ impl StageTimes {
     }
 }
 
-/// Wall-clock attribution of the exploration handed to
-/// [`test_instruction_with`]: the total the caller spent producing it
-/// (zero on a cache hit) plus the instrumented sub-slices the engine
-/// reported ([`ExplorationResult::walk_run`] /
-/// [`ExplorationResult::probe_solve`] — also zero on a hit, since a
-/// shared entry's work is charged exactly once, by the miss).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ExploreCost {
-    /// Wall-clock spent producing the exploration.
-    pub total: Duration,
-    /// Of `total`, the negation walk's materialize + concrete-run time.
-    pub walk_run: Duration,
-    /// Of `total`, the kind-probe hypothesis solving time.
-    pub probe_solve: Duration,
-}
-
-impl ExploreCost {
-    /// The cost of an exploration served from a cache: zero all round.
-    pub fn cached() -> ExploreCost {
-        ExploreCost::default()
-    }
-}
-
 /// Runs the full differential pipeline for one instruction: concolic
 /// exploration, curation, (optional) kind probing, and a compiled run
 /// per ISA per model, compared against the interpreter oracle.
 ///
-/// Explores from scratch on every call. The campaign driver avoids
-/// that via [`test_instruction_with`] and a shared
-/// [`igjit_concolic::ExplorationCache`].
+/// Explores from scratch on every call, through a throwaway
+/// [`ExplorationCache`] — the one place an exploration comes from. The
+/// campaign driver shares one cache across targets and threads and
+/// calls [`test_instruction_with`] directly.
 pub fn test_instruction(
     instr: InstrUnderTest,
     target: Target,
     isas: &[Isa],
     enable_probes: bool,
 ) -> InstructionOutcome {
-    let t0 = Instant::now();
-    let exploration = Explorer::new().explore(instr);
-    let explore_cost = ExploreCost {
-        total: t0.elapsed(),
-        walk_run: exploration.walk_run,
-        probe_solve: exploration.probe_solve,
-    };
+    let lookup = ExplorationCache::new().get_or_explore(instr, enable_probes);
     let cache = CodeCache::disabled();
     let meta_cache = MetaCache::new();
-    let (outcome, _times, _solver, _trail) = test_instruction_with(
-        instr,
-        target,
-        isas,
-        enable_probes,
-        &exploration,
-        explore_cost,
-        &cache,
-        &meta_cache,
-    );
-    outcome
+    test_instruction_with(instr, target, isas, &lookup, &cache, &meta_cache).0
 }
 
-/// Runs the differential pipeline against an exploration produced (and
-/// possibly shared) by the caller, returning per-stage wall-clock and
-/// the probe solver's work counters next to the outcome.
+/// Runs the differential pipeline against an exploration looked up (and
+/// possibly shared) by the caller, returning per-stage wall-clock next
+/// to the outcome.
 ///
-/// `explore_cost` is the wall-clock the caller spent producing
-/// `exploration` (total plus the engine's instrumented sub-slices) —
-/// pass [`ExploreCost::cached`] when it came from a cache so the stage
-/// accounting reflects work actually done for this call.
+/// The lookup's explore time and sub-slices open the stage accounting
+/// (all zero on a cache hit, so a shared entry's work is charged once,
+/// by the miss). Each curated path is checked on the probe models the
+/// cache attached to the exploration, or on its base model when the
+/// exploration was looked up without probing.
 /// Compiled artifacts are looked up in `code_cache`, which the caller
 /// may share across instructions and threads.
 ///
 /// Every model of every curated path goes through one [`Harness`]:
 /// the differential step with one replay arena and the thread's
 /// simulator session for the whole call.
-#[allow(clippy::too_many_arguments)]
 pub fn test_instruction_with(
     instr: InstrUnderTest,
     target: Target,
     isas: &[Isa],
-    enable_probes: bool,
-    exploration: &ExplorationResult,
-    explore_cost: ExploreCost,
+    lookup: &CacheLookup,
     code_cache: &CodeCache,
     meta_cache: &MetaCache,
-) -> (InstructionOutcome, StageTimes, SessionStats, TrailStats) {
+) -> (InstructionOutcome, StageTimes) {
+    let exploration = &*lookup.exploration;
     let mut harness = Harness::new(target, isas, code_cache, meta_cache);
     let times = &mut harness.tally.times;
-    times.explore = explore_cost.total;
-    times.walk_run = explore_cost.walk_run;
-    times.probe_solve = explore_cost.probe_solve;
-    let mut solver = SessionStats::default();
-    let mut trail = TrailStats::default();
+    times.explore = lookup.explore_time;
+    times.walk_run = lookup.walk_run;
+    times.probe_solve = lookup.probe_solve;
     let program = Program::of(&instr);
     let curated = exploration.curated_paths();
     let mut verdicts = Vec::with_capacity(curated.len());
 
     for (pi, path) in curated.iter().enumerate() {
-        let mut probes_solved_here = false;
-        let models: std::borrow::Cow<'_, [Model]> = if !enable_probes {
-            std::borrow::Cow::Borrowed(std::slice::from_ref(&path.model))
-        } else if let Some(precomputed) = exploration.probe_models.get(pi) {
-            // The exploration cache precomputed probing for every
-            // curated path (same order as `curated`); its solver work
-            // is already in `exploration.solver`.
-            std::borrow::Cow::Borrowed(precomputed.as_slice())
-        } else {
-            let (models, probe_stats, probe_trail) = probe_models_with_stats(
-                &exploration.state,
-                path,
-                igjit_concolic::DEFAULT_MAX_PROBES,
-            );
-            solver.merge(&probe_stats);
-            trail.merge(&probe_trail);
-            probes_solved_here = true;
-            std::borrow::Cow::Owned(models)
+        let models = match exploration.probe_models.get(pi) {
+            Some(probed) => probed.as_slice(),
+            None => std::slice::from_ref(&path.model),
         };
-        let probe_split = harness.charge(|t| &mut t.explore);
-        if probes_solved_here {
-            harness.tally.times.probe_solve += probe_split;
-        }
         let mut verdict = PathVerdict::new(instr);
         for (mi, model) in models.iter().enumerate() {
             let checked = harness.check(&exploration.state, model, program, mi > 0, &mut verdict);
@@ -512,7 +449,7 @@ pub fn test_instruction_with(
         meta_trampolines: tally.meta.trampolined,
     };
     harness.charge(|t| &mut t.report);
-    (outcome, harness.finish().times, solver, trail)
+    (outcome, harness.finish().times)
 }
 
 #[cfg(test)]

@@ -20,10 +20,10 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 
 use igjit::{
-    Campaign, CampaignConfig, CampaignReport, CompilerKind, ExplorationCache, Explorer,
+    Campaign, CampaignConfig, CampaignReport, CompilerKind, ExplorationCache,
     InstrUnderTest, Instruction, Isa, NativeMethodId, Target,
 };
-use igjit_corpus::{Corpus, Image, SaveOutcome, Section};
+use igjit_corpus::{encode_section, Corpus, Image, SaveOutcome, Section};
 use proptest::prelude::*;
 
 fn assert_row_identical(a: &CampaignReport, b: &CampaignReport) {
@@ -257,6 +257,39 @@ fn golden_save_with_stale_outcomes_and_warm_explorations() {
 }
 
 #[test]
+fn golden_save_with_a_duplicate_exploration_key() {
+    let (scratch, before) = base_corpus("golden-duplicate");
+    let fps = fingerprints();
+    // Re-encode the exploration section with one entry listed twice;
+    // `encode_section` keeps both copies and the section still verifies.
+    let (image, _) = Image::parse(before, &fps);
+    let mut entries =
+        image.explorations().expect("explorations accepted").expect("explorations decode");
+    let distinct = entries.len();
+    entries.push(entries[0].clone());
+    let payload = encode_section(entries.iter().map(|(k, v)| (k, &**v)));
+    let mut bytes = image.rebuild(&fps, [Some(payload), None, None]).bytes().to_vec();
+    // A stale outcome section sends the row down the pipeline, which
+    // preloads the duplicated section.
+    let fingerprint_at = payload_range(&bytes, Section::Outcomes).start - 24;
+    bytes[fingerprint_at] ^= 0x01;
+    std::fs::write(&scratch.0, &bytes).expect("patch");
+
+    let warm = Campaign::new(config(Some(scratch.0.clone())));
+    let stats = warm.corpus_load_stats().expect("corpus attached");
+    assert_eq!((stats.explorations, stats.stale_sections), (distinct + 1, 1));
+    assert!(stats.warnings.is_empty(), "{:?}", stats.warnings);
+    let report = warm.run_bytecodes(CompilerKind::SimpleStackBased);
+    assert_eq!(report.metrics.cache_misses, 0, "explorations replay from the file");
+    assert_eq!(warm.cache().len(), distinct);
+    // The duplicate makes the section dirty: the save re-encodes it,
+    // deduplicated, instead of reusing the loaded bytes.
+    let saved = warm.save_corpus().expect("corpus attached").expect("save succeeds");
+    assert!(matches!(saved, SaveOutcome::Written { .. }));
+    assert_eq!(read(&scratch.0), merged_encoding(&bytes, &warm, &[(SIMPLE, &report)]));
+}
+
+#[test]
 fn golden_save_with_one_section_corrupted() {
     let (scratch, mut before) = base_corpus("golden-corrupt");
     let code = payload_range(&before, Section::Code);
@@ -277,7 +310,7 @@ fn golden_save_with_one_section_corrupted() {
 fn golden_save_with_a_non_empty_shared_exploration_cache() {
     let (scratch, before) = base_corpus("golden-shared");
     let shared = Arc::new(ExplorationCache::new());
-    shared.get_or_explore(&Explorer::new(), InstrUnderTest::Native(NativeMethodId(1)), false);
+    shared.get_or_explore(InstrUnderTest::Native(NativeMethodId(1)), false);
     let warm = Campaign::with_exploration_cache(config(Some(scratch.0.clone())), Arc::clone(&shared));
     let report = warm.run_bytecodes(CompilerKind::SimpleStackBased);
     let saved = warm.save_corpus().expect("corpus attached").expect("save succeeds");

@@ -84,7 +84,10 @@ fn shared_materialization_matches_a_cloned_state() {
     // The campaign materializes over the exploration's state without
     // cloning it. For every catalog instruction, curated path and probe
     // model, that must build the frame, variable map and heap that
-    // `materialize_frame` builds on a clone.
+    // `materialize_frame` builds on a clone. The models are the ones the
+    // exploration cache attaches in one batched probe session, which the
+    // campaign checks instead of probing per path: they must equal the
+    // per-path `probe_models` list.
     let explorer = Explorer::new();
     let instrs = instruction_catalog()
         .into_iter()
@@ -92,9 +95,14 @@ fn shared_materialization_matches_a_cloned_state() {
         .chain(native_catalog().into_iter().map(|s| InstrUnderTest::Native(s.id)));
     let mut models = 0usize;
     for instr in instrs {
-        let r = explorer.explore(instr);
-        for p in r.curated_paths() {
-            for model in probe_models(&r.state, p, DEFAULT_MAX_PROBES) {
+        let mut r = explorer.explore(instr);
+        r.attach_probe_models(DEFAULT_MAX_PROBES);
+        let curated = r.curated_paths();
+        assert_eq!(r.probe_models.len(), curated.len(), "{instr:?}");
+        for (pi, p) in curated.into_iter().enumerate() {
+            let per_path = probe_models(&r.state, p, DEFAULT_MAX_PROBES);
+            assert_eq!(r.probe_models[pi], per_path, "{instr:?} path {pi}");
+            for model in per_path {
                 let mut shared_mem = ObjectMemory::new();
                 let shared = materialize_shared(&r.state, &model, &mut shared_mem);
                 let mut cloned_mem = ObjectMemory::new();

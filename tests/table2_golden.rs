@@ -126,9 +126,8 @@ fn assert_reports_identical(a: &[CampaignReport], b: &[CampaignReport]) {
 
 /// The aggregate work counters a sweep records: solver solves, sat
 /// answers, nodes and pushes; code-cache hits and misses; heap
-/// restores and dirty words; exploration-cache hits, misses and family
-/// hits.
-fn work_counters(reports: &[CampaignReport]) -> [(&'static str, u64); 11] {
+/// restores and dirty words; exploration-cache hits and misses.
+fn work_counters(reports: &[CampaignReport]) -> [(&'static str, u64); 10] {
     let m = igjit::aggregate_metrics(reports);
     [
         ("solver.solves", m.solver.solves as u64),
@@ -141,7 +140,6 @@ fn work_counters(reports: &[CampaignReport]) -> [(&'static str, u64); 11] {
         ("snapshot.dirty_words", m.snapshot.dirty_words),
         ("cache.hits", m.cache_hits as u64),
         ("cache.misses", m.cache_misses as u64),
-        ("cache.family_hits", m.family_hits as u64),
     ]
 }
 
@@ -164,10 +162,6 @@ fn rows_match_the_golden_tuples() {
     assert_eq!(totals, [704, 2801, 2797, 506]);
     let m = igjit::aggregate_metrics(reports);
     assert_eq!(m.witness_errors + m.oracle_panics, 0);
-    // Family-shared exploration serves the immediate-parameterized
-    // opcode groups by verified replay, and no replay falls back.
-    assert!(m.family_hits >= 25, "{} family hits", m.family_hits);
-    assert_eq!(m.family_fallbacks, 0);
 }
 
 #[test]
