@@ -13,6 +13,7 @@ use igjit::{
     instruction_catalog, native_catalog, test_instruction, CompilerKind, DefectCategory,
     Explorer, InstrUnderTest, Isa, Target,
 };
+use igjit_bench::outln;
 
 fn defect_families(probes: bool, isas: &[Isa]) -> BTreeSet<DefectCategory> {
     let mut found = BTreeSet::new();
@@ -42,18 +43,18 @@ fn defect_families(probes: bool, isas: &[Isa]) -> BTreeSet<DefectCategory> {
 
 fn main() {
     let _mutant = igjit_bench::arm_mutant_from_env();
-    println!("== ablation 1: probing off vs on ==");
+    outln!("== ablation 1: probing off vs on ==");
     let both = [Isa::X86ish, Isa::Arm32ish];
     let without = defect_families(false, &both);
     let with = defect_families(true, &both);
-    println!("families found without probing: {}/6 {:?}", without.len(), without);
-    println!("families found with probing:    {}/6 {:?}", with.len(), with);
-    println!(
+    outln!("families found without probing: {}/6 {:?}", without.len(), without);
+    outln!("families found with probing:    {}/6 {:?}", with.len(), with);
+    outln!(
         "probing-only families: {:?}",
         with.difference(&without).collect::<Vec<_>>()
     );
 
-    println!("\n== ablation 2: single-ISA vs cross-ISA ==");
+    outln!("\n== ablation 2: single-ISA vs cross-ISA ==");
     for isas in [&[Isa::X86ish][..], &both[..]] {
         let mut diffs = 0;
         for id in [40u16, 41, 47, 52, 53, 14, 13] {
@@ -65,10 +66,10 @@ fn main() {
             );
             diffs += o.difference_count();
         }
-        println!("  {} ISA(s): {diffs} differing paths over the defect set", isas.len());
+        outln!("  {} ISA(s): {diffs} differing paths over the defect set", isas.len());
     }
 
-    println!("\n== ablation 3: exploration budget sweep ==");
+    outln!("\n== ablation 3: exploration budget sweep ==");
     for budget in [4usize, 8, 16, 32, 64, 192] {
         let explorer = Explorer { max_iterations: budget, max_path_len: 48 };
         let mut paths = 0;
@@ -78,6 +79,6 @@ fn main() {
         for spec in native_catalog().into_iter().take(20) {
             paths += explorer.explore(InstrUnderTest::Native(spec.id)).paths.len();
         }
-        println!("  budget {budget:>4}: {paths} paths over a 60-instruction sample");
+        outln!("  budget {budget:>4}: {paths} paths over a 60-instruction sample");
     }
 }

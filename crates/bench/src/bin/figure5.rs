@@ -3,6 +3,7 @@
 
 use igjit::report::{ascii_histogram, stats};
 use igjit::{instruction_catalog, native_catalog, Explorer, InstrUnderTest};
+use igjit_bench::outln;
 
 fn main() {
     let _mutant = igjit_bench::arm_mutant_from_env();
@@ -21,19 +22,19 @@ fn main() {
         nm_paths.push(r.paths.len() as f64);
     }
 
-    println!("\nFigure 5: paths per instruction (log scale)\n");
+    outln!("\nFigure 5: paths per instruction (log scale)\n");
     let bc = stats(bc_paths.iter().copied()).unwrap();
     let nm = stats(nm_paths.iter().copied()).unwrap();
-    println!(
+    outln!(
         "Bytecode       min {:>5.1}  median {:>5.1}  mean {:>5.1}  max {:>5.1}   (n = {})",
         bc.min, bc.median, bc.mean, bc.max, bc_paths.len()
     );
-    println!(
+    outln!(
         "Native Method  min {:>5.1}  median {:>5.1}  mean {:>5.1}  max {:>5.1}   (n = {})",
         nm.min, nm.median, nm.mean, nm.max, nm_paths.len()
     );
-    println!("\nBytecode paths/instruction distribution:");
-    println!("{}", ascii_histogram(&bc_paths, 8, 40));
-    println!("Native-method paths/instruction distribution:");
-    println!("{}", ascii_histogram(&nm_paths, 8, 40));
+    outln!("\nBytecode paths/instruction distribution:");
+    outln!("{}", ascii_histogram(&bc_paths, 8, 40));
+    outln!("Native-method paths/instruction distribution:");
+    outln!("{}", ascii_histogram(&nm_paths, 8, 40));
 }

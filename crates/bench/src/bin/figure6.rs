@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 
 use igjit::report::{ascii_histogram, stats};
 use igjit::{instruction_catalog, native_catalog, Explorer, InstrUnderTest, Metrics, StageTimes};
-use igjit_bench::progress_line;
+use igjit_bench::{outln, progress_line};
 
 fn main() {
     let _mutant = igjit_bench::arm_mutant_from_env();
@@ -37,10 +37,10 @@ fn main() {
         progress_line("explore natives", i + 1, total, &spec.name);
     }
 
-    println!("\nFigure 6: concolic execution time per kind of instruction\n");
+    outln!("\nFigure 6: concolic execution time per kind of instruction\n");
     for (label, data) in [("Bytecode", &bc_ms), ("Native Method", &nm_ms)] {
         let s = stats(data.iter().copied()).unwrap();
-        println!(
+        outln!(
             "{label:<14} min {:>8.2}ms  median {:>8.2}ms  mean {:>8.2}ms  max {:>8.2}ms  total {:>9.2}s",
             s.min,
             s.median,
@@ -49,10 +49,10 @@ fn main() {
             s.total / 1000.0
         );
     }
-    println!("\nBytecode exploration time distribution (ms):");
-    println!("{}", ascii_histogram(&bc_ms, 8, 40));
-    println!("Native-method exploration time distribution (ms):");
-    println!("{}", ascii_histogram(&nm_ms, 8, 40));
+    outln!("\nBytecode exploration time distribution (ms):");
+    outln!("{}", ascii_histogram(&bc_ms, 8, 40));
+    outln!("Native-method exploration time distribution (ms):");
+    outln!("{}", ascii_histogram(&nm_ms, 8, 40));
 
     // One Metrics object per group: exploration is the only stage a
     // pure-exploration run exercises.

@@ -10,7 +10,7 @@
 use igjit::aggregate_metrics;
 use igjit::report::{ascii_histogram, stats};
 use igjit::CompilerKind;
-use igjit_bench::{paper_campaign, print_metrics_summary, with_live_progress, write_metrics_json};
+use igjit_bench::{outln, paper_campaign, print_metrics_summary, with_live_progress, write_metrics_json};
 
 fn main() {
     let _mutant = igjit_bench::arm_mutant_from_env();
@@ -40,10 +40,10 @@ fn main() {
         })
         .collect();
 
-    println!("\nFigure 7: test execution time per compiler\n");
+    outln!("\nFigure 7: test execution time per compiler\n");
     for (label, data) in &series {
         let s = stats(data.iter().copied()).unwrap();
-        println!(
+        outln!(
             "{label:<28} min {:>8.2}ms  median {:>8.2}ms  mean {:>8.2}ms  max {:>8.2}ms  total {:>8.2}s",
             s.min,
             s.median,
@@ -53,8 +53,8 @@ fn main() {
         );
     }
     for (label, data) in &series {
-        println!("\n{label} time distribution (ms):");
-        println!("{}", ascii_histogram(data, 8, 40));
+        outln!("\n{label} time distribution (ms):");
+        outln!("{}", ascii_histogram(data, 8, 40));
     }
     print_metrics_summary(&aggregate_metrics(&reports));
     write_metrics_json("figure7.metrics.json", &reports, None);

@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 
 use igjit::mutate::{self, MutationOp};
 use igjit::{report, Campaign, CampaignConfig, CampaignReport, FaultInjector, MutantId};
-use igjit_bench::{env_knobs, paper_config};
+use igjit_bench::{env_knobs, outln, paper_config};
 
 /// Everything the sweep concluded about one mutant.
 struct MutantVerdict {
@@ -234,8 +234,8 @@ fn write_record(
 }
 
 fn print_report(verdicts: &[MutantVerdict], wall: Duration) {
-    println!("Mutation foundry: fault-injection sweep over the differential harness\n");
-    println!(
+    outln!("Mutation foundry: fault-injection sweep over the differential harness\n");
+    outln!(
         "{:<5} {:<30} {:<19} {:<9} {:>9}  attribution",
         "id", "mutant", "layer", "verdict", "ttfd"
     );
@@ -256,7 +256,7 @@ fn print_report(verdicts: &[MutantVerdict], wall: Duration) {
         } else {
             "BLIND SPOT".into()
         };
-        println!(
+        outln!(
             "{:<5} {:<30} {:<19} {:<9} {:>9}  {}",
             v.op.id.0,
             v.op.name,
@@ -273,7 +273,7 @@ fn print_report(verdicts: &[MutantVerdict], wall: Duration) {
         .count();
     let unexpected: Vec<&MutantVerdict> =
         verdicts.iter().filter(|v| !v.as_expected()).collect();
-    println!(
+    outln!(
         "\nmutation score: {}/{} killed ({:.1}%); {} designed survivor(s); wall clock {:.2}s",
         killed,
         verdicts.len(),
@@ -283,11 +283,11 @@ fn print_report(verdicts: &[MutantVerdict], wall: Duration) {
     );
     let survivors: Vec<&MutantVerdict> = verdicts.iter().filter(|v| !v.killed).collect();
     if survivors.is_empty() {
-        println!("no survivors.");
+        outln!("no survivors.");
     } else {
-        println!("survivors ({}):", survivors.len());
+        outln!("survivors ({}):", survivors.len());
         for v in &survivors {
-            println!(
+            outln!(
                 "  {} {} [{}] — expected {}",
                 v.op.id.0,
                 v.op.name,
@@ -297,9 +297,9 @@ fn print_report(verdicts: &[MutantVerdict], wall: Duration) {
         }
     }
     if !unexpected.is_empty() {
-        println!("\n{} mutant(s) deviated from the catalog's expectation:", unexpected.len());
+        outln!("\n{} mutant(s) deviated from the catalog's expectation:", unexpected.len());
         for v in &unexpected {
-            println!(
+            outln!(
                 "  {} {} — expected {}, got {}",
                 v.op.id.0,
                 v.op.name,
@@ -320,7 +320,7 @@ fn print_expectations(verdicts: &[MutantVerdict]) {
             )
         })
         .collect();
-    println!("{{\n  \"mutants\": [\n{}\n  ]\n}}", entries.join(",\n"));
+    outln!("{{\n  \"mutants\": [\n{}\n  ]\n}}", entries.join(",\n"));
 }
 
 struct Args {
@@ -440,7 +440,7 @@ fn main() {
     }
     let wall = wall0.elapsed();
 
-    println!();
+    outln!();
     print_report(&verdicts, wall);
     write_record(&args.out, &verdicts, &baseline, wall);
     if args.expectations {

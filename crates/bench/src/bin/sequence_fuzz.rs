@@ -4,6 +4,7 @@
 //! scale. Deterministic (fixed seed) so results are reproducible.
 
 use igjit::{CompilerKind, Instruction, Isa, Verdict};
+use igjit_bench::outln;
 use igjit_difftest::{test_sequence, SEQUENCE_POOL};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -26,7 +27,7 @@ fn main() {
         total_paths += o.paths_found;
         if o.witness_errors + o.oracle_panics > 0 {
             test_errors += o.witness_errors + o.oracle_panics;
-            println!(
+            outln!(
                 "round {round}: {} unrealizable witness(es), {} oracle panic(s) on {seq:?}",
                 o.witness_errors, o.oracle_panics
             );
@@ -38,7 +39,7 @@ fn main() {
                 let cat = v.cause.as_ref().map(|c| c.category);
                 if cat != Some(igjit::DefectCategory::OptimisationDifference) {
                     optimisation_only = false;
-                    println!("round {round}: UNEXPECTED divergence on {seq:?}: {v:?}");
+                    outln!("round {round}: UNEXPECTED divergence on {seq:?}: {v:?}");
                 }
             }
         }
@@ -47,8 +48,8 @@ fn main() {
         }
     }
 
-    println!("\nsequence fuzzing: {rounds} random sequences, {total_paths} paths explored");
-    println!("{total_diffs} differing paths, all of them the known float-optimisation gap: {optimisation_only}");
+    outln!("\nsequence fuzzing: {rounds} random sequences, {total_paths} paths explored");
+    outln!("{total_diffs} differing paths, all of them the known float-optimisation gap: {optimisation_only}");
     assert_eq!(test_errors, 0, "every model of every sequence must be realizable and interpretable");
     assert!(
         optimisation_only,

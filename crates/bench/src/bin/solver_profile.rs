@@ -28,6 +28,7 @@
 
 use std::time::{Duration, Instant};
 
+use igjit_bench::outln;
 use igjit_solver::{
     CmpOp, Constraint, Kind, LinExpr, PreparedConstraint, Session, VarId, VarSpec,
 };
@@ -134,8 +135,8 @@ fn main() {
     // SAT, adds nothing to decide.
     let sat = Constraint::kind_is(v(4), Kind::Float);
 
-    println!("solver_profile: {rounds} rounds x {SOLVES_PER_ROUND} solves, µs/solve (min of rounds)");
-    println!("{:<14} {:>10}", "phase", "µs");
+    outln!("solver_profile: {rounds} rounds x {SOLVES_PER_ROUND} solves, µs/solve (min of rounds)");
+    outln!("{:<14} {:>10}", "phase", "µs");
     let propagate = measure(rounds, &branchy_path(), &refuted);
     let flat_sat = measure(rounds, &flat_path(), &sat);
     let branchy_sat = measure(rounds, &branchy_path(), &sat);
@@ -146,7 +147,7 @@ fn main() {
         ("total (SAT)", branchy_sat),
     ];
     for (name, us) in rows {
-        println!("{name:<14} {us:>10.3}");
+        outln!("{name:<14} {us:>10.3}");
     }
 
     // Trail accounting over one batch.
@@ -157,7 +158,7 @@ fn main() {
         s.clear_cached_model();
     }
     let ts = s.trail_stats();
-    println!(
+    outln!(
         "trail stats over {SOLVES_PER_ROUND} SAT solves: {} marks, {} ops undone, \
          pool {}/{} hit/miss",
         ts.trail_marks, ts.undone_ops, ts.pool_hits, ts.pool_misses

@@ -4,12 +4,13 @@
 //! conditions.
 
 use igjit::{Explorer, InstrUnderTest, Instruction, PathOutcome};
+use igjit_bench::outln;
 
 fn main() {
     let _mutant = igjit_bench::arm_mutant_from_env();
     let r = Explorer::new().explore(InstrUnderTest::Bytecode(Instruction::Add));
-    println!("Table 1 / Figure 2: concolic execution paths of the add bytecode\n");
-    println!("{} paths found ({} curated)\n", r.paths.len(), r.curated_paths().len());
+    outln!("Table 1 / Figure 2: concolic execution paths of the add bytecode\n");
+    outln!("{} paths found ({} curated)\n", r.paths.len(), r.curated_paths().len());
     for (i, p) in r.paths.iter().enumerate() {
         let exit = match &p.outcome {
             PathOutcome::Success => "success".to_string(),
@@ -33,9 +34,9 @@ fn main() {
                 args.push(format!("s{} = {:?}({})", d + 1, a.kind, a.int));
             }
         }
-        println!("concolic execution #{}", i + 1);
-        println!("  inputs : operand_stack_size = {stack_size}; {}", args.join(", "));
-        println!("  path   : {:?}", p.constraints);
-        println!("  exit   : {exit}\n");
+        outln!("concolic execution #{}", i + 1);
+        outln!("  inputs : operand_stack_size = {stack_size}; {}", args.join(", "));
+        outln!("  path   : {:?}", p.constraints);
+        outln!("  exit   : {exit}\n");
     }
 }

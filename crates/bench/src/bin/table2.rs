@@ -27,7 +27,7 @@ use igjit::aggregate_metrics;
 use igjit::report::CorpusIo;
 use igjit::Campaign;
 use igjit_bench::{
-    paper_config, print_metrics_summary, print_table2, with_live_progress, write_metrics_json,
+    outln, paper_config, print_metrics_summary, print_table2, with_live_progress, write_metrics_json,
 };
 
 fn usage() -> ! {
@@ -106,7 +106,7 @@ fn main() {
         campaign.config().threads,
     );
     let reports = campaign.run_all();
-    println!("\nTable 2: results running the approach on five different compilers\n");
+    outln!("\nTable 2: results running the approach on five different compilers\n");
     print_table2(&reports);
     print_metrics_summary(&aggregate_metrics(&reports));
     // A corpus written under an armed mutant would be fingerprint-

@@ -3,10 +3,36 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 
 use igjit::report::{self, CorpusIo};
 use igjit::{Campaign, CampaignConfig, CampaignReport, Isa, Metrics};
+
+/// `println!` for the harness binaries: a reader that closes the pipe
+/// early (`table3 | head -1`) ends the process quietly with status 0
+/// instead of a "failed printing to stdout" panic.
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout_line(format_args!(""))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout_line(format_args!($($arg)*))
+    };
+}
+
+/// Writes one line to stdout (the body of [`outln!`]). A broken pipe
+/// exits with status 0; any other write error panics, as `println!`
+/// does.
+pub fn write_stdout_line(args: std::fmt::Arguments<'_>) {
+    let mut out = std::io::stdout().lock();
+    if let Err(e) = out.write_fmt(args).and_then(|()| out.write_all(b"\n")) {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {e}");
+    }
+}
 
 /// The strictly parsed `IGJIT_*` knobs. Unknown `IGJIT_*` variables
 /// and malformed values are fatal (exit status 2): a misspelled knob
@@ -101,7 +127,7 @@ pub fn write_metrics_json(path: &str, reports: &[CampaignReport], corpus_io: Opt
 
 /// Prints a one-paragraph summary of aggregated campaign metrics.
 pub fn print_metrics_summary(total: &Metrics) {
-    println!(
+    outln!(
         "\n{} instructions on {} thread(s) in {:.2}s wall clock \
          (explore {:.2}s, materialize {:.2}s, compile {:.2}s, meta-compile {:.2}s, \
          simulate {:.2}s, compare {:.2}s)",
@@ -115,7 +141,7 @@ pub fn print_metrics_summary(total: &Metrics) {
         total.stages.simulate.as_secs_f64(),
         total.stages.compare.as_secs_f64(),
     );
-    println!(
+    outln!(
         "sub-stages: setup {:.3}s, hash {:.3}s, report {:.3}s, \
          progress {:.3}s, residual other {:.3}s",
         total.stages.setup.as_secs_f64(),
@@ -124,19 +150,19 @@ pub fn print_metrics_summary(total: &Metrics) {
         total.stages.progress.as_secs_f64(),
         total.stages.other.as_secs_f64(),
     );
-    println!(
+    outln!(
         "explore sub-slices: walk run {:.3}s, probe solve {:.3}s \
          (both inside explore, not additive with it)",
         total.stages.walk_run.as_secs_f64(),
         total.stages.probe_solve.as_secs_f64(),
     );
     if total.corpus_hits + total.corpus_misses > 0 {
-        println!(
+        outln!(
             "corpus: {} warm / {} cold instructions",
             total.corpus_hits, total.corpus_misses,
         );
     }
-    println!(
+    outln!(
         "exploration cache: {} hits / {} misses ({:.1}% hit rate){}",
         total.cache_hits,
         total.cache_misses,
@@ -147,14 +173,14 @@ pub fn print_metrics_summary(total: &Metrics) {
             String::new()
         },
     );
-    println!(
+    outln!(
         "code cache: {} hits / {} compiles ({:.1}% hit rate)",
         total.compile_hits,
         total.compile_misses,
         100.0 * total.compile_hit_rate(),
     );
     if total.snapshot.seals > 0 {
-        println!(
+        outln!(
             "heap snapshots: {} sealed, {} restores, {} dirty words total \
              ({:.1} words/restore)",
             total.snapshot.seals,
@@ -163,7 +189,7 @@ pub fn print_metrics_summary(total: &Metrics) {
             total.snapshot.dirty_words as f64 / (total.snapshot.restores.max(1) as f64),
         );
     }
-    println!(
+    outln!(
         "solver: {} solves ({} sat, {} unsat), {} nodes, \
          {} incremental / {} rebuilds, scope depth ≤ {}",
         total.solver.solves,
@@ -175,7 +201,7 @@ pub fn print_metrics_summary(total: &Metrics) {
         total.solver.max_depth,
     );
     if total.trail.trail_marks + total.trail.pool_hits + total.trail.pool_misses > 0 {
-        println!(
+        outln!(
             "trail: {} scope marks, {} ops unwound, \
              model pool {} hits / {} misses ({:.1}% hit rate)",
             total.trail.trail_marks,
@@ -189,13 +215,13 @@ pub fn print_metrics_summary(total: &Metrics) {
 
 /// Prints a full Table 2 from the given reports.
 pub fn print_table2(reports: &[CampaignReport]) {
-    println!("{}", report::table2_header());
+    outln!("{}", report::table2_header());
     for r in reports {
-        println!("{}", report::table2_row(r));
+        outln!("{}", report::table2_row(r));
     }
     for r in reports {
         if r.row.meta_compiled_runs + r.row.meta_trampolines > 0 {
-            println!(
+            outln!(
                 "meta tier coverage: {}/{} instructions fully meta-compiled ({:.1}%), \
                  {} compiled runs / {} trampolined runs",
                 r.row.meta_full_instructions,
@@ -207,7 +233,7 @@ pub fn print_table2(reports: &[CampaignReport]) {
         }
     }
     let total = report::table2_total(reports);
-    println!(
+    outln!(
         "{:<34} {:>8} {:>8} {:>8} {:>10} ({:.2}%)",
         total.label,
         total.tested_instructions,

@@ -7,7 +7,6 @@
 
 use std::time::{Duration, Instant};
 
-use igjit_bytecode::fxhash::FxHashSet;
 use igjit_bytecode::{Instruction, SpecialSelector};
 use igjit_heap::{ObjectMemory, Oop};
 use igjit_interp::{
@@ -16,6 +15,7 @@ use igjit_interp::{
 use igjit_solver::{Constraint, Model, Session, SessionStats, SolveError, TrailStats, VarId};
 
 use crate::materialize::{materialize_frame, MaterializedFrame};
+use crate::pathkey::{PathIndex, PathKey};
 use crate::state::AbstractState;
 use crate::sym::SymOop;
 
@@ -310,7 +310,7 @@ impl Explorer {
             exec: &exec,
             state: AbstractState::new(),
             session: Session::new(),
-            visited: FxHashSet::default(),
+            visited: PathIndex::default(),
             paths: Vec::new(),
             curated_out: Vec::new(),
             iterations: 0,
@@ -349,9 +349,8 @@ struct NegationWalk<'e, F> {
     exec: &'e F,
     state: AbstractState,
     session: Session,
-    /// Path-dedup keys seen so far: the path condition plus the
-    /// outcome discriminant, as text (see [`path_signature`]).
-    visited: FxHashSet<String>,
+    /// The recorded paths, indexed by their [`PathKey`] for dedup.
+    visited: PathIndex,
     paths: Vec<ExploredPath>,
     curated_out: Vec<CurationReason>,
     iterations: usize,
@@ -362,13 +361,6 @@ struct NegationWalk<'e, F> {
     /// Cumulative frame-materialization + concrete-execution time
     /// (the `walk_run` sub-slice of the `explore` stage).
     run_time: Duration,
-}
-
-/// A path-dedup key: the path condition plus the outcome
-/// discriminant, as `{:?}` text, so NaN constants collapse and `-0.0`
-/// stays distinct from `0.0`.
-fn path_signature(path: &[Constraint], disc: u8) -> String {
-    format!("{path:?}|{disc:?}")
 }
 
 impl<F> NegationWalk<'_, F>
@@ -416,9 +408,10 @@ where
         };
         self.run_time += run_t.elapsed();
         path.truncate(self.explorer.max_path_len);
-        let path = path;
 
-        if !self.visited.insert(path_signature(&path, discriminant_of(&outcome))) {
+        let key = PathKey::new(&path, &outcome);
+        let hash = key.hash_u64();
+        if self.visited.contains(&self.paths, hash, key) {
             self.session.recycle_model(model);
             self.scratch = Some(mem);
             return;
@@ -430,30 +423,37 @@ where
         if let PathOutcome::Unsupported { reason } = outcome {
             self.curated_out.push(CurationReason::Unsupported(reason));
         }
+        // Stored paths live as long as the exploration: drop the
+        // recorder's growth slack.
+        path.shrink_to_fit();
+        let index = self.paths.len();
+        self.visited.insert(hash, index);
         self.paths.push(ExploredPath {
             instruction: self.instr,
-            constraints: path.clone(),
+            constraints: path,
             model,
             outcome,
             output_stack,
             output_temps,
             object_dumps,
         });
-        // Children: negate each not-yet-negated suffix step. The
-        // recorded path extends the in-scope prefix (the model
-        // satisfied it and branch outcomes are deterministic), so the
-        // prefix scopes stay put; extend with the new suffix, then
-        // peel it back one step at a time, negating as we go.
+        // Children: negate each not-yet-negated suffix step of the
+        // path just recorded. The recorded path extends the in-scope
+        // prefix (the model satisfied it and branch outcomes are
+        // deterministic), so the prefix scopes stay put; extend with
+        // the new suffix, then peel it back one step at a time,
+        // negating as we go.
         // Execution may have grown the abstract state (lazy slot and
         // size variables); sync before asserting constraints on them.
         self.session.sync_vars(self.state.specs());
-        let len = path.len();
-        for step in path.iter().take(len).skip(depth) {
+        let len = self.paths[index].constraints.len();
+        for step in self.paths[index].constraints.iter().skip(depth) {
             self.session.push_assert(step.clone());
         }
         for i in (depth..len).rev() {
             self.session.pop(); // retract `path[i]`…
-            self.session.push_assert(path[i].negated()); // …negate it…
+            let negated = self.paths[index].constraints[i].negated();
+            self.session.push_assert(negated); // …negate it…
             self.visit(i + 1); // …and explore that subtree.
             self.session.pop();
         }
@@ -492,19 +492,6 @@ fn snapshot_outputs(
     }
     object_dumps.sort_by_key(|d| d.var);
     (output_stack, output_temps, object_dumps)
-}
-
-fn discriminant_of(o: &PathOutcome) -> u8 {
-    match o {
-        PathOutcome::Success => 0,
-        PathOutcome::Jump { .. } => 1,
-        PathOutcome::Failure => 2,
-        PathOutcome::MessageSend(_) => 3,
-        PathOutcome::MethodReturn { .. } => 4,
-        PathOutcome::InvalidFrame => 5,
-        PathOutcome::InvalidMemoryAccess => 6,
-        PathOutcome::Unsupported { .. } => 7,
-    }
 }
 
 /// Runs `instrs` in order on the concolic context: the first exit that

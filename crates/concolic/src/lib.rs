@@ -24,6 +24,12 @@
 //!    the frame whenever an `InvalidFrame`/`InvalidMemoryAccess` exit
 //!    asked for more operands or slots.
 //!
+//! Different negations can land on the same path. The walk records a
+//! path once, deduplicating by its exact structural [`PathKey`] (path
+//! condition plus outcome variant, floats by bit pattern with one
+//! NaN): a hash lookup over the indices of the paths already recorded,
+//! compared exactly on a hit, with no text and no second copy of a path.
+//!
 //! Unlike textbook concolic testing, exploration does **not** stop on
 //! a failing path — failure exits are first-class results, because the
 //! differential tester needs them (§2.2).
@@ -52,6 +58,7 @@
 
 mod explore;
 mod materialize;
+mod pathkey;
 mod probes;
 mod state;
 mod sym;
@@ -59,6 +66,7 @@ mod cache;
 mod trace;
 
 pub use cache::{CacheLookup, ExplorationCache, ExplorationKey};
+pub use pathkey::PathKey;
 pub use probes::{probe_models, DEFAULT_MAX_PROBES};
 pub use explore::{CurationReason, ExplorationResult, ExploreError, Explorer, ExploredPath,
                   InstrUnderTest, ObjectDump, PathOutcome, SendRecord};

@@ -15,6 +15,7 @@ pub const SRC_FILES: &[&str] = &[
     "explore.rs",
     "lib.rs",
     "materialize.rs",
+    "pathkey.rs",
     "probes.rs",
     "srcid.rs",
     "state.rs",
@@ -27,6 +28,7 @@ const SRC_BYTES: &[&[u8]] = &[
     include_bytes!("explore.rs"),
     include_bytes!("lib.rs"),
     include_bytes!("materialize.rs"),
+    include_bytes!("pathkey.rs"),
     include_bytes!("probes.rs"),
     include_bytes!("srcid.rs"),
     include_bytes!("state.rs"),

@@ -52,9 +52,9 @@ pub enum TestResult {
 
 impl GeneratedTest {
     /// Replays the test through the campaign's differential step on
-    /// this test's ISA: a fresh replay arena, no artifact cache.
+    /// this test's ISA: a fresh replay arena and artifact cache.
     pub fn run(&self) -> TestResult {
-        let code_cache = CodeCache::disabled();
+        let code_cache = CodeCache::new();
         let meta_cache = MetaCache::new();
         let isas = std::slice::from_ref(&self.isa);
         let mut harness = Harness::new(self.target, isas, &code_cache, &meta_cache);

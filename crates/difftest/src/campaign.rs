@@ -370,9 +370,10 @@ impl StageTimes {
 /// per ISA per model, compared against the interpreter oracle.
 ///
 /// Explores from scratch on every call, through a throwaway
-/// [`ExplorationCache`] — the one place an exploration comes from. The
-/// campaign driver shares one cache across targets and threads and
-/// calls [`test_instruction_with`] directly.
+/// [`ExplorationCache`] — the one place an exploration comes from —
+/// and compiles through a throwaway [`CodeCache`]. The campaign driver
+/// shares both caches across targets and threads and calls
+/// [`test_instruction_with`] directly.
 pub fn test_instruction(
     instr: InstrUnderTest,
     target: Target,
@@ -380,7 +381,7 @@ pub fn test_instruction(
     enable_probes: bool,
 ) -> InstructionOutcome {
     let lookup = ExplorationCache::new().get_or_explore(instr, enable_probes);
-    let cache = CodeCache::disabled();
+    let cache = CodeCache::new();
     let meta_cache = MetaCache::new();
     test_instruction_with(instr, target, isas, &lookup, &cache, &meta_cache).0
 }

@@ -261,7 +261,7 @@ pub(crate) fn run_compiled(
 }
 
 /// Compiles and runs one instruction with a fresh simulator session
-/// and no artifact cache: a bytecode against tier `target_kind`, a
+/// and a fresh artifact cache: a bytecode against tier `target_kind`, a
 /// native method against the template compiler. `mem` must be a fresh
 /// materialization of the model the oracle ran on; returns the run
 /// plus the mutated heap.
@@ -272,7 +272,7 @@ pub fn run_compiled_for_instr(
     frame: &igjit_interp::Frame<Oop>,
     mut mem: ObjectMemory,
 ) -> (CompiledRun, ObjectMemory) {
-    let cache = CodeCache::disabled();
+    let cache = CodeCache::new();
     let mut ctx = RunCtx::new(&cache, MachineSession::new());
     let run = run_compiled(
         target_kind,

@@ -107,7 +107,7 @@ mod tests {
 
     fn run_one(program: Program<'_>, frame: &Frame<Oop>) -> (CompiledRun, MetaRunCounts) {
         let cache = MetaCache::new();
-        let code_cache = CodeCache::disabled();
+        let code_cache = CodeCache::new();
         let mut ctx = RunCtx::new(&code_cache, MachineSession::new());
         let mut times = StageTimes::default();
         let mut counts = MetaRunCounts::default();
@@ -134,7 +134,7 @@ mod tests {
         let refused: Frame<Oop> = Frame::new(si(0), MethodInfo::empty());
         for (instr, frame) in [(Instruction::Add, add), (Instruction::PushThisContext, refused)] {
             let cache = MetaCache::new();
-            let code_cache = CodeCache::disabled();
+            let code_cache = CodeCache::new();
             let mut ctx = RunCtx::new(&code_cache, MachineSession::new());
             let mut charged = Vec::new();
             for _ in 0..2 {

@@ -81,9 +81,11 @@ impl SequenceOutcome {
 /// Differentially tests a bytecode sequence against one tier: every
 /// curated path of the sequence's exploration goes through the same
 /// differential step as a single instruction's, with kind probes off
-/// and no artifact cache. Verdicts are filed under the sequence's last
-/// instruction; a difference is classified under the instruction whose
-/// fast path diverged when the compiled send names one.
+/// and one artifact cache for the call, so paths whose compile keys
+/// agree (they differ only in the receiver, say) share one compile.
+/// Verdicts are filed under the sequence's last instruction; a
+/// difference is classified under the instruction whose fast path
+/// diverged when the compiled send names one.
 pub fn test_sequence(
     instrs: &[Instruction],
     kind: CompilerKind,
@@ -103,7 +105,7 @@ pub fn test_sequence(
     };
     let program = Program::Bytecode(instrs);
     let curated = exploration.curated_paths();
-    let code_cache = CodeCache::disabled();
+    let code_cache = CodeCache::new();
     let meta_cache = MetaCache::new();
     let mut harness = Harness::new(Target::Bytecode(kind), isas, &code_cache, &meta_cache);
     let verdicts = curated

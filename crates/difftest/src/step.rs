@@ -402,7 +402,7 @@ mod tests {
         // The Simple tier's `Add` always sends where the interpreter
         // inlines, so the solver's own models do differ; the same
         // models made unrealizable must be counted and never compared.
-        let code_cache = CodeCache::disabled();
+        let code_cache = CodeCache::new();
         let meta_cache = MetaCache::new();
         let isas = [Isa::X86ish, Isa::Arm32ish];
         let target = Target::Bytecode(CompilerKind::SimpleStackBased);

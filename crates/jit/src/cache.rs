@@ -14,6 +14,12 @@
 //! Refusals ([`CompileError`]) are cached too: the 60 unimplemented
 //! FFI templates refuse identically on every model.
 //!
+//! Every compile goes through a cache. A campaign shares one across
+//! its sweep; one-shot callers (`test_instruction`, `test_sequence`,
+//! a generated test's replay) make their own for the call, so the
+//! paths of one sequence that differ only in the receiver share one
+//! compile.
+//!
 //! Engine v5 reworked the lookup path around two observations. First,
 //! the campaign performs ~3× more lookups than compiles, and building
 //! an owned [`CompileKey`] per lookup means three `Vec` allocations
@@ -365,7 +371,6 @@ pub struct CodeCache {
     map: RwLock<HashMap<u64, CacheBucket>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
-    enabled: bool,
 }
 
 impl Default for CodeCache {
@@ -375,26 +380,13 @@ impl Default for CodeCache {
 }
 
 impl CodeCache {
-    /// An empty, enabled cache.
+    /// An empty cache.
     pub fn new() -> CodeCache {
         CodeCache {
             map: RwLock::new(HashMap::new()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
-            enabled: true,
         }
-    }
-
-    /// A cache that never stores: every lookup compiles fresh and
-    /// counts as a miss. One-shot callers that test a single
-    /// instruction outside a campaign use it.
-    pub fn disabled() -> CodeCache {
-        CodeCache { enabled: false, ..CodeCache::new() }
-    }
-
-    /// Whether lookups may hit.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Looks up the borrowed `key`, invoking `compile` on a miss. The
@@ -405,10 +397,6 @@ impl CodeCache {
         key: CompileKeyRef<'_>,
         compile: impl FnOnce() -> Result<CompiledCode, CompileError>,
     ) -> CachedArtifact {
-        if !self.enabled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(compile());
-        }
         let key = key.mutated();
         let bucket_hash = key.bucket_hash();
         if let Some(bucket) = self.map.read().expect("code cache poisoned").get(&bucket_hash) {
@@ -439,10 +427,6 @@ impl CodeCache {
         key: CompileKey,
         compile: impl FnOnce() -> Result<CompiledCode, CompileError>,
     ) -> CachedArtifact {
-        if !self.enabled {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(compile());
-        }
         let key = mutate_key(key);
         let bucket_hash = key.bucket_hash();
         if let Some(bucket) = self.map.read().expect("code cache poisoned").get(&bucket_hash) {
@@ -467,8 +451,7 @@ impl CodeCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of lookups that had to compile (with caching off, every
-    /// lookup).
+    /// Number of lookups that had to compile.
     pub fn misses(&self) -> usize {
         self.misses.load(Ordering::Relaxed)
     }
@@ -479,12 +462,8 @@ impl CodeCache {
     /// verbatim — stored keys already carry any cache-key mutation
     /// applied when they were first compiled, and the corpus
     /// fingerprint guarantees the arming state matches. First insert
-    /// wins. A disabled cache ignores preloads (by definition it
-    /// never hits).
+    /// wins.
     pub fn preload(&self, key: CompileKey, artifact: Result<CompiledCode, CompileError>) {
-        if !self.enabled {
-            return;
-        }
         let bucket_hash = key.bucket_hash();
         let mut map = self.map.write().expect("code cache poisoned");
         let bucket = map.entry(bucket_hash).or_default();
@@ -559,15 +538,6 @@ mod tests {
         let r = cache.get_or_compile(key, || panic!("refusal must be cached"));
         assert!(matches!(*r, Err(CompileError::NotImplemented("ffi"))));
         assert_eq!(cache.hits(), 1);
-    }
-
-    #[test]
-    fn disabled_cache_always_compiles() {
-        let cache = CodeCache::disabled();
-        cache.get_or_compile(native_key(1), || fake_code(1));
-        cache.get_or_compile(native_key(1), || fake_code(1));
-        assert_eq!((cache.hits(), cache.misses()), (0, 2));
-        assert!(cache.is_empty());
     }
 
     #[test]
