@@ -1,15 +1,12 @@
 //! The interpreter oracle: concrete re-execution of an explored path.
 
-use std::borrow::Cow;
-use std::sync::{Mutex, OnceLock, PoisonError};
-
 use igjit_bytecode::fxhash::FxHashMap;
-use igjit_bytecode::{encode, Instruction, SpecialSelector};
+use igjit_bytecode::{decode, encode, SpecialSelector};
 use igjit_concolic::{materialize_shared, AbstractState, InstrUnderTest};
 use igjit_heap::{ObjectMemory, Oop};
 use igjit_interp::{
-    native_spec, run_native, step, ConcreteContext, Frame, MethodInfo, NativeOutcome,
-    PredecodedProgram, Selector, StepOutcome,
+    native_spec, run_native, step, ConcreteContext, Frame, MethodInfo, NativeOutcome, Selector,
+    StepOutcome,
 };
 use igjit_solver::Model;
 
@@ -115,35 +112,6 @@ pub struct OracleRun {
     pub witness_errors: Vec<igjit_concolic::WitnessError>,
 }
 
-/// The predecoded view of a bytecode program: its instructions are
-/// *encoded and sequentially re-decoded* through [`PredecodedProgram`],
-/// so the oracle consumes exactly the artifact the predecoded fetch
-/// loop would — any encode/decode drift shows up as a changed oracle
-/// row instead of hiding behind the ad-hoc enum values.
-///
-/// One-instruction programs are built once per distinct instruction and
-/// shared by every oracle run for the rest of the process; entries are
-/// leaked, as the universe of distinct instructions is bounded by the
-/// catalog plus test-local immediates. Longer programs, whose universe
-/// is not bounded, are decoded per run.
-fn unit_program(program: &[Instruction]) -> Cow<'static, PredecodedProgram> {
-    fn predecode(program: &[Instruction]) -> PredecodedProgram {
-        let mut bytes = Vec::new();
-        for &i in program {
-            encode(i, &mut bytes);
-        }
-        PredecodedProgram::new(&bytes)
-    }
-    static CACHE: OnceLock<Mutex<FxHashMap<Instruction, &'static PredecodedProgram>>> =
-        OnceLock::new();
-    let &[i] = program else {
-        return Cow::Owned(predecode(program));
-    };
-    let cache = CACHE.get_or_init(|| Mutex::new(FxHashMap::default()));
-    let mut map = cache.lock().unwrap_or_else(PoisonError::into_inner);
-    Cow::Borrowed(*map.entry(i).or_insert_with(|| Box::leak(Box::new(predecode(&[i])))))
-}
-
 /// The oracle run: materializes `model` into a fresh heap and runs the
 /// interpreter concretely (see [`run_oracle_on`]).
 pub fn run_oracle(state: &AbstractState, model: &Model, instr: InstrUnderTest) -> OracleRun {
@@ -160,9 +128,9 @@ pub fn run_oracle(state: &AbstractState, model: &Model, instr: InstrUnderTest) -
 /// [`run_oracle`]: the campaign materializes a sealed base image once
 /// and feeds it here instead of rebuilding the heap.
 ///
-/// A bytecode runs as its cached [`PredecodedProgram`] decodes it (one
-/// sequential decode per catalog entry), not as the enum value handed
-/// in, so encoder/decoder drift shows up as a changed oracle row.
+/// A bytecode runs as the decoder reads its encoding, not as the enum
+/// value handed in, so encoder/decoder drift shows up as a changed
+/// oracle row.
 pub fn run_oracle_on(
     mem: &mut ObjectMemory,
     frame: &mut Frame<Oop>,
@@ -171,9 +139,10 @@ pub fn run_oracle_on(
     run_program_on(mem, frame, Program::of(&instr))
 }
 
-/// [`run_oracle_on`] for a whole program. Bytecodes run in order as
-/// [`unit_program`] decodes them; a send, return, taken jump or fault
-/// ends the run with that exit, and running off the end is a success.
+/// [`run_oracle_on`] for a whole program. The bytecodes are encoded and
+/// decoded sequentially, and run in order as the decoder reads them; a
+/// send, return, taken jump or fault ends the run with that exit, and
+/// running off the end is a success.
 pub(crate) fn run_program_on(
     mem: &mut ObjectMemory,
     frame: &mut Frame<Oop>,
@@ -182,11 +151,21 @@ pub(crate) fn run_program_on(
     let mut ctx = ConcreteContext::new(mem);
     match program {
         Program::Bytecode(instrs) => {
-            let decoded = unit_program(instrs);
-            for (k, &instr) in instrs.iter().enumerate() {
+            let mut bytes = Vec::new();
+            for &i in instrs {
+                encode(i, &mut bytes);
+            }
+            let mut pc = 0;
+            let mut reading = std::iter::from_fn(|| {
+                let (decoded, len) = decode(&bytes, pc).ok()?;
+                pc += len;
+                Some(decoded)
+            })
+            .fuse();
+            for &instr in instrs {
                 // The decoder's reading; the enum value only past the
                 // point where decoding stopped.
-                let instr = decoded.steps().get(k).map_or(instr, |s| s.instr);
+                let instr = reading.next().unwrap_or(instr);
                 let exit = match step(&mut ctx, frame, instr) {
                     StepOutcome::Continue => continue,
                     StepOutcome::Jump { displacement: _ } => EngineExit::JumpTaken,

@@ -30,6 +30,10 @@
 //!
 //! ## Example: interpret a method
 //!
+//! [`run_method`] is the crate's one fetch loop: it decodes the
+//! instruction at pc, runs [`step`] on it and moves pc, until the
+//! method returns, sends, faults or falls off its end.
+//!
 //! ```
 //! use igjit_heap::ObjectMemory;
 //! use igjit_bytecode::{Instruction, MethodBuilder};
@@ -58,7 +62,6 @@ mod exit;
 mod frame;
 mod image;
 pub mod natives;
-pub mod predecode;
 mod runner;
 pub mod spec;
 mod step;
@@ -70,10 +73,9 @@ pub use exit::{ExitCondition, Selector, StepOutcome};
 pub use frame::{Frame, MethodInfo};
 pub use natives::{native_catalog, native_spec, run_native, NativeGroup, NativeMethodId,
                   NativeMethodSpec, NativeOutcome};
-pub use predecode::PredecodedProgram;
-pub use runner::{run_method, run_method_with, MethodResult, RunError};
+pub use runner::{run_method, MethodResult, RunError};
 pub use spec::{step_spec, StepSpec};
-pub use step::{resolve_step, step, StepFn};
+pub use step::step;
 
 /// Compile-time source fingerprint (see `igjit-corpus`).
 pub mod srcid;

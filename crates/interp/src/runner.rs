@@ -12,7 +12,6 @@ use crate::concrete::ConcreteContext;
 use crate::exit::{Selector, StepOutcome};
 use crate::frame::{Frame, MethodInfo};
 use crate::natives::{run_native, NativeMethodId, NativeOutcome};
-use crate::predecode::PredecodedProgram;
 use crate::step::step;
 
 /// Why a method run stopped without returning a value.
@@ -68,29 +67,13 @@ const STEP_LIMIT: usize = 100_000;
 ///
 /// If the method declares a primitive, the native method is attempted
 /// first, falling back to the bytecode body on failure — exactly the
-/// hybrid structure of §4.2. Uses the predecoded fetch loop; see
-/// [`run_method_with`] for the knob.
+/// hybrid structure of §4.2. The body runs one instruction at a time:
+/// decode at pc, [`step`], move pc.
 pub fn run_method(
     mem: &mut ObjectMemory,
     method: Oop,
     receiver: Oop,
     args: &[Oop],
-) -> Result<MethodResult, RunError> {
-    run_method_with(mem, method, receiver, args, true)
-}
-
-/// [`run_method`] with explicit control over the fetch loop:
-/// `predecode = true` decodes and dispatch-resolves the method once up
-/// front ([`PredecodedProgram`], engine v8) and executes fused
-/// push-pairs; `predecode = false` is the byte-at-a-time loop, kept as
-/// the reference the predecoded one is property-tested against. The two
-/// are step-for-step identical, including every decode error.
-pub fn run_method_with(
-    mem: &mut ObjectMemory,
-    method: Oop,
-    receiver: Oop,
-    args: &[Oop],
-    predecode: bool,
 ) -> Result<MethodResult, RunError> {
     let cm = CompiledMethod::new(method);
     let header = cm.header(mem).map_err(|_| RunError::BadMethod)?;
@@ -109,10 +92,10 @@ pub fn run_method_with(
         usize::from(header.num_args) + usize::from(header.num_temps),
         nil,
     );
+    let mut ctx = ConcreteContext::new(mem);
 
     // Hybrid native methods: native behaviour first (§4.2).
     if header.primitive != 0 {
-        let mut ctx = ConcreteContext::new(mem);
         // The native-method calling convention keeps receiver+args on
         // the operand stack.
         frame.push(receiver);
@@ -131,59 +114,6 @@ pub fn run_method_with(
         }
     }
 
-    if predecode {
-        run_predecoded(mem, &mut frame, &bytes)
-    } else {
-        run_bytes(mem, &mut frame, &bytes)
-    }
-}
-
-/// What one settled step outcome means for the fetch loop.
-enum Flow {
-    /// Keep fetching at this pc.
-    Next(usize),
-    /// The run is over.
-    Done(Result<MethodResult, RunError>),
-}
-
-/// Folds a [`StepOutcome`] into the runner's control flow; `pc`/`len`
-/// locate the instruction that produced it and `code_len` sizes the
-/// negative-jump decode error exactly as the byte loop always has.
-fn apply_outcome(outcome: StepOutcome<Oop>, pc: usize, len: usize, code_len: usize) -> Flow {
-    match outcome {
-        StepOutcome::Continue => Flow::Next(pc + len),
-        StepOutcome::Jump { displacement } => {
-            let next = pc as i64 + len as i64 + i64::from(displacement);
-            if next < 0 {
-                Flow::Done(Err(RunError::Decode(DecodeError::PcOutOfRange {
-                    pc: 0,
-                    len: code_len,
-                })))
-            } else {
-                Flow::Next(next as usize)
-            }
-        }
-        StepOutcome::MethodReturn { value } => Flow::Done(Ok(MethodResult::Returned(value))),
-        StepOutcome::MessageSend { selector, receiver, .. } => {
-            let name = match selector {
-                Selector::Special(s) => s.name().to_string(),
-                Selector::MustBeBoolean => "mustBeBoolean".to_string(),
-                Selector::Literal(oop) => format!("{oop:?}"),
-            };
-            Flow::Done(Ok(MethodResult::Sent { selector: name, receiver }))
-        }
-        StepOutcome::InvalidFrame => Flow::Done(Err(RunError::InvalidFrame)),
-        StepOutcome::InvalidMemoryAccess => Flow::Done(Err(RunError::InvalidMemoryAccess)),
-        StepOutcome::Unsupported { reason } => Flow::Done(Err(RunError::Unsupported(reason))),
-    }
-}
-
-/// The historical fetch loop: decode at pc, dispatch, repeat.
-fn run_bytes(
-    mem: &mut ObjectMemory,
-    frame: &mut Frame<Oop>,
-    bytes: &[u8],
-) -> Result<MethodResult, RunError> {
     let mut pc: usize = 0;
     for _ in 0..STEP_LIMIT {
         if pc >= bytes.len() {
@@ -191,61 +121,28 @@ fn run_bytes(
             // implicit `^self`.
             return Ok(MethodResult::Returned(frame.receiver));
         }
-        let (instr, len) = decode(bytes, pc).map_err(RunError::Decode)?;
-        let mut ctx = ConcreteContext::new(mem);
-        match apply_outcome(step(&mut ctx, frame, instr), pc, len, bytes.len()) {
-            Flow::Next(next) => pc = next,
-            Flow::Done(r) => return r,
-        }
-    }
-    Err(RunError::StepLimit)
-}
-
-/// The engine-v8 fetch loop: decode and dispatch-resolve the whole
-/// method once, then fetch steps through the jump table, chaining
-/// fused push-pairs without a re-fetch. Off-boundary pcs fall back to
-/// the byte decoder so decode faults reproduce exactly.
-fn run_predecoded(
-    mem: &mut ObjectMemory,
-    frame: &mut Frame<Oop>,
-    bytes: &[u8],
-) -> Result<MethodResult, RunError> {
-    let prog = PredecodedProgram::new(bytes);
-    let mut ctx = ConcreteContext::new(mem);
-    let fns = prog.resolve();
-    let steps = prog.steps();
-    let mut pc: usize = 0;
-    let mut steps_left = STEP_LIMIT;
-    while steps_left > 0 {
-        steps_left -= 1;
-        if pc >= bytes.len() {
-            return Ok(MethodResult::Returned(frame.receiver));
-        }
-        let (outcome, len) = match prog.lookup(pc) {
-            Some(i) => {
-                let s = steps[i];
-                let o = fns[i](&mut ctx, frame, s.instr);
-                if s.fuse_next && matches!(o, StepOutcome::Continue) && steps_left > 0 {
-                    // Superinstruction: the next sequential step starts
-                    // exactly at pc + len; execute it without a
-                    // re-fetch, charging it one step of budget.
-                    steps_left -= 1;
-                    pc += usize::from(s.len);
-                    let n = steps[i + 1];
-                    (fns[i + 1](&mut ctx, frame, n.instr), usize::from(n.len))
-                } else {
-                    (o, usize::from(s.len))
-                }
+        let (instr, len) = decode(&bytes, pc).map_err(RunError::Decode)?;
+        pc = match step(&mut ctx, &mut frame, instr) {
+            StepOutcome::Continue => pc + len,
+            StepOutcome::Jump { displacement } => {
+                let next = pc as i64 + len as i64 + i64::from(displacement);
+                usize::try_from(next).map_err(|_| {
+                    RunError::Decode(DecodeError::PcOutOfRange { pc: 0, len: bytes.len() })
+                })?
             }
-            None => {
-                let (instr, len) = decode(bytes, pc).map_err(RunError::Decode)?;
-                (step(&mut ctx, frame, instr), len)
+            StepOutcome::MethodReturn { value } => return Ok(MethodResult::Returned(value)),
+            StepOutcome::MessageSend { selector, receiver, .. } => {
+                let selector = match selector {
+                    Selector::Special(s) => s.name().to_string(),
+                    Selector::MustBeBoolean => "mustBeBoolean".to_string(),
+                    Selector::Literal(oop) => format!("{oop:?}"),
+                };
+                return Ok(MethodResult::Sent { selector, receiver });
             }
+            StepOutcome::InvalidFrame => return Err(RunError::InvalidFrame),
+            StepOutcome::InvalidMemoryAccess => return Err(RunError::InvalidMemoryAccess),
+            StepOutcome::Unsupported { reason } => return Err(RunError::Unsupported(reason)),
         };
-        match apply_outcome(outcome, pc, len, bytes.len()) {
-            Flow::Next(next) => pc = next,
-            Flow::Done(r) => return r,
-        }
     }
     Err(RunError::StepLimit)
 }

@@ -5,22 +5,14 @@
 //! produces, whether it can touch the heap, and which non-`Continue`
 //! outcomes it can take. Historically those facts lived implicitly in
 //! the step bodies and were re-derived by hand wherever a consumer
-//! needed them (the predecoder's fusion predicate, the test compiler's
-//! arity table). [`StepSpec`] makes them an explicit, queryable
-//! artifact:
-//!
-//! * the predecoder's superinstruction fusion derives its
-//!   "push-class" predicate from the spec instead of a hand-written
-//!   opcode list ([`StepSpec::is_fusible`]);
-//! * the `igjit-metajit` partial evaluator consults the spec to refuse
-//!   unsupported opcodes before evaluating anything.
+//! needed them. [`StepSpec`] makes them an explicit, queryable
+//! artifact: the `igjit-metajit` partial evaluator consults it to
+//! refuse unsupported opcodes before evaluating anything.
 //!
 //! The spec is descriptive, never authoritative: execution still runs
-//! the one copy of the semantics in [`crate::step`]. A consistency
-//! test pins the spec's fusion predicate to the exact instruction set
-//! the hand-written list used to name, and the flags are chosen so
-//! that adding an opcode without a spec entry is a compile error
-//! (the match in [`step_spec`] is exhaustive).
+//! the one copy of the semantics in [`crate::step`]. The match in
+//! [`step_spec`] is exhaustive, so adding an opcode without a spec
+//! entry is a compile error.
 
 use igjit_bytecode::Instruction;
 
@@ -54,23 +46,6 @@ pub struct StepSpec {
     /// (`false` only for `PushThisContext`, which steps to
     /// `Unsupported`).
     pub supported: bool,
-}
-
-impl StepSpec {
-    /// A pure stack push: produces one value, consumes none, and its
-    /// only non-`Continue` outcome is a fault. Exactly these
-    /// instructions are safe to fuse a following step after (see
-    /// `predecode.rs`): after a `Continue` the next sequential step
-    /// runs unconditionally, which is only sound when the instruction
-    /// can neither jump, return nor send.
-    pub fn is_fusible(&self) -> bool {
-        self.pushes == 1
-            && self.pops == 0
-            && !self.may_jump
-            && !self.may_return
-            && !self.may_send
-            && self.supported
-    }
 }
 
 /// The effect shape of `instr`'s step function. Total over the
@@ -204,51 +179,6 @@ pub fn step_spec(instr: Instruction) -> StepSpec {
 mod tests {
     use super::*;
     use igjit_bytecode::instruction_catalog;
-
-    /// The instruction set the predecoder's hand-written push list
-    /// used to name, member by member. The spec-derived predicate must
-    /// reproduce it exactly — fusion soundness depends on "push" truly
-    /// meaning "Continue or fault".
-    fn hand_written_push_list(instr: Instruction) -> bool {
-        use Instruction as I;
-        matches!(
-            instr,
-            I::PushReceiverVariable(_)
-                | I::PushReceiverVariableLong(_)
-                | I::PushTemp(_)
-                | I::PushTempLong(_)
-                | I::PushLiteralConstant(_)
-                | I::PushLiteralLong(_)
-                | I::PushLiteralVariable(_)
-                | I::PushReceiver
-                | I::PushTrue
-                | I::PushFalse
-                | I::PushNil
-                | I::PushZero
-                | I::PushOne
-                | I::PushMinusOne
-                | I::PushTwo
-                | I::PushInteger(_)
-                | I::Dup
-        )
-    }
-
-    #[test]
-    fn fusion_predicate_matches_the_hand_written_list() {
-        for spec in instruction_catalog() {
-            let i = spec.instruction;
-            assert_eq!(
-                step_spec(i).is_fusible(),
-                hand_written_push_list(i),
-                "{i:?}"
-            );
-        }
-        // The catalog uses one canonical operand per opcode; pin a few
-        // shapes the catalog may not enumerate.
-        assert!(step_spec(Instruction::PushInteger(-128)).is_fusible());
-        assert!(!step_spec(Instruction::PushThisContext).is_fusible());
-        assert!(!step_spec(Instruction::Send { lit: 0, nargs: 3 }).is_fusible());
-    }
 
     #[test]
     fn continue_deltas_are_consistent_with_stack_arity() {

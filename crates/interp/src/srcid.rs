@@ -22,7 +22,6 @@ pub const SRC_FILES: &[&str] = &[
     "natives/mod.rs",
     "natives/object.rs",
     "natives/smallint.rs",
-    "predecode.rs",
     "runner.rs",
     "spec.rs",
     "srcid.rs",
@@ -41,7 +40,6 @@ const SRC_BYTES: &[&[u8]] = &[
     include_bytes!("natives/mod.rs"),
     include_bytes!("natives/object.rs"),
     include_bytes!("natives/smallint.rs"),
-    include_bytes!("predecode.rs"),
     include_bytes!("runner.rs"),
     include_bytes!("spec.rs"),
     include_bytes!("srcid.rs"),

@@ -36,13 +36,12 @@ macro_rules! mem_try {
     };
 }
 
-/// A resolved per-opcode step function (see [`resolve_step`]).
+/// A per-opcode step function, as [`resolve_step`] picks it.
 ///
 /// Every function behind this pointer re-extracts its immediates from
-/// the [`Instruction`] it is handed, so the pointer alone — resolved
-/// once, at predecode time — carries the whole dispatch decision out
-/// of the fetch loop.
-pub type StepFn<C> = fn(
+/// the [`Instruction`] it is handed, so the pointer alone carries the
+/// opcode half of the dispatch decision.
+type StepFn<C> = fn(
     &mut C,
     &mut Frame<<C as VmContext>::V>,
     Instruction,
@@ -54,9 +53,10 @@ pub type StepFn<C> = fn(
 /// (continue/jump/return/send) and the §3.4 exit condition the
 /// differential tester compares.
 ///
-/// Implemented as [`resolve_step`] followed by the resolved call, so
-/// the predecoded pipeline (which resolves once and calls many times)
-/// is step-for-step identical to this function by construction.
+/// Dispatch resolves the instruction to its step function, then calls
+/// it. Every caller — the whole-method runner, the oracle, the concolic
+/// negation walk and the meta tier's partial evaluator — comes through
+/// here, once per executed instruction.
 pub fn step<C: VmContext>(
     ctx: &mut C,
     frame: &mut Frame<C::V>,
@@ -66,11 +66,8 @@ pub fn step<C: VmContext>(
 }
 
 /// Resolves an instruction to its standalone step function — the
-/// dispatch half of [`step`], split out so a fetch loop (or the
-/// concolic negation walk, which executes one instruction against
-/// hundreds of solver models) pays for the opcode match once instead
-/// of once per execution.
-pub fn resolve_step<C: VmContext>(instr: Instruction) -> StepFn<C> {
+/// dispatch half of [`step`].
+fn resolve_step<C: VmContext>(instr: Instruction) -> StepFn<C> {
     use Instruction as I;
     match instr {
         // --- pushes ---------------------------------------------------
@@ -139,9 +136,8 @@ pub fn resolve_step<C: VmContext>(instr: Instruction) -> StepFn<C> {
 }
 
 /// The per-opcode step bodies, one standalone function per semantic
-/// group, all with the uniform [`StepFn`] signature so they can be
-/// stored in predecoded step arrays and called without re-matching
-/// the opcode. Each function only accepts the instructions
+/// group, all with the uniform [`StepFn`] signature. Each function
+/// only accepts the instructions
 /// [`resolve_step`] routes to it and panics on any other — the
 /// resolver is the single source of truth for the pairing.
 pub mod steps {

@@ -42,34 +42,6 @@ use igjit_mutate::{armed, ops as mutops};
 
 use crate::{CompileError, CompiledCode, CompilerKind};
 
-/// Applies the cache-layer mutations: each drops one compile-relevant
-/// field from the lookup key, conflating entries that must be distinct.
-fn mutate_key(mut key: CompileKey) -> CompileKey {
-    match &mut key {
-        CompileKey::Bytecode { kind, stack, nil, true_obj, false_obj, .. } => {
-            if armed(mutops::CACHE_KEY_IGNORES_STACK) {
-                stack.clear();
-            }
-            if armed(mutops::CACHE_KEY_IGNORES_KIND) {
-                *kind = CompilerKind::SimpleStackBased;
-            }
-            if armed(mutops::CACHE_KEY_IGNORES_SPECIAL_OOPS) {
-                *nil = 0;
-                *true_obj = 0;
-                *false_obj = 0;
-            }
-        }
-        CompileKey::Native { nil, true_obj, false_obj, .. } => {
-            if armed(mutops::CACHE_KEY_IGNORES_SPECIAL_OOPS) {
-                *nil = 0;
-                *true_obj = 0;
-                *false_obj = 0;
-            }
-        }
-    }
-    key
-}
-
 /// Everything a test compilation depends on, by value.
 ///
 /// The receiver is *not* part of a bytecode key: it rides in the
@@ -88,11 +60,11 @@ pub enum CompileKey {
         /// The instruction sequence under test.
         instrs: Vec<Instruction>,
         /// Operand-stack oops embedded by `genPushLiteral`.
-        stack: Vec<u32>,
+        stack: Vec<Oop>,
         /// Temp oops materialized by the preamble.
-        temps: Vec<u32>,
+        temps: Vec<Oop>,
         /// Method literal oops.
-        literals: Vec<u32>,
+        literals: Vec<Oop>,
         /// The nil oop compiled into push-constant code.
         nil: u32,
         /// The true oop.
@@ -116,10 +88,9 @@ pub enum CompileKey {
 }
 
 impl CompileKey {
-    /// Bucket hash; must agree with [`CompileKeyRef::bucket_hash`] on
-    /// equivalent keys (enforced by `ref_and_owned_lookups_agree`).
-    fn bucket_hash(&self) -> u64 {
-        let mut h = FxHasher64::new();
+    /// The borrowed view of this key, which the cache hashes and
+    /// compares.
+    pub fn as_ref(&self) -> CompileKeyRef<'_> {
         match self {
             CompileKey::Bytecode {
                 kind,
@@ -131,33 +102,31 @@ impl CompileKey {
                 nil,
                 true_obj,
                 false_obj,
-            } => {
-                0u8.hash(&mut h);
-                kind.hash(&mut h);
-                isa.hash(&mut h);
-                instrs.as_slice().hash(&mut h);
-                for part in [stack, temps, literals] {
-                    part.len().hash(&mut h);
-                    for v in part {
-                        v.hash(&mut h);
-                    }
-                }
-                (nil, true_obj, false_obj).hash(&mut h);
-            }
-            CompileKey::Native { id, isa, nil, true_obj, false_obj } => {
-                1u8.hash(&mut h);
-                (id, isa, nil, true_obj, false_obj).hash(&mut h);
+            } => CompileKeyRef::Bytecode {
+                kind: *kind,
+                isa: *isa,
+                instrs,
+                stack,
+                temps,
+                literals,
+                nil: *nil,
+                true_obj: *true_obj,
+                false_obj: *false_obj,
+            },
+            &CompileKey::Native { id, isa, nil, true_obj, false_obj } => {
+                CompileKeyRef::Native { id, isa, nil, true_obj, false_obj }
             }
         }
-        h.finish()
     }
 }
 
 /// A borrowed view of a [`CompileKey`]: the hot lookup path hashes and
 /// compares the frame's own slices without allocating; the owned key
 /// (three `Vec` clones) is only built on the miss path, ~3× less
-/// often than lookups in a campaign sweep.
-#[derive(Clone, Copy, Debug)]
+/// often than lookups in a campaign sweep. Stored keys are compared
+/// through their own [`CompileKey::as_ref`] view, so one derived hash
+/// and one derived equality serve every lookup.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CompileKeyRef<'a> {
     /// A bytecode (sequence) test compilation.
     Bytecode {
@@ -196,10 +165,9 @@ pub enum CompileKeyRef<'a> {
 }
 
 impl<'a> CompileKeyRef<'a> {
-    /// Applies the cache-layer mutations at the borrow level (the
-    /// owned-key path applies the same ones via `mutate_key`): each
-    /// drops one compile-relevant field, conflating entries that must
-    /// be distinct.
+    /// Applies the cache-layer mutations: each drops one
+    /// compile-relevant field from the lookup key, conflating entries
+    /// that must be distinct.
     fn mutated(self) -> CompileKeyRef<'a> {
         let mut key = self;
         match &mut key {
@@ -227,93 +195,11 @@ impl<'a> CompileKeyRef<'a> {
         key
     }
 
-    /// Bucket hash; agrees with [`CompileKey::bucket_hash`] on
-    /// equivalent keys.
+    /// The pre-computed `u64` a cache bucket is keyed by.
     fn bucket_hash(&self) -> u64 {
         let mut h = FxHasher64::new();
-        match *self {
-            CompileKeyRef::Bytecode {
-                kind,
-                isa,
-                instrs,
-                stack,
-                temps,
-                literals,
-                nil,
-                true_obj,
-                false_obj,
-            } => {
-                0u8.hash(&mut h);
-                kind.hash(&mut h);
-                isa.hash(&mut h);
-                instrs.hash(&mut h);
-                for part in [stack, temps, literals] {
-                    part.len().hash(&mut h);
-                    for o in part {
-                        o.0.hash(&mut h);
-                    }
-                }
-                (nil, true_obj, false_obj).hash(&mut h);
-            }
-            CompileKeyRef::Native { id, isa, nil, true_obj, false_obj } => {
-                1u8.hash(&mut h);
-                (id, isa, nil, true_obj, false_obj).hash(&mut h);
-            }
-        }
+        self.hash(&mut h);
         h.finish()
-    }
-
-    /// Whether this borrowed key denotes the same compilation as the
-    /// stored owned key.
-    fn matches(&self, owned: &CompileKey) -> bool {
-        fn oops_eq(a: &[Oop], b: &[u32]) -> bool {
-            a.len() == b.len() && a.iter().zip(b).all(|(o, v)| o.0 == *v)
-        }
-        match (*self, owned) {
-            (
-                CompileKeyRef::Bytecode {
-                    kind,
-                    isa,
-                    instrs,
-                    stack,
-                    temps,
-                    literals,
-                    nil,
-                    true_obj,
-                    false_obj,
-                },
-                CompileKey::Bytecode {
-                    kind: okind,
-                    isa: oisa,
-                    instrs: oinstrs,
-                    stack: ostack,
-                    temps: otemps,
-                    literals: oliterals,
-                    nil: onil,
-                    true_obj: otrue,
-                    false_obj: ofalse,
-                },
-            ) => {
-                kind == *okind
-                    && isa == *oisa
-                    && instrs == oinstrs.as_slice()
-                    && oops_eq(stack, ostack)
-                    && oops_eq(temps, otemps)
-                    && oops_eq(literals, oliterals)
-                    && (nil, true_obj, false_obj) == (*onil, *otrue, *ofalse)
-            }
-            (
-                CompileKeyRef::Native { id, isa, nil, true_obj, false_obj },
-                CompileKey::Native {
-                    id: oid,
-                    isa: oisa,
-                    nil: onil,
-                    true_obj: otrue,
-                    false_obj: ofalse,
-                },
-            ) => (id, isa, nil, true_obj, false_obj) == (*oid, *oisa, *onil, *otrue, *ofalse),
-            _ => false,
-        }
     }
 
     /// Materializes the owned key (the only allocating step of a
@@ -334,9 +220,9 @@ impl<'a> CompileKeyRef<'a> {
                 kind,
                 isa,
                 instrs: instrs.to_vec(),
-                stack: stack.iter().map(|o| o.0).collect(),
-                temps: temps.iter().map(|o| o.0).collect(),
-                literals: literals.iter().map(|o| o.0).collect(),
+                stack: stack.to_vec(),
+                temps: temps.to_vec(),
+                literals: literals.to_vec(),
                 nil,
                 true_obj,
                 false_obj,
@@ -355,6 +241,11 @@ pub type CachedArtifact = Arc<Result<CompiledCode, CompileError>>;
 /// One hash bucket: entries whose keys collide on the pre-computed
 /// `u64`, compared exactly on lookup (nearly always a singleton).
 type CacheBucket = Vec<(CompileKey, CachedArtifact)>;
+
+/// A fresh bucket, sized for the one entry it nearly always holds.
+fn new_bucket() -> CacheBucket {
+    Vec::with_capacity(1)
+}
 
 /// A concurrent cache of compiled test artifacts (including refusals),
 /// shared across models, probes, paths and worker threads.
@@ -400,7 +291,7 @@ impl CodeCache {
         let key = key.mutated();
         let bucket_hash = key.bucket_hash();
         if let Some(bucket) = self.map.read().expect("code cache poisoned").get(&bucket_hash) {
-            if let Some((_, entry)) = bucket.iter().find(|(stored, _)| key.matches(stored)) {
+            if let Some((_, entry)) = bucket.iter().find(|(stored, _)| stored.as_ref() == key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Arc::clone(entry);
             }
@@ -409,40 +300,12 @@ impl CodeCache {
         // key produces an identical artifact (compilation is pure).
         self.misses.fetch_add(1, Ordering::Relaxed);
         let entry = Arc::new(compile());
-        let owned = key.to_owned_key();
         let mut map = self.map.write().expect("code cache poisoned");
-        let bucket = map.entry(bucket_hash).or_default();
-        if let Some((_, existing)) = bucket.iter().find(|(stored, _)| key.matches(stored)) {
+        let bucket = map.entry(bucket_hash).or_insert_with(new_bucket);
+        if let Some((_, existing)) = bucket.iter().find(|(stored, _)| stored.as_ref() == key) {
             return Arc::clone(existing);
         }
-        bucket.push((owned, Arc::clone(&entry)));
-        entry
-    }
-
-    /// Owned-key lookup, for callers that already hold a
-    /// [`CompileKey`] (tests, one-shot tools); the campaign's hot path
-    /// uses [`CodeCache::get_or_compile_ref`].
-    pub fn get_or_compile(
-        &self,
-        key: CompileKey,
-        compile: impl FnOnce() -> Result<CompiledCode, CompileError>,
-    ) -> CachedArtifact {
-        let key = mutate_key(key);
-        let bucket_hash = key.bucket_hash();
-        if let Some(bucket) = self.map.read().expect("code cache poisoned").get(&bucket_hash) {
-            if let Some((_, entry)) = bucket.iter().find(|(stored, _)| *stored == key) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(entry);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let entry = Arc::new(compile());
-        let mut map = self.map.write().expect("code cache poisoned");
-        let bucket = map.entry(bucket_hash).or_default();
-        if let Some((_, existing)) = bucket.iter().find(|(stored, _)| *stored == key) {
-            return Arc::clone(existing);
-        }
-        bucket.push((key, Arc::clone(&entry)));
+        bucket.push((key.to_owned_key(), Arc::clone(&entry)));
         entry
     }
 
@@ -464,10 +327,10 @@ impl CodeCache {
     /// fingerprint guarantees the arming state matches. First insert
     /// wins.
     pub fn preload(&self, key: CompileKey, artifact: Result<CompiledCode, CompileError>) {
-        let bucket_hash = key.bucket_hash();
+        let bucket_hash = key.as_ref().bucket_hash();
         let mut map = self.map.write().expect("code cache poisoned");
-        let bucket = map.entry(bucket_hash).or_default();
-        if bucket.iter().any(|(stored, _)| *stored == key) {
+        let bucket = map.entry(bucket_hash).or_insert_with(new_bucket);
+        if bucket.iter().any(|(stored, _)| stored.as_ref() == key.as_ref()) {
             return;
         }
         bucket.push((key, Arc::new(artifact)));
@@ -500,11 +363,7 @@ impl CodeCache {
 mod tests {
     use super::*;
 
-    fn native_key(id: u32) -> CompileKey {
-        CompileKey::Native { id, isa: Isa::X86ish, nil: 2, true_obj: 6, false_obj: 10 }
-    }
-
-    fn native_key_ref(id: u32) -> CompileKeyRef<'static> {
+    fn native_key(id: u32) -> CompileKeyRef<'static> {
         CompileKeyRef::Native { id, isa: Isa::X86ish, nil: 2, true_obj: 6, false_obj: 10 }
     }
 
@@ -515,8 +374,8 @@ mod tests {
     #[test]
     fn second_lookup_hits_and_shares_the_artifact() {
         let cache = CodeCache::new();
-        let a = cache.get_or_compile(native_key(1), || fake_code(0xAA));
-        let b = cache.get_or_compile(native_key(1), || panic!("must not recompile"));
+        let a = cache.get_or_compile_ref(native_key(1), || fake_code(0xAA));
+        let b = cache.get_or_compile_ref(native_key(1), || panic!("must not recompile"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
@@ -524,8 +383,8 @@ mod tests {
     #[test]
     fn distinct_keys_compile_separately() {
         let cache = CodeCache::new();
-        cache.get_or_compile(native_key(1), || fake_code(1));
-        cache.get_or_compile(native_key(2), || fake_code(2));
+        cache.get_or_compile_ref(native_key(1), || fake_code(1));
+        cache.get_or_compile_ref(native_key(2), || fake_code(2));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.misses(), 2);
     }
@@ -533,27 +392,22 @@ mod tests {
     #[test]
     fn refusals_are_cached() {
         let cache = CodeCache::new();
-        let key = native_key(120);
-        cache.get_or_compile(key.clone(), || Err(CompileError::NotImplemented("ffi")));
-        let r = cache.get_or_compile(key, || panic!("refusal must be cached"));
+        cache.get_or_compile_ref(native_key(120), || Err(CompileError::NotImplemented("ffi")));
+        let r = cache.get_or_compile_ref(native_key(120), || panic!("refusal must be cached"));
         assert!(matches!(*r, Err(CompileError::NotImplemented("ffi"))));
         assert_eq!(cache.hits(), 1);
     }
 
     #[test]
-    fn ref_and_owned_lookups_agree() {
+    fn preloaded_owned_keys_are_hit_by_borrowed_lookups() {
         use igjit_bytecode::Instruction;
+        // The corpus warm start preloads owned keys; the sweep then
+        // looks them up through the frame's borrowed slices. Both key
+        // shapes must hit, and a preload counts as neither.
         let cache = CodeCache::new();
-        // Warm via the borrowed path, hit via the owned path — and the
-        // same for a bytecode key, whose slice fields exercise the
-        // cross-representation hash/equality contract.
-        let seeded = cache.get_or_compile_ref(native_key_ref(7), || fake_code(7));
-        let owned = cache.get_or_compile(native_key(7), || panic!("must hit"));
-        assert!(Arc::ptr_eq(&seeded, &owned));
-
         let stack = [Oop(21), Oop(42)];
         let instrs = [Instruction::Add];
-        let bc_ref = CompileKeyRef::Bytecode {
+        let bytecode = CompileKeyRef::Bytecode {
             kind: CompilerKind::StackToRegister,
             isa: Isa::Arm32ish,
             instrs: &instrs,
@@ -564,23 +418,12 @@ mod tests {
             true_obj: 6,
             false_obj: 10,
         };
-        let bc_owned = CompileKey::Bytecode {
-            kind: CompilerKind::StackToRegister,
-            isa: Isa::Arm32ish,
-            instrs: instrs.to_vec(),
-            stack: vec![21, 42],
-            temps: vec![],
-            literals: vec![],
-            nil: 2,
-            true_obj: 6,
-            false_obj: 10,
-        };
-        assert_eq!(bc_ref.bucket_hash(), bc_owned.bucket_hash());
-        assert!(bc_ref.matches(&bc_owned));
-        let first = cache.get_or_compile_ref(bc_ref, || fake_code(0x42));
-        let second = cache.get_or_compile(bc_owned, || panic!("must hit"));
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
+        for (key, byte) in [(native_key(7), 7), (bytecode, 0x42)] {
+            cache.preload(key.to_owned_key(), fake_code(byte));
+            let hit = cache.get_or_compile_ref(key, || panic!("must hit"));
+            assert_eq!((*hit).as_ref().unwrap().code, [byte; 4]);
+        }
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (2, 0, 2));
     }
 
     #[test]
@@ -602,5 +445,7 @@ mod tests {
         let b = cache.get_or_compile_ref(key, || panic!("must hit"));
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.len(), 1);
+        let (stored, _) = &cache.snapshot()[0];
+        assert_eq!(stored.as_ref(), key);
     }
 }

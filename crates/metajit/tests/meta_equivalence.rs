@@ -13,8 +13,7 @@
 //! Frames whose interpreter step traps (frame fault, memory fault,
 //! unsupported) are out of contract: the campaign's oracle gate
 //! (`EngineExit::is_testable`) never lets them reach a compiled run,
-//! so the comparison skips them the same way `predecode_props.rs`
-//! skips undecodable tails.
+//! so the comparison skips them.
 
 use igjit_bytecode::Instruction;
 use igjit_heap::{ObjectMemory, Oop};
@@ -27,7 +26,7 @@ use proptest::prelude::*;
 /// Executable instructions, with operand indexes straddling the valid
 /// range (2 args + 2 temps, 3 literals, 3 receiver slots) so frame and
 /// memory faults are generated as often as clean steps — mirroring
-/// `predecode_props.rs`.
+/// the interpreter's `runner_props.rs`.
 fn arb_instr() -> impl Strategy<Value = Instruction> {
     use Instruction as I;
     prop_oneof![
@@ -127,10 +126,11 @@ struct Env {
     assoc: Oop,
 }
 
-/// The shared pristine environment of `predecode_props.rs`: a 3-slot
-/// receiver candidate, a Float and a 2-slot association. Deterministic,
-/// so building it twice yields bit-identical memories (and therefore
-/// identical oop addresses, which the meta-compiler bakes in).
+/// The shared pristine environment of the interpreter's
+/// `runner_props.rs`: a 3-slot receiver candidate, a Float and a 2-slot
+/// association. Deterministic, so building it twice yields
+/// bit-identical memories (and therefore identical oop addresses,
+/// which the meta-compiler bakes in).
 fn build_env() -> Env {
     let mut mem = ObjectMemory::new();
     let recv = mem

@@ -7,8 +7,8 @@ use igjit::{CompilerKind, Isa};
 use igjit_heap::ObjectMemory;
 use igjit_jit::native::igjit_bytecode_native_id::NativeMethodIdLike;
 use igjit_jit::{
-    compile_bytecode_sequence_test, compile_native_test, BytecodeTestInput, CodeCache, CompileKey,
-    NativeTestInput,
+    compile_bytecode_sequence_test, compile_native_test, BytecodeTestInput, CodeCache,
+    CompileKeyRef, NativeTestInput,
 };
 
 const BOTH: [Isa; 2] = [Isa::X86ish, Isa::Arm32ish];
@@ -24,7 +24,7 @@ fn cached_native_artifacts_are_byte_identical_to_fresh_compiles() {
     let cache = CodeCache::new();
     for id in [1u32, 14, 40, 41] {
         for isa in BOTH {
-            let key = CompileKey::Native {
+            let key = CompileKeyRef::Native {
                 id,
                 isa,
                 nil: mem.nil().0,
@@ -35,11 +35,11 @@ fn cached_native_artifacts_are_byte_identical_to_fresh_compiles() {
                 .expect("compiles");
             // Warm the cache, then look the same key up again: the
             // second lookup must hit and return the identical bytes.
-            let first = cache.get_or_compile(key.clone(), || {
+            let first = cache.get_or_compile_ref(key, || {
                 compile_native_test(NativeMethodIdLike(id as u16), input, isa)
             });
             let hits_before = cache.hits();
-            let second = cache.get_or_compile(key, || panic!("must hit"));
+            let second = cache.get_or_compile_ref(key, || panic!("must hit"));
             assert_eq!(cache.hits(), hits_before + 1);
             for artifact in [&first, &second] {
                 let cached = (**artifact).as_ref().expect("compiles");
@@ -68,20 +68,20 @@ fn cached_bytecode_artifacts_are_byte_identical_to_fresh_compiles() {
     let cache = CodeCache::new();
     for kind in CompilerKind::ALL {
         for isa in BOTH {
-            let key = CompileKey::Bytecode {
+            let key = CompileKeyRef::Bytecode {
                 kind,
                 isa,
-                instrs: vec![Instruction::Add],
-                stack: stack.iter().map(|o| o.0).collect(),
-                temps: vec![],
-                literals: vec![],
+                instrs: &[Instruction::Add],
+                stack: &stack,
+                temps: &[],
+                literals: &[],
                 nil: mem.nil().0,
                 true_obj: mem.true_object().0,
                 false_obj: mem.false_object().0,
             };
             let fresh = compile_bytecode_sequence_test(kind, &[Instruction::Add], &input, isa)
                 .expect("compiles");
-            let cached = cache.get_or_compile(key, || {
+            let cached = cache.get_or_compile_ref(key, || {
                 compile_bytecode_sequence_test(kind, &[Instruction::Add], &input, isa)
             });
             let cached = (*cached).as_ref().expect("compiles");
