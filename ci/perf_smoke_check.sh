@@ -20,8 +20,8 @@
 #     compiler partially evaluated out of the interpreter agrees with
 #     the interpreter by construction;
 #   * work counters — solver solves/sat/nodes/pushes, code-cache
-#     hits/misses, heap restores/dirty words and exploration-cache
-#     hits/misses equal `work_counters` exactly. They repeat
+#     hits/misses, per-model heap seals, heap restores/dirty words and
+#     exploration-cache hits/misses equal `work_counters` exactly. They repeat
 #     to the last digit at any worker count, so a change that does more
 #     (or less) work fails here on any runner; slowdowns that keep them
 #     constant are `perf`'s job, not CI's;

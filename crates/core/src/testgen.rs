@@ -52,7 +52,8 @@ pub enum TestResult {
 
 impl GeneratedTest {
     /// Replays the test through the campaign's differential step on
-    /// this test's ISA: a fresh replay arena and artifact cache.
+    /// this test's ISA: the thread's replay arena and a fresh artifact
+    /// cache.
     pub fn run(&self) -> TestResult {
         let code_cache = CodeCache::new();
         let meta_cache = MetaCache::new();

@@ -9,6 +9,7 @@ use igjit_metajit::MetaCache;
 
 use crate::classify::CauseKey;
 use crate::compare::Verdict;
+use crate::compiled::Lap;
 use crate::step::{Checked, Harness, Program};
 
 /// What compiler the campaign tests against the interpreter.
@@ -104,8 +105,9 @@ pub struct InstructionOutcome {
     /// panicked. A crashing interpreter path is a test error worth
     /// surfacing, not a quietly skipped model.
     pub oracle_panics: usize,
-    /// Seal/restore accounting of the copy-on-write heap replay (all
-    /// zero when the snapshot layer is disabled).
+    /// Seal/restore accounting of the replay arena for this
+    /// instruction's checks, including the rollback to blank when they
+    /// finish.
     pub snapshot: SnapshotStats,
     /// Runs executed as meta-compiled machine code (always zero for
     /// targets other than [`Target::MetaCompiled`]).
@@ -115,11 +117,18 @@ pub struct InstructionOutcome {
 }
 
 /// Seal/restore accounting for the copy-on-write heap replay.
+///
+/// Every count belongs to the checks that caused it: the replay arena
+/// is back at blank whenever a harness finishes, so the totals are the
+/// same however instructions are spread over threads.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// Base images sealed — one per materialized (path, model).
+    /// Per-model images sealed — one per compared (path, model), the
+    /// inner level its compiled runs rewind to. The blank seal each
+    /// thread's arena takes once is not counted.
     pub seals: u64,
-    /// Rollbacks of a sealed base between engine runs.
+    /// Rollbacks of an arena heap: to the per-model seal between ISAs,
+    /// and to blank between models and when a harness finishes.
     pub restores: u64,
     /// Total dirty units (heap words + external bytes) undone across
     /// all restores.
@@ -238,8 +247,9 @@ impl CampaignRow {
 /// Stage boundaries:
 /// - `explore`: concolic exploration plus kind-probe model solving.
 ///   Zero when the exploration came from a cache.
-/// - `materialize`: model-to-heap materialization *and* the concrete
-///   interpreter oracle run it feeds (they share one traversal).
+/// - `materialize`: model-to-heap materialization, its mirror onto
+///   the replay heap, *and* the concrete interpreter oracle run it
+///   feeds, plus the arena's rollbacks.
 /// - `compile`: JIT front-end + back-end time for the target tier,
 ///   charged inside the code cache's miss (zero on a hit).
 /// - `simulate`: machine-simulator execution of the compiled code
@@ -267,8 +277,9 @@ impl CampaignRow {
 pub struct StageTimes {
     /// Concolic exploration + probe-model solving.
     pub explore: Duration,
-    /// Materialization + interpreter-oracle execution + base-image
-    /// snapshot restores.
+    /// Materialization on the oracle heap + its mirror onto the
+    /// replay heap + interpreter-oracle execution + the arena's
+    /// rollbacks (between ISAs, between models and at the end).
     pub materialize: Duration,
     /// JIT compilation.
     pub compile: Duration,
@@ -399,8 +410,10 @@ pub fn test_instruction(
 /// may share across instructions and threads.
 ///
 /// Every model of every curated path goes through one [`Harness`]:
-/// the differential step with one replay arena and the thread's
-/// simulator session for the whole call.
+/// the differential step with the thread's replay arena and simulator
+/// session for the whole call. A path stops at the first refusal, and
+/// at its base model when that model's interpreter exit is an expected
+/// failure.
 pub fn test_instruction_with(
     instr: InstrUnderTest,
     target: Target,
@@ -427,7 +440,11 @@ pub fn test_instruction_with(
         let mut verdict = PathVerdict::new(instr);
         for (mi, model) in models.iter().enumerate() {
             let checked = harness.check(&exploration.state, model, program, mi > 0, &mut verdict);
-            if checked == Checked::Refused {
+            // A refusal ends the path on any model. An untestable base
+            // model ends it too: probe models satisfy the same path
+            // condition, so their interpreter exit is just as
+            // untestable (`tests/testability_is_per_path.rs`).
+            if checked == Checked::Refused || (mi == 0 && checked == Checked::Untestable) {
                 break;
             }
         }
@@ -435,7 +452,8 @@ pub fn test_instruction_with(
         harness.charge(|t| &mut t.report);
     }
 
-    let tally = &harness.tally;
+    let mut tally = harness.finish();
+    let mut lap = Lap::start();
     let outcome = InstructionOutcome {
         instruction: instr,
         paths_found: exploration.paths.len(),
@@ -445,12 +463,12 @@ pub fn test_instruction_with(
         explore_iterations: exploration.iterations,
         witness_errors: tally.witness_errors,
         oracle_panics: tally.oracle_panics,
-        snapshot: tally.snapshot.clone(),
+        snapshot: tally.snapshot,
         meta_compiled_runs: tally.meta.compiled,
         meta_trampolines: tally.meta.trampolined,
     };
-    harness.charge(|t| &mut t.report);
-    (outcome, harness.finish().times)
+    lap.charge(&mut tally.times.report);
+    (outcome, tally.times)
 }
 
 #[cfg(test)]

@@ -1,7 +1,9 @@
 //! The interpreter oracle: concrete re-execution of an explored path.
 
+use std::cell::Cell;
+
 use igjit_bytecode::fxhash::FxHashMap;
-use igjit_bytecode::{decode, encode, SpecialSelector};
+use igjit_bytecode::{decode, encode, Instruction, SpecialSelector};
 use igjit_concolic::{materialize_shared, AbstractState, InstrUnderTest};
 use igjit_heap::{ObjectMemory, Oop};
 use igjit_interp::{
@@ -139,6 +141,13 @@ pub fn run_oracle_on(
     run_program_on(mem, frame, Program::of(&instr))
 }
 
+thread_local! {
+    /// The encoded program of the thread's current oracle run, kept
+    /// across runs so encoding allocates nothing once it has grown. A
+    /// panicking run drops it and the next run starts a new one.
+    static ENCODED: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
+
 /// [`run_oracle_on`] for a whole program. The bytecodes are encoded and
 /// decoded sequentially, and run in order as the decoder reads them; a
 /// send, return, taken jump or fault ends the run with that exit, and
@@ -148,50 +157,18 @@ pub(crate) fn run_program_on(
     frame: &mut Frame<Oop>,
     program: Program<'_>,
 ) -> EngineExit {
-    let mut ctx = ConcreteContext::new(mem);
     match program {
         Program::Bytecode(instrs) => {
-            let mut bytes = Vec::new();
+            let mut bytes = ENCODED.take();
+            bytes.clear();
             for &i in instrs {
                 encode(i, &mut bytes);
             }
-            let mut pc = 0;
-            let mut reading = std::iter::from_fn(|| {
-                let (decoded, len) = decode(&bytes, pc).ok()?;
-                pc += len;
-                Some(decoded)
-            })
-            .fuse();
-            for &instr in instrs {
-                // The decoder's reading; the enum value only past the
-                // point where decoding stopped.
-                let instr = reading.next().unwrap_or(instr);
-                let exit = match step(&mut ctx, frame, instr) {
-                    StepOutcome::Continue => continue,
-                    StepOutcome::Jump { displacement: _ } => EngineExit::JumpTaken,
-                    StepOutcome::MethodReturn { value } => EngineExit::Return { value },
-                    StepOutcome::MessageSend { selector, receiver, args } => EngineExit::Send {
-                        selector: match selector {
-                            Selector::Special(s) => SelectorId::Special(s),
-                            Selector::MustBeBoolean => SelectorId::MustBeBoolean,
-                            Selector::Literal(v) => SelectorId::Literal(v),
-                        },
-                        receiver,
-                        args,
-                    },
-                    StepOutcome::InvalidFrame => EngineExit::InvalidFrame,
-                    StepOutcome::InvalidMemoryAccess => EngineExit::InvalidMemory,
-                    StepOutcome::Unsupported { reason } => EngineExit::EngineError(reason.into()),
-                };
-                return exit;
-            }
-            EngineExit::Success {
-                stack: frame.stack.clone(),
-                temps: frame.temps.clone(),
-                result: None,
-            }
+            let exit = run_encoded(mem, frame, instrs, &bytes);
+            ENCODED.set(bytes);
+            exit
         }
-        Program::Native(id) => match run_native(&mut ctx, frame, id) {
+        Program::Native(id) => match run_native(&mut ConcreteContext::new(mem), frame, id) {
             NativeOutcome::Success { result } => EngineExit::Success {
                 stack: frame.stack.clone(),
                 temps: frame.temps.clone(),
@@ -202,6 +179,51 @@ pub(crate) fn run_program_on(
             NativeOutcome::InvalidMemoryAccess => EngineExit::InvalidMemory,
             NativeOutcome::Unsupported { reason } => EngineExit::EngineError(reason.into()),
         },
+    }
+}
+
+/// Runs `instrs` as the decoder reads their encoding `bytes`.
+fn run_encoded(
+    mem: &mut ObjectMemory,
+    frame: &mut Frame<Oop>,
+    instrs: &[Instruction],
+    bytes: &[u8],
+) -> EngineExit {
+    let mut ctx = ConcreteContext::new(mem);
+    let mut pc = 0;
+    let mut reading = std::iter::from_fn(|| {
+        let (decoded, len) = decode(bytes, pc).ok()?;
+        pc += len;
+        Some(decoded)
+    })
+    .fuse();
+    for &instr in instrs {
+        // The decoder's reading; the enum value only past the
+        // point where decoding stopped.
+        let instr = reading.next().unwrap_or(instr);
+        let exit = match step(&mut ctx, frame, instr) {
+            StepOutcome::Continue => continue,
+            StepOutcome::Jump { displacement: _ } => EngineExit::JumpTaken,
+            StepOutcome::MethodReturn { value } => EngineExit::Return { value },
+            StepOutcome::MessageSend { selector, receiver, args } => EngineExit::Send {
+                selector: match selector {
+                    Selector::Special(s) => SelectorId::Special(s),
+                    Selector::MustBeBoolean => SelectorId::MustBeBoolean,
+                    Selector::Literal(v) => SelectorId::Literal(v),
+                },
+                receiver,
+                args,
+            },
+            StepOutcome::InvalidFrame => EngineExit::InvalidFrame,
+            StepOutcome::InvalidMemoryAccess => EngineExit::InvalidMemory,
+            StepOutcome::Unsupported { reason } => EngineExit::EngineError(reason.into()),
+        };
+        return exit;
+    }
+    EngineExit::Success {
+        stack: frame.stack.clone(),
+        temps: frame.temps.clone(),
+        result: None,
     }
 }
 

@@ -125,41 +125,42 @@ pub struct Tally {
     pub oracle_panics: usize,
 }
 
-/// The replay arena's pair of recycled heaps, persisting across all
-/// models one [`Harness`] checks.
+/// The replay arena: a pair of heaps that are one heap at their shared
+/// blank seal, recycled across every model this thread checks.
 ///
-/// Both heaps are born blank and sealed; determinism of
-/// `materialize_shared` from identical blank states guarantees the two
-/// materializations of a model produce bit-identical addresses, so the
-/// oracle's `var_oops` apply to the replay heap unchanged (spot-checked
-/// by a `debug_assert` on the input frames).
+/// The *oracle* heap is materialized and interpreted in place; the
+/// *replay* heap, a clone of it taken at the blank seal, is brought to
+/// the materialized image by [`ObjectMemory::mirror_from`] — a copy of
+/// exactly what materialization changed — so the oracle's `var_oops`
+/// name the same objects on both heaps by construction. The replay heap
+/// pushes a per-model inner seal for the compiled runs; both heaps roll
+/// back to `blank` between models and when a harness finishes.
 struct ReplayArena {
-    /// Runs the interpreter oracle: materialized and executed in
-    /// place, then rolled back to blank for the next model.
     oracle: ObjectMemory,
-    oracle_blank: Snapshot,
-    oracle_used: bool,
-    /// Runs the compiled code: blank outer seal + per-model inner seal,
-    /// restored to the inner between ISAs and to blank between models.
     replay: ObjectMemory,
-    replay_blank: Snapshot,
-    replay_used: bool,
+    /// The blank seal both heaps share (a clone keeps the seal epoch,
+    /// so one token names it on either heap).
+    blank: Snapshot,
+    /// Whether the heaps may have left blank since the last rewind.
+    used: bool,
 }
 
 impl ReplayArena {
-    fn new(stats: &mut SnapshotStats) -> ReplayArena {
+    fn new() -> ReplayArena {
         let mut oracle = ObjectMemory::new();
-        let oracle_blank = oracle.seal();
-        let mut replay = ObjectMemory::new();
-        let replay_blank = replay.seal();
-        stats.seals += 2;
-        ReplayArena {
-            oracle,
-            oracle_blank,
-            oracle_used: false,
-            replay,
-            replay_blank,
-            replay_used: false,
+        let blank = oracle.seal();
+        let replay = oracle.clone();
+        ReplayArena { oracle, replay, blank, used: false }
+    }
+
+    /// Rolls both heaps back to blank (the replay heap through its
+    /// inner seal, if one was pushed) if they may have left it.
+    fn rewind(&mut self, stats: &mut SnapshotStats) {
+        if std::mem::take(&mut self.used) {
+            for heap in [&mut self.oracle, &mut self.replay] {
+                let dirty = heap.restore(&self.blank).expect("blank seal is armed");
+                stats.record_restore(dirty);
+            }
         }
     }
 }
@@ -171,6 +172,13 @@ thread_local! {
     /// mid-check merely drops the session and the next harness
     /// allocates a fresh one.
     static REUSED_SESSION: std::cell::Cell<Option<MachineSession>> =
+        const { std::cell::Cell::new(None) };
+
+    /// Replay arena reused across harnesses on this thread. A harness
+    /// hands it back from [`Harness::finish`] with both heaps at blank;
+    /// one dropped mid-check (a panic) takes its arena along, and the
+    /// next harness builds a fresh one.
+    static REUSED_ARENA: std::cell::Cell<Option<ReplayArena>> =
         const { std::cell::Cell::new(None) };
 }
 
@@ -190,22 +198,24 @@ fn exit_label(e: &EngineExit) -> String {
 
 /// The execution context of the differential step against one target
 /// on a fixed set of ISAs: the artifact caches, the thread's simulator
-/// session, the stage clock and one replay arena.
+/// session, the stage clock and the thread's replay arena.
 ///
-/// The arena is two heaps allocated on the first check and recycled
-/// across every later one: the *oracle* heap is sealed at its blank
-/// image, materialized and interpreted in place, and rolled back to
-/// blank for the next model; the *replay* heap carries a blank outer
-/// seal plus a per-model inner seal ([`ObjectMemory::push_seal`]) so
-/// compiled runs rewind to the materialized image between ISAs and to
-/// blank between models. Every reset is `restore` — O(words the run
-/// dirtied).
+/// The arena is two heaps built once per thread and passed from one
+/// harness to the next: each model is materialized once, on the
+/// *oracle* heap, and mirrored onto the *replay* heap; the oracle runs
+/// in place, and for a testable model the replay heap seals an inner
+/// level ([`ObjectMemory::push_seal`]) that the compiled runs rewind to
+/// between ISAs. Both heaps roll back to their shared blank seal before
+/// the next model and in [`Harness::finish`], which counts those
+/// rollbacks in this harness's tally — so every counter belongs to the
+/// instruction that caused it, however instructions land on threads.
+/// Every reset is `restore` — O(words the run dirtied).
 pub struct Harness<'c> {
     target: Target,
     isas: &'c [Isa],
     meta_cache: &'c MetaCache,
     ctx: RunCtx<'c>,
-    arena: Option<ReplayArena>,
+    arena: ReplayArena,
     /// What the checks so far accumulated.
     pub(crate) tally: Tally,
 }
@@ -221,12 +231,13 @@ impl<'c> Harness<'c> {
         meta_cache: &'c MetaCache,
     ) -> Harness<'c> {
         let session = REUSED_SESSION.with(|slot| slot.take()).unwrap_or_default();
+        let arena = REUSED_ARENA.with(|slot| slot.take()).unwrap_or_else(ReplayArena::new);
         Harness {
             target,
             isas,
             meta_cache,
             ctx: RunCtx::new(code_cache, session),
-            arena: None,
+            arena,
             tally: Tally::default(),
         }
     }
@@ -237,20 +248,25 @@ impl<'c> Harness<'c> {
         self.ctx.lap.charge(pick(&mut self.tally.times))
     }
 
-    /// Returns the simulator session to the thread and the tally to
-    /// the caller.
-    pub fn finish(self) -> Tally {
+    /// Rolls both arena heaps back to blank (counted, and charged to
+    /// `materialize`), returns the arena and the simulator session to
+    /// the thread and the tally to the caller.
+    pub fn finish(mut self) -> Tally {
+        self.arena.rewind(&mut self.tally.snapshot);
+        REUSED_ARENA.with(|slot| slot.set(Some(self.arena)));
         REUSED_SESSION.with(|slot| slot.set(Some(self.ctx.session)));
+        self.ctx.lap.charge(&mut self.tally.times.materialize);
         self.tally
     }
 
     /// The differential step for one model of a path of `program`'s
-    /// exploration over `state`: run the interpreter (panics caught),
-    /// gate on witness errors and testability, materialize the replay
-    /// image, run the target on every ISA, compare and classify.
-    /// Differences are folded into `path`; `probe` marks a kind-probe
-    /// model (the path's base model is not one and labels its
-    /// interpreter exit).
+    /// exploration over `state`: materialize the model on the oracle
+    /// heap and mirror it onto the replay heap, run the interpreter
+    /// (panics caught), gate on witness errors and testability, seal
+    /// the replay image, run the target on every ISA, compare and
+    /// classify. Differences are folded into `path`; `probe` marks a
+    /// kind-probe model (the path's base model is not one and labels
+    /// its interpreter exit).
     pub fn check(
         &mut self,
         state: &AbstractState,
@@ -260,15 +276,13 @@ impl<'c> Harness<'c> {
         path: &mut PathVerdict,
     ) -> Checked {
         let tally = &mut self.tally;
-        let a = self.arena.get_or_insert_with(|| ReplayArena::new(&mut tally.snapshot));
-        // Reset the oracle heap to blank (also cleans up after a
-        // panicked materialization or oracle run) and materialize this
-        // model directly onto it.
-        if a.oracle_used {
-            let dirty = a.oracle.restore(&a.oracle_blank).expect("blank seal is armed");
-            tally.snapshot.record_restore(dirty);
-        }
-        a.oracle_used = true;
+        let a = &mut self.arena;
+        // Reset both heaps to blank (also cleans up after a panicked
+        // materialization or oracle run), materialize this model onto
+        // the oracle heap and mirror the image onto the replay heap
+        // before the oracle run mutates it.
+        a.rewind(&mut tally.snapshot);
+        a.used = true;
         let Ok(mut mat) = catch_unwind(AssertUnwindSafe(|| {
             materialize_shared(state, model, &mut a.oracle)
         })) else {
@@ -276,6 +290,7 @@ impl<'c> Harness<'c> {
             tally.oracle_panics += 1;
             return Checked::OraclePanic;
         };
+        a.replay.mirror_from(&a.oracle).expect("the replay heap stands at the oracle's blank seal");
         let input_frame = concrete_frame(&mat.frame);
         let mut oracle_frame = input_frame.clone();
         let Ok(interp_exit) = catch_unwind(AssertUnwindSafe(|| {
@@ -300,16 +315,8 @@ impl<'c> Harness<'c> {
             self.ctx.lap.charge(&mut tally.times.materialize);
             return Checked::Untestable;
         }
-        // The model is testable: prepare the replay heap — back to
-        // blank, materialize the same model (bit-identical by
-        // determinism), seal the inner level the ISA loop rewinds to.
-        if a.replay_used {
-            let dirty = a.replay.restore(&a.replay_blank).expect("blank seal is armed");
-            tally.snapshot.record_restore(dirty);
-        }
-        a.replay_used = true;
-        let replayed = materialize_shared(state, model, &mut a.replay);
-        debug_assert_eq!(concrete_frame(&replayed.frame).stack, input_frame.stack);
+        // The model is testable: seal the mirrored image as the inner
+        // level the ISA loop rewinds to.
         let replay_snap = a.replay.push_seal().expect("blank seal is armed");
         tally.snapshot.seals += 1;
         self.ctx.lap.charge(&mut tally.times.materialize);

@@ -136,6 +136,14 @@ impl ClassTable {
         self.entries.truncate(len);
     }
 
+    /// Appends `src`'s entries from index `from` on — how a heap
+    /// mirror picks up the classes its source registered after their
+    /// shared seal, when this table holds `src`'s first `from` entries.
+    pub(crate) fn extend_from(&mut self, src: &ClassTable, from: usize) {
+        debug_assert_eq!(self.entries.len(), from);
+        self.entries.extend_from_slice(&src.entries[from..]);
+    }
+
     /// Looks up a class description; `None` for unknown indices.
     pub fn get(&self, idx: ClassIndex) -> Option<&ClassDescription> {
         self.entries.get(idx.0 as usize).and_then(|e| e.as_ref())

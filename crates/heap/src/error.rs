@@ -61,6 +61,10 @@ pub enum HeapError {
         /// Epoch of the memory's current seal.
         actual: u64,
     },
+    /// `mirror_from` was asked to copy between memories that do not
+    /// stand at the same sealed image: their active seals name
+    /// different images, or the target has changed since its seal.
+    NotAtSharedSeal,
 }
 
 impl std::fmt::Display for HeapError {
@@ -80,6 +84,9 @@ impl std::fmt::Display for HeapError {
             HeapError::NotSealed => write!(f, "memory carries no seal to restore to"),
             HeapError::StaleSnapshot { expected, actual } => {
                 write!(f, "snapshot names seal epoch {expected} but memory is at {actual}")
+            }
+            HeapError::NotAtSharedSeal => {
+                write!(f, "mirror target does not stand at the source's sealed image")
             }
         }
     }

@@ -117,6 +117,17 @@ impl ExternalMemory {
         n
     }
 
+    /// Copies the bytes `src` wrote since its (inner) seal onto this
+    /// region, logging each in this region's own seal. The caller
+    /// guarantees both regions held the same bytes at their seals.
+    pub(crate) fn mirror_from(&mut self, src: &ExternalMemory) {
+        let Some(from) = src.seal.as_deref() else { return };
+        for &(addr, _) in &from.undo {
+            self.note(addr);
+            self.bytes[addr as usize] = src.bytes[addr as usize];
+        }
+    }
+
     /// Drops dirty tracking (both levels) without restoring.
     pub(crate) fn unseal(&mut self) {
         self.seal = None;

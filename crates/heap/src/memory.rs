@@ -319,6 +319,51 @@ impl ObjectMemory {
         Ok(dirty)
     }
 
+    /// Brings this memory, a twin standing exactly at `src`'s sealed
+    /// image, up to `src`'s current contents: the pre-frontier words
+    /// `src`'s undo log names, the words it allocated past the sealed
+    /// frontier, its allocation pointer and hash counter, its live set,
+    /// class table and external bytes. Cost is O(what `src` changed
+    /// since the seal), not O(heap). The copied words go through this
+    /// memory's own write barrier, so restoring its seal afterwards
+    /// rolls the mirror back like any other run.
+    ///
+    /// The twin is a clone of `src` taken at the seal (they then share
+    /// the seal's image id) that has not changed since; anything else —
+    /// either memory unsealed, different images, a twin that has
+    /// written, allocated or registered a class since its seal — is an
+    /// error and leaves this memory untouched.
+    pub fn mirror_from(&mut self, src: &ObjectMemory) -> HeapResult<()> {
+        let (Some(from), Some(to)) = (src.seal.as_deref(), self.seal.as_deref()) else {
+            return Err(HeapError::NotSealed);
+        };
+        let at_seal = to.undo_len() == 0
+            && self.external.dirty_len() == 0
+            && self.alloc_ptr == to.alloc_ptr
+            && self.words.len() == to.committed_len
+            && self.classes.len() == to.class_count
+            && self.hash_counter == to.hash_counter;
+        if from.image != to.image || !at_seal {
+            return Err(HeapError::NotAtSharedSeal);
+        }
+        let seal = self.seal.as_deref_mut().expect("checked above");
+        for idx in from.dirtied() {
+            seal.note(idx, self.words[idx]);
+            self.words[idx] = src.words[idx];
+        }
+        let frontier = from.frontier_idx as usize;
+        let src_frontier = ((src.alloc_ptr - HEAP_BASE) / 4) as usize;
+        self.words.resize(src.words.len(), 0);
+        self.words[frontier..src_frontier].copy_from_slice(&src.words[frontier..src_frontier]);
+        self.alloc_ptr = src.alloc_ptr;
+        self.hash_counter = src.hash_counter;
+        let sealed_live = src.live.partition_point(|&addr| addr < from.alloc_ptr);
+        self.live.extend_from_slice(&src.live[sealed_live..]);
+        self.classes.extend_from(&src.classes, from.class_count);
+        self.external.mirror_from(&src.external);
+        Ok(())
+    }
+
     /// Drops the seal (both levels, with their dirty tracking) without
     /// restoring, leaving the current contents as-is. Outstanding
     /// tokens become unusable. Cloned replicas that will never be

@@ -23,7 +23,18 @@
 //! whose seal has moved on (or was never taken) is a [`HeapError`]
 //! (`StaleSnapshot` / `NotSealed`), not silent corruption.
 //!
+//! The same log lets a *twin* — a clone taken right after the seal —
+//! catch up with the original without rebuilding anything:
+//! `ObjectMemory::mirror_from` replays the original's undo-logged words,
+//! its post-seal allocations and its class and external changes onto the
+//! twin, at a cost of O(what the original changed). Every seal carries a
+//! process-unique image id that clones share, so mirroring between heaps
+//! that do not stand at the same sealed image is a [`HeapError`]
+//! (`NotAtSharedSeal`), never a silent mix of two images.
+//!
 //! [`HeapError`]: crate::error::HeapError
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// An opaque, epoch-stamped token naming one sealed heap image.
 ///
@@ -50,6 +61,10 @@ impl Snapshot {
 #[derive(Clone, Debug)]
 pub(crate) struct SealState {
     pub(crate) epoch: u64,
+    /// Process-unique id of the sealed image, shared by clones of the
+    /// sealed memory: two heaps whose active seals carry the same id
+    /// were one heap at seal time.
+    pub(crate) image: u64,
     /// Sealed allocation pointer (byte address).
     pub(crate) alloc_ptr: u32,
     /// Sealed allocation frontier as a word index into `words`.
@@ -73,8 +88,12 @@ impl SealState {
         hash_counter: u32,
         class_count: usize,
     ) -> SealState {
+        // Ids only need to be unique, which `fetch_add` gives under
+        // any ordering; they publish no other data.
+        static NEXT_IMAGE: AtomicU64 = AtomicU64::new(1);
         SealState {
             epoch,
+            image: NEXT_IMAGE.fetch_add(1, Ordering::Relaxed),
             alloc_ptr,
             frontier_idx,
             committed_len,
@@ -106,6 +125,12 @@ impl SealState {
     /// restore (or the seal).
     pub(crate) fn undo_len(&self) -> usize {
         self.undo.len()
+    }
+
+    /// The pre-frontier words dirtied since the last restore (or the
+    /// seal), each once, in first-write order.
+    pub(crate) fn dirtied(&self) -> impl Iterator<Item = usize> + '_ {
+        self.undo.iter().map(|&(idx, _)| idx as usize)
     }
 
     /// Applies the undo log to `words` and resets the dirty tracking,

@@ -97,7 +97,9 @@ fn jump_patch_offset(isa: Isa, conditional: bool) -> usize {
 
 /// Lowers and encodes an IR sequence for `isa`.
 pub fn lower(ir: &[Ir], isa: Isa) -> Result<Vec<u8>, CompileError> {
-    let mut bytes: Vec<u8> = Vec::new();
+    // An Arm32ish instruction is one 8-byte record, and most IR ops
+    // lower to one instruction; x86ish encodings are shorter.
+    let mut bytes: Vec<u8> = Vec::with_capacity(8 * ir.len());
     let mut label_pos: Vec<Option<usize>> = Vec::new();
     // (patch byte offset, end-of-instruction offset, label)
     let mut fixups: Vec<(usize, usize, LabelId)> = Vec::new();
@@ -112,8 +114,11 @@ pub fn lower(ir: &[Ir], isa: Isa) -> Result<Vec<u8>, CompileError> {
         }
     };
 
+    // The machine instructions of one IR op (at most two), reused
+    // across ops.
+    let mut ms: Vec<MInstr> = Vec::with_capacity(2);
     for op in ir {
-        let mut ms: Vec<MInstr> = Vec::new();
+        ms.clear();
         match *op {
             Ir::Label(l) => {
                 note_label(l, Some(bytes.len()), &mut label_pos);
@@ -197,7 +202,7 @@ pub fn lower(ir: &[Ir], isa: Isa) -> Result<Vec<u8>, CompileError> {
             Ir::IntToF { fd, src } => ms.push(MInstr::IntToF { fd, src: phys(src)? }),
             Ir::Nop => ms.push(MInstr::Nop),
         }
-        for m in ms {
+        for &m in &ms {
             encode_instr(m, isa, &mut bytes)
                 .map_err(|e| CompileError::Backend(e.to_string()))?;
         }

@@ -8,8 +8,6 @@
 //! aggressively; Arm32ish rarely spills — a faithful echo of the
 //! register-pressure asymmetry between the paper's two back-ends.
 
-use std::collections::HashMap;
-
 use igjit_machine::{Isa, Reg};
 use igjit_mutate::{armed, ops as mutops};
 
@@ -28,32 +26,71 @@ enum Loc {
     Slot(u32),
 }
 
+/// Index of a virtual register in the allocator's dense per-vreg
+/// tables.
+fn dense(v: VReg) -> usize {
+    usize::from(v.0 - VReg::FIRST_VIRTUAL)
+}
+
+/// The transient temps one op's spilled registers live in: at most
+/// two spilled uses, plus a spilled def that shares or takes a temp.
+struct TempMap {
+    entries: [(VReg, VReg); 3],
+    len: usize,
+}
+
+impl TempMap {
+    const EMPTY: TempMap = TempMap { entries: [(VReg(0), VReg(0)); 3], len: 0 };
+
+    fn get(&self, v: VReg) -> Option<VReg> {
+        self.entries[..self.len].iter().find(|e| e.0 == v).map(|e| e.1)
+    }
+
+    fn insert(&mut self, v: VReg, t: VReg) {
+        match self.entries[..self.len].iter_mut().find(|e| e.0 == v) {
+            Some(e) => e.1 = t,
+            None => {
+                self.entries[self.len] = (v, t);
+                self.len += 1;
+            }
+        }
+    }
+}
+
 /// Rewrites `ir` so that no virtual registers remain.
 ///
 /// `ntemps` positions the spill area: spill slot `i` lives at
 /// `FP - 4*(ntemps + i + 1)`.
 pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileError> {
-    // Live intervals (first position, last position) per virtual reg.
-    let mut intervals: HashMap<VReg, (usize, usize)> = HashMap::new();
+    // The registers one op reads and writes, reused across ops.
+    let mut regs: Vec<VReg> = Vec::with_capacity(4);
+    // Live intervals (first position, last position), indexed by
+    // `dense(vreg)`.
+    let mut intervals: Vec<Option<(usize, usize)>> = Vec::new();
     for (pos, op) in ir.iter().enumerate() {
-        let mut regs = Vec::new();
+        regs.clear();
         op.uses(&mut regs);
         if let Some(d) = op.def() {
             regs.push(d);
         }
-        for r in regs {
-            if r.is_virtual() {
-                let e = intervals.entry(r).or_insert((pos, pos));
-                e.1 = pos;
+        for &r in regs.iter().filter(|r| r.is_virtual()) {
+            let i = dense(r);
+            if intervals.len() <= i {
+                intervals.resize(i + 1, None);
             }
+            intervals[i].get_or_insert((pos, pos)).1 = pos;
         }
     }
-    let mut order: Vec<(VReg, (usize, usize))> = intervals.into_iter().collect();
-    order.sort_by_key(|&(v, (start, _))| (start, v));
+    let mut order: Vec<(VReg, (usize, usize))> = intervals
+        .iter()
+        .enumerate()
+        .filter_map(|(i, iv)| Some((VReg(VReg::FIRST_VIRTUAL + i as u16), (*iv)?)))
+        .collect();
+    order.sort_unstable_by_key(|&(v, (start, _))| (start, v));
 
-    let mut pool = Convention::allocatable(isa);
+    let mut free = Convention::allocatable(isa);
     // Reserve the last pool register as the spill temp.
-    let spill_temp = pool.pop().ok_or_else(|| CompileError::Backend("no registers".into()))?;
+    let spill_temp = free.pop().ok_or_else(|| CompileError::Backend("no registers".into()))?;
     // A second transient temp for ops with two spilled uses.
     let spill_temp2 = if armed(mutops::SPILL_TEMP_ALIASES_ARG0) {
         Convention::for_isa(isa).arg0
@@ -61,9 +98,9 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
         Convention::for_isa(isa).arg2
     };
 
-    let mut assignment: HashMap<VReg, Loc> = HashMap::new();
+    // Where each virtual register lives, indexed by `dense(vreg)`.
+    let mut assignment: Vec<Option<Loc>> = vec![None; intervals.len()];
     let mut active: Vec<(usize, VReg, Reg)> = Vec::new(); // (end, vreg, reg)
-    let mut free = pool.clone();
     let mut next_slot: u32 = 0;
     let take_slot = |next_slot: &mut u32| -> Result<u32, CompileError> {
         let s = *next_slot;
@@ -85,7 +122,7 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
             }
         });
         if let Some(reg) = free.pop() {
-            assignment.insert(vreg, Loc::Reg(reg));
+            assignment[dense(vreg)] = Some(Loc::Reg(reg));
             active.push((end, vreg, reg));
         } else if let Some(victim_idx) = active
             .iter()
@@ -97,14 +134,15 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
             // Steal the register from the interval that ends last.
             let (_, victim, reg) = active.remove(victim_idx);
             let slot = take_slot(&mut next_slot)?;
-            assignment.insert(victim, Loc::Slot(slot));
-            assignment.insert(vreg, Loc::Reg(reg));
+            assignment[dense(victim)] = Some(Loc::Slot(slot));
+            assignment[dense(vreg)] = Some(Loc::Reg(reg));
             active.push((end, vreg, reg));
         } else {
             let slot = take_slot(&mut next_slot)?;
-            assignment.insert(vreg, Loc::Slot(slot));
+            assignment[dense(vreg)] = Some(Loc::Slot(slot));
         }
     }
+    let location = |v: VReg| assignment.get(dense(v)).copied().flatten();
 
     let fp = VReg::phys(Convention::for_isa(isa).fp);
     let stride: u32 = if armed(mutops::SPILL_STRIDE_WIDENED) { 8 } else { 4 };
@@ -114,17 +152,17 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
 
     // Rewrite pass.
     let mut out: Vec<Ir> = Vec::with_capacity(ir.len() * 2);
+    let temps = [VReg::phys(spill_temp), VReg::phys(spill_temp2)];
     for op in ir {
-        let mut uses = Vec::new();
-        op.uses(&mut uses);
+        regs.clear();
+        op.uses(&mut regs);
         let def = op.def();
         // Map each distinct spilled use to a transient temp.
-        let mut temp_map: HashMap<VReg, VReg> = HashMap::new();
-        let temps = [VReg::phys(spill_temp), VReg::phys(spill_temp2)];
+        let mut temp_map = TempMap::EMPTY;
         let mut next_temp = 0;
-        for u in uses.iter().filter(|u| u.is_virtual()) {
-            if let Some(Loc::Slot(slot)) = assignment.get(u) {
-                if temp_map.contains_key(u) {
+        for &u in regs.iter().filter(|u| u.is_virtual()) {
+            if let Some(Loc::Slot(slot)) = location(u) {
+                if temp_map.get(u).is_some() {
                     continue;
                 }
                 if next_temp >= temps.len() {
@@ -135,19 +173,19 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
                 let t = temps[next_temp];
                 next_temp += 1;
                 if !armed(mutops::DROP_SPILL_RELOAD) {
-                    out.push(Ir::Load { dst: t, base: fp, off: slot_off(*slot) });
+                    out.push(Ir::Load { dst: t, base: fp, off: slot_off(slot) });
                 }
-                temp_map.insert(*u, t);
+                temp_map.insert(u, t);
             }
         }
         // If the def is spilled, compute into the spill temp (reusing
         // a use temp when def == use keeps two-address forms legal).
         let def_store = match def {
-            Some(d) if d.is_virtual() => match assignment.get(&d) {
+            Some(d) if d.is_virtual() => match location(d) {
                 Some(Loc::Slot(slot)) => {
-                    let t = *temp_map.get(&d).unwrap_or(&temps[0]);
+                    let t = temp_map.get(d).unwrap_or(temps[0]);
                     temp_map.insert(d, t);
-                    Some((t, *slot))
+                    Some((t, slot))
                 }
                 _ => None,
             },
@@ -157,11 +195,11 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
             if !v.is_virtual() {
                 return v;
             }
-            if let Some(t) = temp_map.get(&v) {
-                return *t;
+            if let Some(t) = temp_map.get(v) {
+                return t;
             }
-            match assignment.get(&v) {
-                Some(Loc::Reg(r)) => VReg::phys(*r),
+            match location(v) {
+                Some(Loc::Reg(r)) => VReg::phys(r),
                 _ => v,
             }
         };

@@ -125,9 +125,10 @@ fn assert_reports_identical(a: &[CampaignReport], b: &[CampaignReport]) {
 }
 
 /// The aggregate work counters a sweep records: solver solves, sat
-/// answers, nodes and pushes; code-cache hits and misses; heap
-/// restores and dirty words; exploration-cache hits and misses.
-fn work_counters(reports: &[CampaignReport]) -> [(&'static str, u64); 10] {
+/// answers, nodes and pushes; code-cache hits and misses; per-model
+/// heap seals, restores and dirty words; exploration-cache hits and
+/// misses.
+fn work_counters(reports: &[CampaignReport]) -> [(&'static str, u64); 11] {
     let m = igjit::aggregate_metrics(reports);
     [
         ("solver.solves", m.solver.solves as u64),
@@ -136,6 +137,7 @@ fn work_counters(reports: &[CampaignReport]) -> [(&'static str, u64); 10] {
         ("solver.pushes", m.solver.pushes as u64),
         ("compile_cache.hits", m.compile_hits as u64),
         ("compile_cache.misses", m.compile_misses as u64),
+        ("snapshot.seals", m.snapshot.seals),
         ("snapshot.restores", m.snapshot.restores),
         ("snapshot.dirty_words", m.snapshot.dirty_words),
         ("cache.hits", m.cache_hits as u64),
