@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Corpus smoke: warm replay must be invisible in every output and the
-# warm path must actually pay off.
+# Corpus smoke: warm replay must be invisible in every output, and a
+# fully warm run must do none of the sweep's work.
 #
 # Runs the Table 2 harness three times in a scratch directory:
 #
@@ -17,13 +17,16 @@
 #     cold run serves none;
 #   * unchanged re-save — the fully warm run leaves the corpus file
 #     byte-identical to what the cold run saved;
-#   * warm payoff — end to end (the rows' wall clock plus the corpus
-#     load and save times table2 records), the warm run beats the cold
-#     one by at least `warm_speedup_min` from ci/perf_expectations.json;
+#   * no work — the warm run solves nothing, looks nothing up in the
+#     code or exploration cache, and charges nothing to the explore,
+#     materialize, compile, simulate and hash stages. These are exact
+#     counts, so the check holds on any runner; how fast the corpus
+#     codec is stays `perf`'s job (its `sweep_warm` workload);
 #   * totals — every run matches the committed Table 2 expectations.
 #
-# The timed runs invoke the built binary directly: `cargo run` adds
-# its own start-up to every run and inflates the timings.
+# It also prints the warm run's end-to-end speedup over the cold one
+# (the rows' wall clock plus the corpus load and save times table2
+# records), for information only.
 #
 # Usage: ci/corpus_smoke_check.sh [--release]
 set -euo pipefail
@@ -110,24 +113,31 @@ if cold_corpus["hits"] != 0 or cold_corpus["misses"] != instructions:
 if warm_corpus["hits"] != instructions or warm_corpus["misses"] != 0:
     sys.exit(f"corpus-smoke: warm run should replay everything: {warm_corpus}")
 
+total = warm["total"]
+work = {
+    "solver.solves": total["solver"]["solves"],
+    "compile_cache lookups": total["compile_cache"]["hits"] + total["compile_cache"]["misses"],
+    "exploration cache lookups": total["cache"]["hits"] + total["cache"]["misses"],
+}
+for stage in ("explore", "materialize", "compile", "simulate", "hash"):
+    work[f"stages_ms.{stage}"] = total["stages_ms"][stage]
+done = {name: value for name, value in work.items() if value != 0}
+if done:
+    sys.exit(f"corpus-smoke: the fully warm run did sweep work: {done}")
+print("corpus-smoke: the warm run solved, looked up, explored, compiled and simulated nothing")
+
+
 def end_to_end(rec):
     """Rows plus the corpus I/O around them: what a re-check waits for."""
     return (rec["total"]["wall_clock_ms"] + rec["corpus_load_ms"]
             + rec["corpus_save_ms"])
 
 
-floor = expect["warm_speedup_min"]
 cold_ms = end_to_end(cold)
 warm_ms = end_to_end(warm)
 speedup = cold_ms / warm_ms if warm_ms > 0 else float("inf")
-if speedup < floor:
-    sys.exit(
-        f"corpus-smoke: warm re-check too slow end to end: cold {cold_ms:.1f} ms "
-        f"vs warm {warm_ms:.1f} ms ({speedup:.2f}x, expected >= {floor}x)"
-    )
-
 print(
-    f"corpus-smoke: warm re-check {speedup:.1f}x faster end to end "
+    f"corpus-smoke: (information) warm re-check {speedup:.1f}x faster end to end "
     f"({cold_ms:.1f} ms cold vs {warm_ms:.1f} ms warm: rows "
     f"{warm['total']['wall_clock_ms']:.1f} + load {warm['corpus_load_ms']:.1f} "
     f"+ save {warm['corpus_save_ms']:.1f} ms), "

@@ -592,10 +592,7 @@ impl Campaign {
         let fresh = [
             (!explorations)
                 .then(|| encode_section(self.cache.snapshot().iter().map(|(k, e)| (k, e)))),
-            (!code).then(|| {
-                let entries = self.code_cache.snapshot();
-                encode_section(entries.iter().map(|(k, e)| (k, &**e)))
-            }),
+            (!code).then(|| encode_section(self.code_cache.snapshot().iter().map(|(k, e)| (k, e)))),
             (!outcomes).then(|| {
                 let mut merged: HashMap<&OutcomeKey, &InstructionOutcome> =
                     state.loaded.iter().collect();

@@ -121,11 +121,7 @@ fn sample_corpus_bytes(fp: &Fingerprints) -> Vec<u8> {
         );
         Corpus {
             explorations: vec![((instr, false), lookup.exploration)],
-            code: code_cache
-                .snapshot()
-                .into_iter()
-                .map(|(key, entry)| (key, (*entry).clone()))
-                .collect(),
+            code: code_cache.snapshot(),
             outcomes: vec![((target, instr), outcome)],
         }
     });

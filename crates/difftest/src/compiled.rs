@@ -26,26 +26,41 @@ pub enum CompiledRun {
 
 /// Shared execution context for a batch of compiled runs: the artifact
 /// cache, the persistent simulator session every run replays through,
-/// and the stage clock the runs are charged on.
+/// the code buffer every run's artifact is copied into, and the stage
+/// clock the runs are charged on.
 ///
 /// Each [`Harness`](crate::Harness) holds one; the session is *reset*
 /// — registers zeroed, dirty stack extent cleared — between runs
-/// instead of reallocating the 64 KiB stack per model.
+/// instead of reallocating the 64 KiB stack per model, and the code
+/// buffer is overwritten in place.
 pub(crate) struct RunCtx<'c> {
     /// Compiled-artifact cache, shared across instructions and worker
     /// threads by the campaign driver.
     pub cache: &'c CodeCache,
     /// The persistent machine session (registers + stack arena).
     pub session: MachineSession,
+    /// The artifact of the current run, copied out of the cache.
+    pub code: CompiledCode,
     /// The stage clock, started when the context is made.
     pub lap: Lap,
 }
 
 impl<'c> RunCtx<'c> {
-    /// A context over `cache` and `session` whose stage clock starts now.
-    pub fn new(cache: &'c CodeCache, session: MachineSession) -> RunCtx<'c> {
-        RunCtx { cache, session, lap: Lap::start() }
+    /// A context over `cache`, `session` and the code buffer `code`
+    /// whose stage clock starts now.
+    pub fn new(cache: &'c CodeCache, session: MachineSession, code: CompiledCode) -> RunCtx<'c> {
+        RunCtx { cache, session, code, lap: Lap::start() }
     }
+
+    /// Returns the session and the code buffer, for the next context.
+    pub fn into_parts(self) -> (MachineSession, CompiledCode) {
+        (self.session, self.code)
+    }
+}
+
+/// An empty code buffer.
+pub(crate) fn code_buffer() -> CompiledCode {
+    CompiledCode { code: Vec::new(), isa: Isa::X86ish, ntemps: 0 }
 }
 
 /// A stage clock that reads the clock once per stage boundary: each
@@ -169,13 +184,13 @@ pub(crate) fn run_machine(
     CompiledRun::Ran(exit)
 }
 
-/// Compiles `program` with the tier under test — through `ctx.cache`
-/// — and runs it on `mem`, charging each stage's split of `ctx.lap` to
-/// `times`. A bytecode program embeds the operand stack, temps and
-/// literals of `frame` as constants and passes the receiver in the
-/// convention register (§4.2); a native method takes its receiver and
-/// arguments from the top of `frame`'s stack in the convention
-/// registers (Listing 4). Mutates `mem` in place so the caller can run
+/// Compiles `program` with the tier under test — through `ctx.cache`,
+/// into `ctx.code` — and runs it on `mem`, charging each stage's split
+/// of `ctx.lap` to `times`. A bytecode program embeds the operand
+/// stack, temps and literals of `frame` as constants and passes the
+/// receiver in the convention register (§4.2); a native method takes
+/// its receiver and arguments from the top of `frame`'s stack in the
+/// convention registers (Listing 4). Mutates `mem` in place so the caller can run
 /// on a sealed image and roll it back between ISAs.
 pub(crate) fn run_compiled(
     kind: Option<CompilerKind>,
@@ -188,7 +203,8 @@ pub(crate) fn run_compiled(
 ) -> CompiledRun {
     let (nil, true_obj, false_obj) = (mem.nil(), mem.true_object(), mem.false_object());
     let lap = &mut ctx.lap;
-    let (entry, receiver, args) = match program {
+    let mut code = std::mem::replace(&mut ctx.code, code_buffer());
+    let (found, receiver, args) = match program {
         Program::Bytecode(instrs) => {
             let kind = kind.expect("a bytecode program needs a compiler kind");
             let input = BytecodeTestInput {
@@ -203,8 +219,7 @@ pub(crate) fn run_compiled(
             // Everything the generated code depends on (§4.2: frame
             // values are embedded as constants; the receiver rides in a
             // register and is deliberately absent). The key borrows the
-            // frame's own slices — an owned key is only materialized
-            // inside the cache on a miss.
+            // frame's own slices.
             let key = CompileKeyRef::Bytecode {
                 kind,
                 isa,
@@ -216,14 +231,14 @@ pub(crate) fn run_compiled(
                 true_obj: true_obj.0,
                 false_obj: false_obj.0,
             };
-            let entry = ctx.cache.get_or_compile_ref(key, || {
+            let found = ctx.cache.get_or_compile_ref(key, &mut code, || {
                 lap.charge(&mut times.hash);
                 let artifact =
                     igjit_jit::compile_bytecode_sequence_test(kind, instrs, &input, isa);
                 lap.charge(&mut times.compile);
                 artifact
             });
-            (entry, frame.receiver, Vec::new())
+            (found, frame.receiver, &[][..])
         }
         Program::Native(id) => {
             let Some((receiver, args)) = native_operands(frame, id) else {
@@ -239,7 +254,7 @@ pub(crate) fn run_compiled(
                 true_obj: true_obj.0,
                 false_obj: false_obj.0,
             };
-            let entry = ctx.cache.get_or_compile_ref(key, || {
+            let found = ctx.cache.get_or_compile_ref(key, &mut code, || {
                 lap.charge(&mut times.hash);
                 let artifact = compile_native_test(
                     igjit_jit::native::igjit_bytecode_native_id::NativeMethodIdLike(id.0),
@@ -249,15 +264,16 @@ pub(crate) fn run_compiled(
                 lap.charge(&mut times.compile);
                 artifact
             });
-            (entry, receiver, args)
+            (found, receiver, args)
         }
     };
     ctx.lap.charge(&mut times.hash);
-    let compiled = match &*entry {
-        Ok(c) => c,
-        Err(e) => return CompiledRun::Refused(e.clone()),
+    let run = match found {
+        Ok(()) => run_machine(&code, isa, program, receiver, args, mem, ctx, times),
+        Err(e) => CompiledRun::Refused(e),
     };
-    run_machine(compiled, isa, program, receiver, &args, mem, ctx, times)
+    ctx.code = code;
+    run
 }
 
 /// Compiles and runs one instruction with a fresh simulator session
@@ -273,7 +289,7 @@ pub fn run_compiled_for_instr(
     mut mem: ObjectMemory,
 ) -> (CompiledRun, ObjectMemory) {
     let cache = CodeCache::new();
-    let mut ctx = RunCtx::new(&cache, MachineSession::new());
+    let mut ctx = RunCtx::new(&cache, MachineSession::new(), code_buffer());
     let run = run_compiled(
         target_kind,
         isa,
@@ -367,7 +383,7 @@ mod tests {
     fn run_add_twice(cache: &CodeCache) -> Vec<(CompiledRun, StageTimes)> {
         let mut frame = Frame::new(si(0), MethodInfo::empty());
         frame.stack = vec![si(20), si(22)];
-        let mut ctx = RunCtx::new(cache, MachineSession::new());
+        let mut ctx = RunCtx::new(cache, MachineSession::new(), code_buffer());
         (0..2)
             .map(|_| {
                 let mut mem = ObjectMemory::new();

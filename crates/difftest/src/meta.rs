@@ -108,7 +108,7 @@ mod tests {
     fn run_one(program: Program<'_>, frame: &Frame<Oop>) -> (CompiledRun, MetaRunCounts) {
         let cache = MetaCache::new();
         let code_cache = CodeCache::new();
-        let mut ctx = RunCtx::new(&code_cache, MachineSession::new());
+        let mut ctx = RunCtx::new(&code_cache, MachineSession::new(), crate::compiled::code_buffer());
         let mut times = StageTimes::default();
         let mut counts = MetaRunCounts::default();
         let mut mem = ObjectMemory::new();
@@ -135,7 +135,7 @@ mod tests {
         for (instr, frame) in [(Instruction::Add, add), (Instruction::PushThisContext, refused)] {
             let cache = MetaCache::new();
             let code_cache = CodeCache::new();
-            let mut ctx = RunCtx::new(&code_cache, MachineSession::new());
+            let mut ctx = RunCtx::new(&code_cache, MachineSession::new(), crate::compiled::code_buffer());
             let mut charged = Vec::new();
             for _ in 0..2 {
                 let mut times = StageTimes::default();

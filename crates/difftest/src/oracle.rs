@@ -84,17 +84,23 @@ impl EngineExit {
 
 /// Strips symbolic shadows from a materialized frame.
 pub fn concrete_frame(frame: &Frame<igjit_concolic::SymOop>) -> Frame<Oop> {
-    let mut f = Frame::new(
-        frame.receiver.concrete,
-        MethodInfo {
-            literals: frame.method.literals.iter().map(|l| l.concrete).collect(),
-            num_args: frame.method.num_args,
-            num_temps: frame.method.num_temps,
-        },
-    );
-    f.temps = frame.temps.iter().map(|t| t.concrete).collect();
-    f.stack = frame.stack.iter().map(|s| s.concrete).collect();
+    let mut f = Frame::new(Oop::ZERO, MethodInfo::empty());
+    concrete_frame_into(frame, &mut f);
     f
+}
+
+/// [`concrete_frame`] into an existing frame, reusing its buffers.
+pub(crate) fn concrete_frame_into(frame: &Frame<igjit_concolic::SymOop>, into: &mut Frame<Oop>) {
+    fn fill(into: &mut Vec<Oop>, from: &[igjit_concolic::SymOop]) {
+        into.clear();
+        into.extend(from.iter().map(|v| v.concrete));
+    }
+    into.receiver = frame.receiver.concrete;
+    fill(&mut into.method.literals, &frame.method.literals);
+    into.method.num_args = frame.method.num_args;
+    into.method.num_temps = frame.method.num_temps;
+    fill(&mut into.temps, &frame.temps);
+    fill(&mut into.stack, &frame.stack);
 }
 
 /// Everything an oracle run produced.
@@ -228,16 +234,18 @@ fn run_encoded(
 }
 
 /// The receiver and argument slice of a native-method frame (receiver
-/// deepest, per the native calling convention).
-pub(crate) fn native_operands(frame: &Frame<Oop>, id: igjit_interp::NativeMethodId) -> Option<(Oop, Vec<Oop>)> {
+/// deepest, per the native calling convention), borrowed from the
+/// frame's stack.
+pub(crate) fn native_operands(
+    frame: &Frame<Oop>,
+    id: igjit_interp::NativeMethodId,
+) -> Option<(Oop, &[Oop])> {
     let argc = native_spec(id)?.argc as usize;
     let depth = frame.stack.len();
     if depth < argc + 1 {
         return None;
     }
-    let receiver = frame.stack[depth - 1 - argc];
-    let args = frame.stack[depth - argc..].to_vec();
-    Some((receiver, args))
+    Some((frame.stack[depth - 1 - argc], &frame.stack[depth - argc..]))
 }
 
 #[cfg(test)]

@@ -12,9 +12,9 @@ use std::time::Duration;
 
 use igjit_bytecode::Instruction;
 use igjit_concolic::{materialize_shared, AbstractState, InstrUnderTest, WitnessError};
-use igjit_heap::{ObjectMemory, Snapshot};
-use igjit_interp::NativeMethodId;
-use igjit_jit::CodeCache;
+use igjit_heap::{ObjectMemory, Oop, Snapshot};
+use igjit_interp::{Frame, MethodInfo, NativeMethodId};
+use igjit_jit::{CodeCache, CompiledCode};
 use igjit_machine::{Isa, MachineSession};
 use igjit_metajit::MetaCache;
 use igjit_solver::Model;
@@ -22,9 +22,9 @@ use igjit_solver::Model;
 use crate::campaign::{PathVerdict, SnapshotStats, StageTimes, Target};
 use crate::classify::classify;
 use crate::compare::{compare_runs, Difference, DifferenceKind, Verdict};
-use crate::compiled::{run_compiled, CompiledRun, RunCtx};
+use crate::compiled::{code_buffer, run_compiled, CompiledRun, RunCtx};
 use crate::meta::{run_meta, MetaRunCounts};
-use crate::oracle::{concrete_frame, run_program_on, EngineExit, SelectorId};
+use crate::oracle::{concrete_frame_into, run_program_on, EngineExit, SelectorId};
 
 /// What one differential step runs: a straight-line bytecode program
 /// (an instruction is a program of length one) or a native method.
@@ -126,15 +126,18 @@ pub struct Tally {
 }
 
 /// The replay arena: a pair of heaps that are one heap at their shared
-/// blank seal, recycled across every model this thread checks.
+/// blank seal, and the two frames of a model, recycled across every
+/// model this thread checks.
 ///
 /// The *oracle* heap is materialized and interpreted in place; the
 /// *replay* heap, a clone of it taken at the blank seal, is brought to
 /// the materialized image by [`ObjectMemory::mirror_from`] — a copy of
 /// exactly what materialization changed — so the oracle's `var_oops`
 /// name the same objects on both heaps by construction. The replay heap
-/// pushes a per-model inner seal for the compiled runs; both heaps roll
-/// back to `blank` between models and when a harness finishes.
+/// pushes a per-model inner seal for the compiled runs (re-arming the
+/// level the previous model retired); both heaps roll back to `blank`
+/// between models and when a harness finishes. The frames are refilled
+/// in place for each model.
 struct ReplayArena {
     oracle: ObjectMemory,
     replay: ObjectMemory,
@@ -143,6 +146,10 @@ struct ReplayArena {
     blank: Snapshot,
     /// Whether the heaps may have left blank since the last rewind.
     used: bool,
+    /// The materialized input frame, which the compiled runs embed.
+    input: Frame<Oop>,
+    /// The interpreter's copy of `input`, which the oracle run mutates.
+    frame: Frame<Oop>,
 }
 
 impl ReplayArena {
@@ -150,7 +157,8 @@ impl ReplayArena {
         let mut oracle = ObjectMemory::new();
         let blank = oracle.seal();
         let replay = oracle.clone();
-        ReplayArena { oracle, replay, blank, used: false }
+        let frame = || Frame::new(Oop::ZERO, MethodInfo::empty());
+        ReplayArena { oracle, replay, blank, used: false, input: frame(), frame: frame() }
     }
 
     /// Rolls both heaps back to blank (the replay heap through its
@@ -166,12 +174,12 @@ impl ReplayArena {
 }
 
 thread_local! {
-    /// Simulator session reused across harnesses on this thread.
-    /// `Machine::with_session` resets registers and the dirty stack
-    /// extent before every run, so reuse is outcome-neutral; a panic
-    /// mid-check merely drops the session and the next harness
-    /// allocates a fresh one.
-    static REUSED_SESSION: std::cell::Cell<Option<MachineSession>> =
+    /// Simulator session and code buffer reused across harnesses on
+    /// this thread. `Machine::with_session` resets registers and the
+    /// dirty stack extent before every run, and every lookup overwrites
+    /// the buffer, so reuse is outcome-neutral; a panic mid-check
+    /// merely drops both and the next harness allocates fresh ones.
+    static REUSED_SESSION: std::cell::Cell<Option<(MachineSession, CompiledCode)>> =
         const { std::cell::Cell::new(None) };
 
     /// Replay arena reused across harnesses on this thread. A harness
@@ -198,7 +206,8 @@ fn exit_label(e: &EngineExit) -> String {
 
 /// The execution context of the differential step against one target
 /// on a fixed set of ISAs: the artifact caches, the thread's simulator
-/// session, the stage clock and the thread's replay arena.
+/// session and code buffer, the stage clock and the thread's replay
+/// arena.
 ///
 /// The arena is two heaps built once per thread and passed from one
 /// harness to the next: each model is materialized once, on the
@@ -230,13 +239,15 @@ impl<'c> Harness<'c> {
         code_cache: &'c CodeCache,
         meta_cache: &'c MetaCache,
     ) -> Harness<'c> {
-        let session = REUSED_SESSION.with(|slot| slot.take()).unwrap_or_default();
+        let (session, code) = REUSED_SESSION
+            .with(|slot| slot.take())
+            .unwrap_or_else(|| (MachineSession::new(), code_buffer()));
         let arena = REUSED_ARENA.with(|slot| slot.take()).unwrap_or_else(ReplayArena::new);
         Harness {
             target,
             isas,
             meta_cache,
-            ctx: RunCtx::new(code_cache, session),
+            ctx: RunCtx::new(code_cache, session, code),
             arena,
             tally: Tally::default(),
         }
@@ -249,13 +260,13 @@ impl<'c> Harness<'c> {
     }
 
     /// Rolls both arena heaps back to blank (counted, and charged to
-    /// `materialize`), returns the arena and the simulator session to
-    /// the thread and the tally to the caller.
+    /// `materialize`), returns the arena, the simulator session and the
+    /// code buffer to the thread and the tally to the caller.
     pub fn finish(mut self) -> Tally {
         self.arena.rewind(&mut self.tally.snapshot);
         REUSED_ARENA.with(|slot| slot.set(Some(self.arena)));
-        REUSED_SESSION.with(|slot| slot.set(Some(self.ctx.session)));
         self.ctx.lap.charge(&mut self.tally.times.materialize);
+        REUSED_SESSION.with(|slot| slot.set(Some(self.ctx.into_parts())));
         self.tally
     }
 
@@ -291,10 +302,10 @@ impl<'c> Harness<'c> {
             return Checked::OraclePanic;
         };
         a.replay.mirror_from(&a.oracle).expect("the replay heap stands at the oracle's blank seal");
-        let input_frame = concrete_frame(&mat.frame);
-        let mut oracle_frame = input_frame.clone();
+        concrete_frame_into(&mat.frame, &mut a.input);
+        concrete_frame_into(&mat.frame, &mut a.frame);
         let Ok(interp_exit) = catch_unwind(AssertUnwindSafe(|| {
-            run_program_on(&mut a.oracle, &mut oracle_frame, program)
+            run_program_on(&mut a.oracle, &mut a.frame, program)
         })) else {
             self.ctx.lap.charge(&mut tally.times.materialize);
             tally.oracle_panics += 1;
@@ -333,7 +344,7 @@ impl<'c> Harness<'c> {
                     self.meta_cache,
                     isa,
                     program,
-                    &input_frame,
+                    &a.input,
                     &mut a.replay,
                     &mut self.ctx,
                     &mut tally.times,
@@ -343,7 +354,7 @@ impl<'c> Harness<'c> {
                     target.compiler_kind(),
                     isa,
                     program,
-                    &input_frame,
+                    &a.input,
                     &mut a.replay,
                     &mut self.ctx,
                     &mut tally.times,

@@ -8,6 +8,7 @@
 //! compiler never learned to (that is the planted defect).
 
 use crate::error::{HeapError, HeapResult};
+use crate::snapshot::Spare;
 
 /// A bounded external memory region addressed from 0.
 #[derive(Clone, Debug)]
@@ -15,6 +16,9 @@ pub struct ExternalMemory {
     bytes: Vec<u8>,
     seal: Option<Box<ExtSeal>>,
     outer: Option<Box<ExtSeal>>,
+    /// The inner level the last restore-to-outer retired, re-armed by
+    /// the next seal.
+    spare: Spare<ExtSeal>,
 }
 
 /// Byte-granular dirty tracking for a sealed region. The region never
@@ -30,10 +34,16 @@ impl ExtSeal {
     /// Applies the undo log to `bytes` and resets the dirty tracking,
     /// returning how many bytes were rolled back.
     fn rollback(&mut self, bytes: &mut [u8]) -> usize {
-        let n = self.undo.len();
         for &(addr, old) in self.undo.iter().rev() {
             bytes[addr as usize] = old;
         }
+        self.forget()
+    }
+
+    /// Resets the dirty tracking without touching any byte, returning
+    /// how many entries it held; the level is then clean to re-arm.
+    fn forget(&mut self) -> usize {
+        let n = self.undo.len();
         for &(addr, _) in &self.undo {
             self.dirty[addr as usize >> 6] &= !(1u64 << (addr as usize & 63));
         }
@@ -67,13 +77,14 @@ impl PartialEq for ExternalMemory {
 impl ExternalMemory {
     /// Creates a zero-filled region of `size` bytes.
     pub fn new(size: usize) -> ExternalMemory {
-        ExternalMemory { bytes: vec![0; size], seal: None, outer: None }
+        ExternalMemory { bytes: vec![0; size], seal: None, outer: None, spare: Spare::default() }
     }
 
-    fn fresh_seal(&self) -> Box<ExtSeal> {
-        Box::new(ExtSeal {
-            dirty: vec![0; (self.bytes.len() >> 6) + 1],
-            undo: Vec::new(),
+    /// A tracking level: the clean spare re-armed (the region never
+    /// resizes, so its bitmap always fits), else a fresh one.
+    fn fresh_seal(&mut self) -> Box<ExtSeal> {
+        self.spare.take().unwrap_or_else(|| {
+            Box::new(ExtSeal { dirty: vec![0; (self.bytes.len() >> 6) + 1], undo: Vec::new() })
         })
     }
 
@@ -91,9 +102,13 @@ impl ExternalMemory {
     pub(crate) fn push_seal_in_place(&mut self) {
         match self.seal.take() {
             None => {}
-            Some(prev) => match &mut self.outer {
+            Some(mut prev) => match &mut self.outer {
                 None => self.outer = Some(prev),
-                Some(outer) => outer.absorb(&prev),
+                Some(outer) => {
+                    outer.absorb(&prev);
+                    prev.forget();
+                    self.spare.keep(prev);
+                }
             },
         }
         self.seal = Some(self.fresh_seal());
@@ -108,12 +123,16 @@ impl ExternalMemory {
 
     /// Rolls the region back to the *outer* sealed contents — the
     /// inner level must already have been rolled back via
-    /// [`ExternalMemory::restore_seal`]. The inner seal is consumed;
-    /// the outer becomes the active one. No-op (0) when not nested.
+    /// [`ExternalMemory::restore_seal`]. The inner seal is retired,
+    /// clean, for the next seal to re-arm; the outer becomes the active
+    /// one. No-op (0) when not nested.
     pub(crate) fn restore_outer(&mut self) -> usize {
         let Some(mut outer) = self.outer.take() else { return 0 };
         let n = outer.rollback(&mut self.bytes);
-        self.seal = Some(outer);
+        if let Some(inner) = self.seal.replace(outer) {
+            debug_assert!(inner.undo.is_empty(), "the inner level was rolled back first");
+            self.spare.keep(inner);
+        }
         n
     }
 

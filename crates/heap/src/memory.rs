@@ -4,7 +4,7 @@ use crate::class::{ClassDescription, ClassIndex, ClassTable};
 use crate::error::{HeapError, HeapResult};
 use crate::external::ExternalMemory;
 use crate::format::ObjectFormat;
-use crate::snapshot::{SealState, Snapshot};
+use crate::snapshot::{SealState, Snapshot, Spare};
 use crate::tagged::{is_small_int_value, Oop};
 
 /// Number of 32-bit header words before every object body:
@@ -53,6 +53,9 @@ pub struct ObjectMemory {
     external: ExternalMemory,
     seal: Option<Box<SealState>>,
     outer: Option<Box<SealState>>,
+    /// The inner level the last restore-to-outer retired, which the
+    /// next seal re-arms instead of boxing a fresh one.
+    spare: Spare<SealState>,
     seal_epoch: u64,
 }
 
@@ -113,6 +116,7 @@ impl ObjectMemory {
             external: ExternalMemory::new(DEFAULT_EXTERNAL_BYTES),
             seal: None,
             outer: None,
+            spare: Spare::default(),
             seal_epoch: 0,
         };
         mem.nil_obj = mem
@@ -213,24 +217,31 @@ impl ObjectMemory {
     // ------------------------------------------------------------------
 
     /// Seals the current heap image and returns a token for
-    /// [`ObjectMemory::restore`]. Sealing is O(frontier/64): it records
-    /// the allocation high-water marks and arms a dirty-word bitmap;
-    /// no heap contents are copied. A second `seal` supersedes all
-    /// existing levels (their tokens become stale).
+    /// [`ObjectMemory::restore`]. Sealing records the allocation
+    /// high-water marks and arms a dirty-word bitmap; no heap contents
+    /// are copied. A second `seal` supersedes all existing levels
+    /// (their tokens become stale).
     pub fn seal(&mut self) -> Snapshot {
-        self.seal_epoch += 1;
-        let frontier_idx = (self.alloc_ptr - HEAP_BASE) / 4;
-        self.seal = Some(Box::new(SealState::new(
-            self.seal_epoch,
-            self.alloc_ptr,
-            frontier_idx,
-            self.words.len(),
-            self.hash_counter,
-            self.classes.len(),
-        )));
+        let level = self.arm_level();
+        self.seal = Some(level);
         self.outer = None;
         self.external.seal_in_place();
         Snapshot { epoch: self.seal_epoch }
+    }
+
+    /// A seal level over the current image under the next epoch: the
+    /// spare level re-armed if there is one, else a fresh one.
+    fn arm_level(&mut self) -> Box<SealState> {
+        self.seal_epoch += 1;
+        SealState::arm(
+            self.spare.take(),
+            self.seal_epoch,
+            self.alloc_ptr,
+            (self.alloc_ptr - HEAP_BASE) / 4,
+            self.words.len(),
+            self.hash_counter,
+            self.classes.len(),
+        )
     }
 
     /// Seals a second, *nested* level on top of the current seal, which
@@ -241,23 +252,22 @@ impl ObjectMemory {
     ///
     /// This serves the replay loop's two reset horizons: an outer seal
     /// at the reusable blank image and an inner seal per materialized
-    /// frame, restored between engine runs.
+    /// frame, restored between engine runs. The inner level is the one
+    /// the last restore-to-outer (or absorb) retired, re-armed, so a
+    /// push/retire cycle allocates nothing once the level's bitmap
+    /// covers the frontier.
     pub fn push_seal(&mut self) -> HeapResult<Snapshot> {
-        let prev = self.seal.take().ok_or(HeapError::NotSealed)?;
+        let mut prev = self.seal.take().ok_or(HeapError::NotSealed)?;
         match &mut self.outer {
             None => self.outer = Some(prev),
-            Some(outer) => outer.absorb(&prev),
+            Some(outer) => {
+                outer.absorb(&prev);
+                prev.forget();
+                self.spare.keep(prev);
+            }
         }
-        self.seal_epoch += 1;
-        let frontier_idx = (self.alloc_ptr - HEAP_BASE) / 4;
-        self.seal = Some(Box::new(SealState::new(
-            self.seal_epoch,
-            self.alloc_ptr,
-            frontier_idx,
-            self.words.len(),
-            self.hash_counter,
-            self.classes.len(),
-        )));
+        let level = self.arm_level();
+        self.seal = Some(level);
         self.external.push_seal_in_place();
         Ok(Snapshot { epoch: self.seal_epoch })
     }
@@ -269,8 +279,9 @@ impl ObjectMemory {
     /// stays armed, so mutate/restore cycles can repeat indefinitely.
     ///
     /// Restoring the *outer* token of a nested pair rolls back through
-    /// the inner level first, consumes it, and re-activates the outer
-    /// seal (whose token stays usable; the inner one goes stale).
+    /// the inner level first, retires it (kept clean for the next seal
+    /// to re-arm), and re-activates the outer seal (whose token stays
+    /// usable; the inner one goes stale).
     pub fn restore(&mut self, snap: &Snapshot) -> HeapResult<usize> {
         let inner_epoch = self.seal.as_ref().map(|s| s.epoch).ok_or(HeapError::NotSealed)?;
         if inner_epoch == snap.epoch {
@@ -316,6 +327,7 @@ impl ObjectMemory {
         );
         dirty += self.external.restore_outer();
         self.seal = Some(outer);
+        self.spare.keep(inner);
         Ok(dirty)
     }
 

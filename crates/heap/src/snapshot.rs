@@ -32,6 +32,13 @@
 //! that do not stand at the same sealed image is a [`HeapError`]
 //! (`NotAtSharedSeal`), never a silent mix of two images.
 //!
+//! A level that a restore-to-outer retires is not freed: it stays
+//! behind as the memory's [`Spare`], already clean (rollback clears
+//! every dirty bit it set), and the next seal re-arms it — growing its
+//! bitmap only when the frontier grew past what it covers. A replay
+//! loop that pushes and retires one inner level per model therefore
+//! allocates nothing once its buffers have grown.
+//!
 //! [`HeapError`]: crate::error::HeapError
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,10 +61,11 @@ impl Snapshot {
 
 /// Per-seal bookkeeping owned by a sealed `ObjectMemory`.
 ///
-/// The dirty bitmap spans the words committed below the sealed
+/// The dirty bitmap spans (at least) the words below the sealed
 /// allocation frontier and dedupes undo-log entries so each word is
 /// logged at most once between restores (first-write-wins: the logged
-/// value is the sealed one).
+/// value is the sealed one). A level is re-armed rather than rebuilt
+/// ([`SealState::arm`]): its buffers outlive the seal they served.
 #[derive(Clone, Debug)]
 pub(crate) struct SealState {
     pub(crate) epoch: u64,
@@ -80,28 +88,55 @@ pub(crate) struct SealState {
 }
 
 impl SealState {
-    pub(crate) fn new(
+    /// A level sealing the image these marks describe: `spare`
+    /// re-armed if there is one, else a fresh box. Every level gets a
+    /// new image id.
+    pub(crate) fn arm(
+        spare: Option<Box<SealState>>,
         epoch: u64,
         alloc_ptr: u32,
         frontier_idx: u32,
         committed_len: usize,
         hash_counter: u32,
         class_count: usize,
-    ) -> SealState {
+    ) -> Box<SealState> {
         // Ids only need to be unique, which `fetch_add` gives under
         // any ordering; they publish no other data.
         static NEXT_IMAGE: AtomicU64 = AtomicU64::new(1);
-        SealState {
+        let image = NEXT_IMAGE.fetch_add(1, Ordering::Relaxed);
+        let bitmap_words = (frontier_idx as usize >> 6) + 1;
+        let Some(mut seal) = spare else {
+            return Box::new(SealState {
+                epoch,
+                image,
+                alloc_ptr,
+                frontier_idx,
+                committed_len,
+                hash_counter,
+                class_count,
+                dirty: vec![0; bitmap_words],
+                undo: Vec::new(),
+            });
+        };
+        debug_assert!(seal.undo.is_empty(), "a spare level is clean");
+        // The bitmap is all zero; words past the frontier are never
+        // consulted (`note` stops at the frontier first), so it only
+        // has to grow.
+        if seal.dirty.len() < bitmap_words {
+            seal.dirty.resize(bitmap_words, 0);
+        }
+        *seal = SealState {
             epoch,
-            image: NEXT_IMAGE.fetch_add(1, Ordering::Relaxed),
+            image,
             alloc_ptr,
             frontier_idx,
             committed_len,
             hash_counter,
             class_count,
-            dirty: vec![0; (frontier_idx as usize >> 6) + 1],
-            undo: Vec::new(),
-        }
+            dirty: std::mem::take(&mut seal.dirty),
+            undo: std::mem::take(&mut seal.undo),
+        };
+        seal
     }
 
     /// Write barrier: records `old` as the sealed value of word `idx`
@@ -136,10 +171,17 @@ impl SealState {
     /// Applies the undo log to `words` and resets the dirty tracking,
     /// returning how many words were rolled back.
     pub(crate) fn rollback(&mut self, words: &mut [u32]) -> usize {
-        let n = self.undo.len();
         for &(idx, old) in self.undo.iter().rev() {
             words[idx as usize] = old;
         }
+        self.forget()
+    }
+
+    /// Resets the dirty tracking without touching any word (the log
+    /// has been applied or folded elsewhere), returning how many
+    /// entries it held. The level is then clean enough to re-arm.
+    pub(crate) fn forget(&mut self) -> usize {
+        let n = self.undo.len();
         for &(idx, _) in &self.undo {
             self.dirty[idx as usize >> 6] &= !(1u64 << (idx as usize & 63));
         }
@@ -165,5 +207,36 @@ impl SealState {
                 self.undo.push((idx, old));
             }
         }
+    }
+}
+
+/// A retired seal level kept for the next seal to re-arm, clean: its
+/// undo log is empty and its dirty bitmap all zero. A clone of the
+/// owning memory starts without one, so cloning copies no scratch
+/// buffers and a clone's next seal is boxed fresh.
+#[derive(Debug)]
+pub(crate) struct Spare<T>(Option<Box<T>>);
+
+impl<T> Spare<T> {
+    /// Takes the spare level, if any.
+    pub(crate) fn take(&mut self) -> Option<Box<T>> {
+        self.0.take()
+    }
+
+    /// Keeps `level` (which the caller has made clean) for re-arming.
+    pub(crate) fn keep(&mut self, level: Box<T>) {
+        self.0 = Some(level);
+    }
+}
+
+impl<T> Default for Spare<T> {
+    fn default() -> Self {
+        Spare(None)
+    }
+}
+
+impl<T> Clone for Spare<T> {
+    fn clone(&self) -> Self {
+        Spare(None)
     }
 }

@@ -20,21 +20,25 @@
 //! paths of one sequence that differ only in the receiver share one
 //! compile.
 //!
-//! Engine v5 reworked the lookup path around two observations. First,
-//! the campaign performs ~3× more lookups than compiles, and building
-//! an owned [`CompileKey`] per lookup means three `Vec` allocations
-//! that are immediately discarded on a hit — [`CompileKeyRef`] borrows
-//! the frame's slices instead, and the owned key is only materialized
-//! on a miss. Second, every artifact is eventually *executed* many
-//! times, so each cache entry ([`CachedArtifact`]) is shared behind an
-//! `Arc` and machines borrow its bytes for every replay.
+//! Lookups borrow the frame's own slices as a [`CompileKeyRef`]; an
+//! owned [`CompileKey`] exists only as the corpus type. The cache keeps
+//! its entries in one flat store: the key slices of every entry live in
+//! two typed arenas (instructions and oops) and the code bytes in one
+//! byte arena, so a miss appends to a handful of buffers instead of
+//! allocating a key, a bucket and a shared artifact, and dropping the
+//! cache frees those buffers instead of thousands of small objects. A
+//! hit copies the artifact's bytes into a caller-owned buffer while the
+//! read lock is held, so no entry is shared and nothing is reference
+//! counted. Stored
+//! keys are viewed back as [`CompileKeyRef`]s over the arenas, so the
+//! derived `Hash`/`Eq` and `CompileKeyRef::mutated` are the only key
+//! logic.
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::RwLock;
 
-use igjit_bytecode::fxhash::FxHasher64;
+use igjit_bytecode::fxhash::{FxHashMap, FxHasher64};
 use igjit_bytecode::Instruction;
 use igjit_heap::Oop;
 use igjit_machine::Isa;
@@ -47,8 +51,9 @@ use crate::{CompileError, CompiledCode, CompilerKind};
 /// The receiver is *not* part of a bytecode key: it rides in the
 /// calling-convention register and never reaches the generated code.
 ///
-/// Lookups normally go through the allocation-free [`CompileKeyRef`];
-/// an owned key is built only when an artifact is actually inserted.
+/// The corpus stores keys in this form: [`CodeCache::preload`] copies
+/// one into the cache and [`CodeCache::snapshot`] rebuilds them.
+/// Lookups go through the borrowed [`CompileKeyRef`].
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum CompileKey {
     /// A bytecode (sequence) test compilation.
@@ -120,12 +125,10 @@ impl CompileKey {
     }
 }
 
-/// A borrowed view of a [`CompileKey`]: the hot lookup path hashes and
-/// compares the frame's own slices without allocating; the owned key
-/// (three `Vec` clones) is only built on the miss path, ~3× less
-/// often than lookups in a campaign sweep. Stored keys are compared
-/// through their own [`CompileKey::as_ref`] view, so one derived hash
-/// and one derived equality serve every lookup.
+/// A borrowed view of a [`CompileKey`]: the lookup path hashes and
+/// compares the frame's own slices without allocating, and a stored
+/// key is viewed the same way over the cache's arenas, so one derived
+/// hash and one derived equality serve every lookup.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum CompileKeyRef<'a> {
     /// A bytecode (sequence) test compilation.
@@ -202,8 +205,7 @@ impl<'a> CompileKeyRef<'a> {
         h.finish()
     }
 
-    /// Materializes the owned key (the only allocating step of a
-    /// lookup, taken on misses).
+    /// The owned key, for the corpus.
     fn to_owned_key(self) -> CompileKey {
         match self {
             CompileKeyRef::Bytecode {
@@ -234,17 +236,207 @@ impl<'a> CompileKeyRef<'a> {
     }
 }
 
-/// One cache slot: the compiled artifact, or the front-end's refusal,
-/// shared so machines borrow its bytes for every replay.
-pub type CachedArtifact = Arc<Result<CompiledCode, CompileError>>;
+/// A range of one of the cache's arenas.
+#[derive(Clone, Copy, Debug)]
+struct Span {
+    start: u32,
+    len: u32,
+}
 
-/// One hash bucket: entries whose keys collide on the pre-computed
-/// `u64`, compared exactly on lookup (nearly always a singleton).
-type CacheBucket = Vec<(CompileKey, CachedArtifact)>;
+impl Span {
+    /// Appends `parts`, in order, to `arena` and returns where they
+    /// landed.
+    fn push<T: Copy>(arena: &mut Vec<T>, parts: &[&[T]]) -> Span {
+        let start = arena.len();
+        for part in parts {
+            arena.extend_from_slice(part);
+        }
+        let span = |n: usize| u32::try_from(n).expect("a cache arena stays below 2^32 items");
+        Span { start: span(start), len: span(arena.len() - start) }
+    }
 
-/// A fresh bucket, sized for the one entry it nearly always holds.
-fn new_bucket() -> CacheBucket {
-    Vec::with_capacity(1)
+    fn of<T>(self, arena: &[T]) -> &[T] {
+        &arena[self.start as usize..][..self.len as usize]
+    }
+}
+
+/// A stored key: the fixed fields by value, the slices as spans of the
+/// arenas. A bytecode key's stack, temps and literals are contiguous in
+/// the oop arena, in that order.
+#[derive(Clone, Copy, Debug)]
+enum StoredKey {
+    Bytecode {
+        kind: CompilerKind,
+        isa: Isa,
+        instrs: Span,
+        oops: Span,
+        stack_len: u32,
+        temps_len: u32,
+        nil: u32,
+        true_obj: u32,
+        false_obj: u32,
+    },
+    Native {
+        id: u32,
+        isa: Isa,
+        nil: u32,
+        true_obj: u32,
+        false_obj: u32,
+    },
+}
+
+/// A stored artifact: its code as a span of the byte arena.
+#[derive(Clone, Copy, Debug)]
+struct StoredCode {
+    code: Span,
+    isa: Isa,
+    ntemps: u32,
+}
+
+/// One cache entry: the key, the artifact or the front-end's refusal,
+/// and the next older entry whose key has the same hash.
+#[derive(Debug)]
+struct Entry {
+    key: StoredKey,
+    artifact: Result<StoredCode, CompileError>,
+    older: Option<u32>,
+}
+
+/// The flat store behind a [`CodeCache`].
+#[derive(Default)]
+struct Store {
+    /// Key hash → the newest entry with that hash; older ones chain
+    /// through [`Entry::older`].
+    newest: FxHashMap<u64, u32>,
+    entries: Vec<Entry>,
+    instrs: Vec<Instruction>,
+    oops: Vec<Oop>,
+    bytes: Vec<u8>,
+}
+
+impl Store {
+    /// The borrowed view of `entry`'s key.
+    fn key(&self, entry: &Entry) -> CompileKeyRef<'_> {
+        match entry.key {
+            StoredKey::Bytecode {
+                kind,
+                isa,
+                instrs,
+                oops,
+                stack_len,
+                temps_len,
+                nil,
+                true_obj,
+                false_obj,
+            } => {
+                let (stack, rest) = oops.of(&self.oops).split_at(stack_len as usize);
+                let (temps, literals) = rest.split_at(temps_len as usize);
+                CompileKeyRef::Bytecode {
+                    kind,
+                    isa,
+                    instrs: instrs.of(&self.instrs),
+                    stack,
+                    temps,
+                    literals,
+                    nil,
+                    true_obj,
+                    false_obj,
+                }
+            }
+            StoredKey::Native { id, isa, nil, true_obj, false_obj } => {
+                CompileKeyRef::Native { id, isa, nil, true_obj, false_obj }
+            }
+        }
+    }
+
+    /// The entry whose key equals `key`, which hashes to `hash`.
+    fn find(&self, hash: u64, key: CompileKeyRef<'_>) -> Option<&Entry> {
+        let mut at = self.newest.get(&hash).copied();
+        while let Some(i) = at {
+            let entry = &self.entries[i as usize];
+            if self.key(entry) == key {
+                return Some(entry);
+            }
+            at = entry.older;
+        }
+        None
+    }
+
+    /// Stores `artifact` under `key` (hashing to `hash`) unless an
+    /// equal key is already stored: the first insert wins.
+    fn insert(
+        &mut self,
+        hash: u64,
+        key: CompileKeyRef<'_>,
+        artifact: &Result<CompiledCode, CompileError>,
+    ) {
+        if self.find(hash, key).is_some() {
+            return;
+        }
+        let key = match key {
+            CompileKeyRef::Bytecode {
+                kind,
+                isa,
+                instrs,
+                stack,
+                temps,
+                literals,
+                nil,
+                true_obj,
+                false_obj,
+            } => StoredKey::Bytecode {
+                kind,
+                isa,
+                instrs: Span::push(&mut self.instrs, &[instrs]),
+                oops: Span::push(&mut self.oops, &[stack, temps, literals]),
+                stack_len: stack.len() as u32,
+                temps_len: temps.len() as u32,
+                nil,
+                true_obj,
+                false_obj,
+            },
+            CompileKeyRef::Native { id, isa, nil, true_obj, false_obj } => {
+                StoredKey::Native { id, isa, nil, true_obj, false_obj }
+            }
+        };
+        let artifact = match artifact {
+            Ok(c) => Ok(StoredCode {
+                code: Span::push(&mut self.bytes, &[&c.code]),
+                isa: c.isa,
+                ntemps: c.ntemps,
+            }),
+            Err(e) => Err(e.clone()),
+        };
+        let index = u32::try_from(self.entries.len()).expect("fewer than 2^32 cache entries");
+        let older = self.newest.insert(hash, index);
+        self.entries.push(Entry { key, artifact, older });
+    }
+
+    /// Copies `entry`'s artifact into `out`, reusing its code buffer,
+    /// or returns the refusal.
+    fn load(&self, entry: &Entry, out: &mut CompiledCode) -> Result<(), CompileError> {
+        match &entry.artifact {
+            Ok(c) => {
+                fill(out, c.code.of(&self.bytes), c.isa, c.ntemps);
+                Ok(())
+            }
+            Err(e) => Err(e.clone()),
+        }
+    }
+
+    /// The owned artifact of `entry`, for the corpus.
+    fn artifact(&self, entry: &Entry) -> Result<CompiledCode, CompileError> {
+        let mut out = CompiledCode { code: Vec::new(), isa: Isa::X86ish, ntemps: 0 };
+        self.load(entry, &mut out).map(|()| out)
+    }
+}
+
+/// Overwrites `out` with an artifact, reusing its code buffer.
+fn fill(out: &mut CompiledCode, code: &[u8], isa: Isa, ntemps: u32) {
+    out.code.clear();
+    out.code.extend_from_slice(code);
+    out.isa = isa;
+    out.ntemps = ntemps;
 }
 
 /// A concurrent cache of compiled test artifacts (including refusals),
@@ -254,14 +446,18 @@ fn new_bucket() -> CacheBucket {
 /// code and the campaign's outputs are unchanged by caching; the
 /// `code_cache_tests` suite enforces both properties.
 ///
-/// Entries are stored in buckets keyed by a pre-computed `u64` hash so
-/// the hot path — a borrowed-key lookup — hashes borrowed slices once
-/// and compares within a (nearly always singleton) bucket, without
-/// ever building an owned key.
+/// Entries live in one flat store (see the module doc): a lookup hashes
+/// the borrowed key once, walks the (nearly always single-entry) chain
+/// of stored keys with that hash comparing exactly, and on a hit copies
+/// the artifact out. Steady-state lookups allocate nothing.
 pub struct CodeCache {
-    map: RwLock<HashMap<u64, CacheBucket>>,
+    store: RwLock<Store>,
     hits: AtomicUsize,
     misses: AtomicUsize,
+    /// Bits of the key hash the store indexes by; tests clear bits to
+    /// force collisions.
+    #[cfg(test)]
+    hash_mask: u64,
 }
 
 impl Default for CodeCache {
@@ -274,39 +470,49 @@ impl CodeCache {
     /// An empty cache.
     pub fn new() -> CodeCache {
         CodeCache {
-            map: RwLock::new(HashMap::new()),
+            store: RwLock::new(Store::default()),
             hits: AtomicUsize::new(0),
             misses: AtomicUsize::new(0),
+            #[cfg(test)]
+            hash_mask: u64::MAX,
         }
     }
 
-    /// Looks up the borrowed `key`, invoking `compile` on a miss. The
-    /// returned entry is shared; machines borrow the artifact bytes
-    /// straight out of it.
+    /// The hash `key` is stored under.
+    fn hash_of(&self, key: &CompileKeyRef<'_>) -> u64 {
+        let hash = key.bucket_hash();
+        #[cfg(test)]
+        let hash = hash & self.hash_mask;
+        hash
+    }
+
+    /// Looks up the borrowed `key`, invoking `compile` on a miss, and
+    /// copies the artifact into `out` (reusing its code buffer), or
+    /// returns the front-end's refusal.
     pub fn get_or_compile_ref(
         &self,
         key: CompileKeyRef<'_>,
+        out: &mut CompiledCode,
         compile: impl FnOnce() -> Result<CompiledCode, CompileError>,
-    ) -> CachedArtifact {
+    ) -> Result<(), CompileError> {
         let key = key.mutated();
-        let bucket_hash = key.bucket_hash();
-        if let Some(bucket) = self.map.read().expect("code cache poisoned").get(&bucket_hash) {
-            if let Some((_, entry)) = bucket.iter().find(|(stored, _)| stored.as_ref() == key) {
+        let hash = self.hash_of(&key);
+        {
+            let store = self.store.read().expect("code cache poisoned");
+            if let Some(entry) = store.find(hash, key) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(entry);
+                return store.load(entry, out);
             }
         }
         // Compile outside the lock; a racing thread compiling the same
-        // key produces an identical artifact (compilation is pure).
+        // key produces an identical artifact (compilation is pure), and
+        // the first insert wins.
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let entry = Arc::new(compile());
-        let mut map = self.map.write().expect("code cache poisoned");
-        let bucket = map.entry(bucket_hash).or_insert_with(new_bucket);
-        if let Some((_, existing)) = bucket.iter().find(|(stored, _)| stored.as_ref() == key) {
-            return Arc::clone(existing);
-        }
-        bucket.push((key.to_owned_key(), Arc::clone(&entry)));
-        entry
+        let artifact = compile();
+        self.store.write().expect("code cache poisoned").insert(hash, key, &artifact);
+        let c = artifact?;
+        fill(out, &c.code, c.isa, c.ntemps);
+        Ok(())
     }
 
     /// Number of lookups answered from the cache.
@@ -327,30 +533,26 @@ impl CodeCache {
     /// fingerprint guarantees the arming state matches. First insert
     /// wins.
     pub fn preload(&self, key: CompileKey, artifact: Result<CompiledCode, CompileError>) {
-        let bucket_hash = key.as_ref().bucket_hash();
-        let mut map = self.map.write().expect("code cache poisoned");
-        let bucket = map.entry(bucket_hash).or_insert_with(new_bucket);
-        if bucket.iter().any(|(stored, _)| stored.as_ref() == key.as_ref()) {
-            return;
-        }
-        bucket.push((key, Arc::new(artifact)));
+        let key = key.as_ref();
+        let hash = self.hash_of(&key);
+        self.store.write().expect("code cache poisoned").insert(hash, key, &artifact);
     }
 
-    /// All stored entries, for corpus write-back: the artifacts are
-    /// shared, not copied. Order is unspecified (the corpus encoder
+    /// All stored entries as owned keys and artifacts, for corpus
+    /// write-back. Order is unspecified (the corpus encoder
     /// canonicalizes by key).
-    pub fn snapshot(&self) -> Vec<(CompileKey, CachedArtifact)> {
-        self.map
-            .read()
-            .expect("code cache poisoned")
-            .values()
-            .flat_map(|bucket| bucket.iter().map(|(k, e)| (k.clone(), Arc::clone(e))))
+    pub fn snapshot(&self) -> Vec<(CompileKey, Result<CompiledCode, CompileError>)> {
+        let store = self.store.read().expect("code cache poisoned");
+        store
+            .entries
+            .iter()
+            .map(|entry| (store.key(entry).to_owned_key(), store.artifact(entry)))
             .collect()
     }
 
     /// Distinct artifacts currently stored.
     pub fn len(&self) -> usize {
-        self.map.read().expect("code cache poisoned").values().map(Vec::len).sum()
+        self.store.read().expect("code cache poisoned").entries.len()
     }
 
     /// Whether the cache holds no artifacts.
@@ -362,6 +564,9 @@ impl CodeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use igjit_mutate::{FaultInjector, MutantGuard, MutantId};
+    use proptest::prelude::*;
+    use std::collections::HashMap;
 
     fn native_key(id: u32) -> CompileKeyRef<'static> {
         CompileKeyRef::Native { id, isa: Isa::X86ish, nil: 2, true_obj: 6, false_obj: 10 }
@@ -371,36 +576,64 @@ mod tests {
         Ok(CompiledCode { code: vec![byte; 4], isa: Isa::X86ish, ntemps: 0 })
     }
 
+    fn buffer() -> CompiledCode {
+        CompiledCode { code: Vec::new(), isa: Isa::Arm32ish, ntemps: 0 }
+    }
+
+    /// An artifact's observable parts.
+    type Parts = Result<(Vec<u8>, Isa, u32), CompileError>;
+
+    fn parts(artifact: &Result<CompiledCode, CompileError>) -> Parts {
+        artifact.as_ref().map(|c| (c.code.clone(), c.isa, c.ntemps)).map_err(Clone::clone)
+    }
+
+    /// Looks `key` up and returns what the lookup put in a buffer.
+    fn lookup(
+        cache: &CodeCache,
+        key: CompileKeyRef<'_>,
+        compile: impl FnOnce() -> Result<CompiledCode, CompileError>,
+    ) -> Parts {
+        let mut out = buffer();
+        let result = cache.get_or_compile_ref(key, &mut out, compile);
+        parts(&result.map(|()| out))
+    }
+
     #[test]
-    fn second_lookup_hits_and_shares_the_artifact() {
+    fn second_lookup_hits_and_copies_the_artifact() {
+        let _off = FaultInjector::pinned_off();
         let cache = CodeCache::new();
-        let a = cache.get_or_compile_ref(native_key(1), || fake_code(0xAA));
-        let b = cache.get_or_compile_ref(native_key(1), || panic!("must not recompile"));
-        assert!(Arc::ptr_eq(&a, &b));
+        let a = lookup(&cache, native_key(1), || fake_code(0xAA));
+        let b = lookup(&cache, native_key(1), || panic!("must not recompile"));
+        assert_eq!(a, Ok((vec![0xAA; 4], Isa::X86ish, 0)));
+        assert_eq!(a, b);
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
     }
 
     #[test]
     fn distinct_keys_compile_separately() {
+        let _off = FaultInjector::pinned_off();
         let cache = CodeCache::new();
-        cache.get_or_compile_ref(native_key(1), || fake_code(1));
-        cache.get_or_compile_ref(native_key(2), || fake_code(2));
+        let one = lookup(&cache, native_key(1), || fake_code(1));
+        let two = lookup(&cache, native_key(2), || fake_code(2));
+        assert_ne!(one, two);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.misses(), 2);
     }
 
     #[test]
     fn refusals_are_cached() {
+        let _off = FaultInjector::pinned_off();
         let cache = CodeCache::new();
-        cache.get_or_compile_ref(native_key(120), || Err(CompileError::NotImplemented("ffi")));
-        let r = cache.get_or_compile_ref(native_key(120), || panic!("refusal must be cached"));
-        assert!(matches!(*r, Err(CompileError::NotImplemented("ffi"))));
+        let first = lookup(&cache, native_key(120), || Err(CompileError::NotImplemented("ffi")));
+        let again = lookup(&cache, native_key(120), || panic!("refusal must be cached"));
+        assert_eq!(first, Err(CompileError::NotImplemented("ffi")));
+        assert_eq!(again, first);
         assert_eq!(cache.hits(), 1);
     }
 
     #[test]
     fn preloaded_owned_keys_are_hit_by_borrowed_lookups() {
-        use igjit_bytecode::Instruction;
+        let _off = FaultInjector::pinned_off();
         // The corpus warm start preloads owned keys; the sweep then
         // looks them up through the frame's borrowed slices. Both key
         // shapes must hit, and a preload counts as neither.
@@ -420,14 +653,15 @@ mod tests {
         };
         for (key, byte) in [(native_key(7), 7), (bytecode, 0x42)] {
             cache.preload(key.to_owned_key(), fake_code(byte));
-            let hit = cache.get_or_compile_ref(key, || panic!("must hit"));
-            assert_eq!((*hit).as_ref().unwrap().code, [byte; 4]);
+            let hit = lookup(&cache, key, || panic!("must hit"));
+            assert_eq!(hit.unwrap().0, [byte; 4]);
         }
         assert_eq!((cache.hits(), cache.misses(), cache.len()), (2, 0, 2));
     }
 
     #[test]
-    fn ref_miss_materializes_a_key_that_later_refs_hit() {
+    fn a_missed_key_is_stored_for_later_lookups_and_snapshots() {
+        let _off = FaultInjector::pinned_off();
         let stack = [Oop(8)];
         let key = CompileKeyRef::Bytecode {
             kind: CompilerKind::SimpleStackBased,
@@ -441,11 +675,222 @@ mod tests {
             false_obj: 10,
         };
         let cache = CodeCache::new();
-        let a = cache.get_or_compile_ref(key, || fake_code(1));
-        let b = cache.get_or_compile_ref(key, || panic!("must hit"));
-        assert!(Arc::ptr_eq(&a, &b));
+        let a = lookup(&cache, key, || fake_code(1));
+        let b = lookup(&cache, key, || panic!("must hit"));
+        assert_eq!(a, b);
         assert_eq!(cache.len(), 1);
-        let (stored, _) = &cache.snapshot()[0];
+        let (stored, artifact) = &cache.snapshot()[0];
         assert_eq!(stored.as_ref(), key);
+        assert_eq!(parts(artifact), a);
+    }
+
+    /// A generated key: every field drawn from a small pool, so that
+    /// keys repeat and differ in one field at a time.
+    #[derive(Clone, Debug)]
+    enum GenKey {
+        Bytecode {
+            kind: CompilerKind,
+            isa: Isa,
+            instrs: Vec<Instruction>,
+            stack: Vec<Oop>,
+            temps: Vec<Oop>,
+            literals: Vec<Oop>,
+            special: [u32; 3],
+        },
+        Native {
+            id: u32,
+            isa: Isa,
+            special: [u32; 3],
+        },
+    }
+
+    impl GenKey {
+        fn as_ref(&self) -> CompileKeyRef<'_> {
+            match self {
+                GenKey::Bytecode { kind, isa, instrs, stack, temps, literals, special } => {
+                    CompileKeyRef::Bytecode {
+                        kind: *kind,
+                        isa: *isa,
+                        instrs,
+                        stack,
+                        temps,
+                        literals,
+                        nil: special[0],
+                        true_obj: special[1],
+                        false_obj: special[2],
+                    }
+                }
+                &GenKey::Native { id, isa, special } => CompileKeyRef::Native {
+                    id,
+                    isa,
+                    nil: special[0],
+                    true_obj: special[1],
+                    false_obj: special[2],
+                },
+            }
+        }
+    }
+
+    fn isa_of(pick: u8) -> Isa {
+        if pick & 1 == 0 {
+            Isa::X86ish
+        } else {
+            Isa::Arm32ish
+        }
+    }
+
+    /// Up to two oops from a two-value pool, the empty slice included.
+    fn oops_of(bits: u8) -> Vec<Oop> {
+        (0..bits % 3).map(|i| Oop(u32::from(bits >> (2 + i)) & 1)).collect()
+    }
+
+    fn gen_key() -> impl Strategy<Value = GenKey> {
+        (any::<bool>(), any::<u8>(), any::<u32>(), any::<u8>()).prop_map(|(native, a, b, c)| {
+            let byte = |n: u32| (b >> (8 * n)) as u8;
+            let special = [2 + 4 * u32::from(c & 1), 6, 10 - 10 * u32::from(c >> 1 & 1)];
+            if native {
+                return GenKey::Native { id: [1, 2, 120][usize::from(a % 3)], isa: isa_of(c >> 2), special };
+            }
+            const POOL: [Instruction; 3] =
+                [Instruction::Add, Instruction::PushOne, Instruction::PushReceiver];
+            GenKey::Bytecode {
+                kind: CompilerKind::ALL[usize::from(a % 3)],
+                isa: isa_of(c >> 2),
+                instrs: (0..(a >> 2) % 3).map(|i| POOL[usize::from((a >> (4 + i)) % 3)]).collect(),
+                stack: oops_of(byte(0)),
+                temps: oops_of(byte(1)),
+                literals: oops_of(byte(2)),
+                special,
+            }
+        })
+    }
+
+    /// What a compile of `key` produces: a refusal for native 120 and
+    /// for any program with a `PushReceiver`, otherwise code that
+    /// depends on every field of the key.
+    fn compile_of(key: CompileKeyRef<'_>) -> Result<CompiledCode, CompileError> {
+        let refuses = match key {
+            CompileKeyRef::Native { id, .. } => id == 120,
+            CompileKeyRef::Bytecode { instrs, .. } => instrs.contains(&Instruction::PushReceiver),
+        };
+        if refuses {
+            return Err(CompileError::NotImplemented("refused"));
+        }
+        let (isa, ntemps) = match key {
+            CompileKeyRef::Bytecode { isa, temps, .. } => (isa, temps.len() as u32),
+            CompileKeyRef::Native { isa, .. } => (isa, 0),
+        };
+        let code = format!("{key:?}").into_bytes();
+        Ok(CompiledCode { code, isa, ntemps })
+    }
+
+    /// What the armed `mutant` makes a lookup key forget, written out
+    /// independently of [`CompileKeyRef::mutated`].
+    fn forget(key: &mut CompileKey, mutant: Option<MutantId>) {
+        use mutops::{CACHE_KEY_IGNORES_KIND, CACHE_KEY_IGNORES_SPECIAL_OOPS, CACHE_KEY_IGNORES_STACK};
+        let (nil, true_obj, false_obj) = match key {
+            CompileKey::Bytecode { kind, stack, nil, true_obj, false_obj, .. } => {
+                if mutant == Some(CACHE_KEY_IGNORES_STACK) {
+                    stack.clear();
+                }
+                if mutant == Some(CACHE_KEY_IGNORES_KIND) {
+                    *kind = CompilerKind::SimpleStackBased;
+                }
+                (nil, true_obj, false_obj)
+            }
+            CompileKey::Native { nil, true_obj, false_obj, .. } => (nil, true_obj, false_obj),
+        };
+        if mutant == Some(CACHE_KEY_IGNORES_SPECIAL_OOPS) {
+            (*nil, *true_obj, *false_obj) = (0, 0, 0);
+        }
+    }
+
+    /// One step of a stream: a lookup, or a preload carrying a marker
+    /// byte so that which of two preloads won shows in the bytes.
+    #[derive(Clone, Debug)]
+    enum Step {
+        Lookup(GenKey),
+        Preload(GenKey, u8),
+    }
+
+    fn gen_step() -> impl Strategy<Value = Step> {
+        (gen_key(), 0u8..4, any::<u8>()).prop_map(|(key, pick, marker)| match pick {
+            0 => Step::Preload(key, marker),
+            _ => Step::Lookup(key),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The flat store against a `HashMap` from owned keys to
+        /// artifacts, under forced hash collisions and under each
+        /// cache-key mutant: every lookup hits exactly when the
+        /// reference holds its key, returns the reference's artifact
+        /// (bytes, ISA, temps or refusal), and in the end the counters,
+        /// `len()` and `snapshot()` agree with the reference.
+        #[test]
+        fn flat_store_behaves_like_a_map_of_owned_keys(
+            steps in proptest::collection::vec(gen_step(), 0..80),
+            mask_pick in 0u8..3,
+            mutant_pick in 0u8..4,
+        ) {
+            let mutant = [
+                None,
+                Some(mutops::CACHE_KEY_IGNORES_STACK),
+                Some(mutops::CACHE_KEY_IGNORES_KIND),
+                Some(mutops::CACHE_KEY_IGNORES_SPECIAL_OOPS),
+            ][usize::from(mutant_pick)];
+            let _guard: MutantGuard = match mutant {
+                Some(id) => FaultInjector::arm(id).unwrap(),
+                None => FaultInjector::pinned_off(),
+            };
+            // All keys in one chain, a few chains, or the full hash.
+            let hash_mask = [0, 0b11, u64::MAX][usize::from(mask_pick)];
+            let cache = CodeCache { hash_mask, ..CodeCache::new() };
+            let mut reference: HashMap<CompileKey, Result<CompiledCode, CompileError>> =
+                HashMap::new();
+            let (mut hits, mut misses) = (0, 0);
+            let mut out = buffer();
+            for step in &steps {
+                match step {
+                    Step::Preload(key, marker) => {
+                        let owned = key.as_ref().to_owned_key();
+                        let artifact = fake_code(*marker);
+                        reference.entry(owned.clone()).or_insert_with(|| artifact.clone());
+                        cache.preload(owned, artifact);
+                    }
+                    Step::Lookup(key) => {
+                        let mut stored = key.as_ref().to_owned_key();
+                        forget(&mut stored, mutant);
+                        let expected = match reference.get(&stored) {
+                            Some(artifact) => {
+                                hits += 1;
+                                parts(artifact)
+                            }
+                            None => {
+                                misses += 1;
+                                let artifact = compile_of(key.as_ref());
+                                let expected = parts(&artifact);
+                                reference.insert(stored, artifact);
+                                expected
+                            }
+                        };
+                        let got = cache
+                            .get_or_compile_ref(key.as_ref(), &mut out, || compile_of(key.as_ref()))
+                            .map(|()| (out.code.clone(), out.isa, out.ntemps));
+                        prop_assert_eq!(got, expected, "{:?}", key);
+                    }
+                }
+                prop_assert_eq!((cache.hits(), cache.misses()), (hits, misses));
+                prop_assert_eq!(cache.len(), reference.len());
+            }
+            let snapshot: HashMap<CompileKey, Parts> =
+                cache.snapshot().iter().map(|(k, a)| (k.clone(), parts(a))).collect();
+            prop_assert_eq!(snapshot.len(), cache.len(), "snapshot keys are distinct");
+            let expected: HashMap<CompileKey, Parts> =
+                reference.iter().map(|(k, a)| (k.clone(), parts(a))).collect();
+            prop_assert_eq!(snapshot, expected);
+        }
     }
 }

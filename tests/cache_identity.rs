@@ -8,10 +8,21 @@ use igjit_heap::ObjectMemory;
 use igjit_jit::native::igjit_bytecode_native_id::NativeMethodIdLike;
 use igjit_jit::{
     compile_bytecode_sequence_test, compile_native_test, BytecodeTestInput, CodeCache,
-    CompileKeyRef, NativeTestInput,
+    CompileError, CompileKeyRef, CompiledCode, NativeTestInput,
 };
 
 const BOTH: [Isa; 2] = [Isa::X86ish, Isa::Arm32ish];
+
+/// Looks `key` up and returns the artifact the cache copied out.
+fn lookup(
+    cache: &CodeCache,
+    key: CompileKeyRef<'_>,
+    compile: impl FnOnce() -> Result<CompiledCode, CompileError>,
+) -> CompiledCode {
+    let mut out = CompiledCode { code: Vec::new(), isa: Isa::X86ish, ntemps: 0 };
+    cache.get_or_compile_ref(key, &mut out, compile).expect("compiles");
+    out
+}
 
 #[test]
 fn cached_native_artifacts_are_byte_identical_to_fresh_compiles() {
@@ -35,14 +46,13 @@ fn cached_native_artifacts_are_byte_identical_to_fresh_compiles() {
                 .expect("compiles");
             // Warm the cache, then look the same key up again: the
             // second lookup must hit and return the identical bytes.
-            let first = cache.get_or_compile_ref(key, || {
+            let first = lookup(&cache, key, || {
                 compile_native_test(NativeMethodIdLike(id as u16), input, isa)
             });
             let hits_before = cache.hits();
-            let second = cache.get_or_compile_ref(key, || panic!("must hit"));
+            let second = lookup(&cache, key, || panic!("must hit"));
             assert_eq!(cache.hits(), hits_before + 1);
-            for artifact in [&first, &second] {
-                let cached = (**artifact).as_ref().expect("compiles");
+            for cached in [&first, &second] {
                 assert_eq!(cached.code, fresh.code, "native {id} on {isa:?}");
                 assert_eq!(cached.ntemps, fresh.ntemps);
                 assert_eq!(cached.isa, fresh.isa);
@@ -81,10 +91,9 @@ fn cached_bytecode_artifacts_are_byte_identical_to_fresh_compiles() {
             };
             let fresh = compile_bytecode_sequence_test(kind, &[Instruction::Add], &input, isa)
                 .expect("compiles");
-            let cached = cache.get_or_compile_ref(key, || {
+            let cached = lookup(&cache, key, || {
                 compile_bytecode_sequence_test(kind, &[Instruction::Add], &input, isa)
             });
-            let cached = (*cached).as_ref().expect("compiles");
             assert_eq!(cached.code, fresh.code, "{kind:?} on {isa:?}");
         }
     }

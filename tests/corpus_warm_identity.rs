@@ -175,7 +175,7 @@ fn merged_encoding(
     }
     let mut code: HashMap<_, _> = file.code.into_iter().collect();
     for (key, entry) in campaign.code_cache().snapshot() {
-        code.entry(key).or_insert_with(|| (*entry).clone());
+        code.entry(key).or_insert(entry);
     }
     let mut outcomes: HashMap<_, _> = file.outcomes.into_iter().collect();
     for (target, report) in rows {
