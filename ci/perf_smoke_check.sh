@@ -33,7 +33,11 @@
 #   * residual budget — at 1 thread, the unattributed `other` bucket
 #     stays within 15% of the wall clock;
 #   * explore sub-slices — `walk_run` and `probe_solve` re-attribute
-#     time already inside `explore`, so their sum never exceeds it.
+#     time already inside `explore`, so their sum never exceeds it;
+#   * sampled stage clock — the stage shares come from sampled checks,
+#     so `stage_clock` must record some (0 < sampled_checks <= checks),
+#     and the short sampled stages `setup`, `hash` and `report` must
+#     still be non-zero.
 #
 # Usage: ci/perf_smoke_check.sh TESTGEN_OUT METRICS_JSON...
 set -euo pipefail
@@ -106,6 +110,15 @@ for path, doc in records:
             f"perf-smoke: stage layout drifted ({path}): "
             f"expected {sorted(expect['stage_layout'])}, got {got}"
         )
+    clock = metrics["stage_clock"]
+    if not 0 < clock["sampled_checks"] <= clock["checks"]:
+        sys.exit(
+            f"perf-smoke: the stage clock sampled no checks or too many ({path}): "
+            f"{clock['sampled_checks']} sampled of {clock['checks']}"
+        )
+    for stage in ("setup", "hash", "report"):
+        if stages[stage] <= 0:
+            sys.exit(f"perf-smoke: the sampled stage `{stage}` reads zero ({path})")
     sub = stages["walk_run"] + stages["probe_solve"]
     if sub > 1.05 * stages["explore"] + 0.5:
         sys.exit(
@@ -134,7 +147,7 @@ for path, doc in records:
 
 print(
     f"perf-smoke: {len(records)} metrics file(s) match expectations: rows, "
-    f"meta row, work counters, stage layout and accounting; {generated} generated tests, "
+    f"meta row, work counters, stage layout, stage clock and accounting; {generated} generated tests, "
     f"replayed {replay['passed']} passed / {replay['failed']} failed / {replay['skipped']} skipped"
 )
 PY

@@ -113,6 +113,13 @@ impl PathOutcome {
             PathOutcome::Unsupported { .. } => return None,
         })
     }
+
+    /// Whether the path ends in an expected failure (§3.4: an invalid
+    /// frame or memory access), which the differential step does not
+    /// compare.
+    pub fn is_expected_failure(&self) -> bool {
+        matches!(self, PathOutcome::InvalidFrame | PathOutcome::InvalidMemoryAccess)
+    }
 }
 
 /// Snapshot of one input object after the instruction ran (for
@@ -182,7 +189,8 @@ pub struct ExplorationResult {
     /// [`ExplorationResult::curated_paths`]. Empty unless
     /// [`ExplorationResult::attach_probe_models`] ran (the exploration
     /// cache calls it when probing is enabled), in which case each
-    /// entry starts with the path's base model. Probing is a pure
+    /// entry starts with the path's base model; an expected-failure
+    /// path gets its base model only. Probing is a pure
     /// function of the exploration, so attaching it to the shared
     /// result lets every compiler target reuse one probe pass.
     pub probe_models: Vec<Vec<Model>>,
@@ -207,8 +215,9 @@ impl ExplorationResult {
             .collect()
     }
 
-    /// Runs kind probing once for every curated path and stores the
-    /// resulting models in [`ExplorationResult::probe_models`]. The
+    /// Runs kind probing once for every curated path that is not an
+    /// expected failure and stores the resulting models in
+    /// [`ExplorationResult::probe_models`]. The
     /// probe solver's work counters are folded into
     /// [`ExplorationResult::solver`], so a campaign charging this
     /// exploration charges its probing too.
@@ -225,6 +234,14 @@ impl ExplorationResult {
         session.sync_vars(self.state.specs());
         let plan = crate::probes::ProbePlan::new(&self.state);
         for path in self.curated_paths() {
+            if path.outcome.is_expected_failure() {
+                // Every model of the path fails the same way, and the
+                // campaign stops such a path at its base model, so its
+                // probes would never run
+                // (`tests/testability_is_per_path.rs`).
+                all.push(vec![path.model.clone()]);
+                continue;
+            }
             session.push();
             let models =
                 crate::probes::probe_path(&mut session, &self.state, &plan, path, max_probes);
@@ -529,7 +546,7 @@ fn convert_step(outcome: StepOutcome<SymOop>) -> PathOutcome {
                 must_be_boolean,
                 literal_selector,
                 receiver: receiver.concrete,
-                args: args.into_iter().map(|a| a.concrete).collect(),
+                args: args.iter().map(|a| a.concrete).collect(),
             })
         }
         StepOutcome::InvalidFrame => PathOutcome::InvalidFrame,

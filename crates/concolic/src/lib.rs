@@ -70,8 +70,8 @@ pub use pathkey::PathKey;
 pub use probes::{probe_models, DEFAULT_MAX_PROBES};
 pub use explore::{CurationReason, ExplorationResult, ExploreError, Explorer, ExploredPath,
                   InstrUnderTest, ObjectDump, PathOutcome, SendRecord};
-pub use materialize::{materialize_base, materialize_frame, materialize_shared, BaseImage,
-                      MaterializedFrame, WitnessError};
+pub use materialize::{materialize_base, materialize_frame, materialize_shared,
+                      materialize_shared_into, BaseImage, MaterializedFrame, WitnessError};
 pub use state::{byte_kinds, class_for_kind, kind_for_class, pointer_slot_kinds, AbstractState,
                 ObjShape, VarRole};
 pub use sym::{Origin, SymFloat, SymInt, SymOop};

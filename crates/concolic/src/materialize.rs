@@ -53,6 +53,18 @@ pub struct MaterializedFrame {
     pub witness_errors: Vec<WitnessError>,
 }
 
+impl Default for MaterializedFrame {
+    /// An empty frame with no variables, for
+    /// [`materialize_shared_into`] to fill.
+    fn default() -> MaterializedFrame {
+        MaterializedFrame {
+            frame: Frame::new(SymOop::constant(Oop::ZERO), MethodInfo::empty()),
+            var_oops: FxHashMap::default(),
+            witness_errors: Vec::new(),
+        }
+    }
+}
+
 /// A materialized frame together with its heap, sealed right after
 /// construction so the differential harness can run engine after
 /// engine on the *same* memory, rolling back to the sealed image
@@ -93,9 +105,9 @@ struct Materializer<'a> {
     model: &'a Model,
     mem: &'a mut ObjectMemory,
     /// Memo keyed by alias root so `ObjEq` variables share one object.
-    memo: FxHashMap<u32, Oop>,
-    var_oops: FxHashMap<VarId, Oop>,
-    witness_errors: Vec<WitnessError>,
+    memo: &'a mut FxHashMap<u32, Oop>,
+    var_oops: &'a mut FxHashMap<VarId, Oop>,
+    witness_errors: &'a mut Vec<WitnessError>,
 }
 
 impl Materializer<'_> {
@@ -160,15 +172,9 @@ impl Materializer<'_> {
                 // Two-phase: publish the object before filling slots so
                 // cyclic shapes terminate.
                 self.memo.insert(a.alias, oop);
-                let slots: Vec<(u32, VarId)> = self
-                    .state
-                    .shape(var)
-                    .slots
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, sv)| sv.map(|sv| (i as u32, sv)))
-                    .collect();
-                for (i, slot_var) in slots {
+                let state = self.state;
+                let slots = state.shape(var).slots.iter().enumerate();
+                for (i, slot_var) in slots.filter_map(|(i, sv)| sv.map(|sv| (i as u32, sv))) {
                     if i < size {
                         let v = self.value_of(slot_var, depth + 1);
                         let _ = self.mem.store_pointer(oop, i, v);
@@ -182,10 +188,9 @@ impl Materializer<'_> {
                     Kind::String => ClassIndex::STRING,
                     _ => ClassIndex::SYMBOL,
                 };
+                // A fresh byte object is all zeroes.
                 let size = self.size_of(var);
-                self.mem
-                    .instantiate_bytes(class, &vec![0u8; size as usize])
-                    .unwrap_or(nil)
+                self.mem.allocate(class, ObjectFormat::Bytes, size).unwrap_or(nil)
             }
             Kind::WordArray => {
                 let size = self.size_of(var);
@@ -220,13 +225,8 @@ fn exceeds_registered_slots(state: &AbstractState, model: &Model) -> bool {
         || literals > state.literal_vars.len()
 }
 
-/// Materializes a fresh concrete frame from `model` into `mem`,
-/// registering any frame variables the model's counters need first.
-pub fn materialize_frame(
-    state: &mut AbstractState,
-    model: &Model,
-    mem: &mut ObjectMemory,
-) -> MaterializedFrame {
+/// Registers every frame variable `model`'s counters name in `state`.
+fn register_frame_vars(state: &mut AbstractState, model: &Model) {
     let [stack, temps, literals] = frame_counts(state, model);
     for d in 0..stack {
         state.stack_var_at(d);
@@ -237,7 +237,19 @@ pub fn materialize_frame(
     for i in 0..literals {
         state.literal_var_at(i);
     }
-    build_frame(state, model, mem)
+}
+
+/// Materializes a fresh concrete frame from `model` into `mem`,
+/// registering any frame variables the model's counters need first.
+pub fn materialize_frame(
+    state: &mut AbstractState,
+    model: &Model,
+    mem: &mut ObjectMemory,
+) -> MaterializedFrame {
+    register_frame_vars(state, model);
+    let mut mat = MaterializedFrame::default();
+    build_frame(state, model, mem, &mut mat, &mut FxHashMap::default());
+    mat
 }
 
 /// [`materialize_frame`] over a state it leaves untouched: the result
@@ -249,52 +261,67 @@ pub fn materialize_shared(
     model: &Model,
     mem: &mut ObjectMemory,
 ) -> MaterializedFrame {
-    if exceeds_registered_slots(state, model) {
-        return materialize_frame(&mut state.clone(), model, mem);
-    }
-    build_frame(state, model, mem)
+    let mut mat = MaterializedFrame::default();
+    materialize_shared_into(state, model, mem, &mut mat, &mut FxHashMap::default());
+    mat
 }
 
-/// Materializes the frame over a state that already registers every
-/// frame variable the model's counters name.
-fn build_frame(state: &AbstractState, model: &Model, mem: &mut ObjectMemory) -> MaterializedFrame {
+/// [`materialize_shared`] into `into`, whose frame, `var_oops` and
+/// witness errors are refilled in place, with `memo` as the scratch
+/// map that makes `ObjEq` variables share one object. Once the buffers
+/// have grown to a model's size, materializing it allocates nothing on
+/// the host heap (unless its counters exceed the registered slots).
+pub fn materialize_shared_into(
+    state: &AbstractState,
+    model: &Model,
+    mem: &mut ObjectMemory,
+    into: &mut MaterializedFrame,
+    memo: &mut FxHashMap<u32, Oop>,
+) {
+    if exceeds_registered_slots(state, model) {
+        let mut grown = state.clone();
+        register_frame_vars(&mut grown, model);
+        return build_frame(&grown, model, mem, into, memo);
+    }
+    build_frame(state, model, mem, into, memo)
+}
+
+/// Materializes the frame into `into` over a state that already
+/// registers every frame variable the model's counters name.
+fn build_frame(
+    state: &AbstractState,
+    model: &Model,
+    mem: &mut ObjectMemory,
+    into: &mut MaterializedFrame,
+    memo: &mut FxHashMap<u32, Oop>,
+) {
     let [stack_size, temp_count, literal_count] = frame_counts(state, model);
     let vars = state.var_count();
-    let mut m = Materializer {
-        state,
-        model,
-        mem,
-        memo: FxHashMap::with_capacity_and_hasher(vars, Default::default()),
-        var_oops: FxHashMap::with_capacity_and_hasher(vars, Default::default()),
-        witness_errors: Vec::new(),
-    };
+    memo.clear();
+    memo.reserve(vars);
+    into.var_oops.clear();
+    into.var_oops.reserve(vars);
+    into.witness_errors.clear();
+    let MaterializedFrame { frame, var_oops, witness_errors } = into;
+    let mut m = Materializer { state, model, mem, memo, var_oops, witness_errors };
 
     let receiver_var = state.receiver;
-    let receiver = SymOop::var(m.value_of(receiver_var, 0), receiver_var);
-
-    let mut stack = Vec::with_capacity(stack_size);
+    frame.receiver = SymOop::var(m.value_of(receiver_var, 0), receiver_var);
+    frame.stack.clear();
     for d in (0..stack_size).rev() {
         let var = state.stack_vars[d];
-        stack.push(SymOop::var(m.value_of(var, 0), var));
+        frame.stack.push(SymOop::var(m.value_of(var, 0), var));
     }
-    let mut temps = Vec::with_capacity(temp_count);
+    frame.temps.clear();
     for &var in &state.temp_vars[..temp_count] {
-        temps.push(SymOop::var(m.value_of(var, 0), var));
+        frame.temps.push(SymOop::var(m.value_of(var, 0), var));
     }
-    let mut literals = Vec::with_capacity(literal_count);
+    frame.method.literals.clear();
     for &var in &state.literal_vars[..literal_count] {
-        literals.push(SymOop::var(m.value_of(var, 0), var));
+        frame.method.literals.push(SymOop::var(m.value_of(var, 0), var));
     }
-
-    let var_oops = m.var_oops;
-    let witness_errors = m.witness_errors;
-    let mut frame = Frame::new(
-        receiver,
-        MethodInfo { literals, num_args: 0, num_temps: temp_count as u8 },
-    );
-    frame.temps = temps;
-    frame.stack = stack;
-    MaterializedFrame { frame, var_oops, witness_errors }
+    frame.method.num_args = 0;
+    frame.method.num_temps = temp_count as u8;
 }
 
 #[cfg(test)]

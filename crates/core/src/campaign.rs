@@ -108,7 +108,10 @@ pub struct Metrics {
     /// Instructions processed.
     pub instructions: usize,
     /// Summed per-stage wall-clock across all instructions (CPU-side
-    /// cost; exceeds `wall_clock` when threads > 1).
+    /// cost; exceeds `wall_clock` when threads > 1). Its
+    /// [`StageTimes::clock`] counts the differential checks, the
+    /// sampled ones whose splits set the stage shares, and the stage
+    /// clock's reads; the JSON emits them as `stage_clock`.
     pub stages: StageTimes,
     /// Per-stage maximum over the workers' self-time sums — the
     /// critical path the batch wall clock actually waits on. Equal to
@@ -252,6 +255,7 @@ impl Metrics {
                 "\"pool_hits\":{},\"pool_misses\":{},\"pool_hit_rate\":{:.4}}},",
                 "\"snapshot\":{{\"seals\":{},\"restores\":{},\"dirty_words\":{},",
                 "\"dirty_hist\":[{}]}},",
+                "\"stage_clock\":{{\"checks\":{},\"sampled_checks\":{},\"clock_reads\":{}}},",
                 "\"stages_ms\":{},\"stages_max_ms\":{}}}"
             ),
             self.threads,
@@ -285,6 +289,9 @@ impl Metrics {
             self.snapshot.restores,
             self.snapshot.dirty_words,
             hist,
+            self.stages.clock.checks,
+            self.stages.clock.sampled_checks,
+            self.stages.clock.clock_reads,
             stages(&self.stages),
             stages(&self.stages_max),
         )
@@ -698,27 +705,28 @@ impl Campaign {
         let compile_lookups0 = (self.code_cache.hits(), self.code_cache.misses());
         let done = AtomicUsize::new(0);
         let total = items.len();
-        let report_progress = |name: &str| {
-            if let Some(cb) = &self.on_progress {
-                cb(&Progress {
-                    row: label.clone(),
-                    completed: done.fetch_add(1, Ordering::Relaxed) + 1,
-                    total,
-                    current: name.to_string(),
-                });
-            }
+        let report_progress = |name: &str, cb: &ProgressCallback| {
+            cb(&Progress {
+                row: label.clone(),
+                completed: done.fetch_add(1, Ordering::Relaxed) + 1,
+                total,
+                current: name.to_string(),
+            });
         };
         let run_one = |(name, is_native, instr, target): &WorkItem|
          -> (TimingSample, InstructionOutcome, SessionStats, TrailStats) {
             let (mut info, outcome) = self.run_one(*instr, *target);
             // Progress reporting is a stderr write + flush per
             // instruction; charge it to its own stage so it can't
-            // masquerade as pipeline residual.
-            let t_progress = Instant::now();
-            report_progress(name);
-            let dt = t_progress.elapsed();
-            info.stages.progress += dt;
-            info.elapsed += dt;
+            // masquerade as pipeline residual. Without a reporter there
+            // is nothing to time.
+            if let Some(cb) = &self.on_progress {
+                let t_progress = Instant::now();
+                report_progress(name, cb);
+                let dt = t_progress.elapsed();
+                info.stages.progress += dt;
+                info.elapsed += dt;
+            }
             (
                 TimingSample {
                     label: name.clone(),
@@ -1024,9 +1032,14 @@ mod tests {
             compile_hits: 6,
             compile_misses: 2,
             wall_clock: Duration::from_millis(12),
+            stages: StageTimes {
+                clock: igjit_difftest::StageClock { checks: 9, sampled_checks: 2, clock_reads: 30 },
+                ..StageTimes::default()
+            },
             ..Metrics::default()
         };
         let j = m.to_json();
+        assert!(j.contains("\"stage_clock\":{\"checks\":9,\"sampled_checks\":2,\"clock_reads\":30}"));
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"threads\":4"));
         assert!(j.contains("\"hit_rate\":0.4286"));

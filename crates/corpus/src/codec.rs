@@ -974,7 +974,7 @@ impl Wire for Verdict {
 impl Wire for PathVerdict {
     fn enc(&self, e: &mut Encoder) {
         self.instruction.enc(e);
-        e.str(&self.interp_exit);
+        e.str(self.interp_exit);
         self.verdict.enc(e);
         self.cause.enc(e);
         self.all_causes.enc(e);
@@ -984,7 +984,10 @@ impl Wire for PathVerdict {
     fn dec(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(PathVerdict {
             instruction: InstrUnderTest::dec(d)?,
-            interp_exit: d.string()?,
+            interp_exit: {
+                let label = std::str::from_utf8(d.bytes()?).map_err(|_| WireError::BadUtf8)?;
+                PathVerdict::interp_exit_label(label).ok_or(WireError::BadTag("interp exit"))?
+            },
             verdict: Verdict::dec(d)?,
             cause: Option::dec(d)?,
             all_causes: Vec::dec(d)?,

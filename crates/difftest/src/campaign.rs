@@ -9,7 +9,7 @@ use igjit_metajit::MetaCache;
 
 use crate::classify::CauseKey;
 use crate::compare::Verdict;
-use crate::compiled::Lap;
+use crate::oracle::EngineExit;
 use crate::step::{Checked, Harness, Program};
 
 /// What compiler the campaign tests against the interpreter.
@@ -49,8 +49,9 @@ impl Target {
 pub struct PathVerdict {
     /// The instruction.
     pub instruction: InstrUnderTest,
-    /// Interpreter exit of the base model's run.
-    pub interp_exit: String,
+    /// Interpreter exit of the base model's run
+    /// ([`EngineExit::label`]); empty until the base model has run.
+    pub interp_exit: &'static str,
     /// The comparison verdict (the first difference found is kept for
     /// display).
     pub verdict: Verdict,
@@ -72,13 +73,19 @@ impl PathVerdict {
     pub fn new(instruction: InstrUnderTest) -> PathVerdict {
         PathVerdict {
             instruction,
-            interp_exit: String::new(),
+            interp_exit: "",
             verdict: Verdict::Agree,
             cause: None,
             all_causes: Vec::new(),
             found_by_probe: false,
             isa: None,
         }
+    }
+
+    /// The [`PathVerdict::interp_exit`] spelled `label`, if a verdict
+    /// can hold it: an [`EngineExit::label`], or empty.
+    pub fn interp_exit_label(label: &str) -> Option<&'static str> {
+        std::iter::once("").chain(EngineExit::LABELS).find(|l| *l == label)
     }
 }
 
@@ -239,10 +246,20 @@ impl CampaignRow {
 /// Wall-clock spent in each stage of the differential pipeline for
 /// one instruction (the observability layer's unit of account).
 ///
-/// Inside [`test_instruction_with`] the stages are consecutive splits
-/// of one clock: each stage boundary reads the clock once and charges
-/// the time since the previous boundary to the stage that just ended,
-/// so no time inside the call falls between two stages.
+/// Totals are exact, shares are sampled. A [`Harness`]'s whole run,
+/// from [`Harness::new`] to [`Harness::finish`], is timed exactly, and
+/// so is every compile and meta-compile cache miss. The rest of the
+/// harness's time is spread over `materialize`, `hash`, `setup`,
+/// `simulate`, `compare` and `report` in the proportions its *sampled*
+/// checks measured: the first check of each harness and then one check
+/// in [`SAMPLE_EVERY`] split every stage boundary, reading the clock
+/// once per boundary; the other checks read no clock. Each split
+/// therefore includes one clock read (about 45 ns on a VM's `tsc`
+/// clocksource), which matters for the short stages (`setup`,
+/// `report`). `explore` and its sub-slices, `progress` and `other` are
+/// measured outside the harness and are exact. [`StageTimes::clock`]
+/// records how many checks the numbers cover, how many were sampled
+/// and how many times the stage clock was read.
 ///
 /// Stage boundaries:
 /// - `explore`: concolic exploration plus kind-probe model solving.
@@ -251,7 +268,7 @@ impl CampaignRow {
 ///   the replay heap, *and* the concrete interpreter oracle run it
 ///   feeds, plus the arena's rollbacks.
 /// - `compile`: JIT front-end + back-end time for the target tier,
-///   charged inside the code cache's miss (zero on a hit).
+///   timed exactly inside the code cache's miss (zero on a hit).
 /// - `simulate`: machine-simulator execution of the compiled code
 ///   (the run loop only — construction and exit extraction are
 ///   attributed to `setup`/`report`).
@@ -268,11 +285,17 @@ impl CampaignRow {
 ///   hot path), minus any compile time spent inside a miss.
 /// - `report`: engine-exit extraction and verdict/outcome assembly.
 /// - `progress`: the driver's per-instruction progress callback
-///   (stderr write + flush when a reporter is installed).
+///   (stderr write + flush when a reporter is installed; zero, and
+///   not timed, without one).
 /// - `other`: only the campaign's work outside `test_instruction_with`
 ///   (exploration-cache and corpus lookups). The campaign attributes
 ///   it as elapsed-minus-stages so the stage sum accounts for the
 ///   whole wall clock.
+///
+/// [`Harness`]: crate::Harness
+/// [`Harness::new`]: crate::Harness::new
+/// [`Harness::finish`]: crate::Harness::finish
+/// [`SAMPLE_EVERY`]: crate::SAMPLE_EVERY
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageTimes {
     /// Concolic exploration + probe-model solving.
@@ -302,7 +325,7 @@ pub struct StageTimes {
     /// Engine-exit extraction + verdict assembly.
     pub report: Duration,
     /// Per-instruction progress reporting (the driver's callback,
-    /// typically a stderr write + flush).
+    /// typically a stderr write + flush; zero without a reporter).
     pub progress: Duration,
     /// The campaign's work outside `test_instruction_with`.
     pub other: Duration,
@@ -316,6 +339,31 @@ pub struct StageTimes {
     /// solving (the batched per-path session sweep). Like `walk_run`,
     /// excluded from [`StageTimes::total`].
     pub probe_solve: Duration,
+    /// How the harness stages were measured: checks, sampled checks
+    /// and stage-clock reads.
+    pub clock: StageClock,
+}
+
+/// The stage clock's own accounting, next to the times it produced.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StageClock {
+    /// Differential checks ([`Harness::check`](crate::Harness::check)
+    /// calls) the stage times cover.
+    pub checks: u64,
+    /// Checks whose stage boundaries were split — the sample the
+    /// shares of the split stages come from.
+    pub sampled_checks: u64,
+    /// Times the stage clock was read, inside the harnesses.
+    pub clock_reads: u64,
+}
+
+impl StageClock {
+    /// Accumulates another sample into this one.
+    pub fn merge(&mut self, other: &StageClock) {
+        self.checks += other.checks;
+        self.sampled_checks += other.sampled_checks;
+        self.clock_reads += other.clock_reads;
+    }
 }
 
 impl StageTimes {
@@ -352,12 +400,14 @@ impl StageTimes {
         self.other += other.other;
         self.walk_run += other.walk_run;
         self.probe_solve += other.probe_solve;
+        self.clock.merge(&other.clock);
     }
 
     /// Keeps the per-stage maximum of the two samples. Folding each
     /// worker's self-time sum with this yields the per-stage critical
     /// path of a parallel batch (what the wall clock actually waits
-    /// on), as opposed to [`StageTimes::merge`]'s CPU-side total.
+    /// on), as opposed to [`StageTimes::merge`]'s CPU-side total. The
+    /// [`StageTimes::clock`] counts add: they count work, not time.
     pub fn merge_max(&mut self, other: &StageTimes) {
         self.explore = self.explore.max(other.explore);
         self.materialize = self.materialize.max(other.materialize);
@@ -373,7 +423,38 @@ impl StageTimes {
         self.other = self.other.max(other.other);
         self.walk_run = self.walk_run.max(other.walk_run);
         self.probe_solve = self.probe_solve.max(other.probe_solve);
+        self.clock.merge(&other.clock);
     }
+
+    /// Rescales the sampled stages so that they and the exact compile
+    /// stages sum to `elapsed`, a harness's exact run time: the time the
+    /// compiles leave is split over `materialize`, `hash`, `setup`,
+    /// `simulate`, `compare` and `report` in the proportions their
+    /// sampled splits hold now (all of it to `materialize` if they hold
+    /// nothing).
+    pub(crate) fn spread_sampled(&mut self, elapsed: Duration) {
+        let rest = elapsed.saturating_sub(self.compile + self.meta_compile).as_nanos();
+        let mut stages = [
+            &mut self.materialize,
+            &mut self.hash,
+            &mut self.setup,
+            &mut self.simulate,
+            &mut self.compare,
+            &mut self.report,
+        ];
+        let sampled: u128 = stages.iter().map(|d| d.as_nanos()).sum();
+        let mut left = rest;
+        for stage in stages.iter_mut().skip(1) {
+            let share = (rest * stage.as_nanos()).checked_div(sampled).unwrap_or(0);
+            left -= share;
+            **stage = nanos(share);
+        }
+        *stages[0] = nanos(left);
+    }
+}
+
+fn nanos(n: u128) -> Duration {
+    Duration::from_nanos(u64::try_from(n).unwrap_or(u64::MAX))
 }
 
 /// Runs the full differential pipeline for one instruction: concolic
@@ -452,22 +533,27 @@ pub fn test_instruction_with(
         harness.charge(|t| &mut t.report);
     }
 
-    let mut tally = harness.finish();
-    let mut lap = Lap::start();
-    let outcome = InstructionOutcome {
+    // The outcome is assembled inside the harness's clock; only the
+    // tally's counts are filled in after it stops.
+    let mut outcome = InstructionOutcome {
         instruction: instr,
         paths_found: exploration.paths.len(),
         curated: curated.len(),
         curated_out: exploration.curated_out.clone(),
         verdicts,
         explore_iterations: exploration.iterations,
-        witness_errors: tally.witness_errors,
-        oracle_panics: tally.oracle_panics,
-        snapshot: tally.snapshot,
-        meta_compiled_runs: tally.meta.compiled,
-        meta_trampolines: tally.meta.trampolined,
+        witness_errors: 0,
+        oracle_panics: 0,
+        snapshot: SnapshotStats::default(),
+        meta_compiled_runs: 0,
+        meta_trampolines: 0,
     };
-    lap.charge(&mut tally.times.report);
+    let tally = harness.finish();
+    outcome.witness_errors = tally.witness_errors;
+    outcome.oracle_panics = tally.oracle_panics;
+    outcome.snapshot = tally.snapshot;
+    outcome.meta_compiled_runs = tally.meta.compiled;
+    outcome.meta_trampolines = tally.meta.trampolined;
     (outcome, tally.times)
 }
 
@@ -633,6 +719,39 @@ mod tests {
             "{:?}",
             o.verdicts
         );
+    }
+
+    #[test]
+    fn spreading_keeps_exact_stages_and_sums_to_the_elapsed_time() {
+        let ms = Duration::from_millis;
+        let mut times = StageTimes {
+            explore: ms(7),
+            compile: ms(4),
+            meta_compile: ms(1),
+            materialize: ms(3),
+            simulate: ms(1),
+            ..StageTimes::default()
+        };
+        times.spread_sampled(ms(25));
+        // 20 ms left after the compiles, split 3 : 1 as sampled.
+        assert_eq!((times.materialize, times.simulate), (ms(15), ms(5)));
+        assert_eq!((times.compile, times.meta_compile, times.explore), (ms(4), ms(1), ms(7)));
+        assert_eq!(times.total() - times.explore, ms(25));
+
+        // Nothing sampled: the rest goes to `materialize`. Shares that do
+        // not divide evenly leave their remainder there too.
+        let mut unsampled = StageTimes::default();
+        unsampled.spread_sampled(ms(2));
+        assert_eq!(unsampled.materialize, ms(2));
+        let mut thirds = StageTimes {
+            hash: Duration::from_nanos(1),
+            setup: Duration::from_nanos(1),
+            report: Duration::from_nanos(1),
+            ..StageTimes::default()
+        };
+        thirds.spread_sampled(Duration::from_nanos(100));
+        assert_eq!(thirds.total(), Duration::from_nanos(100));
+        assert_eq!(thirds.materialize, Duration::from_nanos(1));
     }
 
     #[test]

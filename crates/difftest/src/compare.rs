@@ -269,10 +269,11 @@ pub fn compare_runs(
                 })
             }
         }
-        (i, c) => Some(Difference {
-            kind: DifferenceKind::ExitMismatch { interp: exit_name(i), compiled: exit_name(c) },
-            detail: format!("exits differ: {} vs {}", exit_name(i), exit_name(c)),
-        }),
+        (i, c) => {
+            let (interp, compiled) = (exit_name(i), exit_name(c));
+            let detail = format!("exits differ: {interp} vs {compiled}");
+            Some(Difference { kind: DifferenceKind::ExitMismatch { interp, compiled }, detail })
+        }
     };
     if let Some(d) = verdict {
         return Verdict::Difference(d);

@@ -5,6 +5,7 @@ use std::time::{Duration, Instant};
 use igjit_bytecode::SpecialSelector;
 use igjit_concolic::InstrUnderTest;
 use igjit_heap::{ObjectMemory, Oop};
+use igjit_interp::{Frame, MethodInfo};
 use igjit_jit::{
     compile_native_test, BytecodeTestInput, CodeCache, CompileError, CompileKeyRef, CompiledCode,
     CompilerKind, Convention, NativeTestInput, MUST_BE_BOOLEAN_SELECTOR, SPILL_BYTES,
@@ -12,7 +13,7 @@ use igjit_jit::{
 use igjit_machine::{Isa, Machine, MachineConfig, MachineOutcome, MachineSession};
 
 use crate::campaign::StageTimes;
-use crate::oracle::{native_operands, EngineExit, SelectorId};
+use crate::oracle::{native_operands, EngineExit, ExitBuffers, SelectorId};
 use crate::step::Program;
 
 /// Outcome of a compiled run (or the compiler's refusal).
@@ -26,65 +27,152 @@ pub enum CompiledRun {
 
 /// Shared execution context for a batch of compiled runs: the artifact
 /// cache, the persistent simulator session every run replays through,
-/// the code buffer every run's artifact is copied into, and the stage
-/// clock the runs are charged on.
+/// the code buffer every run's artifact is copied into, the buffers
+/// the runs' exits are built in, and the stage clock the runs are
+/// charged on.
 ///
 /// Each [`Harness`](crate::Harness) holds one; the session is *reset*
 /// — registers zeroed, dirty stack extent cleared — between runs
 /// instead of reallocating the 64 KiB stack per model, and the code
-/// buffer is overwritten in place.
+/// and exit buffers are overwritten in place.
 pub(crate) struct RunCtx<'c> {
     /// Compiled-artifact cache, shared across instructions and worker
     /// threads by the campaign driver.
     pub cache: &'c CodeCache,
-    /// The persistent machine session (registers + stack arena).
-    pub session: MachineSession,
-    /// The artifact of the current run, copied out of the cache.
-    pub code: CompiledCode,
+    /// The persistent machine session (registers + stack arena) and
+    /// the buffers reused across runs.
+    pub parts: RunParts,
     /// The stage clock, started when the context is made.
     pub lap: Lap,
 }
 
-impl<'c> RunCtx<'c> {
-    /// A context over `cache`, `session` and the code buffer `code`
-    /// whose stage clock starts now.
-    pub fn new(cache: &'c CodeCache, session: MachineSession, code: CompiledCode) -> RunCtx<'c> {
-        RunCtx { cache, session, code, lap: Lap::start() }
-    }
+/// What a [`RunCtx`] reuses from run to run, and hands on to the next
+/// context on its thread.
+pub(crate) struct RunParts {
+    /// The persistent machine session (registers + stack arena).
+    pub session: MachineSession,
+    /// The artifact of the current run, copied out of the cache.
+    pub code: CompiledCode,
+    /// The buffers a compiled run's exit is built in; the harness
+    /// hands each spent exit back.
+    pub exits: ExitBuffers,
+    /// The meta tier's trampoline frame, refilled per trampolined run.
+    pub trampoline: Frame<Oop>,
+}
 
-    /// Returns the session and the code buffer, for the next context.
-    pub fn into_parts(self) -> (MachineSession, CompiledCode) {
-        (self.session, self.code)
+impl RunParts {
+    /// A fresh session and empty buffers.
+    pub fn new() -> RunParts {
+        RunParts {
+            session: MachineSession::new(),
+            code: code_buffer(),
+            exits: ExitBuffers::default(),
+            trampoline: Frame::new(Oop::ZERO, MethodInfo::empty()),
+        }
     }
 }
 
 /// An empty code buffer.
-pub(crate) fn code_buffer() -> CompiledCode {
+fn code_buffer() -> CompiledCode {
     CompiledCode { code: Vec::new(), isa: Isa::X86ish, ntemps: 0 }
 }
 
-/// A stage clock that reads the clock once per stage boundary: each
+impl<'c> RunCtx<'c> {
+    /// A context over `cache` and `parts` whose stage clock starts now.
+    pub fn new(cache: &'c CodeCache, parts: RunParts) -> RunCtx<'c> {
+        RunCtx { cache, parts, lap: Lap::start() }
+    }
+
+    /// Returns the reused parts, for the next context.
+    pub fn into_parts(self) -> RunParts {
+        self.parts
+    }
+}
+
+/// The stage clock: exact totals, sampled shares.
+///
+/// On a *sampled* check every stage boundary reads the clock once: each
 /// [`Lap::charge`] ends the current split and charges the time since
 /// the previous boundary to the stage that just finished, so the stages
-/// of a [`StageTimes`] are consecutive splits of one clock.
-pub struct Lap {
+/// are consecutive splits of one clock. On any other check a boundary
+/// reads nothing. [`Lap::exact`] times a compile exactly either way,
+/// and [`Lap::stop`] reads the clock's whole run, so the owner can
+/// spread what the exact stages leave over the split stages in the
+/// proportions the sampled checks measured
+/// ([`StageTimes::spread_sampled`]). A clock made by [`Lap::start`]
+/// splits every boundary until [`Lap::sample`] says otherwise.
+pub(crate) struct Lap {
+    start: Instant,
     last: Instant,
+    /// Whether boundaries read the clock (the current check is sampled).
+    splitting: bool,
+    /// Clock reads so far, this clock's start included.
+    reads: u64,
 }
 
 impl Lap {
-    /// A clock whose first split starts now.
+    /// A splitting clock whose first split starts now.
     pub fn start() -> Lap {
-        Lap { last: Instant::now() }
+        let now = Instant::now();
+        Lap { start: now, last: now, splitting: true, reads: 1 }
     }
 
-    /// Charges the time since the previous boundary to `stage`, starts
-    /// the next split, and returns the charged time.
-    pub fn charge(&mut self, stage: &mut Duration) -> Duration {
-        let now = Instant::now();
-        let split = now.duration_since(self.last);
-        self.last = now;
-        *stage += split;
-        split
+    fn now(&mut self) -> Instant {
+        self.reads += 1;
+        Instant::now()
+    }
+
+    /// Clock reads so far, this clock's start included.
+    pub fn reads(&self) -> u64 {
+        self.reads
+    }
+
+    /// Starts a check: a sampled one splits its boundaries (restarting
+    /// the split now if the previous check did not split), any other
+    /// reads no clock at them.
+    pub fn sample(&mut self, sampled: bool) {
+        if sampled && !self.splitting {
+            self.last = self.now();
+        }
+        self.splitting = sampled;
+    }
+
+    /// On a splitting check, charges the time since the previous
+    /// boundary to `stage` and starts the next split; otherwise charges
+    /// nothing.
+    pub fn charge(&mut self, stage: &mut Duration) {
+        if self.splitting {
+            let now = self.now();
+            *stage += now.duration_since(self.last);
+            self.last = now;
+        }
+    }
+
+    /// Runs `f`, charging its time to `stage` exactly whether or not
+    /// the check splits; a splitting check charges the split before it
+    /// to `before` first.
+    pub fn exact<R>(&mut self, before: &mut Duration, stage: &mut Duration, f: impl FnOnce() -> R) -> R {
+        if self.splitting {
+            self.charge(before);
+            let out = f();
+            self.charge(stage);
+            return out;
+        }
+        let t0 = self.now();
+        let out = f();
+        *stage += self.now().duration_since(t0);
+        out
+    }
+
+    /// Reads the clock once more: charges the open split to `stage` if
+    /// the check splits, and returns the time since the clock started.
+    pub fn stop(&mut self, stage: &mut Duration) -> Duration {
+        let now = self.now();
+        if self.splitting {
+            *stage += now.duration_since(self.last);
+            self.last = now;
+        }
+        now.duration_since(self.start)
     }
 }
 
@@ -122,7 +210,8 @@ pub(crate) fn run_machine(
     times: &mut StageTimes,
 ) -> CompiledRun {
     let conv = Convention::for_isa(isa);
-    let mut m = Machine::with_session(mem, isa, &code.code, &mut ctx.session);
+    let exits = &mut ctx.parts.exits;
+    let mut m = Machine::with_session(mem, isa, &code.code, &mut ctx.parts.session);
     m.set_reg(conv.receiver, receiver.0);
     for (i, a) in args.iter().take(3).enumerate() {
         m.set_reg(conv.arg(i), a.0);
@@ -139,7 +228,7 @@ pub(crate) fn run_machine(
             // top first; reverse to bottom-first.
             let sp = m.reg(conv.sp);
             let limit = m.initial_sp().wrapping_sub(4 * ntemps + SPILL_BYTES);
-            let mut stack = Vec::new();
+            let mut stack = exits.take_stack();
             let mut a = sp;
             while a < limit {
                 match m.read_stack(a) {
@@ -151,9 +240,10 @@ pub(crate) fn run_machine(
             stack.reverse();
             // Temps from the frame slots.
             let fp = m.reg(conv.fp);
-            let temps: Vec<Oop> = (0..ntemps)
-                .map(|i| Oop(m.read_stack(fp.wrapping_sub(4 * (i + 1))).unwrap_or(0)))
-                .collect();
+            let mut temps = exits.take_temps();
+            temps.extend(
+                (0..ntemps).map(|i| Oop(m.read_stack(fp.wrapping_sub(4 * (i + 1))).unwrap_or(0))),
+            );
             EngineExit::Success { stack, temps, result: None }
         }
         (Program::Bytecode(_), MachineOutcome::Breakpoint { .. }) => EngineExit::JumpTaken,
@@ -166,11 +256,15 @@ pub(crate) fn run_machine(
             temps: Vec::new(),
             result: Some(Oop(m.reg(conv.receiver))),
         },
-        (_, MachineOutcome::Send { selector_id }) => EngineExit::Send {
-            selector: selector_of(selector_id),
-            receiver: Oop(m.reg(conv.receiver)),
-            args: (0..program.send_args().min(3)).map(|i| Oop(m.reg(conv.arg(i)))).collect(),
-        },
+        (_, MachineOutcome::Send { selector_id }) => {
+            let mut args = exits.take_args();
+            args.extend((0..program.send_args().min(3)).map(|i| Oop(m.reg(conv.arg(i)))));
+            EngineExit::Send {
+                selector: selector_of(selector_id),
+                receiver: Oop(m.reg(conv.receiver)),
+                args,
+            }
+        }
         (_, MachineOutcome::MemoryFault { .. }) => EngineExit::InvalidMemory,
         (_, MachineOutcome::SimulationError { register }) => {
             EngineExit::SimulationError(register)
@@ -196,14 +290,14 @@ pub(crate) fn run_compiled(
     kind: Option<CompilerKind>,
     isa: Isa,
     program: Program<'_>,
-    frame: &igjit_interp::Frame<Oop>,
+    frame: &Frame<Oop>,
     mem: &mut ObjectMemory,
     ctx: &mut RunCtx<'_>,
     times: &mut StageTimes,
 ) -> CompiledRun {
     let (nil, true_obj, false_obj) = (mem.nil(), mem.true_object(), mem.false_object());
     let lap = &mut ctx.lap;
-    let mut code = std::mem::replace(&mut ctx.code, code_buffer());
+    let mut code = std::mem::replace(&mut ctx.parts.code, code_buffer());
     let (found, receiver, args) = match program {
         Program::Bytecode(instrs) => {
             let kind = kind.expect("a bytecode program needs a compiler kind");
@@ -232,11 +326,9 @@ pub(crate) fn run_compiled(
                 false_obj: false_obj.0,
             };
             let found = ctx.cache.get_or_compile_ref(key, &mut code, || {
-                lap.charge(&mut times.hash);
-                let artifact =
-                    igjit_jit::compile_bytecode_sequence_test(kind, instrs, &input, isa);
-                lap.charge(&mut times.compile);
-                artifact
+                lap.exact(&mut times.hash, &mut times.compile, || {
+                    igjit_jit::compile_bytecode_sequence_test(kind, instrs, &input, isa)
+                })
             });
             (found, frame.receiver, &[][..])
         }
@@ -255,14 +347,13 @@ pub(crate) fn run_compiled(
                 false_obj: false_obj.0,
             };
             let found = ctx.cache.get_or_compile_ref(key, &mut code, || {
-                lap.charge(&mut times.hash);
-                let artifact = compile_native_test(
-                    igjit_jit::native::igjit_bytecode_native_id::NativeMethodIdLike(id.0),
-                    NativeTestInput { nil, true_obj, false_obj },
-                    isa,
-                );
-                lap.charge(&mut times.compile);
-                artifact
+                lap.exact(&mut times.hash, &mut times.compile, || {
+                    compile_native_test(
+                        igjit_jit::native::igjit_bytecode_native_id::NativeMethodIdLike(id.0),
+                        NativeTestInput { nil, true_obj, false_obj },
+                        isa,
+                    )
+                })
             });
             (found, receiver, args)
         }
@@ -272,7 +363,7 @@ pub(crate) fn run_compiled(
         Ok(()) => run_machine(&code, isa, program, receiver, args, mem, ctx, times),
         Err(e) => CompiledRun::Refused(e),
     };
-    ctx.code = code;
+    ctx.parts.code = code;
     run
 }
 
@@ -285,11 +376,11 @@ pub fn run_compiled_for_instr(
     target_kind: Option<CompilerKind>,
     isa: Isa,
     instr: InstrUnderTest,
-    frame: &igjit_interp::Frame<Oop>,
+    frame: &Frame<Oop>,
     mut mem: ObjectMemory,
 ) -> (CompiledRun, ObjectMemory) {
     let cache = CodeCache::new();
-    let mut ctx = RunCtx::new(&cache, MachineSession::new(), code_buffer());
+    let mut ctx = RunCtx::new(&cache, RunParts::new());
     let run = run_compiled(
         target_kind,
         isa,
@@ -306,7 +397,7 @@ pub fn run_compiled_for_instr(
 mod tests {
     use super::*;
     use igjit_bytecode::Instruction;
-    use igjit_interp::{Frame, MethodInfo, NativeMethodId};
+    use igjit_interp::NativeMethodId;
 
     fn si(v: i64) -> Oop {
         Oop::from_small_int(v)
@@ -383,7 +474,7 @@ mod tests {
     fn run_add_twice(cache: &CodeCache) -> Vec<(CompiledRun, StageTimes)> {
         let mut frame = Frame::new(si(0), MethodInfo::empty());
         frame.stack = vec![si(20), si(22)];
-        let mut ctx = RunCtx::new(cache, MachineSession::new(), code_buffer());
+        let mut ctx = RunCtx::new(cache, RunParts::new());
         (0..2)
             .map(|_| {
                 let mut mem = ObjectMemory::new();

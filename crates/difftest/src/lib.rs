@@ -39,7 +39,7 @@ mod sequence;
 mod step;
 
 pub use campaign::{test_instruction, test_instruction_with, CampaignRow, InstructionOutcome,
-                   PathVerdict, SnapshotStats, StageTimes, Target};
+                   PathVerdict, SnapshotStats, StageClock, StageTimes, Target};
 pub use classify::{classify, CauseKey, DefectCategory};
 pub use compare::{compare_runs, values_equivalent, Difference, DifferenceKind, Verdict};
 pub use compiled::{run_compiled_for_instr, CompiledRun};
@@ -47,7 +47,7 @@ pub use meta::MetaRunCounts;
 pub use oracle::{concrete_frame, run_oracle, run_oracle_on, EngineExit, OracleRun, SelectorId};
 pub use igjit_concolic::probe_models;
 pub use sequence::{minimal_sequence_for_path, test_sequence, SequenceOutcome, SEQUENCE_POOL};
-pub use step::{Checked, Harness, Program, Tally};
+pub use step::{Checked, Harness, Program, Tally, SAMPLE_EVERY};
 
 /// Compile-time source fingerprint (see `igjit-corpus`).
 pub mod srcid;

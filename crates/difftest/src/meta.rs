@@ -21,7 +21,7 @@ use igjit_metajit::{compile_meta, MetaCache};
 
 use crate::campaign::StageTimes;
 use crate::compiled::{run_machine, CompiledRun, RunCtx};
-use crate::oracle::run_program_on;
+use crate::oracle::{copy_frame_into, run_program_on};
 use crate::step::Program;
 
 /// Coverage counters for the meta tier: how many compiled runs the
@@ -49,8 +49,8 @@ impl MetaRunCounts {
 /// longer than one instruction is a refusal: the evaluator models
 /// neither.
 ///
-/// Evaluator+lowering time lands in [`StageTimes::meta_compile`], charged
-/// inside the cache miss; cache lookups land in [`StageTimes::hash`],
+/// Evaluator+lowering time lands in [`StageTimes::meta_compile`], timed
+/// exactly inside the cache miss; cache lookups land in [`StageTimes::hash`],
 /// and trampoline interpretation in [`StageTimes::simulate`] (it
 /// substitutes for the simulator run).
 #[allow(clippy::too_many_arguments)]
@@ -68,10 +68,9 @@ pub(crate) fn run_meta(
         let (nil, true_obj, false_obj) = (mem.nil(), mem.true_object(), mem.false_object());
         let lap = &mut ctx.lap;
         let entry = meta_cache.get_or_compile(isa, i, frame, nil, true_obj, false_obj, || {
-            lap.charge(&mut times.hash);
-            let artifact = compile_meta(i, frame, nil, true_obj, false_obj, isa);
-            lap.charge(&mut times.meta_compile);
-            artifact
+            lap.exact(&mut times.hash, &mut times.meta_compile, || {
+                compile_meta(i, frame, nil, true_obj, false_obj, isa)
+            })
         });
         ctx.lap.charge(&mut times.hash);
         if let Ok(artifact) = entry.as_ref() {
@@ -86,8 +85,9 @@ pub(crate) fn run_meta(
     // where the comparison looks. The exit is the interpreter's own,
     // which by construction agrees with the oracle.
     counts.trampolined += 1;
-    let mut f = frame.clone();
-    let exit = run_program_on(mem, &mut f, program);
+    let parts = &mut ctx.parts;
+    copy_frame_into(frame, &mut parts.trampoline);
+    let exit = run_program_on(mem, &mut parts.trampoline, program, &mut parts.exits);
     ctx.lap.charge(&mut times.simulate);
     CompiledRun::Ran(exit)
 }
@@ -95,11 +95,11 @@ pub(crate) fn run_meta(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::RunParts;
     use crate::oracle::EngineExit;
     use igjit_bytecode::Instruction;
     use igjit_interp::{MethodInfo, NativeMethodId};
     use igjit_jit::CodeCache;
-    use igjit_machine::MachineSession;
 
     fn si(v: i64) -> Oop {
         Oop::from_small_int(v)
@@ -108,7 +108,7 @@ mod tests {
     fn run_one(program: Program<'_>, frame: &Frame<Oop>) -> (CompiledRun, MetaRunCounts) {
         let cache = MetaCache::new();
         let code_cache = CodeCache::new();
-        let mut ctx = RunCtx::new(&code_cache, MachineSession::new(), crate::compiled::code_buffer());
+        let mut ctx = RunCtx::new(&code_cache, RunParts::new());
         let mut times = StageTimes::default();
         let mut counts = MetaRunCounts::default();
         let mut mem = ObjectMemory::new();
@@ -135,7 +135,7 @@ mod tests {
         for (instr, frame) in [(Instruction::Add, add), (Instruction::PushThisContext, refused)] {
             let cache = MetaCache::new();
             let code_cache = CodeCache::new();
-            let mut ctx = RunCtx::new(&code_cache, MachineSession::new(), crate::compiled::code_buffer());
+            let mut ctx = RunCtx::new(&code_cache, RunParts::new());
             let mut charged = Vec::new();
             for _ in 0..2 {
                 let mut times = StageTimes::default();

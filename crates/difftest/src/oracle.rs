@@ -67,6 +67,34 @@ pub enum EngineExit {
 }
 
 impl EngineExit {
+    /// The exit's label in the paper's exit-condition vocabulary, as
+    /// [`PathVerdict::interp_exit`](crate::PathVerdict::interp_exit)
+    /// records it (a taken jump is a success).
+    pub fn label(&self) -> &'static str {
+        match self {
+            EngineExit::Success { .. } | EngineExit::JumpTaken => "Success",
+            EngineExit::Failure => "Failure",
+            EngineExit::Return { .. } => "MethodReturn",
+            EngineExit::Send { .. } => "MessageSend",
+            EngineExit::InvalidFrame => "InvalidFrame",
+            EngineExit::InvalidMemory => "InvalidMemoryAccess",
+            EngineExit::SimulationError(_) => "SimulationError",
+            EngineExit::EngineError(_) => "EngineError",
+        }
+    }
+
+    /// Every label [`EngineExit::label`] gives.
+    pub const LABELS: [&'static str; 8] = [
+        "Success",
+        "Failure",
+        "MethodReturn",
+        "MessageSend",
+        "InvalidFrame",
+        "InvalidMemoryAccess",
+        "SimulationError",
+        "EngineError",
+    ];
+
     /// Whether the differential runner should execute compiled code
     /// for a path with this interpreter exit (§3.4: invalid frame and
     /// invalid memory are expected failures for bytecodes).
@@ -101,6 +129,16 @@ pub(crate) fn concrete_frame_into(frame: &Frame<igjit_concolic::SymOop>, into: &
     into.method.num_temps = frame.method.num_temps;
     fill(&mut into.temps, &frame.temps);
     fill(&mut into.stack, &frame.stack);
+}
+
+/// Copies `frame` into `into`, reusing its buffers.
+pub(crate) fn copy_frame_into(frame: &Frame<Oop>, into: &mut Frame<Oop>) {
+    into.receiver = frame.receiver;
+    into.method.literals.clone_from(&frame.method.literals);
+    into.method.num_args = frame.method.num_args;
+    into.method.num_temps = frame.method.num_temps;
+    into.temps.clone_from(&frame.temps);
+    into.stack.clone_from(&frame.stack);
 }
 
 /// Everything an oracle run produced.
@@ -144,7 +182,59 @@ pub fn run_oracle_on(
     frame: &mut Frame<Oop>,
     instr: InstrUnderTest,
 ) -> EngineExit {
-    run_program_on(mem, frame, Program::of(&instr))
+    run_program_on(mem, frame, Program::of(&instr), &mut ExitBuffers::default())
+}
+
+/// Buffers a check's engine exits are built in and handed back to:
+/// once they have grown, a `Success` or `Send` exit allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct ExitBuffers {
+    stack: Vec<Oop>,
+    temps: Vec<Oop>,
+    args: Vec<Oop>,
+}
+
+impl ExitBuffers {
+    /// The emptied stack buffer.
+    pub fn take_stack(&mut self) -> Vec<Oop> {
+        emptied(&mut self.stack)
+    }
+
+    /// The emptied temps buffer.
+    pub fn take_temps(&mut self) -> Vec<Oop> {
+        emptied(&mut self.temps)
+    }
+
+    /// The emptied send-arguments buffer.
+    pub fn take_args(&mut self) -> Vec<Oop> {
+        emptied(&mut self.args)
+    }
+
+    /// A success exit over copies of `stack` and `temps`.
+    pub fn success(&mut self, stack: &[Oop], temps: &[Oop], result: Option<Oop>) -> EngineExit {
+        let (mut s, mut t) = (self.take_stack(), self.take_temps());
+        s.extend_from_slice(stack);
+        t.extend_from_slice(temps);
+        EngineExit::Success { stack: s, temps: t, result }
+    }
+
+    /// Takes back the buffers of a spent exit.
+    pub fn recycle(&mut self, exit: EngineExit) {
+        match exit {
+            EngineExit::Success { stack, temps, .. } => {
+                self.stack = stack;
+                self.temps = temps;
+            }
+            EngineExit::Send { args, .. } => self.args = args,
+            _ => {}
+        }
+    }
+}
+
+fn emptied(buffer: &mut Vec<Oop>) -> Vec<Oop> {
+    let mut taken = std::mem::take(buffer);
+    taken.clear();
+    taken
 }
 
 thread_local! {
@@ -157,11 +247,13 @@ thread_local! {
 /// [`run_oracle_on`] for a whole program. The bytecodes are encoded and
 /// decoded sequentially, and run in order as the decoder reads them; a
 /// send, return, taken jump or fault ends the run with that exit, and
-/// running off the end is a success.
+/// running off the end is a success. A success or send exit is built
+/// in `exits`' buffers.
 pub(crate) fn run_program_on(
     mem: &mut ObjectMemory,
     frame: &mut Frame<Oop>,
     program: Program<'_>,
+    exits: &mut ExitBuffers,
 ) -> EngineExit {
     match program {
         Program::Bytecode(instrs) => {
@@ -170,16 +262,14 @@ pub(crate) fn run_program_on(
             for &i in instrs {
                 encode(i, &mut bytes);
             }
-            let exit = run_encoded(mem, frame, instrs, &bytes);
+            let exit = run_encoded(mem, frame, instrs, &bytes, exits);
             ENCODED.set(bytes);
             exit
         }
         Program::Native(id) => match run_native(&mut ConcreteContext::new(mem), frame, id) {
-            NativeOutcome::Success { result } => EngineExit::Success {
-                stack: frame.stack.clone(),
-                temps: frame.temps.clone(),
-                result: Some(result),
-            },
+            NativeOutcome::Success { result } => {
+                exits.success(&frame.stack, &frame.temps, Some(result))
+            }
             NativeOutcome::Failure => EngineExit::Failure,
             NativeOutcome::InvalidFrame => EngineExit::InvalidFrame,
             NativeOutcome::InvalidMemoryAccess => EngineExit::InvalidMemory,
@@ -194,6 +284,7 @@ fn run_encoded(
     frame: &mut Frame<Oop>,
     instrs: &[Instruction],
     bytes: &[u8],
+    exits: &mut ExitBuffers,
 ) -> EngineExit {
     let mut ctx = ConcreteContext::new(mem);
     let mut pc = 0;
@@ -218,7 +309,11 @@ fn run_encoded(
                     Selector::Literal(v) => SelectorId::Literal(v),
                 },
                 receiver,
-                args,
+                args: {
+                    let mut buffer = exits.take_args();
+                    buffer.extend_from_slice(&args);
+                    buffer
+                },
             },
             StepOutcome::InvalidFrame => EngineExit::InvalidFrame,
             StepOutcome::InvalidMemoryAccess => EngineExit::InvalidMemory,
@@ -226,11 +321,7 @@ fn run_encoded(
         };
         return exit;
     }
-    EngineExit::Success {
-        stack: frame.stack.clone(),
-        temps: frame.temps.clone(),
-        result: None,
-    }
+    exits.success(&frame.stack, &frame.temps, None)
 }
 
 /// The receiver and argument slice of a native-method frame (receiver
@@ -277,6 +368,29 @@ mod tests {
             };
             assert_eq!(got, expected, "{:?}", path.constraints);
         }
+    }
+
+    #[test]
+    fn every_exit_label_is_listed() {
+        let si = Oop::from_small_int;
+        let exits = [
+            EngineExit::Success { stack: vec![si(1)], temps: Vec::new(), result: None },
+            EngineExit::JumpTaken,
+            EngineExit::Failure,
+            EngineExit::Return { value: si(1) },
+            EngineExit::Send {
+                selector: SelectorId::MustBeBoolean,
+                receiver: si(1),
+                args: Vec::new(),
+            },
+            EngineExit::InvalidFrame,
+            EngineExit::InvalidMemory,
+            EngineExit::SimulationError("r3".into()),
+            EngineExit::EngineError("step limit".into()),
+        ];
+        let mut labels: Vec<_> = exits.iter().map(EngineExit::label).collect();
+        labels.dedup();
+        assert_eq!(labels, EngineExit::LABELS);
     }
 
     #[test]

@@ -11,20 +11,28 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 use igjit_bytecode::Instruction;
-use igjit_concolic::{materialize_shared, AbstractState, InstrUnderTest, WitnessError};
+use igjit_concolic::{
+    materialize_shared_into, AbstractState, InstrUnderTest, MaterializedFrame, WitnessError,
+};
+use igjit_heap::fxhash::FxHashMap;
 use igjit_heap::{ObjectMemory, Oop, Snapshot};
 use igjit_interp::{Frame, MethodInfo, NativeMethodId};
-use igjit_jit::{CodeCache, CompiledCode};
-use igjit_machine::{Isa, MachineSession};
+use igjit_jit::CodeCache;
+use igjit_machine::Isa;
 use igjit_metajit::MetaCache;
 use igjit_solver::Model;
 
 use crate::campaign::{PathVerdict, SnapshotStats, StageTimes, Target};
 use crate::classify::classify;
 use crate::compare::{compare_runs, Difference, DifferenceKind, Verdict};
-use crate::compiled::{code_buffer, run_compiled, CompiledRun, RunCtx};
+use crate::compiled::{run_compiled, CompiledRun, RunCtx, RunParts};
 use crate::meta::{run_meta, MetaRunCounts};
-use crate::oracle::{concrete_frame_into, run_program_on, EngineExit, SelectorId};
+use crate::oracle::{concrete_frame_into, run_program_on, EngineExit, ExitBuffers, SelectorId};
+
+/// A harness splits the stage boundaries of its first check and then of
+/// one check in this many; the others read no clock (see
+/// [`StageTimes`]).
+pub const SAMPLE_EVERY: u64 = 16;
 
 /// What one differential step runs: a straight-line bytecode program
 /// (an instruction is a program of length one) or a native method.
@@ -113,7 +121,8 @@ pub enum Checked {
 /// What a [`Harness`] accumulated over its checks.
 #[derive(Clone, Debug, Default)]
 pub struct Tally {
-    /// Wall clock per stage, one split per stage boundary.
+    /// Wall clock per stage: exact totals, shares split on the sampled
+    /// checks, and the clock's own counts ([`StageTimes::clock`]).
     pub times: StageTimes,
     /// Seal/restore accounting of the replay arena.
     pub snapshot: SnapshotStats,
@@ -123,11 +132,16 @@ pub struct Tally {
     pub witness_errors: usize,
     /// Models whose materialization or oracle run panicked.
     pub oracle_panics: usize,
+    /// The harness's exact run time, from [`Harness::new`] to
+    /// [`Harness::finish`]: what its stages (`materialize`, `compile`,
+    /// `meta_compile`, `hash`, `setup`, `simulate`, `compare` and
+    /// `report`) sum to.
+    pub elapsed: Duration,
 }
 
 /// The replay arena: a pair of heaps that are one heap at their shared
-/// blank seal, and the two frames of a model, recycled across every
-/// model this thread checks.
+/// blank seal, and the frames and exit buffers of a model, recycled
+/// across every model this thread checks.
 ///
 /// The *oracle* heap is materialized and interpreted in place; the
 /// *replay* heap, a clone of it taken at the blank seal, is brought to
@@ -136,8 +150,9 @@ pub struct Tally {
 /// name the same objects on both heaps by construction. The replay heap
 /// pushes a per-model inner seal for the compiled runs (re-arming the
 /// level the previous model retired); both heaps roll back to `blank`
-/// between models and when a harness finishes. The frames are refilled
-/// in place for each model.
+/// between models and when a harness finishes. The materialized frame,
+/// its alias memo, the concrete frames and the oracle's exit buffers
+/// are refilled in place for each model.
 struct ReplayArena {
     oracle: ObjectMemory,
     replay: ObjectMemory,
@@ -150,6 +165,12 @@ struct ReplayArena {
     input: Frame<Oop>,
     /// The interpreter's copy of `input`, which the oracle run mutates.
     frame: Frame<Oop>,
+    /// The model's materialization, refilled per model.
+    mat: MaterializedFrame,
+    /// The materializer's alias memo.
+    memo: FxHashMap<u32, Oop>,
+    /// The buffers the oracle's exit is built in.
+    exits: ExitBuffers,
 }
 
 impl ReplayArena {
@@ -158,7 +179,17 @@ impl ReplayArena {
         let blank = oracle.seal();
         let replay = oracle.clone();
         let frame = || Frame::new(Oop::ZERO, MethodInfo::empty());
-        ReplayArena { oracle, replay, blank, used: false, input: frame(), frame: frame() }
+        ReplayArena {
+            oracle,
+            replay,
+            blank,
+            used: false,
+            input: frame(),
+            frame: frame(),
+            mat: MaterializedFrame::default(),
+            memo: FxHashMap::default(),
+            exits: ExitBuffers::default(),
+        }
     }
 
     /// Rolls both heaps back to blank (the replay heap through its
@@ -174,13 +205,13 @@ impl ReplayArena {
 }
 
 thread_local! {
-    /// Simulator session and code buffer reused across harnesses on
+    /// Simulator session and run buffers reused across harnesses on
     /// this thread. `Machine::with_session` resets registers and the
-    /// dirty stack extent before every run, and every lookup overwrites
-    /// the buffer, so reuse is outcome-neutral; a panic mid-check
-    /// merely drops both and the next harness allocates fresh ones.
-    static REUSED_SESSION: std::cell::Cell<Option<(MachineSession, CompiledCode)>> =
-        const { std::cell::Cell::new(None) };
+    /// dirty stack extent before every run, and every lookup and run
+    /// overwrites the buffers, so reuse is outcome-neutral; a panic
+    /// mid-check merely drops them and the next harness allocates
+    /// fresh ones.
+    static REUSED_PARTS: std::cell::Cell<Option<RunParts>> = const { std::cell::Cell::new(None) };
 
     /// Replay arena reused across harnesses on this thread. A harness
     /// hands it back from [`Harness::finish`] with both heaps at blank;
@@ -188,20 +219,6 @@ thread_local! {
     /// next harness builds a fresh one.
     static REUSED_ARENA: std::cell::Cell<Option<ReplayArena>> =
         const { std::cell::Cell::new(None) };
-}
-
-fn exit_label(e: &EngineExit) -> String {
-    match e {
-        EngineExit::Success { .. } => "Success".into(),
-        EngineExit::JumpTaken => "Success".into(),
-        EngineExit::Failure => "Failure".into(),
-        EngineExit::Return { .. } => "MethodReturn".into(),
-        EngineExit::Send { .. } => "MessageSend".into(),
-        EngineExit::InvalidFrame => "InvalidFrame".into(),
-        EngineExit::InvalidMemory => "InvalidMemoryAccess".into(),
-        EngineExit::SimulationError(_) => "SimulationError".into(),
-        EngineExit::EngineError(_) => "EngineError".into(),
-    }
 }
 
 /// The execution context of the differential step against one target
@@ -218,7 +235,13 @@ fn exit_label(e: &EngineExit) -> String {
 /// the next model and in [`Harness::finish`], which counts those
 /// rollbacks in this harness's tally — so every counter belongs to the
 /// instruction that caused it, however instructions land on threads.
-/// Every reset is `restore` — O(words the run dirtied).
+/// Every reset is `restore` — O(words the run dirtied). Once the
+/// arena's buffers have grown, a check whose models agree allocates
+/// nothing (`tests/alloc_budget.rs`).
+///
+/// The stage clock runs from [`Harness::new`] to [`Harness::finish`]
+/// and splits the stage boundaries of sampled checks only; see
+/// [`StageTimes`] and [`SAMPLE_EVERY`].
 pub struct Harness<'c> {
     target: Target,
     isas: &'c [Isa],
@@ -239,34 +262,37 @@ impl<'c> Harness<'c> {
         code_cache: &'c CodeCache,
         meta_cache: &'c MetaCache,
     ) -> Harness<'c> {
-        let (session, code) = REUSED_SESSION
-            .with(|slot| slot.take())
-            .unwrap_or_else(|| (MachineSession::new(), code_buffer()));
+        let parts = REUSED_PARTS.with(|slot| slot.take()).unwrap_or_else(RunParts::new);
         let arena = REUSED_ARENA.with(|slot| slot.take()).unwrap_or_else(ReplayArena::new);
         Harness {
             target,
             isas,
             meta_cache,
-            ctx: RunCtx::new(code_cache, session, code),
+            ctx: RunCtx::new(code_cache, parts),
             arena,
             tally: Tally::default(),
         }
     }
 
-    /// Charges the time since the previous stage boundary to the stage
-    /// `pick` selects and returns it.
-    pub(crate) fn charge(&mut self, pick: fn(&mut StageTimes) -> &mut Duration) -> Duration {
-        self.ctx.lap.charge(pick(&mut self.tally.times))
+    /// On a sampled check, charges the time since the previous stage
+    /// boundary to the stage `pick` selects.
+    pub(crate) fn charge(&mut self, pick: fn(&mut StageTimes) -> &mut Duration) {
+        self.ctx.lap.charge(pick(&mut self.tally.times));
     }
 
     /// Rolls both arena heaps back to blank (counted, and charged to
     /// `materialize`), returns the arena, the simulator session and the
-    /// code buffer to the thread and the tally to the caller.
+    /// run buffers to the thread and the tally to the caller, with the
+    /// harness's exact run time spread over the sampled stages.
     pub fn finish(mut self) -> Tally {
         self.arena.rewind(&mut self.tally.snapshot);
         REUSED_ARENA.with(|slot| slot.set(Some(self.arena)));
-        self.ctx.lap.charge(&mut self.tally.times.materialize);
-        REUSED_SESSION.with(|slot| slot.set(Some(self.ctx.into_parts())));
+        let lap = &mut self.ctx.lap;
+        let times = &mut self.tally.times;
+        self.tally.elapsed = lap.stop(&mut times.materialize);
+        times.spread_sampled(self.tally.elapsed);
+        times.clock.clock_reads = lap.reads();
+        REUSED_PARTS.with(|slot| slot.set(Some(self.ctx.into_parts())));
         self.tally
     }
 
@@ -286,6 +312,11 @@ impl<'c> Harness<'c> {
         probe: bool,
         path: &mut PathVerdict,
     ) -> Checked {
+        let clock = &mut self.tally.times.clock;
+        let sampled = clock.checks.is_multiple_of(SAMPLE_EVERY);
+        clock.checks += 1;
+        clock.sampled_checks += u64::from(sampled);
+        self.ctx.lap.sample(sampled);
         let tally = &mut self.tally;
         let a = &mut self.arena;
         // Reset both heaps to blank (also cleans up after a panicked
@@ -294,33 +325,51 @@ impl<'c> Harness<'c> {
         // before the oracle run mutates it.
         a.rewind(&mut tally.snapshot);
         a.used = true;
-        let Ok(mut mat) = catch_unwind(AssertUnwindSafe(|| {
-            materialize_shared(state, model, &mut a.oracle)
-        })) else {
+        let materialized = catch_unwind(AssertUnwindSafe(|| {
+            materialize_shared_into(state, model, &mut a.oracle, &mut a.mat, &mut a.memo)
+        }));
+        if materialized.is_err() {
             self.ctx.lap.charge(&mut tally.times.materialize);
             tally.oracle_panics += 1;
             return Checked::OraclePanic;
-        };
+        }
         a.replay.mirror_from(&a.oracle).expect("the replay heap stands at the oracle's blank seal");
-        concrete_frame_into(&mat.frame, &mut a.input);
-        concrete_frame_into(&mat.frame, &mut a.frame);
+        concrete_frame_into(&a.mat.frame, &mut a.input);
+        concrete_frame_into(&a.mat.frame, &mut a.frame);
         let Ok(interp_exit) = catch_unwind(AssertUnwindSafe(|| {
-            run_program_on(&mut a.oracle, &mut a.frame, program)
+            run_program_on(&mut a.oracle, &mut a.frame, program, &mut a.exits)
         })) else {
             self.ctx.lap.charge(&mut tally.times.materialize);
             tally.oracle_panics += 1;
             return Checked::OraclePanic;
         };
         if !probe {
-            path.interp_exit = exit_label(&interp_exit);
+            path.interp_exit = interp_exit.label();
         }
-        if !mat.witness_errors.is_empty() {
+        let checked = self.compare_testable(&interp_exit, program, probe, path);
+        self.arena.exits.recycle(interp_exit);
+        checked
+    }
+
+    /// The rest of [`Harness::check`] after the oracle run: gate on
+    /// witness errors and testability, seal the replay image, run the
+    /// target on every ISA, compare and classify.
+    fn compare_testable(
+        &mut self,
+        interp_exit: &EngineExit,
+        program: Program<'_>,
+        probe: bool,
+        path: &mut PathVerdict,
+    ) -> Checked {
+        let tally = &mut self.tally;
+        let a = &mut self.arena;
+        if let Some(error) = a.mat.witness_errors.first() {
             // The materializer substituted fallback inputs for an
             // unrealizable witness: the run no longer reflects the
             // solver's model, so it is a test error, not a comparison.
             tally.witness_errors += 1;
             self.ctx.lap.charge(&mut tally.times.materialize);
-            return Checked::Unrealizable(mat.witness_errors.swap_remove(0));
+            return Checked::Unrealizable(error.clone());
         }
         if !interp_exit.is_testable() {
             self.ctx.lap.charge(&mut tally.times.materialize);
@@ -360,7 +409,7 @@ impl<'c> Harness<'c> {
                     &mut tally.times,
                 ),
             };
-            let v = compare_runs(&interp_exit, &a.oracle, &compiled, &a.replay, &mat.var_oops);
+            let v = compare_runs(interp_exit, &a.oracle, &compiled, &a.replay, &a.mat.var_oops);
             let differs = if let Verdict::Difference(d) = v {
                 let mut key = classify(program.culprit(&compiled), self.target.compiler_kind(), &d);
                 if self.target == Target::MetaCompiled {
@@ -382,6 +431,9 @@ impl<'c> Harness<'c> {
             } else {
                 false
             };
+            if let CompiledRun::Ran(exit) = compiled {
+                self.ctx.parts.exits.recycle(exit);
+            }
             self.ctx.lap.charge(&mut tally.times.compare);
             if differs
                 && matches!(

@@ -1,9 +1,10 @@
 //! The allocation budget of a warm differential check: once a thread's
 //! harness, code buffer and replay arena have grown and the code cache
 //! holds every artifact, a code-cache lookup and a per-model seal
-//! allocate nothing, and a whole `Harness::check` allocates a pinned
-//! number of times — so a regression shows as a count, not as a
-//! timing.
+//! allocate nothing, a `Harness::check` whose model agrees on every ISA
+//! allocates nothing either, and a check that finds a difference
+//! allocates a pinned number of times for the difference's record — so
+//! a regression shows as a count, not as a timing.
 //!
 //! The counting allocator counts per thread, so tests running beside
 //! this one on other threads do not disturb the counts.
@@ -69,14 +70,20 @@ const BYTECODES: [Instruction; 4] =
 /// on the StackToRegister tier and both ISAs.
 const CHECKS: usize = 38;
 
-/// Allocations of the second pass over its [`CHECKS`] checks (about
-/// eight per check). They come from materialization, the engines' exit
-/// values, the comparison and the verdicts — none from the code cache,
-/// the seals or the frames.
-const WARM_PASS_ALLOCATIONS: u64 = 300;
+/// Checks of one pass that find a difference: the float fast paths of
+/// `Add`, `Multiply` and `LessThan` (twice), which the interpreter
+/// inlines and the compiled code sends.
+const DIFFERING_CHECKS: usize = 4;
+
+/// Allocations of the second pass's differing checks: ten each, the
+/// record of one exit mismatch per ISA. Each ISA's comparison names the
+/// two exits and formats the detail (three strings) and classifies the
+/// difference (one `CauseKey`); the first ISA's cause is also cloned
+/// into the path's `all_causes`, which grows from empty.
+const WARM_DIFFERENCE_ALLOCATIONS: u64 = 40;
 
 #[test]
-fn a_warm_check_allocates_a_pinned_amount_and_nothing_in_lookups_or_seals() {
+fn a_warm_check_allocates_nothing_unless_it_records_a_difference() {
     let isas = [Isa::X86ish, Isa::Arm32ish];
     let code_cache = CodeCache::new();
     let meta_cache = MetaCache::new();
@@ -86,7 +93,9 @@ fn a_warm_check_allocates_a_pinned_amount_and_nothing_in_lookups_or_seals() {
         .collect();
     let mut harness =
         Harness::new(Target::Bytecode(CompilerKind::StackToRegister), &isas, &code_cache, &meta_cache);
-    let mut per_pass = [0u64; 2];
+    // Per pass: (allocations of agreeing checks, of differing checks,
+    // differing checks).
+    let mut per_pass = [(0u64, 0u64, 0usize); 2];
     let mut lookups = [(0, 0); 2];
     let mut checks = 0;
     for (pass, counters) in per_pass.iter_mut().zip(&mut lookups) {
@@ -95,9 +104,15 @@ fn a_warm_check_allocates_a_pinned_amount_and_nothing_in_lookups_or_seals() {
             let program = Program::Bytecode(std::slice::from_ref(instr));
             for path in exploration.curated_paths() {
                 let mut verdict = PathVerdict::new(InstrUnderTest::Bytecode(*instr));
-                *pass += allocations(|| {
+                let n = allocations(|| {
                     harness.check(&exploration.state, &path.model, program, false, &mut verdict);
                 });
+                if verdict.verdict.is_difference() {
+                    pass.1 += n;
+                    pass.2 += 1;
+                } else {
+                    pass.0 += n;
+                }
                 checks += 1;
             }
         }
@@ -107,10 +122,12 @@ fn a_warm_check_allocates_a_pinned_amount_and_nothing_in_lookups_or_seals() {
     assert_eq!(checks, CHECKS);
     let [(hits, misses), warm] = lookups;
     assert_eq!(warm, (2 * hits + misses, misses), "the second pass only hits");
+    let (agreeing, differing, differences) = per_pass[1];
+    assert_eq!(differences, DIFFERING_CHECKS);
+    assert_eq!(agreeing, 0, "second-pass allocations of agreeing checks (first pass: {per_pass:?})");
     assert_eq!(
-        per_pass[1], WARM_PASS_ALLOCATIONS,
-        "second-pass allocations over {checks} checks (first pass: {})",
-        per_pass[0]
+        differing, WARM_DIFFERENCE_ALLOCATIONS,
+        "second-pass allocations of differing checks (first pass: {per_pass:?})"
     );
 
     // Every stored artifact, looked up again through a grown buffer.

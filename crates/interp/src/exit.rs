@@ -37,6 +37,60 @@ pub enum Selector<V> {
     MustBeBoolean,
 }
 
+/// The arguments of a message-send exit, receiver excluded: at most
+/// [`SendArgs::MAX`] (the encodable send arity), held inline so that a
+/// send exit allocates nothing. Reads as a slice.
+#[derive(Clone, Copy)]
+pub struct SendArgs<V> {
+    /// The arguments, then copies of a filler value that are never read.
+    vals: [V; 3],
+    len: u8,
+}
+
+impl<V: Copy> SendArgs<V> {
+    /// The most arguments a send carries.
+    pub const MAX: usize = 3;
+
+    /// The arguments `args`, at most [`SendArgs::MAX`] of them; `filler`
+    /// pads the unused slots and is never read.
+    pub fn new(args: &[V], filler: V) -> SendArgs<V> {
+        assert!(args.len() <= Self::MAX, "a send carries at most {} arguments", Self::MAX);
+        let mut vals = [filler; 3];
+        vals[..args.len()].copy_from_slice(args);
+        SendArgs { vals, len: args.len() as u8 }
+    }
+
+    /// Appends an argument.
+    ///
+    /// # Panics
+    /// When the send already carries [`SendArgs::MAX`] arguments.
+    pub fn push(&mut self, v: V) {
+        assert!(usize::from(self.len) < Self::MAX, "a send carries at most {} arguments", Self::MAX);
+        self.vals[usize::from(self.len)] = v;
+        self.len += 1;
+    }
+}
+
+impl<V> std::ops::Deref for SendArgs<V> {
+    type Target = [V];
+
+    fn deref(&self) -> &[V] {
+        &self.vals[..usize::from(self.len)]
+    }
+}
+
+impl<V: PartialEq> PartialEq for SendArgs<V> {
+    fn eq(&self, other: &SendArgs<V>) -> bool {
+        **self == **other
+    }
+}
+
+impl<V: std::fmt::Debug> std::fmt::Debug for SendArgs<V> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        (**self).fmt(f)
+    }
+}
+
 /// The full outcome of stepping one bytecode instruction.
 #[derive(Clone, PartialEq, Debug)]
 pub enum StepOutcome<V> {
@@ -60,7 +114,7 @@ pub enum StepOutcome<V> {
         /// Receiver of the message.
         receiver: V,
         /// Arguments, receiver excluded.
-        args: Vec<V>,
+        args: SendArgs<V>,
     },
     /// Frame too small (missing stack value, temp or literal).
     InvalidFrame,

@@ -69,7 +69,7 @@ mod step;
 pub use concrete::ConcreteContext;
 pub use image::Image;
 pub use context::{AllocFault, CmpKind, MemFault, VmContext};
-pub use exit::{ExitCondition, Selector, StepOutcome};
+pub use exit::{ExitCondition, Selector, SendArgs, StepOutcome};
 pub use frame::{Frame, MethodInfo};
 pub use natives::{native_catalog, native_spec, run_native, NativeGroup, NativeMethodId,
                   NativeMethodSpec, NativeOutcome};

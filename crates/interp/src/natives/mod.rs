@@ -27,6 +27,7 @@ mod object;
 mod smallint;
 
 use crate::context::VmContext;
+use crate::exit::SendArgs;
 use crate::frame::Frame;
 
 /// Identifies a native method in the VM's primitive table.
@@ -119,9 +120,11 @@ pub fn native_catalog() -> Vec<NativeMethodSpec> {
     cached_catalog().to_vec()
 }
 
-/// Looks up one spec by id.
+/// Looks up one spec by id: a binary search, since the catalog is in
+/// strictly increasing id order (`catalog_ids_are_unique_and_sorted`).
 pub fn native_spec(id: NativeMethodId) -> Option<&'static NativeMethodSpec> {
-    cached_catalog().iter().find(|s| s.id == id)
+    let catalog = cached_catalog();
+    catalog.binary_search_by_key(&id, |s| s.id).ok().map(|i| &catalog[i])
 }
 
 /// Runs native method `id` against `frame`, whose operand stack must
@@ -155,15 +158,16 @@ pub(crate) fn succeed<C: VmContext>(
     NativeOutcome::Success { result }
 }
 
-/// Reads `receiver, args..` from the operand stack; `None` means the
-/// frame is too shallow (InvalidFrame).
+/// Reads `receiver, args..` from the operand stack (at most
+/// [`SendArgs::MAX`] arguments, held inline); `None` means the frame is
+/// too shallow (InvalidFrame).
 pub(crate) fn operands<C: VmContext>(
     ctx: &mut C,
     frame: &Frame<C::V>,
     argc: u32,
-) -> Option<(C::V, Vec<C::V>)> {
+) -> Option<(C::V, SendArgs<C::V>)> {
     let receiver = ctx.stack_value(frame, argc as usize).ok()?;
-    let mut args = Vec::with_capacity(argc as usize);
+    let mut args = SendArgs::new(&[], receiver);
     for i in (0..argc as usize).rev() {
         args.push(ctx.stack_value(frame, i).ok()?);
     }
@@ -185,6 +189,18 @@ mod tests {
         let catalog = native_catalog();
         for w in catalog.windows(2) {
             assert!(w[0].id < w[1].id, "{:?} !< {:?}", w[0].id, w[1].id);
+        }
+    }
+
+    #[test]
+    fn native_spec_finds_every_catalog_id_and_nothing_else() {
+        let catalog = native_catalog();
+        for spec in &catalog {
+            assert_eq!(native_spec(spec.id).map(|s| s.id), Some(spec.id));
+        }
+        for id in (0..=u16::MAX).map(NativeMethodId) {
+            let listed = catalog.iter().any(|s| s.id == id);
+            assert_eq!(native_spec(id).is_some(), listed, "{id:?}");
         }
     }
 

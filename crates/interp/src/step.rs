@@ -15,7 +15,7 @@ use igjit_bytecode::{Instruction, SpecialSelector};
 use igjit_heap::ClassIndex;
 
 use crate::context::{CmpKind, VmContext};
-use crate::exit::{Selector, StepOutcome};
+use crate::exit::{Selector, SendArgs, StepOutcome};
 use crate::frame::Frame;
 
 macro_rules! frame_try {
@@ -500,9 +500,12 @@ pub mod steps {
         instr: Instruction,
     ) -> StepOutcome<C::V> {
         let Instruction::Send { lit, nargs } = instr else { wrong_instr!(instr) };
-        let selector = frame_try!(ctx.literal(frame, usize::from(lit)));
         let n = usize::from(nargs);
-        let mut args = Vec::with_capacity(n);
+        if n > SendArgs::<C::V>::MAX {
+            return StepOutcome::Unsupported { reason: "send arity above the encodable three" };
+        }
+        let selector = frame_try!(ctx.literal(frame, usize::from(lit)));
+        let mut args = SendArgs::new(&[], selector);
         for i in (0..n).rev() {
             args.push(frame_try!(ctx.stack_value(frame, i)));
         }
@@ -690,7 +693,7 @@ fn binary_arith<C: VmContext>(
     StepOutcome::MessageSend {
         selector: Selector::Special(op.selector()),
         receiver: rcvr,
-        args: vec![arg],
+        args: SendArgs::new(&[arg], rcvr),
     }
 }
 
@@ -727,7 +730,7 @@ fn binary_compare<C: VmContext>(
     StepOutcome::MessageSend {
         selector: Selector::Special(selector),
         receiver: rcvr,
-        args: vec![arg],
+        args: SendArgs::new(&[arg], rcvr),
     }
 }
 
@@ -775,7 +778,7 @@ fn divide<C: VmContext>(ctx: &mut C, frame: &mut Frame<C::V>) -> StepOutcome<C::
     StepOutcome::MessageSend {
         selector: Selector::Special(SpecialSelector::Divide),
         receiver: rcvr,
-        args: vec![arg],
+        args: SendArgs::new(&[arg], rcvr),
     }
 }
 
@@ -815,7 +818,11 @@ fn modulo_like<C: VmContext>(
         ModOp::Modulo => SpecialSelector::Modulo,
         ModOp::FloorDivide => SpecialSelector::IntegerDivide,
     };
-    StepOutcome::MessageSend { selector: Selector::Special(selector), receiver: rcvr, args: vec![arg] }
+    StepOutcome::MessageSend {
+        selector: Selector::Special(selector),
+        receiver: rcvr,
+        args: SendArgs::new(&[arg], rcvr),
+    }
 }
 
 #[derive(Clone, Copy)]
@@ -864,7 +871,11 @@ fn bitwise<C: VmContext>(ctx: &mut C, frame: &mut Frame<C::V>, op: BitOp) -> Ste
         BitOp::Or => SpecialSelector::BitOr,
         BitOp::Shift => SpecialSelector::BitShift,
     };
-    StepOutcome::MessageSend { selector: Selector::Special(selector), receiver: rcvr, args: vec![arg] }
+    StepOutcome::MessageSend {
+        selector: Selector::Special(selector),
+        receiver: rcvr,
+        args: SendArgs::new(&[arg], rcvr),
+    }
 }
 
 fn special_at<C: VmContext>(ctx: &mut C, frame: &mut Frame<C::V>) -> StepOutcome<C::V> {
@@ -888,7 +899,7 @@ fn special_at<C: VmContext>(ctx: &mut C, frame: &mut Frame<C::V>) -> StepOutcome
     StepOutcome::MessageSend {
         selector: Selector::Special(SpecialSelector::At),
         receiver: rcvr,
-        args: vec![idx_obj],
+        args: SendArgs::new(&[idx_obj], rcvr),
     }
 }
 
@@ -914,7 +925,7 @@ fn special_at_put<C: VmContext>(ctx: &mut C, frame: &mut Frame<C::V>) -> StepOut
     StepOutcome::MessageSend {
         selector: Selector::Special(SpecialSelector::AtPut),
         receiver: rcvr,
-        args: vec![idx_obj, value],
+        args: SendArgs::new(&[idx_obj, value], rcvr),
     }
 }
 
@@ -941,7 +952,7 @@ fn special_size<C: VmContext>(ctx: &mut C, frame: &mut Frame<C::V>) -> StepOutco
     StepOutcome::MessageSend {
         selector: Selector::Special(SpecialSelector::Size),
         receiver: rcvr,
-        args: Vec::new(),
+        args: SendArgs::new(&[], rcvr),
     }
 }
 
@@ -951,7 +962,11 @@ fn unary_send<C: VmContext>(
     selector: SpecialSelector,
 ) -> StepOutcome<C::V> {
     let rcvr = frame_try!(ctx.stack_value(frame, 0));
-    StepOutcome::MessageSend { selector: Selector::Special(selector), receiver: rcvr, args: Vec::new() }
+    StepOutcome::MessageSend {
+        selector: Selector::Special(selector),
+        receiver: rcvr,
+        args: SendArgs::new(&[], rcvr),
+    }
 }
 
 fn conditional_jump<C: VmContext>(
@@ -981,7 +996,7 @@ fn conditional_jump<C: VmContext>(
     StepOutcome::MessageSend {
         selector: Selector::MustBeBoolean,
         receiver: v,
-        args: Vec::new(),
+        args: SendArgs::new(&[], v),
     }
 }
 

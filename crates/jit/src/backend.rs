@@ -95,14 +95,38 @@ fn jump_patch_offset(isa: Isa, conditional: bool) -> usize {
     }
 }
 
+/// The working tables of one [`lower`] call, kept per thread so that,
+/// once grown, lowering allocates only the code it returns.
+#[derive(Default)]
+struct LowerScratch {
+    /// Byte position of each bound label.
+    label_pos: Vec<Option<usize>>,
+    /// (patch byte offset, end-of-instruction offset, label)
+    fixups: Vec<(usize, usize, LabelId)>,
+    /// The machine instructions of one IR op (at most two).
+    ms: Vec<MInstr>,
+}
+
+thread_local! {
+    static LOWER_SCRATCH: std::cell::Cell<LowerScratch> =
+        std::cell::Cell::new(LowerScratch::default());
+}
+
 /// Lowers and encodes an IR sequence for `isa`.
 pub fn lower(ir: &[Ir], isa: Isa) -> Result<Vec<u8>, CompileError> {
+    let mut scratch = LOWER_SCRATCH.take();
+    let code = lower_with(ir, isa, &mut scratch);
+    LOWER_SCRATCH.set(scratch);
+    code
+}
+
+fn lower_with(ir: &[Ir], isa: Isa, scratch: &mut LowerScratch) -> Result<Vec<u8>, CompileError> {
     // An Arm32ish instruction is one 8-byte record, and most IR ops
     // lower to one instruction; x86ish encodings are shorter.
     let mut bytes: Vec<u8> = Vec::with_capacity(8 * ir.len());
-    let mut label_pos: Vec<Option<usize>> = Vec::new();
-    // (patch byte offset, end-of-instruction offset, label)
-    let mut fixups: Vec<(usize, usize, LabelId)> = Vec::new();
+    let LowerScratch { label_pos, fixups, ms } = scratch;
+    label_pos.clear();
+    fixups.clear();
 
     let note_label = |label: LabelId, pos: Option<usize>, table: &mut Vec<Option<usize>>| {
         let i = usize::from(label.0);
@@ -114,14 +138,11 @@ pub fn lower(ir: &[Ir], isa: Isa) -> Result<Vec<u8>, CompileError> {
         }
     };
 
-    // The machine instructions of one IR op (at most two), reused
-    // across ops.
-    let mut ms: Vec<MInstr> = Vec::with_capacity(2);
     for op in ir {
         ms.clear();
         match *op {
             Ir::Label(l) => {
-                note_label(l, Some(bytes.len()), &mut label_pos);
+                note_label(l, Some(bytes.len()), label_pos);
             }
             Ir::MovImm { dst, imm } => ms.push(MInstr::MovImm { dst: phys(dst)?, imm }),
             Ir::MovReg { dst, src } => {
@@ -139,7 +160,7 @@ pub fn lower(ir: &[Ir], isa: Isa) -> Result<Vec<u8>, CompileError> {
             Ir::Push { src } => ms.push(MInstr::Push { src: phys(src)? }),
             Ir::Pop { dst } => ms.push(MInstr::PopR { dst: phys(dst)? }),
             Ir::Alu { op, dst, a, b } => {
-                lower_alu(isa, op, phys(dst)?, phys(a)?, phys(b)?, &mut ms)?
+                lower_alu(isa, op, phys(dst)?, phys(a)?, phys(b)?, ms)?
             }
             Ir::AluImm { op, dst, a, imm } => {
                 let (dst, a) = (phys(dst)?, phys(a)?);
@@ -164,7 +185,7 @@ pub fn lower(ir: &[Ir], isa: Isa) -> Result<Vec<u8>, CompileError> {
                 let patch = bytes.len() + jump_patch_offset(isa, false);
                 let end = bytes.len() + len;
                 fixups.push((patch, end, l));
-                note_label(l, None, &mut label_pos);
+                note_label(l, None, label_pos);
                 ms.push(MInstr::Jmp { off: 0 });
             }
             Ir::JumpCc(cc, l) => {
@@ -172,7 +193,7 @@ pub fn lower(ir: &[Ir], isa: Isa) -> Result<Vec<u8>, CompileError> {
                 let patch = bytes.len() + jump_patch_offset(isa, true);
                 let end = bytes.len() + len;
                 fixups.push((patch, end, l));
-                note_label(l, None, &mut label_pos);
+                note_label(l, None, label_pos);
                 let cc = if armed(mutops::INVERT_JCC) { invert_cc(cc) } else { cc };
                 ms.push(MInstr::JmpCc { cc, off: 0 });
             }
@@ -202,13 +223,13 @@ pub fn lower(ir: &[Ir], isa: Isa) -> Result<Vec<u8>, CompileError> {
             Ir::IntToF { fd, src } => ms.push(MInstr::IntToF { fd, src: phys(src)? }),
             Ir::Nop => ms.push(MInstr::Nop),
         }
-        for &m in &ms {
+        for &m in ms.iter() {
             encode_instr(m, isa, &mut bytes)
                 .map_err(|e| CompileError::Backend(e.to_string()))?;
         }
     }
 
-    for (patch, end, label) in fixups {
+    for &(patch, end, label) in fixups.iter() {
         let pos = label_pos
             .get(usize::from(label.0))
             .copied()

@@ -22,7 +22,7 @@ use igjit_mutate::{armed, ops as mutops};
 use crate::backend::lower;
 use crate::convention::Convention;
 use crate::ir::{Ir, LabelId, VReg, MUST_BE_BOOLEAN_SELECTOR};
-use crate::regalloc::{allocate, SPILL_BYTES};
+use crate::regalloc::{allocate_into, SPILL_BYTES};
 use crate::{stops, CompileError, CompiledCode};
 
 /// Which front-end tier compiles the test.
@@ -127,12 +127,28 @@ struct Gen<'a> {
     opts: CompilerOptions,
     conv: Convention,
     input: &'a BytecodeTestInput<'a>,
-    ir: Vec<Ir>,
+    ir: &'a mut Vec<Ir>,
     next_label: u16,
     next_vreg: u16,
+    free_regs: &'a mut Vec<Reg>,
+    sim: &'a mut Vec<Entry>,
+    taken_label: Option<LabelId>,
+}
+
+/// The buffers one compile works in, kept per thread so that, once
+/// grown, a compile allocates only the code it returns.
+#[derive(Default)]
+struct GenScratch {
+    /// The front-end's IR.
+    ir: Vec<Ir>,
+    /// The allocator's rewrite of `ir`.
+    allocated: Vec<Ir>,
     free_regs: Vec<Reg>,
     sim: Vec<Entry>,
-    taken_label: Option<LabelId>,
+}
+
+thread_local! {
+    static GEN_SCRATCH: std::cell::Cell<GenScratch> = std::cell::Cell::new(GenScratch::default());
 }
 
 const BODY_OFF: i16 = (HEADER_WORDS * 4) as i16;
@@ -154,18 +170,29 @@ fn negate_cond(cc: Cond) -> Cond {
 }
 
 impl<'a> Gen<'a> {
-    fn new(opts: CompilerOptions, input: &'a BytecodeTestInput<'a>, isa: Isa) -> Gen<'a> {
+    /// A generator working in `scratch`'s buffers, which it empties.
+    fn new(
+        opts: CompilerOptions,
+        input: &'a BytecodeTestInput<'a>,
+        isa: Isa,
+        scratch: &'a mut GenScratch,
+    ) -> Gen<'a> {
+        let GenScratch { ir, free_regs, sim, .. } = scratch;
+        ir.clear();
+        sim.clear();
+        free_regs.clear();
+        // The scratch register (R4) is reserved for transients and
+        // excluded from the parse-stack pool.
+        free_regs.extend_from_slice(&[Reg(5), Reg(3), Reg(2), Reg(1)]);
         Gen {
             opts,
             conv: Convention::for_isa(isa),
             input,
-            ir: Vec::new(),
+            ir,
             next_label: 0,
             next_vreg: VReg::FIRST_VIRTUAL,
-            // The scratch register (R4) is reserved for transients and
-            // excluded from the parse-stack pool.
-            free_regs: vec![Reg(5), Reg(3), Reg(2), Reg(1)],
-            sim: Vec::new(),
+            free_regs,
+            sim,
             taken_label: None,
         }
     }
@@ -1030,8 +1057,22 @@ fn compile_sequence(
     input: &BytecodeTestInput<'_>,
     isa: Isa,
 ) -> Result<CompiledCode, CompileError> {
+    let mut scratch = GEN_SCRATCH.take();
+    let compiled = compile_with(kind, instrs, input, isa, &mut scratch);
+    GEN_SCRATCH.set(scratch);
+    compiled
+}
+
+fn compile_with(
+    kind: CompilerKind,
+    instrs: &[Instruction],
+    input: &BytecodeTestInput<'_>,
+    isa: Isa,
+    scratch: &mut GenScratch,
+) -> Result<CompiledCode, CompileError> {
     let opts = kind.options();
-    let mut g = Gen::new(opts, input, isa);
+    let mut allocated = std::mem::take(&mut scratch.allocated);
+    let mut g = Gen::new(opts, input, isa, scratch);
     let conv = g.conv;
 
     // Preamble: frame pointer, temps, spill reserve.
@@ -1066,13 +1107,14 @@ fn compile_sequence(
         g.ir.push(Ir::Stop(stops::JUMP_TAKEN));
     }
 
-    let ir = if opts.use_vregs {
-        allocate(g.ir, isa, input.temps.len() as u32)?
+    let code = if opts.use_vregs {
+        allocate_into(g.ir, isa, input.temps.len() as u32, &mut allocated)
+            .and_then(|()| lower(&allocated, isa))
     } else {
-        g.ir
+        lower(g.ir, isa)
     };
-    let code = lower(&ir, isa)?;
-    Ok(CompiledCode { code, isa, ntemps: input.temps.len() as u32 })
+    scratch.allocated = allocated;
+    Ok(CompiledCode { code: code?, isa, ntemps: input.temps.len() as u32 })
 }
 
 #[cfg(test)]

@@ -56,18 +56,23 @@ impl Convention {
     /// Registers the linear-scan allocator may hand out on this ISA
     /// (disjoint from the fixed-role registers above).
     pub fn allocatable(isa: Isa) -> Vec<Reg> {
-        let mut pool = match isa {
+        let mut pool = Vec::new();
+        Convention::allocatable_into(isa, &mut pool);
+        pool
+    }
+
+    /// [`Convention::allocatable`] into `pool`, which it clears first.
+    pub fn allocatable_into(isa: Isa, pool: &mut Vec<Reg>) {
+        pool.clear();
+        if armed(mutops::ALLOCATABLE_INCLUDES_RECEIVER) {
+            pool.push(Reg(0));
+        }
+        pool.extend_from_slice(match isa {
             // x86ish has no free registers beyond the fixed roles; the
             // allocator reuses the scratch pair.
-            Isa::X86ish => vec![Reg(4), Reg(5)],
-            Isa::Arm32ish => {
-                vec![Reg(4), Reg(5), Reg(6), Reg(7), Reg(8), Reg(9), Reg(10), Reg(12)]
-            }
-        };
-        if armed(mutops::ALLOCATABLE_INCLUDES_RECEIVER) {
-            pool.insert(0, Reg(0));
-        }
-        pool
+            Isa::X86ish => &[Reg(4), Reg(5)],
+            Isa::Arm32ish => &[Reg(4), Reg(5), Reg(6), Reg(7), Reg(8), Reg(9), Reg(10), Reg(12)],
+        });
     }
 
     /// The argument register for argument index `i` (0-based).

@@ -57,19 +57,59 @@ impl TempMap {
     }
 }
 
-/// Rewrites `ir` so that no virtual registers remain.
+/// The working tables of one allocation, kept per thread so that, once
+/// grown, allocating allocates nothing.
+#[derive(Default)]
+struct AllocScratch {
+    /// The registers one op reads and writes.
+    regs: Vec<VReg>,
+    /// Live intervals (first position, last position), indexed by
+    /// `dense(vreg)`.
+    intervals: Vec<Option<(usize, usize)>>,
+    /// The intervals in allocation order.
+    order: Vec<(VReg, (usize, usize))>,
+    /// The free pool.
+    free: Vec<Reg>,
+    /// Where each virtual register lives, indexed by `dense(vreg)`.
+    assignment: Vec<Option<Loc>>,
+    /// (end, vreg, reg) of the intervals holding a register.
+    active: Vec<(usize, VReg, Reg)>,
+}
+
+thread_local! {
+    static ALLOC_SCRATCH: std::cell::Cell<AllocScratch> =
+        std::cell::Cell::new(AllocScratch::default());
+}
+
+/// Rewrites `ir` into `out` (cleared first) so that no virtual
+/// registers remain.
 ///
 /// `ntemps` positions the spill area: spill slot `i` lives at
 /// `FP - 4*(ntemps + i + 1)`.
-pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileError> {
-    // The registers one op reads and writes, reused across ops.
-    let mut regs: Vec<VReg> = Vec::with_capacity(4);
-    // Live intervals (first position, last position), indexed by
-    // `dense(vreg)`.
-    let mut intervals: Vec<Option<(usize, usize)>> = Vec::new();
+pub(crate) fn allocate_into(
+    ir: &[Ir],
+    isa: Isa,
+    ntemps: u32,
+    out: &mut Vec<Ir>,
+) -> Result<(), CompileError> {
+    let mut scratch = ALLOC_SCRATCH.take();
+    let done = allocate_with(ir, isa, ntemps, out, &mut scratch);
+    ALLOC_SCRATCH.set(scratch);
+    done
+}
+
+fn allocate_with(
+    ir: &[Ir],
+    isa: Isa,
+    ntemps: u32,
+    out: &mut Vec<Ir>,
+    scratch: &mut AllocScratch,
+) -> Result<(), CompileError> {
+    let AllocScratch { regs, intervals, order, free, assignment, active } = scratch;
+    intervals.clear();
     for (pos, op) in ir.iter().enumerate() {
         regs.clear();
-        op.uses(&mut regs);
+        op.uses(regs);
         if let Some(d) = op.def() {
             regs.push(d);
         }
@@ -81,14 +121,16 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
             intervals[i].get_or_insert((pos, pos)).1 = pos;
         }
     }
-    let mut order: Vec<(VReg, (usize, usize))> = intervals
-        .iter()
-        .enumerate()
-        .filter_map(|(i, iv)| Some((VReg(VReg::FIRST_VIRTUAL + i as u16), (*iv)?)))
-        .collect();
+    order.clear();
+    order.extend(
+        intervals
+            .iter()
+            .enumerate()
+            .filter_map(|(i, iv)| Some((VReg(VReg::FIRST_VIRTUAL + i as u16), (*iv)?))),
+    );
     order.sort_unstable_by_key(|&(v, (start, _))| (start, v));
 
-    let mut free = Convention::allocatable(isa);
+    Convention::allocatable_into(isa, free);
     // Reserve the last pool register as the spill temp.
     let spill_temp = free.pop().ok_or_else(|| CompileError::Backend("no registers".into()))?;
     // A second transient temp for ops with two spilled uses.
@@ -98,9 +140,9 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
         Convention::for_isa(isa).arg2
     };
 
-    // Where each virtual register lives, indexed by `dense(vreg)`.
-    let mut assignment: Vec<Option<Loc>> = vec![None; intervals.len()];
-    let mut active: Vec<(usize, VReg, Reg)> = Vec::new(); // (end, vreg, reg)
+    assignment.clear();
+    assignment.resize(intervals.len(), None);
+    active.clear();
     let mut next_slot: u32 = 0;
     let take_slot = |next_slot: &mut u32| -> Result<u32, CompileError> {
         let s = *next_slot;
@@ -111,7 +153,7 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
         Ok(s)
     };
 
-    for (vreg, (start, end)) in order {
+    for &(vreg, (start, end)) in order.iter() {
         let expire_early = armed(mutops::EXPIRE_ACTIVE_EARLY);
         active.retain(|&(aend, _, reg)| {
             if aend < start || (expire_early && aend == start) {
@@ -151,11 +193,12 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
         move |slot: u32| -> i16 { -((stride * (ntemps + slot + bias)) as i32) as i16 };
 
     // Rewrite pass.
-    let mut out: Vec<Ir> = Vec::with_capacity(ir.len() * 2);
+    out.clear();
+    out.reserve(ir.len() * 2);
     let temps = [VReg::phys(spill_temp), VReg::phys(spill_temp2)];
-    for op in ir {
+    for &op in ir {
         regs.clear();
-        op.uses(&mut regs);
+        op.uses(regs);
         let def = op.def();
         // Map each distinct spilled use to a transient temp.
         let mut temp_map = TempMap::EMPTY;
@@ -210,7 +253,7 @@ pub fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileEr
             }
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 fn rewrite_op(op: Ir, f: &dyn Fn(VReg) -> VReg) -> Ir {
@@ -253,6 +296,12 @@ pub fn fully_allocated(ir: &[Ir]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn allocate(ir: Vec<Ir>, isa: Isa, ntemps: u32) -> Result<Vec<Ir>, CompileError> {
+        let mut out = Vec::new();
+        allocate_into(&ir, isa, ntemps, &mut out)?;
+        Ok(out)
+    }
     use igjit_machine::AluOp;
 
     fn v(n: u16) -> VReg {

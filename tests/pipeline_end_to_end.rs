@@ -203,7 +203,7 @@ fn every_bytecode_is_a_sequence_of_length_one() {
     // bytecode on every tier they agree on the paths, the curated paths
     // and each path's difference, cause and ISA.
     let outcome = |v: &PathVerdict| {
-        (v.instruction, v.verdict.is_difference(), v.cause.clone(), v.isa, v.interp_exit.clone())
+        (v.instruction, v.verdict.is_difference(), v.cause.clone(), v.isa, v.interp_exit)
     };
     let mut pairs = 0;
     for spec in instruction_catalog() {
