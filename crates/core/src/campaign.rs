@@ -38,7 +38,6 @@ use igjit_difftest::{
 use igjit_interp::{native_catalog, NativeMethodId};
 use igjit_jit::{CodeCache, CompilerKind};
 use igjit_machine::Isa;
-use igjit_metajit::MetaCache;
 use igjit_solver::{SessionStats, TrailStats};
 
 /// Campaign knobs.
@@ -305,7 +304,6 @@ pub struct Campaign {
     config: CampaignConfig,
     cache: Arc<ExplorationCache>,
     code_cache: Arc<CodeCache>,
-    meta_cache: Arc<MetaCache>,
     on_progress: Option<ProgressCallback>,
     corpus: Option<Arc<CorpusState>>,
 }
@@ -418,7 +416,6 @@ impl std::fmt::Debug for Campaign {
             .field("config", &self.config)
             .field("cache_entries", &self.cache.len())
             .field("code_cache_entries", &self.code_cache.len())
-            .field("meta_cache_entries", &self.meta_cache.len())
             .field("on_progress", &self.on_progress.is_some())
             .finish()
     }
@@ -496,7 +493,8 @@ impl Campaign {
     /// pipeline, so the interpreter-derived exploration results stay
     /// valid for every mutant and the cache can be carried over. The
     /// compiled-code cache is still fresh per campaign — compiled
-    /// artifacts *do* depend on the armed mutant.
+    /// artifacts, the meta tier's included, *do* depend on the armed
+    /// mutant.
     ///
     /// A configured corpus file's explorations reach a shared cache as
     /// they reach an owned one: on the first pipeline miss, or at
@@ -508,11 +506,7 @@ impl Campaign {
     ) -> Campaign {
         let code_cache = Arc::new(CodeCache::new());
         let corpus = attach_corpus(&config);
-        // Like the code cache, the meta cache is fresh per campaign:
-        // meta artifacts are lowered through the (mutable-by-fault-
-        // injection) backend, so they must never outlive an arming.
-        let meta_cache = Arc::new(MetaCache::new());
-        Campaign { config, cache, code_cache, meta_cache, on_progress: None, corpus }
+        Campaign { config, cache, code_cache, on_progress: None, corpus }
     }
 
     /// A fast configuration for doctests and examples: one ISA, no
@@ -545,12 +539,6 @@ impl Campaign {
     /// The compiled-code cache shared by every run of this campaign.
     pub fn code_cache(&self) -> &CodeCache {
         &self.code_cache
-    }
-
-    /// The meta-artifact cache shared by every run of this campaign
-    /// (fresh per campaign — see [`Campaign::with_exploration_cache`]).
-    pub fn meta_cache(&self) -> &MetaCache {
-        &self.meta_cache
     }
 
     /// Load statistics of the configured corpus file, when one is
@@ -664,7 +652,6 @@ impl Campaign {
             &self.config.isas,
             &lookup,
             &self.code_cache,
-            &self.meta_cache,
         );
         // Exploration solver work (probing included) is charged once,
         // to the run that actually explored; a cache hit did none.

@@ -16,7 +16,6 @@ use igjit_difftest::{Checked, Harness, PathVerdict, Program, Target, Verdict};
 use igjit_interp::native_catalog;
 use igjit_jit::CodeCache;
 use igjit_machine::Isa;
-use igjit_metajit::MetaCache;
 use igjit_solver::Model;
 
 /// One reproducible differential unit test.
@@ -56,9 +55,8 @@ impl GeneratedTest {
     /// cache.
     pub fn run(&self) -> TestResult {
         let code_cache = CodeCache::new();
-        let meta_cache = MetaCache::new();
         let isas = std::slice::from_ref(&self.isa);
-        let mut harness = Harness::new(self.target, isas, &code_cache, &meta_cache);
+        let mut harness = Harness::new(self.target, isas, &code_cache);
         let mut path = PathVerdict::new(self.instruction);
         let program = Program::of(&self.instruction);
         let checked = harness.check(&self.state, &self.model, program, false, &mut path);

@@ -29,7 +29,7 @@ use igjit_difftest::{
 };
 use igjit_heap::Oop;
 use igjit_interp::NativeMethodId;
-use igjit_jit::{CompileError, CompileKey, CompiledCode, CompilerKind};
+use igjit_jit::{CompileError, CompileKey, CompiledCode, CompilerKind, FrontEnd};
 use igjit_machine::Isa;
 use igjit_solver::{
     Assignment, CmpOp, Constraint, FloatTerm, Kind, KindSet, LinExpr, Model, SessionStats,
@@ -728,11 +728,31 @@ impl Wire for CompilerKind {
     }
 }
 
+/// A hand-written tier keeps its [`CompilerKind`] tag; the meta
+/// evaluator takes the next value.
+impl Wire for FrontEnd {
+    fn enc(&self, e: &mut Encoder) {
+        match self {
+            FrontEnd::Tier(kind) => kind.enc(e),
+            FrontEnd::Meta => e.u8(3),
+        }
+    }
+    fn dec(d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(match d.u8()? {
+            0 => FrontEnd::Tier(CompilerKind::SimpleStackBased),
+            1 => FrontEnd::Tier(CompilerKind::StackToRegister),
+            2 => FrontEnd::Tier(CompilerKind::RegisterAllocating),
+            3 => FrontEnd::Meta,
+            _ => return Err(WireError::BadTag("FrontEnd")),
+        })
+    }
+}
+
 impl Wire for CompileKey {
     fn enc(&self, e: &mut Encoder) {
         match self {
             CompileKey::Bytecode {
-                kind,
+                front_end,
                 isa,
                 instrs,
                 stack,
@@ -743,7 +763,7 @@ impl Wire for CompileKey {
                 false_obj,
             } => {
                 e.u8(0);
-                kind.enc(e);
+                front_end.enc(e);
                 isa.enc(e);
                 instrs.enc(e);
                 stack.enc(e);
@@ -766,7 +786,7 @@ impl Wire for CompileKey {
     fn dec(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(match d.u8()? {
             0 => CompileKey::Bytecode {
-                kind: CompilerKind::dec(d)?,
+                front_end: FrontEnd::dec(d)?,
                 isa: Isa::dec(d)?,
                 instrs: Vec::dec(d)?,
                 stack: Vec::dec(d)?,
@@ -1110,5 +1130,7 @@ mod tests {
         assert!(from_bytes::<Target>(&[7]).is_err());
         assert!(from_bytes::<PathOutcome>(&[200]).is_err());
         assert!(from_bytes::<Kind>(&[15]).is_err());
+        assert!(from_bytes::<FrontEnd>(&[4]).is_err());
+        assert_eq!(from_bytes::<FrontEnd>(&to_bytes(&FrontEnd::Meta)).unwrap(), FrontEnd::Meta);
     }
 }

@@ -10,14 +10,15 @@
 //! - **exploration** — the interpreter-side semantics: bytecode set,
 //!   heap model, solver, interpreter, concolic engine, plus the probe
 //!   flag (probes change what an exploration records).
-//! - **code** — the compiler side: bytecode set, heap model, JIT, and
-//!   the mutation layer (its catalog changes what an armed mutant
-//!   compiles to) plus the *runtime* mutant-arming state.
+//! - **code** — the compiler side: bytecode set, heap model, JIT, the
+//!   interpreter and the partial evaluator behind the meta tier (the
+//!   section holds meta artifacts, which the evaluator derives from the
+//!   interpreter's step functions), and the mutation layer (its catalog
+//!   changes what an armed mutant compiles to) plus the *runtime*
+//!   mutant-arming state.
 //! - **outcomes** — everything: both fingerprints above, plus the
-//!   machine simulator, the differential-test driver and the partial
-//!   evaluator behind the meta tier (its outcomes are stored like any
-//!   other target's, so a stale evaluator must invalidate them), plus
-//!   the ISA list, since a stored verdict bakes all of them in.
+//!   machine simulator and the differential-test driver, plus the ISA
+//!   list, since a stored verdict bakes all of them in.
 //!
 //! This is deliberately finer than "hash the whole binary": editing
 //! the JIT invalidates code artifacts and outcomes but leaves the
@@ -71,6 +72,8 @@ pub fn fingerprints(probes: bool, isas: &[Isa]) -> Fingerprints {
         igjit_bytecode::srcid::SOURCE_FINGERPRINT,
         igjit_heap::srcid::SOURCE_FINGERPRINT,
         igjit_jit::srcid::SOURCE_FINGERPRINT,
+        igjit_interp::srcid::SOURCE_FINGERPRINT,
+        igjit_metajit::srcid::SOURCE_FINGERPRINT,
         igjit_mutate::srcid::SOURCE_FINGERPRINT,
     ];
     let mut code = fnv1a(b"igjit-corpus/code");
@@ -84,7 +87,6 @@ pub fn fingerprints(probes: bool, isas: &[Isa]) -> Fingerprints {
     outcomes = fnv_mix(outcomes, code);
     outcomes = fnv_mix(outcomes, igjit_machine::srcid::SOURCE_FINGERPRINT);
     outcomes = fnv_mix(outcomes, igjit_difftest::srcid::SOURCE_FINGERPRINT);
-    outcomes = fnv_mix(outcomes, igjit_metajit::srcid::SOURCE_FINGERPRINT);
     outcomes = fnv_mix(outcomes, isas.len() as u64);
     for isa in isas {
         outcomes = fnv_mix(

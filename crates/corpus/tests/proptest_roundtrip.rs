@@ -10,9 +10,8 @@ use igjit_bytecode::Instruction;
 use igjit_concolic::{ExplorationCache, InstrUnderTest};
 use igjit_corpus::{from_bytes, to_bytes, Corpus, Fingerprints, Image, Section};
 use igjit_difftest::{test_instruction_with, Target};
-use igjit_jit::{CodeCache, CompilerKind};
+use igjit_jit::{CodeCache, CompileKey, CompilerKind, FrontEnd};
 use igjit_machine::Isa;
-use igjit_metajit::MetaCache;
 use igjit_solver::{Assignment, CmpOp, Constraint, Kind, LinExpr, Model, VarId};
 use proptest::prelude::*;
 
@@ -102,27 +101,25 @@ proptest! {
 }
 
 /// A small real corpus with all three sections populated by the live
-/// pipeline: one exploration, the artifacts its test compiled, and its
-/// outcome. Built once; every case corrupts a copy.
+/// pipeline: one exploration, the artifacts its tests compiled on a
+/// hand-written tier and on the meta tier, and their outcomes. Built
+/// once; every case corrupts a copy.
 fn sample_corpus_bytes(fp: &Fingerprints) -> Vec<u8> {
     static SAMPLE: OnceLock<Corpus> = OnceLock::new();
     let corpus = SAMPLE.get_or_init(|| {
         let instr = InstrUnderTest::Bytecode(Instruction::Add);
-        let target = Target::Bytecode(CompilerKind::StackToRegister);
         let lookup = ExplorationCache::new().get_or_explore(instr, false);
         let code_cache = CodeCache::new();
-        let (outcome, _) = test_instruction_with(
-            instr,
-            target,
-            &[Isa::X86ish],
-            &lookup,
-            &code_cache,
-            &MetaCache::new(),
-        );
+        let outcomes = [Target::Bytecode(CompilerKind::StackToRegister), Target::MetaCompiled]
+            .map(|target| {
+                let (outcome, _) =
+                    test_instruction_with(instr, target, &[Isa::X86ish], &lookup, &code_cache);
+                ((target, instr), outcome)
+            });
         Corpus {
             explorations: vec![((instr, false), lookup.exploration)],
             code: code_cache.snapshot(),
-            outcomes: vec![((target, instr), outcome)],
+            outcomes: outcomes.into(),
         }
     });
     igjit_corpus::file::encode(corpus, fp)
@@ -145,6 +142,11 @@ fn sample_file_has_three_populated_sections_and_round_trips() {
     assert!(stats.warnings.is_empty() && !stats.cold, "{stats:?}");
     let n = counts(&corpus);
     assert!(n.iter().all(|&c| c > 0), "every section populated: {n:?}");
+    let meta = |key: &CompileKey| {
+        matches!(key, CompileKey::Bytecode { front_end: FrontEnd::Meta, .. })
+    };
+    assert!(corpus.code.iter().any(|(key, _)| meta(key)), "the code section holds meta keys");
+    assert!(!corpus.code.iter().all(|(key, _)| meta(key)), "and tier keys");
     assert_eq!([stats.explorations, stats.code, stats.outcomes], n);
     // Files `encode` writes are canonical: decoding and re-encoding
     // reproduces them byte for byte, and so does reusing every

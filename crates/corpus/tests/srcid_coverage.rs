@@ -61,6 +61,7 @@ fn srcid_listings_cover_every_source_file() {
     check("interp", igjit_interp::srcid::SRC_FILES);
     check("concolic", igjit_concolic::srcid::SRC_FILES);
     check("jit", igjit_jit::srcid::SRC_FILES);
+    check("metajit", igjit_metajit::srcid::SRC_FILES);
     check("machine", igjit_machine::srcid::SRC_FILES);
     check("mutate", igjit_mutate::srcid::SRC_FILES);
     check("difftest", igjit_difftest::srcid::SRC_FILES);

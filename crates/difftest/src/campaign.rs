@@ -5,7 +5,6 @@ use std::time::Duration;
 use igjit_concolic::{CacheLookup, CurationReason, ExplorationCache, InstrUnderTest};
 use igjit_jit::{CodeCache, CompilerKind};
 use igjit_machine::Isa;
-use igjit_metajit::MetaCache;
 
 use crate::classify::CauseKey;
 use crate::compare::Verdict;
@@ -307,8 +306,8 @@ pub struct StageTimes {
     /// JIT compilation.
     pub compile: Duration,
     /// Partial evaluation + lowering in the meta-compiled tier, charged
-    /// inside the meta cache's miss (zero on a hit and on every other
-    /// target).
+    /// inside a meta key's code-cache miss (zero on a hit and on every
+    /// other target).
     pub meta_compile: Duration,
     /// Machine simulation of compiled code.
     pub simulate: Duration,
@@ -473,9 +472,7 @@ pub fn test_instruction(
     enable_probes: bool,
 ) -> InstructionOutcome {
     let lookup = ExplorationCache::new().get_or_explore(instr, enable_probes);
-    let cache = CodeCache::new();
-    let meta_cache = MetaCache::new();
-    test_instruction_with(instr, target, isas, &lookup, &cache, &meta_cache).0
+    test_instruction_with(instr, target, isas, &lookup, &CodeCache::new()).0
 }
 
 /// Runs the differential pipeline against an exploration looked up (and
@@ -487,8 +484,9 @@ pub fn test_instruction(
 /// by the miss). Each curated path is checked on the probe models the
 /// cache attached to the exploration, or on its base model when the
 /// exploration was looked up without probing.
-/// Compiled artifacts are looked up in `code_cache`, which the caller
-/// may share across instructions and threads.
+/// Compiled artifacts, the meta tier's included, are looked up in
+/// `code_cache`, which the caller may share across instructions and
+/// threads.
 ///
 /// Every model of every curated path goes through one [`Harness`]:
 /// the differential step with the thread's replay arena and simulator
@@ -501,10 +499,9 @@ pub fn test_instruction_with(
     isas: &[Isa],
     lookup: &CacheLookup,
     code_cache: &CodeCache,
-    meta_cache: &MetaCache,
 ) -> (InstructionOutcome, StageTimes) {
     let exploration = &*lookup.exploration;
-    let mut harness = Harness::new(target, isas, code_cache, meta_cache);
+    let mut harness = Harness::new(target, isas, code_cache);
     let times = &mut harness.tally.times;
     times.explore = lookup.explore_time;
     times.walk_run = lookup.walk_run;

@@ -8,9 +8,10 @@ use igjit_heap::{ObjectMemory, Oop};
 use igjit_interp::{Frame, MethodInfo};
 use igjit_jit::{
     compile_native_test, BytecodeTestInput, CodeCache, CompileError, CompileKeyRef, CompiledCode,
-    CompilerKind, Convention, NativeTestInput, MUST_BE_BOOLEAN_SELECTOR, SPILL_BYTES,
+    CompilerKind, Convention, FrontEnd, NativeTestInput, MUST_BE_BOOLEAN_SELECTOR, SPILL_BYTES,
 };
 use igjit_machine::{Isa, Machine, MachineConfig, MachineOutcome, MachineSession};
+use igjit_metajit::compile_meta;
 
 use crate::campaign::StageTimes;
 use crate::oracle::{native_operands, EngineExit, ExitBuffers, SelectorId};
@@ -186,10 +187,10 @@ fn selector_of(id: u32) -> SelectorId {
     }
 }
 
-/// The machine half every compiled and meta run shares: seeds the
-/// receiver and argument registers, runs `code` — compiled from
-/// `program` — on `mem` through the context's session, and decodes the
-/// exit.
+/// The machine half of [`run_compiled`], the same for every front-end:
+/// seeds the receiver and argument registers, runs `code` — compiled
+/// from `program` — on `mem` through the context's session, and
+/// decodes the exit.
 ///
 /// A bytecode program follows the §4.2 schema: a fall-through stop
 /// leaves the operand stack and the code's temps in the machine frame,
@@ -199,7 +200,7 @@ fn selector_of(id: u32) -> SelectorId {
 /// caller is success with the result in the receiver register, and the
 /// fall-through stop is the failure path.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_machine(
+fn run_machine(
     code: &CompiledCode,
     isa: Isa,
     program: Program<'_>,
@@ -278,16 +279,19 @@ pub(crate) fn run_machine(
     CompiledRun::Ran(exit)
 }
 
-/// Compiles `program` with the tier under test — through `ctx.cache`,
-/// into `ctx.code` — and runs it on `mem`, charging each stage's split
-/// of `ctx.lap` to `times`. A bytecode program embeds the operand
-/// stack, temps and literals of `frame` as constants and passes the
-/// receiver in the convention register (§4.2); a native method takes
-/// its receiver and arguments from the top of `frame`'s stack in the
-/// convention registers (Listing 4). Mutates `mem` in place so the caller can run
+/// Compiles `program` — a bytecode program through `front_end`, a
+/// native method through the template compiler — looking it up in
+/// `ctx.cache` and copying it into `ctx.code`, and runs it on `mem`,
+/// charging each stage's split of `ctx.lap` to `times` (a miss's
+/// compile to `compile`, or to `meta_compile` for the meta
+/// evaluator). A bytecode program embeds the operand stack, temps and
+/// literals of `frame` as constants and passes the receiver in the
+/// convention register (§4.2); a native method takes its receiver and
+/// arguments from the top of `frame`'s stack in the convention
+/// registers (Listing 4). Mutates `mem` in place so the caller can run
 /// on a sealed image and roll it back between ISAs.
 pub(crate) fn run_compiled(
-    kind: Option<CompilerKind>,
+    front_end: Option<FrontEnd>,
     isa: Isa,
     program: Program<'_>,
     frame: &Frame<Oop>,
@@ -300,7 +304,7 @@ pub(crate) fn run_compiled(
     let mut code = std::mem::replace(&mut ctx.parts.code, code_buffer());
     let (found, receiver, args) = match program {
         Program::Bytecode(instrs) => {
-            let kind = kind.expect("a bytecode program needs a compiler kind");
+            let front_end = front_end.expect("a bytecode program needs a front-end");
             let input = BytecodeTestInput {
                 instruction: instrs[0],
                 operand_stack: &frame.stack,
@@ -315,7 +319,7 @@ pub(crate) fn run_compiled(
             // register and is deliberately absent). The key borrows the
             // frame's own slices.
             let key = CompileKeyRef::Bytecode {
-                kind,
+                front_end,
                 isa,
                 instrs,
                 stack: &frame.stack,
@@ -325,10 +329,14 @@ pub(crate) fn run_compiled(
                 true_obj: true_obj.0,
                 false_obj: false_obj.0,
             };
-            let found = ctx.cache.get_or_compile_ref(key, &mut code, || {
-                lap.exact(&mut times.hash, &mut times.compile, || {
+            let found = ctx.cache.get_or_compile_ref(key, &mut code, || match front_end {
+                FrontEnd::Tier(kind) => lap.exact(&mut times.hash, &mut times.compile, || {
                     igjit_jit::compile_bytecode_sequence_test(kind, instrs, &input, isa)
-                })
+                }),
+                // The evaluator models one instruction.
+                FrontEnd::Meta => lap.exact(&mut times.hash, &mut times.meta_compile, || {
+                    compile_meta(instrs[0], frame, nil, true_obj, false_obj, isa)
+                }),
             });
             (found, frame.receiver, &[][..])
         }
@@ -382,7 +390,7 @@ pub fn run_compiled_for_instr(
     let cache = CodeCache::new();
     let mut ctx = RunCtx::new(&cache, RunParts::new());
     let run = run_compiled(
-        target_kind,
+        target_kind.map(FrontEnd::Tier),
         isa,
         Program::of(&instr),
         frame,
@@ -480,7 +488,7 @@ mod tests {
                 let mut mem = ObjectMemory::new();
                 let mut times = StageTimes::default();
                 let run = run_compiled(
-                    Some(CompilerKind::StackToRegister),
+                    Some(FrontEnd::Tier(CompilerKind::StackToRegister)),
                     Isa::X86ish,
                     Program::Bytecode(&[Instruction::Add]),
                     &frame,

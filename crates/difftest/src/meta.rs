@@ -9,18 +9,19 @@
 //! executed as machine code vs. trampolined) is counted per call and
 //! reported per campaign run.
 //!
-//! Meta artifacts are not registered in the [`igjit_jit::CodeCache`]
-//! (their key includes the whole embedded frame, which the code
-//! cache's compile keys do not model); they live in the
-//! campaign-owned [`MetaCache`] instead.
+//! A meta-compiled test method embeds the frame as constants, like a
+//! hand-written tier's, so it is looked up, compiled on a miss and run
+//! by the same [`run_compiled`] in the one [`igjit_jit::CodeCache`],
+//! under a key whose front-end is [`FrontEnd::Meta`]; the cache
+//! remembers refusals, so a trampolining key runs the evaluator once.
 
 use igjit_heap::{ObjectMemory, Oop};
 use igjit_interp::Frame;
+use igjit_jit::FrontEnd;
 use igjit_machine::Isa;
-use igjit_metajit::{compile_meta, MetaCache};
 
 use crate::campaign::StageTimes;
-use crate::compiled::{run_machine, CompiledRun, RunCtx};
+use crate::compiled::{run_compiled, CompiledRun, RunCtx};
 use crate::oracle::{copy_frame_into, run_program_on};
 use crate::step::Program;
 
@@ -34,28 +35,12 @@ pub struct MetaRunCounts {
     pub trampolined: usize,
 }
 
-impl MetaRunCounts {
-    /// Accumulates another sample into this one.
-    pub fn merge(&mut self, other: &MetaRunCounts) {
-        self.compiled += other.compiled;
-        self.trampolined += other.trampolined;
-    }
-}
-
-/// The meta tier's analogue of the compiled runner: look up (or
-/// partially evaluate) the artifact for a one-instruction program and
-/// its frame, run it through the shared machine half, or trampoline
-/// through the interpreter on refusal. A native method or a program
-/// longer than one instruction is a refusal: the evaluator models
-/// neither.
-///
-/// Evaluator+lowering time lands in [`StageTimes::meta_compile`], timed
-/// exactly inside the cache miss; cache lookups land in [`StageTimes::hash`],
-/// and trampoline interpretation in [`StageTimes::simulate`] (it
-/// substitutes for the simulator run).
-#[allow(clippy::too_many_arguments)]
+/// The meta tier's runner: a one-instruction bytecode program runs
+/// through [`run_compiled`] with the meta front-end; a refusal, a
+/// native method or a longer program trampolines through the
+/// interpreter instead. Trampoline interpretation is charged to
+/// [`StageTimes::simulate`] (it substitutes for the simulator run).
 pub(crate) fn run_meta(
-    meta_cache: &MetaCache,
     isa: Isa,
     program: Program<'_>,
     frame: &Frame<Oop>,
@@ -64,21 +49,11 @@ pub(crate) fn run_meta(
     times: &mut StageTimes,
     counts: &mut MetaRunCounts,
 ) -> CompiledRun {
-    if let Program::Bytecode(&[i]) = program {
-        let (nil, true_obj, false_obj) = (mem.nil(), mem.true_object(), mem.false_object());
-        let lap = &mut ctx.lap;
-        let entry = meta_cache.get_or_compile(isa, i, frame, nil, true_obj, false_obj, || {
-            lap.exact(&mut times.hash, &mut times.meta_compile, || {
-                compile_meta(i, frame, nil, true_obj, false_obj, isa)
-            })
-        });
-        ctx.lap.charge(&mut times.hash);
-        if let Ok(artifact) = entry.as_ref() {
+    if let Program::Bytecode(&[_]) = program {
+        let run = run_compiled(Some(FrontEnd::Meta), isa, program, frame, mem, ctx, times);
+        if let CompiledRun::Ran(_) = run {
             counts.compiled += 1;
-            // A meta artifact follows the same §4.2 schema
-            // (frame-pointer preamble, temp pushes, spill reserve,
-            // breakpoint exit codes) as the hand-written tiers.
-            return run_machine(&artifact.code, isa, program, frame.receiver, &[], mem, ctx, times);
+            return run;
         }
     }
     // Trampoline: interpret on the replay heap so side effects land
@@ -106,42 +81,33 @@ mod tests {
     }
 
     fn run_one(program: Program<'_>, frame: &Frame<Oop>) -> (CompiledRun, MetaRunCounts) {
-        let cache = MetaCache::new();
-        let code_cache = CodeCache::new();
-        let mut ctx = RunCtx::new(&code_cache, RunParts::new());
+        let cache = CodeCache::new();
+        let mut ctx = RunCtx::new(&cache, RunParts::new());
         let mut times = StageTimes::default();
         let mut counts = MetaRunCounts::default();
         let mut mem = ObjectMemory::new();
-        let run = run_meta(
-            &cache,
-            Isa::X86ish,
-            program,
-            frame,
-            &mut mem,
-            &mut ctx,
-            &mut times,
-            &mut counts,
-        );
+        let run = run_meta(Isa::X86ish, program, frame, &mut mem, &mut ctx, &mut times, &mut counts);
         (run, counts)
     }
 
     #[test]
     fn meta_compile_is_charged_only_on_a_miss() {
         // One compiling and one refused (trampolining) bytecode: each
-        // runs the evaluator once, on its miss, and then hits.
+        // runs the evaluator once, on its miss, and then hits, though
+        // the second frame has another receiver (it rides in a
+        // register, so it is not part of the key).
         let mut add = Frame::new(si(0), MethodInfo::empty());
         add.stack = vec![si(20), si(22)];
         let refused: Frame<Oop> = Frame::new(si(0), MethodInfo::empty());
         for (instr, frame) in [(Instruction::Add, add), (Instruction::PushThisContext, refused)] {
-            let cache = MetaCache::new();
-            let code_cache = CodeCache::new();
-            let mut ctx = RunCtx::new(&code_cache, RunParts::new());
+            let cache = CodeCache::new();
+            let mut ctx = RunCtx::new(&cache, RunParts::new());
             let mut charged = Vec::new();
-            for _ in 0..2 {
+            for receiver in [si(0), si(9)] {
+                let frame = Frame { receiver, ..frame.clone() };
                 let mut times = StageTimes::default();
                 let mut mem = ObjectMemory::new();
                 run_meta(
-                    &cache,
                     Isa::X86ish,
                     Program::Bytecode(&[instr]),
                     &frame,
@@ -155,6 +121,7 @@ mod tests {
             let zero = std::time::Duration::ZERO;
             assert!(charged[0].meta_compile > zero, "{instr:?}: the miss evaluates");
             assert_eq!(charged[1].meta_compile, zero, "{instr:?}: the hit does not");
+            assert_eq!(charged[0].compile, zero, "{instr:?}: no tier compiles");
             assert!(charged[1].hash > zero, "{instr:?}: the hit is a lookup");
             assert_eq!((cache.misses(), cache.hits()), (1, 1), "{instr:?}");
         }
@@ -176,8 +143,8 @@ mod tests {
 
     #[test]
     fn meta_native_trampolines() {
-        let frame = Frame::new(si(20), MethodInfo { literals: vec![si(3)], num_args: 1, num_temps: 0 });
-        let mut frame = frame;
+        let mut frame =
+            Frame::new(si(20), MethodInfo { literals: vec![si(3)], num_args: 1, num_temps: 0 });
         frame.temps = vec![si(3)];
         let (run, counts) = run_one(Program::Native(NativeMethodId(1)), &frame);
         assert_eq!(counts, MetaRunCounts { compiled: 0, trampolined: 1 });

@@ -17,7 +17,6 @@ use igjit_bytecode::Instruction;
 use igjit_concolic::{AbstractState, Explorer};
 use igjit_jit::{CodeCache, CompilerKind};
 use igjit_machine::Isa;
-use igjit_metajit::MetaCache;
 use igjit_solver::Model;
 
 use crate::campaign::{PathVerdict, Target};
@@ -106,8 +105,7 @@ pub fn test_sequence(
     let program = Program::Bytecode(instrs);
     let curated = exploration.curated_paths();
     let code_cache = CodeCache::new();
-    let meta_cache = MetaCache::new();
-    let mut harness = Harness::new(Target::Bytecode(kind), isas, &code_cache, &meta_cache);
+    let mut harness = Harness::new(Target::Bytecode(kind), isas, &code_cache);
     let verdicts = curated
         .iter()
         .map(|path| {

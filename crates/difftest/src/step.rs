@@ -17,9 +17,8 @@ use igjit_concolic::{
 use igjit_heap::fxhash::FxHashMap;
 use igjit_heap::{ObjectMemory, Oop, Snapshot};
 use igjit_interp::{Frame, MethodInfo, NativeMethodId};
-use igjit_jit::CodeCache;
+use igjit_jit::{CodeCache, FrontEnd};
 use igjit_machine::Isa;
-use igjit_metajit::MetaCache;
 use igjit_solver::Model;
 
 use crate::campaign::{PathVerdict, SnapshotStats, StageTimes, Target};
@@ -222,7 +221,7 @@ thread_local! {
 }
 
 /// The execution context of the differential step against one target
-/// on a fixed set of ISAs: the artifact caches, the thread's simulator
+/// on a fixed set of ISAs: the artifact cache, the thread's simulator
 /// session and code buffer, the stage clock and the thread's replay
 /// arena.
 ///
@@ -245,7 +244,6 @@ thread_local! {
 pub struct Harness<'c> {
     target: Target,
     isas: &'c [Isa],
-    meta_cache: &'c MetaCache,
     ctx: RunCtx<'c>,
     arena: ReplayArena,
     /// What the checks so far accumulated.
@@ -254,20 +252,14 @@ pub struct Harness<'c> {
 
 impl<'c> Harness<'c> {
     /// A harness testing `target` on `isas`, looking compiled artifacts
-    /// up in `code_cache` and meta artifacts in `meta_cache`. Its stage
-    /// clock starts now.
-    pub fn new(
-        target: Target,
-        isas: &'c [Isa],
-        code_cache: &'c CodeCache,
-        meta_cache: &'c MetaCache,
-    ) -> Harness<'c> {
+    /// (the meta tier's included) up in `code_cache`. Its stage clock
+    /// starts now.
+    pub fn new(target: Target, isas: &'c [Isa], code_cache: &'c CodeCache) -> Harness<'c> {
         let parts = REUSED_PARTS.with(|slot| slot.take()).unwrap_or_else(RunParts::new);
         let arena = REUSED_ARENA.with(|slot| slot.take()).unwrap_or_else(ReplayArena::new);
         Harness {
             target,
             isas,
-            meta_cache,
             ctx: RunCtx::new(code_cache, parts),
             arena,
             tally: Tally::default(),
@@ -390,7 +382,6 @@ impl<'c> Harness<'c> {
             }
             let compiled = match self.target {
                 Target::MetaCompiled => run_meta(
-                    self.meta_cache,
                     isa,
                     program,
                     &a.input,
@@ -400,7 +391,7 @@ impl<'c> Harness<'c> {
                     &mut tally.meta,
                 ),
                 target => run_compiled(
-                    target.compiler_kind(),
+                    target.compiler_kind().map(FrontEnd::Tier),
                     isa,
                     program,
                     &a.input,
@@ -473,7 +464,6 @@ mod tests {
         // inlines, so the solver's own models do differ; the same
         // models made unrealizable must be counted and never compared.
         let code_cache = CodeCache::new();
-        let meta_cache = MetaCache::new();
         let isas = [Isa::X86ish, Isa::Arm32ish];
         let target = Target::Bytecode(CompilerKind::SimpleStackBased);
         for instrs in [
@@ -483,7 +473,7 @@ mod tests {
             let program = Program::Bytecode(instrs);
             let explored = Explorer::new().explore_sequence(instrs).expect("non-empty");
             let curated = explored.curated_paths();
-            let mut harness = Harness::new(target, &isas, &code_cache, &meta_cache);
+            let mut harness = Harness::new(target, &isas, &code_cache);
             let mut differences = 0;
             for path in &curated {
                 let mut honest = PathVerdict::new(program.tag());

@@ -2,7 +2,9 @@
 //! harness, code buffer and replay arena have grown and the code cache
 //! holds every artifact, a code-cache lookup and a per-model seal
 //! allocate nothing, a `Harness::check` whose model agrees on every ISA
-//! allocates nothing either, and a check that finds a difference
+//! allocates nothing either (on a hand-written tier, and on the meta
+//! tier whether it runs meta-compiled code or trampolines), and a check
+//! that finds a difference
 //! allocates a pinned number of times for the difference's record — so
 //! a regression shows as a count, not as a timing.
 //!
@@ -18,7 +20,6 @@ use igjit_difftest::{Harness, PathVerdict, Program, Target};
 use igjit_heap::{ObjectMemory, Oop};
 use igjit_jit::{CodeCache, CompiledCode, CompilerKind};
 use igjit_machine::Isa;
-use igjit_metajit::MetaCache;
 
 struct Counting;
 
@@ -67,12 +68,12 @@ const BYTECODES: [Instruction; 4] =
     [Instruction::Add, Instruction::Multiply, Instruction::LessThan, Instruction::PushTemp(0)];
 
 /// The checks of one pass: the curated paths of [`BYTECODES`], each
-/// on the StackToRegister tier and both ISAs.
+/// on both ISAs.
 const CHECKS: usize = 38;
 
-/// Checks of one pass that find a difference: the float fast paths of
-/// `Add`, `Multiply` and `LessThan` (twice), which the interpreter
-/// inlines and the compiled code sends.
+/// Checks of one StackToRegister pass that find a difference: the float
+/// fast paths of `Add`, `Multiply` and `LessThan` (twice), which the
+/// interpreter inlines and the compiled code sends.
 const DIFFERING_CHECKS: usize = 4;
 
 /// Allocations of the second pass's differing checks: ten each, the
@@ -86,49 +87,68 @@ const WARM_DIFFERENCE_ALLOCATIONS: u64 = 40;
 fn a_warm_check_allocates_nothing_unless_it_records_a_difference() {
     let isas = [Isa::X86ish, Isa::Arm32ish];
     let code_cache = CodeCache::new();
-    let meta_cache = MetaCache::new();
     let explored: Vec<_> = BYTECODES
         .iter()
         .map(|&i| (i, Explorer::new().explore(InstrUnderTest::Bytecode(i))))
         .collect();
-    let mut harness =
-        Harness::new(Target::Bytecode(CompilerKind::StackToRegister), &isas, &code_cache, &meta_cache);
-    // Per pass: (allocations of agreeing checks, of differing checks,
-    // differing checks).
-    let mut per_pass = [(0u64, 0u64, 0usize); 2];
-    let mut lookups = [(0, 0); 2];
-    let mut checks = 0;
-    for (pass, counters) in per_pass.iter_mut().zip(&mut lookups) {
-        checks = 0;
-        for (instr, exploration) in &explored {
-            let program = Program::Bytecode(std::slice::from_ref(instr));
-            for path in exploration.curated_paths() {
-                let mut verdict = PathVerdict::new(InstrUnderTest::Bytecode(*instr));
-                let n = allocations(|| {
-                    harness.check(&exploration.state, &path.model, program, false, &mut verdict);
-                });
-                if verdict.verdict.is_difference() {
-                    pass.1 += n;
-                    pass.2 += 1;
-                } else {
-                    pass.0 += n;
+    // Per target: its differing checks per pass and their warm
+    // allocations. The meta tier runs some paths as meta-compiled code
+    // and trampolines the evaluator's refusals; its models agree by
+    // construction. Both share the code cache, as in a campaign.
+    let targets = [
+        (
+            Target::Bytecode(CompilerKind::StackToRegister),
+            DIFFERING_CHECKS,
+            WARM_DIFFERENCE_ALLOCATIONS,
+        ),
+        (Target::MetaCompiled, 0, 0),
+    ];
+    for (target, differing_checks, warm_difference_allocations) in targets {
+        let mut harness = Harness::new(target, &isas, &code_cache);
+        // Per pass: (allocations of agreeing checks, of differing checks,
+        // differing checks).
+        let mut per_pass = [(0u64, 0u64, 0usize); 2];
+        let mut lookups = [(code_cache.hits(), code_cache.misses()); 3];
+        let mut checks = 0;
+        for (pass, counters) in per_pass.iter_mut().zip(&mut lookups[1..]) {
+            checks = 0;
+            for (instr, exploration) in &explored {
+                let program = Program::Bytecode(std::slice::from_ref(instr));
+                for path in exploration.curated_paths() {
+                    let mut verdict = PathVerdict::new(InstrUnderTest::Bytecode(*instr));
+                    let n = allocations(|| {
+                        harness.check(&exploration.state, &path.model, program, false, &mut verdict);
+                    });
+                    if verdict.verdict.is_difference() {
+                        pass.1 += n;
+                        pass.2 += 1;
+                    } else {
+                        pass.0 += n;
+                    }
+                    checks += 1;
                 }
-                checks += 1;
             }
+            *counters = (code_cache.hits(), code_cache.misses());
         }
-        *counters = (code_cache.hits(), code_cache.misses());
+        let meta = harness.finish().meta;
+        if target == Target::MetaCompiled {
+            assert!(meta.compiled > 0 && meta.trampolined > 0, "{meta:?}");
+        }
+        assert_eq!(checks, CHECKS);
+        let [(hits0, misses0), (hits, misses), warm] = lookups;
+        let cold = (hits - hits0) + (misses - misses0);
+        assert_eq!(warm, (hits + cold, misses), "{target:?}: the second pass only hits");
+        let (agreeing, differing, differences) = per_pass[1];
+        assert_eq!(differences, differing_checks, "{target:?}");
+        assert_eq!(
+            agreeing, 0,
+            "{target:?}: second-pass allocations of agreeing checks ({per_pass:?})"
+        );
+        assert_eq!(
+            differing, warm_difference_allocations,
+            "{target:?}: second-pass allocations of differing checks ({per_pass:?})"
+        );
     }
-    harness.finish();
-    assert_eq!(checks, CHECKS);
-    let [(hits, misses), warm] = lookups;
-    assert_eq!(warm, (2 * hits + misses, misses), "the second pass only hits");
-    let (agreeing, differing, differences) = per_pass[1];
-    assert_eq!(differences, DIFFERING_CHECKS);
-    assert_eq!(agreeing, 0, "second-pass allocations of agreeing checks (first pass: {per_pass:?})");
-    assert_eq!(
-        differing, WARM_DIFFERENCE_ALLOCATIONS,
-        "second-pass allocations of differing checks (first pass: {per_pass:?})"
-    );
 
     // Every stored artifact, looked up again through a grown buffer.
     let stored = code_cache.snapshot();

@@ -12,7 +12,6 @@ use igjit_concolic::{ExplorationResult, Explorer, InstrUnderTest};
 use igjit_difftest::{Checked, Harness, PathVerdict, Program, Tally, Target, SAMPLE_EVERY};
 use igjit_jit::{CodeCache, CompilerKind};
 use igjit_machine::Isa;
-use igjit_metajit::MetaCache;
 
 const BYTECODES: [Instruction; 4] =
     [Instruction::Add, Instruction::Multiply, Instruction::LessThan, Instruction::PushTemp(0)];
@@ -52,10 +51,9 @@ fn explorations() -> Vec<(Instruction, ExplorationResult)> {
 /// stop, the reads of each split check, and a restart read for a split
 /// check after one that did not split.
 fn run(explored: &[(Instruction, ExplorationResult)], code_cache: &CodeCache) -> (Tally, Duration, u64) {
-    let meta_cache = MetaCache::new();
     let target = Target::Bytecode(CompilerKind::StackToRegister);
     let t0 = Instant::now();
-    let mut harness = Harness::new(target, &ISAS, code_cache, &meta_cache);
+    let mut harness = Harness::new(target, &ISAS, code_cache);
     let (mut predicted, mut index, mut previous_split) = (2, 0u64, true);
     for _ in 0..PASSES {
         for (instr, exploration) in explored {

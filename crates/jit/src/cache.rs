@@ -3,7 +3,9 @@
 //! The test compilation schema (§4.2) embeds the operand stack, temps
 //! and literals of the input frame as constants, so compiled code is a
 //! pure function of `(front-end, ISA, instruction sequence, embedded
-//! frame values, special oops)`. The campaign, however, compiles once
+//! frame values, special oops)`. The front-end is a hand-written tier
+//! or the meta tier's partial evaluator ([`FrontEnd`]); both compile
+//! through one cache. The campaign, however, compiles once
 //! per *run*: every model of a path, every probe variant and every
 //! re-materialization triggers an identical compile. A [`CodeCache`]
 //! keyed on exactly the compile-relevant inputs collapses those runs
@@ -46,6 +48,17 @@ use igjit_mutate::{armed, ops as mutops};
 
 use crate::{CompileError, CompiledCode, CompilerKind};
 
+/// The front-end a bytecode test compilation runs through.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum FrontEnd {
+    /// A hand-written bytecode tier.
+    Tier(CompilerKind),
+    /// The meta tier: the partial evaluator over the interpreter's
+    /// step functions (`igjit-metajit`), which compiles one
+    /// instruction at a time.
+    Meta,
+}
+
 /// Everything a test compilation depends on, by value.
 ///
 /// The receiver is *not* part of a bytecode key: it rides in the
@@ -58,8 +71,8 @@ use crate::{CompileError, CompiledCode, CompilerKind};
 pub enum CompileKey {
     /// A bytecode (sequence) test compilation.
     Bytecode {
-        /// Front-end tier.
-        kind: CompilerKind,
+        /// Front-end: a hand-written tier or the meta evaluator.
+        front_end: FrontEnd,
         /// Target ISA.
         isa: Isa,
         /// The instruction sequence under test.
@@ -98,7 +111,7 @@ impl CompileKey {
     pub fn as_ref(&self) -> CompileKeyRef<'_> {
         match self {
             CompileKey::Bytecode {
-                kind,
+                front_end,
                 isa,
                 instrs,
                 stack,
@@ -108,7 +121,7 @@ impl CompileKey {
                 true_obj,
                 false_obj,
             } => CompileKeyRef::Bytecode {
-                kind: *kind,
+                front_end: *front_end,
                 isa: *isa,
                 instrs,
                 stack,
@@ -133,8 +146,8 @@ impl CompileKey {
 pub enum CompileKeyRef<'a> {
     /// A bytecode (sequence) test compilation.
     Bytecode {
-        /// Front-end tier.
-        kind: CompilerKind,
+        /// Front-end: a hand-written tier or the meta evaluator.
+        front_end: FrontEnd,
         /// Target ISA.
         isa: Isa,
         /// The instruction sequence under test.
@@ -170,16 +183,20 @@ pub enum CompileKeyRef<'a> {
 impl<'a> CompileKeyRef<'a> {
     /// Applies the cache-layer mutations: each drops one
     /// compile-relevant field from the lookup key, conflating entries
-    /// that must be distinct.
+    /// that must be distinct. Dropping the tier collapses the
+    /// hand-written tiers only: no mutant makes a meta key equal to a
+    /// tier key.
     fn mutated(self) -> CompileKeyRef<'a> {
         let mut key = self;
         match &mut key {
-            CompileKeyRef::Bytecode { kind, stack, nil, true_obj, false_obj, .. } => {
+            CompileKeyRef::Bytecode { front_end, stack, nil, true_obj, false_obj, .. } => {
                 if armed(mutops::CACHE_KEY_IGNORES_STACK) {
                     *stack = &[];
                 }
-                if armed(mutops::CACHE_KEY_IGNORES_KIND) {
-                    *kind = CompilerKind::SimpleStackBased;
+                if let FrontEnd::Tier(kind) = front_end {
+                    if armed(mutops::CACHE_KEY_IGNORES_KIND) {
+                        *kind = CompilerKind::SimpleStackBased;
+                    }
                 }
                 if armed(mutops::CACHE_KEY_IGNORES_SPECIAL_OOPS) {
                     *nil = 0;
@@ -209,7 +226,7 @@ impl<'a> CompileKeyRef<'a> {
     fn to_owned_key(self) -> CompileKey {
         match self {
             CompileKeyRef::Bytecode {
-                kind,
+                front_end,
                 isa,
                 instrs,
                 stack,
@@ -219,7 +236,7 @@ impl<'a> CompileKeyRef<'a> {
                 true_obj,
                 false_obj,
             } => CompileKey::Bytecode {
-                kind,
+                front_end,
                 isa,
                 instrs: instrs.to_vec(),
                 stack: stack.to_vec(),
@@ -266,7 +283,7 @@ impl Span {
 #[derive(Clone, Copy, Debug)]
 enum StoredKey {
     Bytecode {
-        kind: CompilerKind,
+        front_end: FrontEnd,
         isa: Isa,
         instrs: Span,
         oops: Span,
@@ -319,7 +336,7 @@ impl Store {
     fn key(&self, entry: &Entry) -> CompileKeyRef<'_> {
         match entry.key {
             StoredKey::Bytecode {
-                kind,
+                front_end,
                 isa,
                 instrs,
                 oops,
@@ -332,7 +349,7 @@ impl Store {
                 let (stack, rest) = oops.of(&self.oops).split_at(stack_len as usize);
                 let (temps, literals) = rest.split_at(temps_len as usize);
                 CompileKeyRef::Bytecode {
-                    kind,
+                    front_end,
                     isa,
                     instrs: instrs.of(&self.instrs),
                     stack,
@@ -375,7 +392,7 @@ impl Store {
         }
         let key = match key {
             CompileKeyRef::Bytecode {
-                kind,
+                front_end,
                 isa,
                 instrs,
                 stack,
@@ -385,7 +402,7 @@ impl Store {
                 true_obj,
                 false_obj,
             } => StoredKey::Bytecode {
-                kind,
+                front_end,
                 isa,
                 instrs: Span::push(&mut self.instrs, &[instrs]),
                 oops: Span::push(&mut self.oops, &[stack, temps, literals]),
@@ -641,7 +658,7 @@ mod tests {
         let stack = [Oop(21), Oop(42)];
         let instrs = [Instruction::Add];
         let bytecode = CompileKeyRef::Bytecode {
-            kind: CompilerKind::StackToRegister,
+            front_end: FrontEnd::Tier(CompilerKind::StackToRegister),
             isa: Isa::Arm32ish,
             instrs: &instrs,
             stack: &stack,
@@ -664,7 +681,7 @@ mod tests {
         let _off = FaultInjector::pinned_off();
         let stack = [Oop(8)];
         let key = CompileKeyRef::Bytecode {
-            kind: CompilerKind::SimpleStackBased,
+            front_end: FrontEnd::Tier(CompilerKind::SimpleStackBased),
             isa: Isa::X86ish,
             instrs: &[],
             stack: &stack,
@@ -684,12 +701,76 @@ mod tests {
         assert_eq!(parts(artifact), a);
     }
 
+    /// A key for `Add` over `stack` through `front_end`, with the
+    /// special oops `native_key` uses. A compile key has no receiver
+    /// field: the receiver rides in a register, so frames that differ
+    /// only in the receiver look up one key.
+    fn add_key(front_end: FrontEnd, isa: Isa, stack: &[Oop]) -> CompileKeyRef<'_> {
+        CompileKeyRef::Bytecode {
+            front_end,
+            isa,
+            instrs: &[Instruction::Add],
+            stack,
+            temps: &[],
+            literals: &[],
+            nil: 2,
+            true_obj: 6,
+            false_obj: 10,
+        }
+    }
+
+    #[test]
+    fn meta_lookups_hit_on_equal_slices_only() {
+        let _off = FaultInjector::pinned_off();
+        let cache = CodeCache::new();
+        let meta = |isa, stack| add_key(FrontEnd::Meta, isa, stack);
+        let first = lookup(&cache, meta(Isa::X86ish, &[Oop(3), Oop(5)]), || fake_code(0));
+        let again = lookup(&cache, meta(Isa::X86ish, &[Oop(3), Oop(5)]), || panic!("must hit"));
+        assert_eq!(first, again);
+        // A different stack or ISA misses.
+        let others: [(Isa, &[Oop]); 3] = [
+            (Isa::X86ish, &[Oop(3), Oop(7)]),
+            (Isa::X86ish, &[Oop(3)]),
+            (Isa::Arm32ish, &[Oop(3), Oop(5)]),
+        ];
+        for (byte, (isa, stack)) in (1..).zip(others) {
+            let got = lookup(&cache, meta(isa, stack), || fake_code(byte));
+            assert_eq!(got, parts(&fake_code(byte)), "{isa:?} {stack:?}");
+        }
+        assert_eq!((cache.hits(), cache.misses(), cache.len()), (1, 4, 4));
+    }
+
+    #[test]
+    fn no_cache_key_mutant_makes_a_meta_key_equal_a_tier_key() {
+        // Identical slices and special oops: only the front-end tells a
+        // meta key from a tier key. Dropping the tier (502) collapses
+        // the hand-written tiers onto one key, and dropping the special
+        // oops (503) drops them on both sides; neither may serve a
+        // tier's code to the meta tier or back.
+        let stack = [Oop(3), Oop(5)];
+        for mutant in [mutops::CACHE_KEY_IGNORES_KIND, mutops::CACHE_KEY_IGNORES_SPECIAL_OOPS] {
+            let _armed = FaultInjector::arm(mutant).unwrap();
+            let meta = add_key(FrontEnd::Meta, Isa::X86ish, &stack);
+            let cache = CodeCache::new();
+            assert_eq!(lookup(&cache, meta, || fake_code(0xEE)), parts(&fake_code(0xEE)));
+            for (i, kind) in CompilerKind::ALL.into_iter().enumerate() {
+                let tier = add_key(FrontEnd::Tier(kind), Isa::X86ish, &stack);
+                assert_ne!(meta.mutated(), tier.mutated(), "{mutant:?} {kind:?}");
+                // Under 502 every tier replays the first tier's code.
+                let first = if mutant == mutops::CACHE_KEY_IGNORES_KIND { 0 } else { i as u8 };
+                let got = lookup(&cache, tier, || fake_code(i as u8));
+                assert_eq!(got, parts(&fake_code(first)), "{mutant:?} {kind:?}");
+            }
+            assert_eq!(lookup(&cache, meta, || panic!("must hit")), parts(&fake_code(0xEE)));
+        }
+    }
+
     /// A generated key: every field drawn from a small pool, so that
     /// keys repeat and differ in one field at a time.
     #[derive(Clone, Debug)]
     enum GenKey {
         Bytecode {
-            kind: CompilerKind,
+            front_end: FrontEnd,
             isa: Isa,
             instrs: Vec<Instruction>,
             stack: Vec<Oop>,
@@ -707,9 +788,9 @@ mod tests {
     impl GenKey {
         fn as_ref(&self) -> CompileKeyRef<'_> {
             match self {
-                GenKey::Bytecode { kind, isa, instrs, stack, temps, literals, special } => {
+                GenKey::Bytecode { front_end, isa, instrs, stack, temps, literals, special } => {
                     CompileKeyRef::Bytecode {
-                        kind: *kind,
+                        front_end: *front_end,
                         isa: *isa,
                         instrs,
                         stack,
@@ -754,7 +835,12 @@ mod tests {
             const POOL: [Instruction; 3] =
                 [Instruction::Add, Instruction::PushOne, Instruction::PushReceiver];
             GenKey::Bytecode {
-                kind: CompilerKind::ALL[usize::from(a % 3)],
+                front_end: [
+                    FrontEnd::Tier(CompilerKind::SimpleStackBased),
+                    FrontEnd::Tier(CompilerKind::StackToRegister),
+                    FrontEnd::Tier(CompilerKind::RegisterAllocating),
+                    FrontEnd::Meta,
+                ][usize::from(a % 4)],
                 isa: isa_of(c >> 2),
                 instrs: (0..(a >> 2) % 3).map(|i| POOL[usize::from((a >> (4 + i)) % 3)]).collect(),
                 stack: oops_of(byte(0)),
@@ -789,11 +875,11 @@ mod tests {
     fn forget(key: &mut CompileKey, mutant: Option<MutantId>) {
         use mutops::{CACHE_KEY_IGNORES_KIND, CACHE_KEY_IGNORES_SPECIAL_OOPS, CACHE_KEY_IGNORES_STACK};
         let (nil, true_obj, false_obj) = match key {
-            CompileKey::Bytecode { kind, stack, nil, true_obj, false_obj, .. } => {
+            CompileKey::Bytecode { front_end, stack, nil, true_obj, false_obj, .. } => {
                 if mutant == Some(CACHE_KEY_IGNORES_STACK) {
                     stack.clear();
                 }
-                if mutant == Some(CACHE_KEY_IGNORES_KIND) {
+                if let (Some(CACHE_KEY_IGNORES_KIND), FrontEnd::Tier(kind)) = (mutant, front_end) {
                     *kind = CompilerKind::SimpleStackBased;
                 }
                 (nil, true_obj, false_obj)

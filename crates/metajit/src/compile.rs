@@ -3,47 +3,22 @@
 use igjit_bytecode::Instruction;
 use igjit_heap::Oop;
 use igjit_interp::{step_spec, Frame, MethodInfo, Selector, StepOutcome};
-use igjit_jit::{backend, CompiledCode, Convention, Ir, VReg, MUST_BE_BOOLEAN_SELECTOR,
-                SPILL_BYTES};
+use igjit_jit::{backend, CompileError, CompiledCode, Convention, Ir, VReg,
+                MUST_BE_BOOLEAN_SELECTOR, SPILL_BYTES};
 use igjit_machine::{AluOp, Isa};
 
 use crate::eval::{MetaContext, MetaVal};
-
-/// A meta-compiled test method, plus the facts the runner needs that
-/// are not in the machine code.
-#[derive(Clone, Debug)]
-pub struct MetaArtifact {
-    /// The compiled test method (same shape as the hand-written
-    /// tiers' artifacts, so the machine half of the runner is shared).
-    pub code: CompiledCode,
-}
-
-/// Why the partial evaluator could not compile a (instruction, frame)
-/// pair. The tier stays total: every refusal routes the run through
-/// the interpreter trampoline instead.
-#[derive(Clone, Debug)]
-pub struct MetaRefusal {
-    /// Human-readable reason, surfaced in coverage diagnostics.
-    pub reason: String,
-}
-
-impl MetaRefusal {
-    fn new(reason: impl Into<String>) -> MetaRefusal {
-        MetaRefusal { reason: reason.into() }
-    }
-}
-
-impl std::fmt::Display for MetaRefusal {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "meta-compilation refused: {}", self.reason)
-    }
-}
 
 /// Partially evaluates `instr` against the concrete frame shape and
 /// emits a compiled test method following the §4.2 schema — same
 /// preamble, exit tails and breakpoint codes as the hand-written
 /// tiers, so the differential runner's machine-exit decoding applies
 /// unchanged.
+///
+/// Whatever the evaluator cannot decide is a refusal,
+/// [`CompileError::Unsupported`]; the tier stays total, since every
+/// refusal routes the run through the interpreter trampoline instead.
+/// A back-end failure keeps its own [`CompileError`].
 ///
 /// The receiver is the only dynamic input: it rides in the
 /// convention's receiver register and is deliberately absent from the
@@ -56,9 +31,9 @@ pub fn compile_meta(
     true_obj: Oop,
     false_obj: Oop,
     isa: Isa,
-) -> Result<MetaArtifact, MetaRefusal> {
+) -> Result<CompiledCode, CompileError> {
     if !step_spec(instr).supported {
-        return Err(MetaRefusal::new("instruction unsupported by the interpreter"));
+        return Err(CompileError::Unsupported("instruction unsupported by the interpreter"));
     }
     let conv = Convention::for_isa(isa);
     let mut ctx = MetaContext::new(conv, nil, true_obj, false_obj);
@@ -78,7 +53,7 @@ pub fn compile_meta(
     // with values that fold or emit IR.
     let outcome = igjit_interp::step(&mut ctx, &mut mframe, instr);
     if let Some(reason) = ctx.stuck {
-        return Err(MetaRefusal::new(reason));
+        return Err(CompileError::Unsupported(reason));
     }
 
     // Assemble: preamble (frame pointer, *final* temp values, spill
@@ -93,7 +68,7 @@ pub fn compile_meta(
         let MetaVal::Static(o) = t else {
             // A runtime value cannot be pushed before the body that
             // loads it has run; no current opcode produces this.
-            return Err(MetaRefusal::new("runtime value in a temp slot"));
+            return Err(CompileError::Unsupported("runtime value in a temp slot"));
         };
         ir.push(Ir::MovImm { dst: t_mat, imm: o.0 });
         ir.push(Ir::Push { src: t_mat });
@@ -134,7 +109,7 @@ pub fn compile_meta(
         }
         StepOutcome::MessageSend { selector, receiver, args } => {
             if args.len() > 3 {
-                return Err(MetaRefusal::new("send arity above the convention's registers"));
+                return Err(CompileError::Unsupported("send arity above the convention's registers"));
             }
             // Arguments first (their targets are never runtime-value
             // homes), receiver last (its target may *be* a pending
@@ -158,22 +133,20 @@ pub fn compile_meta(
                 Selector::MustBeBoolean => MUST_BE_BOOLEAN_SELECTOR,
                 Selector::Literal(MetaVal::Static(o)) => o.0,
                 Selector::Literal(MetaVal::Dyn(_)) => {
-                    return Err(MetaRefusal::new("runtime selector value"));
+                    return Err(CompileError::Unsupported("runtime selector value"));
                 }
             };
             ir.push(Ir::Send { selector_id });
         }
         StepOutcome::InvalidFrame => {
-            return Err(MetaRefusal::new("frame shape traps in the interpreter"));
+            return Err(CompileError::Unsupported("frame shape traps in the interpreter"));
         }
         StepOutcome::InvalidMemoryAccess => {
-            return Err(MetaRefusal::new("decided memory fault"));
+            return Err(CompileError::Unsupported("decided memory fault"));
         }
-        StepOutcome::Unsupported { reason } => return Err(MetaRefusal::new(reason)),
+        StepOutcome::Unsupported { reason } => return Err(CompileError::Unsupported(reason)),
     }
 
-    let code = backend::lower(&ir, isa).map_err(|e| MetaRefusal::new(e.to_string()))?;
-    Ok(MetaArtifact {
-        code: CompiledCode { code, isa, ntemps: mframe.temps.len() as u32 },
-    })
+    let code = backend::lower(&ir, isa)?;
+    Ok(CompiledCode { code, isa, ntemps: mframe.temps.len() as u32 })
 }

@@ -16,10 +16,15 @@
 //! receiver is dynamic), records heap accesses as `Load`/`Store` IR,
 //! and decides the instruction's exit statically. Whatever the
 //! evaluator cannot decide without consulting runtime heap state
-//! *refuses* instead of guessing — the differential campaign then
-//! routes that (instruction, frame) through an interpreter trampoline,
-//! keeping the tier total from day one while coverage is reported per
-//! run.
+//! *refuses* ([`igjit_jit::CompileError::Unsupported`]) instead of
+//! guessing — the differential campaign then routes that (instruction,
+//! frame) through an interpreter trampoline, keeping the tier total
+//! from day one while coverage is reported per run.
+//!
+//! The crate keeps no cache of its own. A meta-compiled test method is
+//! a pure function of the same inputs as a hand-written tier's, so the
+//! campaign looks it up in its one [`igjit_jit::CodeCache`], under a
+//! key whose front-end is [`igjit_jit::FrontEnd::Meta`].
 //!
 //! ## Example: meta-compile `Add` for a concrete frame
 //!
@@ -33,23 +38,21 @@
 //! let mem = ObjectMemory::new();
 //! let mut frame = Frame::new(Oop::from_small_int(0), MethodInfo::empty());
 //! frame.stack = vec![Oop::from_small_int(20), Oop::from_small_int(22)];
-//! let artifact = compile_meta(
+//! let code = compile_meta(
 //!     Instruction::Add, &frame,
 //!     mem.nil(), mem.true_object(), mem.false_object(),
 //!     Isa::X86ish,
 //! ).expect("int + int folds");
-//! assert!(!artifact.code.code.is_empty());
+//! assert!(!code.code.is_empty());
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-mod cache;
 mod compile;
 mod eval;
 
-pub use cache::MetaCache;
-pub use compile::{compile_meta, MetaArtifact, MetaRefusal};
+pub use compile::compile_meta;
 pub use eval::MetaVal;
 
 /// Compile-time source fingerprint (see `igjit-corpus`).

@@ -8,7 +8,6 @@
 /// Every source file baked into [`SOURCE_FINGERPRINT`], sorted,
 /// relative to `src/`.
 pub const SRC_FILES: &[&str] = &[
-    "cache.rs",
     "compile.rs",
     "eval.rs",
     "lib.rs",
@@ -16,7 +15,6 @@ pub const SRC_FILES: &[&str] = &[
 ];
 
 const SRC_BYTES: &[&[u8]] = &[
-    include_bytes!("cache.rs"),
     include_bytes!("compile.rs"),
     include_bytes!("eval.rs"),
     include_bytes!("lib.rs"),

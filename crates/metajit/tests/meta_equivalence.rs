@@ -209,7 +209,7 @@ fn check(
     // Meta side: compile against a bit-identical environment.
     let mut env_m = build_env();
     let frame_m = make_frame(recv_d, stack_d, temps_d, &env_m);
-    let artifact = match compile_meta(
+    let meta = match compile_meta(
         instr,
         &frame_m,
         env_m.mem.nil(),
@@ -224,10 +224,10 @@ fn check(
     let _seal_m = env_m.mem.seal();
 
     let conv = Convention::for_isa(isa);
-    let frame_bytes = 4 * artifact.code.ntemps + SPILL_BYTES;
-    let ntemps = artifact.code.ntemps;
+    let frame_bytes = 4 * meta.ntemps + SPILL_BYTES;
+    let ntemps = meta.ntemps;
     let mut session = MachineSession::new();
-    let mut m = Machine::with_session(&mut env_m.mem, isa, &artifact.code.code, &mut session);
+    let mut m = Machine::with_session(&mut env_m.mem, isa, &meta.code, &mut session);
     m.set_reg(conv.receiver, frame_m.receiver.0);
     let machine_out = m.run(MachineConfig::default());
     match machine_out {

@@ -8,7 +8,7 @@ use igjit_heap::ObjectMemory;
 use igjit_jit::native::igjit_bytecode_native_id::NativeMethodIdLike;
 use igjit_jit::{
     compile_bytecode_sequence_test, compile_native_test, BytecodeTestInput, CodeCache,
-    CompileError, CompileKeyRef, CompiledCode, NativeTestInput,
+    CompileError, CompileKeyRef, CompiledCode, FrontEnd, NativeTestInput,
 };
 
 const BOTH: [Isa; 2] = [Isa::X86ish, Isa::Arm32ish];
@@ -79,7 +79,7 @@ fn cached_bytecode_artifacts_are_byte_identical_to_fresh_compiles() {
     for kind in CompilerKind::ALL {
         for isa in BOTH {
             let key = CompileKeyRef::Bytecode {
-                kind,
+                front_end: FrontEnd::Tier(kind),
                 isa,
                 instrs: &[Instruction::Add],
                 stack: &stack,
