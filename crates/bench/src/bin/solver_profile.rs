@@ -99,7 +99,6 @@ fn measure(rounds: usize, path: &[Constraint], hypothesis: &Constraint) -> f64 {
         let t0 = Instant::now();
         for _ in 0..SOLVES_PER_ROUND {
             let _ = std::hint::black_box(s.solve_under_prepared(&prepared));
-            s.clear_cached_model();
         }
         best = best.min(t0.elapsed());
     }
@@ -155,13 +154,11 @@ fn main() {
     let p = PreparedConstraint::new(sat);
     for _ in 0..SOLVES_PER_ROUND {
         let _ = s.solve_under_prepared(&p);
-        s.clear_cached_model();
     }
     let ts = s.trail_stats();
     outln!(
-        "trail stats over {SOLVES_PER_ROUND} SAT solves: {} marks, {} ops undone, \
-         pool {}/{} hit/miss",
-        ts.trail_marks, ts.undone_ops, ts.pool_hits, ts.pool_misses
+        "trail stats over {SOLVES_PER_ROUND} SAT solves: {} marks, {} ops undone",
+        ts.trail_marks, ts.undone_ops
     );
 }
 

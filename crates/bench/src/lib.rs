@@ -200,15 +200,11 @@ pub fn print_metrics_summary(total: &Metrics) {
         total.solver.rebuilds,
         total.solver.max_depth,
     );
-    if total.trail.trail_marks + total.trail.pool_hits + total.trail.pool_misses > 0 {
+    if total.trail.trail_marks > 0 {
         outln!(
-            "trail: {} scope marks, {} ops unwound, \
-             model pool {} hits / {} misses ({:.1}% hit rate)",
+            "trail: {} scope marks, {} ops unwound",
             total.trail.trail_marks,
             total.trail.undone_ops,
-            total.trail.pool_hits,
-            total.trail.pool_misses,
-            100.0 * total.trail.pool_hit_rate(),
         );
     }
 }

@@ -12,7 +12,7 @@ use igjit_heap::{ObjectMemory, Oop};
 use igjit_interp::{
     run_native, step, NativeMethodId, NativeOutcome, Selector, StepOutcome,
 };
-use igjit_solver::{Constraint, Model, Session, SessionStats, SolveError, TrailStats, VarId};
+use igjit_solver::{Constraint, Model, Session, SessionStats, SolveError, TrailStats};
 
 use crate::materialize::{materialize_frame, MaterializedFrame};
 use crate::pathkey::{PathIndex, PathKey};
@@ -122,20 +122,6 @@ impl PathOutcome {
     }
 }
 
-/// Snapshot of one input object after the instruction ran (for
-/// side-effect comparison).
-#[derive(Clone, PartialEq, Debug)]
-pub struct ObjectDump {
-    /// The input variable this object materialized.
-    pub var: igjit_solver::VarId,
-    /// Its oop in the exploration heap.
-    pub oop: Oop,
-    /// Pointer slots after execution (empty for non-pointer formats).
-    pub slots: Vec<Oop>,
-    /// Bytes after execution (empty for non-byte formats).
-    pub bytes: Vec<u8>,
-}
-
 /// One fully-explored execution path of an instruction.
 #[derive(Clone, Debug)]
 pub struct ExploredPath {
@@ -147,12 +133,6 @@ pub struct ExploredPath {
     pub model: Model,
     /// The §3.4 exit (with payloads).
     pub outcome: PathOutcome,
-    /// Operand stack after execution (oracle output).
-    pub output_stack: Vec<Oop>,
-    /// Temps after execution.
-    pub output_temps: Vec<Oop>,
-    /// Post-state of every materialized input object.
-    pub object_dumps: Vec<ObjectDump>,
 }
 
 /// Why a discovered path was excluded by curation (§5.2).
@@ -181,8 +161,8 @@ pub struct ExplorationResult {
     /// Work counters of the incremental solver session that drove the
     /// negation-tree walk.
     pub solver: SessionStats,
-    /// Undo-trail and buffer-pool counters of the same sessions (marks,
-    /// clones avoided, pool traffic) — bookkeeping, kept apart from the
+    /// Undo-trail counters of the same sessions (scope marks and the
+    /// narrowings they unwound) — bookkeeping, kept apart from the
     /// answer counters in [`ExplorationResult::solver`].
     pub trail: TrailStats,
     /// Precomputed kind-probe models, aligned index-for-index with
@@ -222,15 +202,13 @@ impl ExplorationResult {
     /// [`ExplorationResult::solver`], so a campaign charging this
     /// exploration charges its probing too.
     /// One solver session serves every path: variables are synced and
-    /// hypotheses prepared once, each path's condition lives in its own
-    /// push/pop scope, and the cached model is cleared between paths so
-    /// no path's reuse can see another's model — keeping the models per
-    /// path exactly those of a fresh per-path session.
+    /// hypotheses prepared once, and each path's condition lives in its
+    /// own push/pop scope. Every probe is a fresh search, so the models
+    /// per path are exactly those of a fresh per-path session.
     pub fn attach_probe_models(&mut self, max_probes: usize) {
         let probe_t = Instant::now();
         let mut all = Vec::new();
         let mut session = Session::new();
-        session.set_reuse_models(true);
         session.sync_vars(self.state.specs());
         let plan = crate::probes::ProbePlan::new(&self.state);
         for path in self.curated_paths() {
@@ -246,7 +224,6 @@ impl ExplorationResult {
             let models =
                 crate::probes::probe_path(&mut session, &self.state, &plan, path, max_probes);
             session.pop();
-            session.clear_cached_model();
             all.push(models);
         }
         self.probe_models = all;
@@ -415,7 +392,7 @@ where
             }
             None => ObjectMemory::new(),
         };
-        let MaterializedFrame { mut frame, var_oops, .. } =
+        let MaterializedFrame { mut frame, .. } =
             materialize_frame(&mut self.state, &model, &mut mem);
         let (outcome, mut path) = {
             let mut ctx =
@@ -428,15 +405,10 @@ where
 
         let key = PathKey::new(&path, &outcome);
         let hash = key.hash_u64();
+        self.scratch = Some(mem);
         if self.visited.contains(&self.paths, hash, key) {
-            self.session.recycle_model(model);
-            self.scratch = Some(mem);
             return;
         }
-        // Snapshot outputs for the oracle.
-        let (output_stack, output_temps, object_dumps) =
-            snapshot_outputs(&frame, &mem, &var_oops);
-        self.scratch = Some(mem);
         if let PathOutcome::Unsupported { reason } = outcome {
             self.curated_out.push(CurationReason::Unsupported(reason));
         }
@@ -450,9 +422,6 @@ where
             constraints: path,
             model,
             outcome,
-            output_stack,
-            output_temps,
-            object_dumps,
         });
         // Children: negate each not-yet-negated suffix step of the
         // path just recorded. The recorded path extends the in-scope
@@ -475,40 +444,6 @@ where
             self.session.pop();
         }
     }
-}
-
-/// Snapshots a frame's oracle outputs: operand stack, temps and the
-/// post-state of every live materialized input object.
-fn snapshot_outputs(
-    frame: &igjit_interp::Frame<SymOop>,
-    mem: &ObjectMemory,
-    var_oops: &igjit_heap::fxhash::FxHashMap<VarId, Oop>,
-) -> (Vec<Oop>, Vec<Oop>, Vec<ObjectDump>) {
-    let output_stack: Vec<Oop> = frame.stack.iter().map(|s| s.concrete).collect();
-    let output_temps: Vec<Oop> = frame.temps.iter().map(|s| s.concrete).collect();
-    let mut object_dumps = Vec::new();
-    for (&var, &oop) in var_oops {
-        if !mem.is_live_object(oop) {
-            continue;
-        }
-        let slots = match mem.format_of(oop) {
-            Ok(f) if f.has_pointer_slots() => {
-                let n = mem.element_count(oop).unwrap_or(0);
-                (0..n).filter_map(|i| mem.fetch_pointer(oop, i).ok()).collect()
-            }
-            _ => Vec::new(),
-        };
-        let bytes = match mem.format_of(oop) {
-            Ok(f) if f.is_bytes() => {
-                let n = mem.byte_count(oop).unwrap_or(0);
-                (0..n).filter_map(|i| mem.fetch_byte(oop, i).ok()).collect()
-            }
-            _ => Vec::new(),
-        };
-        object_dumps.push(ObjectDump { var, oop, slots, bytes });
-    }
-    object_dumps.sort_by_key(|d| d.var);
-    (output_stack, output_temps, object_dumps)
 }
 
 /// Runs `instrs` in order on the concolic context: the first exit that
@@ -568,11 +503,30 @@ fn convert_native(outcome: NativeOutcome<SymOop>) -> PathOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use igjit_heap::fxhash::FxHashMap;
     use igjit_interp::ExitCondition;
-    use igjit_solver::solve;
+    use igjit_solver::{solve, VarId};
 
     fn explore_bytecode(i: Instruction) -> ExplorationResult {
         Explorer::new().explore(InstrUnderTest::Bytecode(i))
+    }
+
+    /// Re-runs `p` on a fresh heap, the way the walk ran it, and
+    /// returns the operand stack it leaves, the heap and the oop each
+    /// input variable materialized to.
+    fn rerun(
+        r: &ExplorationResult,
+        p: &ExploredPath,
+        instrs: &[Instruction],
+    ) -> (Vec<Oop>, ObjectMemory, FxHashMap<VarId, Oop>) {
+        let mut state = r.state.clone();
+        let mut mem = ObjectMemory::new();
+        let MaterializedFrame { mut frame, var_oops, .. } =
+            materialize_frame(&mut state, &p.model, &mut mem);
+        let mut ctx = crate::trace::ConcolicContext::new(&mut mem, &mut state, frame.depth());
+        assert_eq!(run_sequence(&mut ctx, &mut frame, instrs), p.outcome);
+        let stack = frame.stack.iter().map(|s| s.concrete).collect();
+        (stack, mem, var_oops)
     }
 
     fn exits(r: &ExplorationResult) -> Vec<ExitCondition> {
@@ -608,7 +562,7 @@ mod tests {
         let r = explore_bytecode(Instruction::Add);
         let has_float_success = r.paths.iter().any(|p| {
             matches!(p.outcome, PathOutcome::Success)
-                && p.output_stack.last().is_some_and(|v| v.is_pointer())
+                && rerun(&r, p, &[Instruction::Add]).0.last().is_some_and(|v| v.is_pointer())
         });
         assert!(has_float_success, "float+float inlined path not explored");
     }
@@ -621,12 +575,9 @@ mod tests {
         assert!(ex.contains(&ExitCondition::Success), "{ex:?}");
         // The success path must have a receiver with >= 2 slots.
         let ok = r.paths.iter().find(|p| matches!(p.outcome, PathOutcome::Success)).unwrap();
-        let rcvr_dump = ok
-            .object_dumps
-            .iter()
-            .find(|d| d.var == r.state.receiver)
-            .expect("receiver dumped");
-        assert!(rcvr_dump.slots.len() >= 2, "{:?}", rcvr_dump.slots);
+        let (_, mem, var_oops) = rerun(&r, ok, &[Instruction::PushReceiverVariable(1)]);
+        let slots = mem.element_count(var_oops[&r.state.receiver]).unwrap();
+        assert!(slots >= 2, "{slots}");
     }
 
     #[test]
@@ -643,7 +594,7 @@ mod tests {
         let r = explore_bytecode(Instruction::PushTrue);
         assert_eq!(r.paths.len(), 1);
         assert!(matches!(r.paths[0].outcome, PathOutcome::Success));
-        assert_eq!(r.paths[0].output_stack.len(), 1);
+        assert_eq!(rerun(&r, &r.paths[0], &[Instruction::PushTrue]).0.len(), 1);
     }
 
     #[test]
@@ -706,14 +657,13 @@ mod tests {
     #[test]
     fn sequences_chain_constraints_across_instructions() {
         // push 2; push 3; Add; Pop — runs clean end to end.
-        let r = Explorer::new()
-            .explore_sequence(&[
-                Instruction::PushTwo,
-                Instruction::PushInteger(3),
-                Instruction::Add,
-                Instruction::Pop,
-            ])
-            .unwrap();
+        let seq = [
+            Instruction::PushTwo,
+            Instruction::PushInteger(3),
+            Instruction::Add,
+            Instruction::Pop,
+        ];
+        let r = Explorer::new().explore_sequence(&seq).unwrap();
         // Constants only: one success path, empty output stack.
         let successes: Vec<_> = r
             .paths
@@ -721,18 +671,17 @@ mod tests {
             .filter(|p| matches!(p.outcome, PathOutcome::Success))
             .collect();
         assert_eq!(successes.len(), 1, "{:?}", r.paths);
-        assert!(successes[0].output_stack.is_empty());
+        assert!(rerun(&r, successes[0], &seq).0.is_empty());
     }
 
     #[test]
     fn sequences_explore_operand_dependent_branches() {
         // [Add, Add]: the first Add's operands come from the frame;
         // paths must include double-success and first-add-sends.
-        let r = Explorer::new()
-            .explore_sequence(&[Instruction::Add, Instruction::Add])
-            .unwrap();
+        let seq = [Instruction::Add, Instruction::Add];
+        let r = Explorer::new().explore_sequence(&seq).unwrap();
         let has_full_success = r.paths.iter().any(|p| {
-            matches!(p.outcome, PathOutcome::Success) && p.output_stack.len() == 1
+            matches!(p.outcome, PathOutcome::Success) && rerun(&r, p, &seq).0.len() == 1
         });
         let has_send = r
             .paths

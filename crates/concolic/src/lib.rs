@@ -69,7 +69,7 @@ pub use cache::{CacheLookup, ExplorationCache, ExplorationKey};
 pub use pathkey::PathKey;
 pub use probes::{probe_models, DEFAULT_MAX_PROBES};
 pub use explore::{CurationReason, ExplorationResult, ExploreError, Explorer, ExploredPath,
-                  InstrUnderTest, ObjectDump, PathOutcome, SendRecord};
+                  InstrUnderTest, PathOutcome, SendRecord};
 pub use materialize::{materialize_base, materialize_frame, materialize_shared,
                       materialize_shared_into, BaseImage, MaterializedFrame, WitnessError};
 pub use state::{byte_kinds, class_for_kind, kind_for_class, pointer_slot_kinds, AbstractState,

@@ -229,9 +229,6 @@ mod tests {
             constraints,
             model: Model::from_assignments(Vec::new()),
             outcome,
-            output_stack: Vec::new(),
-            output_temps: Vec::new(),
-            object_dumps: Vec::new(),
         }
     }
 

@@ -135,17 +135,15 @@ impl ProbePlan {
 /// Probes one path through a caller-provided session whose current
 /// scope holds no constraints yet. The path condition is asserted
 /// into that scope, so batching callers wrap each call in push/pop
-/// (plus [`Session::clear_cached_model`]) and pay variable sync and
-/// constraint normalization once per exploration instead of once per
-/// path — returning, by the session determinism contract, exactly
-/// what the fresh-session [`probe_models`] returns.
+/// and pay variable sync and constraint normalization once per
+/// exploration instead of once per path — returning, by the session
+/// determinism contract, exactly what the fresh-session
+/// [`probe_models`] returns.
 ///
-/// Model reuse is safe here: a revalidated model satisfies the path
-/// condition *and* the hypothesis, so it drives the interpreter down
-/// the same recorded path with the hypothesized operand kind — the
-/// only scenario reuse can produce is a model an earlier hypothesis
-/// already generated, and duplicate models yield duplicate verdicts
-/// that the cause sets dedup.
+/// Each hypothesis is a fresh search over the path condition plus the
+/// hypothesis, so a probe model is a function of those constraints
+/// alone, whatever the other hypotheses of the path are or the order
+/// they are tried in.
 pub(crate) fn probe_path(
     session: &mut Session,
     state: &AbstractState,
@@ -216,7 +214,6 @@ pub(crate) fn probe_path(
 /// is always first.
 pub fn probe_models(state: &AbstractState, path: &ExploredPath, max_probes: usize) -> Vec<Model> {
     let mut session = Session::new();
-    session.set_reuse_models(true);
     let plan = ProbePlan::new(state);
     probe_path(&mut session, state, &plan, path, max_probes)
 }
@@ -225,8 +222,9 @@ pub fn probe_models(state: &AbstractState, path: &ExploredPath, max_probes: usiz
 mod tests {
     use super::*;
     use crate::{Explorer, InstrUnderTest, PathOutcome};
-    use igjit_interp::NativeMethodId;
-    use igjit_solver::solve;
+    use igjit_bytecode::instruction_catalog;
+    use igjit_interp::{native_catalog, NativeMethodId};
+    use igjit_solver::check_model;
 
     #[test]
     fn as_float_probes_produce_pointer_receivers() {
@@ -256,21 +254,32 @@ mod tests {
 
     #[test]
     fn probes_respect_path_constraints() {
-        // For a path that *requires* a SmallInt operand, probing that
-        // operand is unsatisfiable and produces no variant with a
-        // violated constraint.
-        let r = Explorer::new().explore(InstrUnderTest::Native(NativeMethodId(1)));
-        for path in r.curated_paths() {
-            let models = probe_models(&r.state, path, 6);
-            for m in &models {
+        // Every probe model satisfies its path's recorded condition and
+        // the variables' domains, over every curated path of the
+        // catalog: it drives the interpreter down the same path with a
+        // differently-typed or -signed operand. The base model (index
+        // 0) is the walk's own and is not a probe.
+        let instrs = instruction_catalog()
+            .into_iter()
+            .map(|spec| InstrUnderTest::Bytecode(spec.instruction))
+            .chain(native_catalog().into_iter().map(|spec| InstrUnderTest::Native(spec.id)));
+        let mut checked = 0;
+        for instr in instrs {
+            let r = Explorer::new().explore(instr);
+            for path in r.curated_paths() {
                 let problem = r.state.problem_with(&path.constraints);
-                // Quick satisfiability sanity: the path constraints
-                // must still be solvable (the model itself came from
-                // them plus hypotheses).
-                assert!(solve(&problem).is_ok());
-                let _ = m;
+                let models = probe_models(&r.state, path, DEFAULT_MAX_PROBES);
+                for (i, m) in models.iter().enumerate().skip(1) {
+                    assert!(
+                        check_model(&problem, m),
+                        "{instr:?}: probe {i} violates {:?}: {m:?}",
+                        path.constraints
+                    );
+                    checked += 1;
+                }
             }
         }
+        assert!(checked > 0, "the catalog has probe models to check");
     }
 
     #[test]

@@ -141,8 +141,7 @@ pub struct Metrics {
     /// probing.
     pub solver: SessionStats,
     /// Undo-trail solver counters, summed the same way: scope marks
-    /// taken, trail ops unwound, store clones the trail replaced, and
-    /// model-pool traffic.
+    /// taken and the narrowings they unwound.
     pub trail: TrailStats,
     /// Models whose materialization hit an unrealizable witness and
     /// were reported as test errors instead of compared.
@@ -248,10 +247,9 @@ impl Metrics {
                 "\"compile_cache\":{{\"hits\":{},\"misses\":{},\"hit_rate\":{:.4}}},",
                 "\"corpus\":{{\"hits\":{},\"misses\":{}}},",
                 "\"solver\":{{\"solves\":{},\"sat\":{},\"unsat\":{},\"nodes_visited\":{},",
-                "\"propagation_reuse\":{},\"rebuilds\":{},\"model_reuse\":{},",
+                "\"propagation_reuse\":{},\"rebuilds\":{},",
                 "\"pushes\":{},\"max_depth\":{}}},",
-                "\"trail\":{{\"marks\":{},\"undone_ops\":{},",
-                "\"pool_hits\":{},\"pool_misses\":{},\"pool_hit_rate\":{:.4}}},",
+                "\"trail\":{{\"marks\":{},\"undone_ops\":{}}},",
                 "\"snapshot\":{{\"seals\":{},\"restores\":{},\"dirty_words\":{},",
                 "\"dirty_hist\":[{}]}},",
                 "\"stage_clock\":{{\"checks\":{},\"sampled_checks\":{},\"clock_reads\":{}}},",
@@ -276,14 +274,10 @@ impl Metrics {
             self.solver.nodes_visited,
             self.solver.propagation_reuse,
             self.solver.rebuilds,
-            self.solver.model_reuse,
             self.solver.pushes,
             self.solver.max_depth,
             self.trail.trail_marks,
             self.trail.undone_ops,
-            self.trail.pool_hits,
-            self.trail.pool_misses,
-            self.trail.pool_hit_rate(),
             self.snapshot.seals,
             self.snapshot.restores,
             self.snapshot.dirty_words,
@@ -1034,10 +1028,10 @@ mod tests {
         assert!(j.contains("\"corpus\":{\"hits\":0,\"misses\":0}"));
         assert!(j.contains("\"progress\":"));
         assert!(j.contains("\"stages_max_ms\""));
-        assert!(j.contains("\"solver\""));
+        assert!(j.contains("\"trail\":{\"marks\":0,\"undone_ops\":0}"));
         assert!(j.contains(
-            "\"trail\":{\"marks\":0,\"undone_ops\":0,\"pool_hits\":0,\
-             \"pool_misses\":0,\"pool_hit_rate\":0.0000}"
+            "\"solver\":{\"solves\":0,\"sat\":0,\"unsat\":0,\"nodes_visited\":0,\
+             \"propagation_reuse\":0,\"rebuilds\":0,\"pushes\":0,\"max_depth\":0}"
         ));
         assert_eq!(j.matches('{').count(), j.matches('}').count());
     }

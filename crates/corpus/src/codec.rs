@@ -21,7 +21,7 @@ use crate::wire::{Decoder, Encoder, WireError};
 use igjit_bytecode::{Instruction, MethodHeader, SpecialSelector};
 use igjit_concolic::{
     AbstractState, CurationReason, ExplorationResult, ExploredPath, InstrUnderTest, ObjShape,
-    ObjectDump, PathOutcome, SendRecord, VarRole,
+    PathOutcome, SendRecord, VarRole,
 };
 use igjit_difftest::{
     CauseKey, DefectCategory, Difference, DifferenceKind, InstructionOutcome, PathVerdict,
@@ -32,8 +32,8 @@ use igjit_interp::NativeMethodId;
 use igjit_jit::{CompileError, CompileKey, CompiledCode, CompilerKind, FrontEnd};
 use igjit_machine::Isa;
 use igjit_solver::{
-    Assignment, CmpOp, Constraint, FloatTerm, Kind, KindSet, LinExpr, Model, SessionStats,
-    SolveError, VarId, VarSpec,
+    Assignment, CmpOp, Constraint, FloatTerm, Kind, KindSet, LinExpr, Model, SolveError, VarId,
+    VarSpec,
 };
 use std::borrow::Cow;
 
@@ -386,37 +386,6 @@ impl Wire for SolveError {
     }
 }
 
-impl Wire for SessionStats {
-    fn enc(&self, e: &mut Encoder) {
-        for v in [
-            self.solves,
-            self.sat,
-            self.unsat,
-            self.nodes_visited,
-            self.propagation_reuse,
-            self.rebuilds,
-            self.model_reuse,
-            self.pushes,
-            self.max_depth,
-        ] {
-            e.usize(v);
-        }
-    }
-    fn dec(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(SessionStats {
-            solves: d.usize()?,
-            sat: d.usize()?,
-            unsat: d.usize()?,
-            nodes_visited: d.usize()?,
-            propagation_reuse: d.usize()?,
-            rebuilds: d.usize()?,
-            model_reuse: d.usize()?,
-            pushes: d.usize()?,
-            max_depth: d.usize()?,
-        })
-    }
-}
-
 // ------------------------------------------------------- heap / machine
 
 impl Wire for Oop {
@@ -562,32 +531,12 @@ impl Wire for PathOutcome {
     }
 }
 
-impl Wire for ObjectDump {
-    fn enc(&self, e: &mut Encoder) {
-        self.var.enc(e);
-        self.oop.enc(e);
-        self.slots.enc(e);
-        self.bytes.enc(e);
-    }
-    fn dec(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(ObjectDump {
-            var: VarId::dec(d)?,
-            oop: Oop::dec(d)?,
-            slots: Vec::dec(d)?,
-            bytes: Vec::dec(d)?,
-        })
-    }
-}
-
 impl Wire for ExploredPath {
     fn enc(&self, e: &mut Encoder) {
         self.instruction.enc(e);
         self.constraints.enc(e);
         self.model.enc(e);
         self.outcome.enc(e);
-        self.output_stack.enc(e);
-        self.output_temps.enc(e);
-        self.object_dumps.enc(e);
     }
     fn dec(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok(ExploredPath {
@@ -595,9 +544,6 @@ impl Wire for ExploredPath {
             constraints: Vec::dec(d)?,
             model: Model::dec(d)?,
             outcome: PathOutcome::dec(d)?,
-            output_stack: Vec::dec(d)?,
-            output_temps: Vec::dec(d)?,
-            object_dumps: Vec::dec(d)?,
         })
     }
 }
@@ -687,7 +633,6 @@ impl Wire for ExplorationResult {
         self.curated_out.enc(e);
         self.state.enc(e);
         e.usize(self.iterations);
-        self.solver.enc(e);
         self.probe_models.enc(e);
     }
     fn dec(d: &mut Decoder<'_>) -> Result<Self, WireError> {
@@ -696,11 +641,12 @@ impl Wire for ExplorationResult {
             curated_out: Vec::dec(d)?,
             state: AbstractState::dec(d)?,
             iterations: d.usize()?,
-            solver: SessionStats::dec(d)?,
             probe_models: Vec::dec(d)?,
-            // Timings and trail counters are run diagnostics, not
-            // results: a corpus hit costs no walk, probe or trail
-            // work, so they are not on the wire.
+            // Timings and solver and trail counters are run
+            // diagnostics, not results: a preloaded exploration is
+            // always a cache hit, which charges no walk, probe, solve
+            // or trail work, so they are not on the wire.
+            solver: igjit_solver::SessionStats::default(),
             trail: igjit_solver::TrailStats::default(),
             walk_run: std::time::Duration::ZERO,
             probe_solve: std::time::Duration::ZERO,
@@ -1043,9 +989,7 @@ impl Wire for InstructionOutcome {
         self.instruction.enc(e);
         e.usize(self.paths_found);
         e.usize(self.curated);
-        self.curated_out.enc(e);
         self.verdicts.enc(e);
-        e.usize(self.explore_iterations);
         e.usize(self.witness_errors);
         e.usize(self.oracle_panics);
         self.snapshot.enc(e);
@@ -1057,9 +1001,7 @@ impl Wire for InstructionOutcome {
             instruction: InstrUnderTest::dec(d)?,
             paths_found: d.usize()?,
             curated: d.usize()?,
-            curated_out: Vec::dec(d)?,
             verdicts: Vec::dec(d)?,
-            explore_iterations: d.usize()?,
             witness_errors: d.usize()?,
             oracle_panics: d.usize()?,
             snapshot: SnapshotStats::dec(d)?,

@@ -58,8 +58,11 @@ pub const MAGIC: [u8; 4] = *b"IGJC";
 /// Format version; any skew degrades to cold. v2: engine v9 adds the
 /// meta tier (`Target::MetaCompiled` wire tag 2, meta run counters on
 /// `InstructionOutcome`). v3: section checksums hash u64 words
-/// ([`crate::wire::checksum`]) instead of single bytes.
-pub const VERSION: u16 = 3;
+/// ([`crate::wire::checksum`]) instead of single bytes. v4: explored
+/// paths drop their output snapshots, explorations their solver
+/// counters and instruction outcomes their curation records and
+/// iteration counts.
+pub const VERSION: u16 = 4;
 
 /// Magic, version and section count.
 const FILE_HEADER: usize = 7;

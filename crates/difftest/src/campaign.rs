@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use igjit_concolic::{CacheLookup, CurationReason, ExplorationCache, InstrUnderTest};
+use igjit_concolic::{CacheLookup, ExplorationCache, InstrUnderTest};
 use igjit_jit::{CodeCache, CompilerKind};
 use igjit_machine::Isa;
 
@@ -97,12 +97,8 @@ pub struct InstructionOutcome {
     pub paths_found: usize,
     /// Paths surviving curation (§5.2).
     pub curated: usize,
-    /// Curation records (why paths/prefixes were excluded).
-    pub curated_out: Vec<CurationReason>,
     /// One verdict per curated path.
     pub verdicts: Vec<PathVerdict>,
-    /// Solver/exploration iterations spent (for Fig. 6-style stats).
-    pub explore_iterations: usize,
     /// Models whose materialization produced an unrealizable witness
     /// (reported as test errors; their runs are skipped, not
     /// compared).
@@ -536,9 +532,7 @@ pub fn test_instruction_with(
         instruction: instr,
         paths_found: exploration.paths.len(),
         curated: curated.len(),
-        curated_out: exploration.curated_out.clone(),
         verdicts,
-        explore_iterations: exploration.iterations,
         witness_errors: 0,
         oracle_panics: 0,
         snapshot: SnapshotStats::default(),

@@ -61,16 +61,9 @@ pub use session::{PreparedConstraint, Session, SessionStats};
 /// Checks that `model` satisfies every constraint of `problem` and
 /// every variable's initial domain — the solver's soundness contract,
 /// used by the property tests and available to callers that want to
-/// validate cached models.
+/// validate a model they hold.
 pub fn check_model(problem: &Problem, model: &Model) -> bool {
-    check_model_parts(problem.specs(), problem.constraints(), model)
-}
-
-/// [`check_model`] over borrowed specs and constraints, for callers
-/// (like the incremental [`Session`]) that keep the parts separately
-/// and should not have to clone them into a [`Problem`] per check.
-pub fn check_model_parts(specs: &[VarSpec], constraints: &[Constraint], model: &Model) -> bool {
-    for (i, spec) in specs.iter().enumerate() {
+    for (i, spec) in problem.specs().iter().enumerate() {
         let v = VarId(i as u32);
         if !spec.kinds.contains(model.kind(v)) {
             return false;
@@ -80,7 +73,7 @@ pub fn check_model_parts(specs: &[VarSpec], constraints: &[Constraint], model: &
             return false;
         }
     }
-    constraints.iter().all(|c| constraint_holds(c, model))
+    problem.constraints().iter().all(|c| constraint_holds(c, model))
 }
 
 fn constraint_holds(c: &Constraint, model: &Model) -> bool {

@@ -18,32 +18,14 @@ pub struct Assignment {
 }
 
 /// A satisfying assignment for a [`Problem`](crate::Problem).
-#[derive(PartialEq, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct Model {
     assignments: Vec<Assignment>,
-}
-
-impl Clone for Model {
-    fn clone(&self) -> Model {
-        Model { assignments: self.assignments.clone() }
-    }
-
-    /// Reuses the destination's buffer (`Assignment` is `Copy`), so
-    /// per-solve model caching does not allocate once warm.
-    fn clone_from(&mut self, source: &Model) {
-        self.assignments.clone_from(&source.assignments);
-    }
 }
 
 impl Model {
     pub(crate) fn new(assignments: Vec<Assignment>) -> Model {
         Model { assignments }
-    }
-
-    /// Surrenders the assignment buffer for pooling (the
-    /// `Engine::recycle_model` path).
-    pub(crate) fn into_assignments(self) -> Vec<Assignment> {
-        self.assignments
     }
 
     /// Builds a model from explicit assignments (`VarId(0)` first).

@@ -258,7 +258,7 @@ enum TrailOp {
     Exclude { var: u32 },
 }
 
-/// Counters describing a session's undo-trail and buffer-pool work,
+/// Counters describing a session's undo-trail work,
 /// exposed through [`crate::Session::trail_stats`] and merged into the
 /// campaign metrics. Kept apart from [`crate::SessionStats`], which
 /// count solver answers rather than bookkeeping.
@@ -269,13 +269,6 @@ pub struct TrailStats {
     pub trail_marks: usize,
     /// Individual narrowings unwound across all scope exits.
     pub undone_ops: usize,
-    /// Recycled-buffer reuses: leaf assignment vectors drawn from the
-    /// retired-model pool and model copies re-backed by a pooled
-    /// buffer.
-    pub pool_hits: usize,
-    /// The same paths when no retired buffer was available and a fresh
-    /// allocation was taken instead.
-    pub pool_misses: usize,
 }
 
 impl TrailStats {
@@ -283,18 +276,6 @@ impl TrailStats {
     pub fn merge(&mut self, other: &TrailStats) {
         self.trail_marks += other.trail_marks;
         self.undone_ops += other.undone_ops;
-        self.pool_hits += other.pool_hits;
-        self.pool_misses += other.pool_misses;
-    }
-
-    /// The buffer-pool hit rate in [0, 1] (0 when no pooled path ran).
-    pub fn pool_hit_rate(&self) -> f64 {
-        let total = self.pool_hits + self.pool_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.pool_hits as f64 / total as f64
-        }
     }
 }
 
@@ -327,18 +308,6 @@ impl Clone for Store {
             trail: Vec::new(),
             trail_on: false,
         }
-    }
-
-    /// Buffer-reusing copy: `Vec::clone_from` keeps the destination's
-    /// allocations, which is what makes [`Engine::clone_store`]'s
-    /// recycling pool worthwhile.
-    fn clone_from(&mut self, src: &Store) {
-        self.kinds.clone_from(&src.kinds);
-        self.lo.clone_from(&src.lo);
-        self.hi.clone_from(&src.hi);
-        self.excluded.clone_from(&src.excluded);
-        self.trail.clear();
-        self.trail_on = false;
     }
 }
 
@@ -446,10 +415,6 @@ pub(crate) struct Engine {
     ors: Vec<Vec<Constraint>>,
     floats: Vec<Constraint>,
     pub(crate) nodes_left: usize,
-    /// Retired [`Store`]s, recycled by [`Engine::clone_store`] so the
-    /// search's per-branch copies reuse their buffers instead of
-    /// re-allocating four vectors per node.
-    pool: Vec<Store>,
     /// Monotone counter bumped by every mutation that could stale the
     /// memoized interesting-roots mask (constraint list changes,
     /// variable growth, aliasing).
@@ -459,16 +424,13 @@ pub(crate) struct Engine {
     /// Per-root flag: some in-engine constraint mentions the root, so
     /// the search must branch on it rather than pin it at the leaf.
     interesting: Vec<bool>,
-    /// Trail-mode and pool work counters (see [`TrailStats`]).
+    /// Trail-mode work counters (see [`TrailStats`]).
     pub(crate) tstats: TrailStats,
     /// Scratch buffers for [`Engine::build_leaf`], recycled across
     /// solves so extracting a model does not allocate once warm.
     leaf_ints: Vec<i64>,
     leaf_kinds: Vec<Kind>,
     leaf_floats: Vec<f64>,
-    /// Retired assignment buffers ([`crate::Session::recycle_model`]),
-    /// reused by [`Engine::build_leaf`] for the models it returns.
-    apool: Vec<Vec<Assignment>>,
 }
 
 impl Engine {
@@ -482,7 +444,6 @@ impl Engine {
             ors: Vec::new(),
             floats: Vec::new(),
             nodes_left: 0,
-            pool: Vec::new(),
             generation: 1,
             interesting_gen: 0,
             interesting: Vec::new(),
@@ -490,38 +451,6 @@ impl Engine {
             leaf_ints: Vec::new(),
             leaf_kinds: Vec::new(),
             leaf_floats: Vec::new(),
-            apool: Vec::new(),
-        }
-    }
-
-    /// A copy of `src` drawn from the recycling pool when possible
-    /// (`clone_from` reuses the retired store's buffers).
-    pub(crate) fn clone_store(&mut self, src: &Store) -> Store {
-        match self.pool.pop() {
-            Some(mut s) => {
-                self.tstats.pool_hits += 1;
-                s.clone_from(src);
-                s
-            }
-            None => {
-                self.tstats.pool_misses += 1;
-                src.clone()
-            }
-        }
-    }
-
-    /// Retires a model's assignment buffer for [`Engine::build_leaf`]
-    /// reuse (bounded, to cap idle memory).
-    pub(crate) fn recycle_model(&mut self, m: Model) {
-        if self.apool.len() < 32 {
-            self.apool.push(m.into_assignments());
-        }
-    }
-
-    /// Retires a store into the pool (bounded, to cap idle memory).
-    pub(crate) fn recycle_store(&mut self, s: Store) {
-        if self.pool.len() < 32 {
-            self.pool.push(s);
         }
     }
 
@@ -797,9 +726,7 @@ impl Engine {
     /// on its own copy of the store.
     pub(crate) fn search(&mut self, mut store: Store) -> Option<Model> {
         let pending_ors: Vec<usize> = (0..self.ors.len()).collect();
-        let result = self.search_inner(&mut store, &pending_ors, 0);
-        self.recycle_store(store);
-        result
+        self.search_inner(&mut store, &pending_ors, 0)
     }
 
     /// The incremental session's search, from a store already at its
@@ -841,7 +768,7 @@ impl Engine {
             let disjuncts = std::mem::take(&mut self.ors[oi]);
             let mut result = None;
             for d in &disjuncts {
-                let mut child = self.clone_store(store);
+                let mut child = store.clone();
                 let saved = self.mark();
                 let ok = self.assert_into(d, &mut child).is_ok();
                 // Newly nested Ors get appended; include them in pending.
@@ -855,7 +782,6 @@ impl Engine {
                 } else {
                     None
                 };
-                self.recycle_store(child);
                 if r.is_some() {
                     result = r;
                     break;
@@ -903,13 +829,12 @@ impl Engine {
                     continue;
                 }
                 tried.push(v);
-                let mut child = self.clone_store(store);
+                let mut child = store.clone();
                 child.lo[i] = v;
                 child.hi[i] = v;
                 // The assignment moved `lo`/`hi` directly, which the
                 // suffix trick cannot see: re-propagate everything.
                 let r = self.search_inner(&mut child, &[], 0);
-                self.recycle_store(child);
                 if r.is_some() {
                     return r;
                 }
@@ -1060,9 +985,8 @@ impl Engine {
 
     /// Extracts a model at a search leaf. The integer/kind/float
     /// working vectors are engine-owned scratch (recycled across
-    /// solves) and the returned model's assignment buffer is drawn
-    /// from the [`Engine::recycle_model`] pool, so a warm SAT solve
-    /// allocates nothing here.
+    /// solves), so the returned model's assignment vector is the only
+    /// allocation here.
     fn build_leaf(&mut self, store: &Store) -> Option<Model> {
         let mut ints = std::mem::take(&mut self.leaf_ints);
         let mut kinds = std::mem::take(&mut self.leaf_kinds);
@@ -1132,26 +1056,15 @@ impl Engine {
             }
         }
         // Distinctness is structural; aliasing already validated.
-        let mut assignments = match self.apool.pop() {
-            Some(a) => {
-                self.tstats.pool_hits += 1;
-                a
-            }
-            None => {
-                self.tstats.pool_misses += 1;
-                Vec::new()
-            }
-        };
-        assignments.clear();
-        for (i, &kind) in kinds.iter().enumerate().take(n) {
-            let r = self.find(i as u32);
-            assignments.push(Assignment {
-                kind,
-                int: ints[r as usize],
-                float: float_vals[r as usize],
-                alias: r,
-            });
-        }
+        let assignments = kinds
+            .iter()
+            .enumerate()
+            .take(n)
+            .map(|(i, &kind)| {
+                let r = self.find(i as u32);
+                Assignment { kind, int: ints[r as usize], float: float_vals[r as usize], alias: r }
+            })
+            .collect();
         Some(Model::new(assignments))
     }
 

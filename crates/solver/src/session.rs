@@ -11,8 +11,11 @@
 //! Determinism contract: for any scope state, [`Session::solve`]
 //! returns exactly what [`crate::solve`] returns for a [`Problem`]
 //! holding the same variables and the same in-scope constraints in
-//! assertion order. The campaign's row-for-row reproducibility depends
-//! on this; the `session_equivalence` property test enforces it.
+//! assertion order. Every solve searches: a session remembers no
+//! earlier answer, so a model is a function of its constraints alone,
+//! never of the order in which sibling hypotheses were solved. The
+//! campaign's row-for-row reproducibility depends on this; the
+//! `session_equivalence` property test enforces it.
 
 use crate::constraint::{Constraint, VarId, VarSpec};
 use crate::error::SolveError;
@@ -21,7 +24,7 @@ use crate::search::{
     constraint_is_wide, solve_counted, spec_is_wide, Engine, EngineMark, NormPlan, SearchLimits,
     Store, TrailStats,
 };
-use crate::{check_model_parts, Problem};
+use crate::Problem;
 
 /// Counters describing the work an incremental [`Session`] performed,
 /// merged into the campaign metrics (`*.metrics.json`).
@@ -41,9 +44,6 @@ pub struct SessionStats {
     /// Solves that had to rebuild from scratch (an `ObjEq` entered a
     /// scope, forcing re-aliasing).
     pub rebuilds: usize,
-    /// Solves answered by revalidating the previous model
-    /// (only with [`Session::set_reuse_models`]).
-    pub model_reuse: usize,
     /// Total scopes pushed.
     pub pushes: usize,
     /// Deepest scope stack observed at a solve.
@@ -59,7 +59,6 @@ impl SessionStats {
         self.nodes_visited += other.nodes_visited;
         self.propagation_reuse += other.propagation_reuse;
         self.rebuilds += other.rebuilds;
-        self.model_reuse += other.model_reuse;
         self.pushes += other.pushes;
         self.max_depth = self.max_depth.max(other.max_depth);
     }
@@ -139,11 +138,6 @@ pub struct Session {
     /// variables are never popped).
     wide_specs: bool,
     limits: SearchLimits,
-    last_model: Option<Model>,
-    reuse_models: bool,
-    /// Retired models ([`Session::recycle_model`]) whose buffers back
-    /// the model-reuse fast path's returned copies.
-    model_pool: Vec<Model>,
     stats: SessionStats,
 }
 
@@ -176,48 +170,13 @@ impl Session {
             wide: 0,
             wide_specs: false,
             limits,
-            last_model: None,
-            reuse_models: false,
-            model_pool: Vec::new(),
             stats: SessionStats::default(),
         }
     }
 
-    /// The undo-trail and buffer-pool work counters.
+    /// The undo-trail work counters.
     pub fn trail_stats(&self) -> TrailStats {
         self.engine.tstats
-    }
-
-    /// Donates a model the caller is done with: its buffer re-backs
-    /// future model extractions and reuse-path copies, keeping the
-    /// solve → inspect → discard cycle allocation-free once warm.
-    pub fn recycle_model(&mut self, m: Model) {
-        if self.model_pool.len() < 32 {
-            self.model_pool.push(m);
-        } else {
-            self.engine.recycle_model(m);
-        }
-    }
-
-    /// Opt into answering solves by revalidating the previous model
-    /// against the in-scope constraints before searching.
-    ///
-    /// This is faster but intentionally **off** by default: a reused
-    /// model can differ from the one a fresh search would pick, which
-    /// would break the campaign's model-for-model reproducibility.
-    pub fn set_reuse_models(&mut self, on: bool) {
-        self.reuse_models = on;
-    }
-
-    /// Drops the model cached for [`Session::set_reuse_models`]
-    /// revalidation. Callers that batch several independent problems
-    /// through one session (scoped by push/pop) clear between batches
-    /// so a model from one problem can never answer the next — keeping
-    /// each batch's solves exactly what a fresh session would return.
-    pub fn clear_cached_model(&mut self) {
-        if let Some(m) = self.last_model.take() {
-            self.recycle_model(m);
-        }
     }
 
     /// Introduces a fresh variable. Variables are session-global: they
@@ -352,20 +311,6 @@ impl Session {
         if self.wide > 0 || self.wide_specs {
             return Err(SolveError::PrecisionExceeded);
         }
-        if self.reuse_models {
-            let hit = match &self.last_model {
-                Some(m) => {
-                    m.len() == self.specs.len()
-                        && check_model_parts(&self.specs, &self.constraints, m)
-                }
-                None => false,
-            };
-            if hit {
-                self.stats.model_reuse += 1;
-                self.stats.sat += 1;
-                return Ok(self.pooled_copy_of_last());
-            }
-        }
         if self.dirty {
             self.stats.rebuilds += 1;
             let (result, nodes) = solve_counted(&self.specs, &self.constraints, self.limits);
@@ -402,10 +347,10 @@ impl Session {
     }
 
     /// Solves the in-scope constraints plus `c` without leaving a
-    /// scope behind — observably identical (result, stats, cached
-    /// model) to `push(); assert(c); solve(); pop()`, by mirroring
-    /// `solve`'s exact branch order (wide gate → model-reuse
-    /// revalidation → dirty rebuild → conflict → incremental search).
+    /// scope behind — observably identical (result and stats) to
+    /// `push(); assert(c); solve(); pop()`, by mirroring `solve`'s
+    /// exact branch order (wide gate → dirty rebuild → conflict →
+    /// incremental search).
     ///
     /// The point is cost: the hypothesis is asserted straight into the
     /// live store and the search runs in place, with no scope
@@ -440,27 +385,6 @@ impl Session {
         self.stats.max_depth = self.stats.max_depth.max(self.scopes.len() + 1);
         if self.wide + usize::from(wide_c) > 0 || self.wide_specs {
             return Err(SolveError::PrecisionExceeded);
-        }
-        if self.reuse_models {
-            // Hypothesis first: it is one constraint and the usual
-            // reason reuse fails (a kind-probe sweep asks for a
-            // *different* kind than the cached model assigns), so
-            // checking it before the full in-scope conjunction
-            // short-circuits the common miss. Pure predicates —
-            // the reordering cannot change whether reuse fires.
-            let hit = match &self.last_model {
-                Some(m) => {
-                    m.len() == self.specs.len()
-                        && check_model_parts(&self.specs, std::slice::from_ref(c), m)
-                        && check_model_parts(&self.specs, &self.constraints, m)
-                }
-                None => false,
-            };
-            if hit {
-                self.stats.model_reuse += 1;
-                self.stats.sat += 1;
-                return Ok(self.pooled_copy_of_last());
-            }
         }
         if self.dirty || is_objeq {
             // Aliasing (or an already-stale engine) rebuilds from
@@ -526,55 +450,11 @@ impl Session {
 
     fn record(&mut self, result: Result<Model, SolveError>) -> Result<Model, SolveError> {
         match &result {
-            Ok(m) => {
-                self.stats.sat += 1;
-                // The cached model only ever feeds the reuse path; skip
-                // the per-solve clone when that path is off, and reuse
-                // the previous cache's allocations when it is on (a
-                // probe sweep records thousands of models here).
-                if self.reuse_models {
-                    match &mut self.last_model {
-                        Some(slot) => {
-                            self.engine.tstats.pool_hits += 1;
-                            slot.clone_from(m);
-                        }
-                        None => {
-                            let mut slot = self.pooled_model_slot();
-                            slot.clone_from(m);
-                            self.last_model = Some(slot);
-                        }
-                    }
-                }
-            }
+            Ok(_) => self.stats.sat += 1,
             Err(SolveError::Unsat) => self.stats.unsat += 1,
             Err(_) => {}
         }
         result
-    }
-
-    /// A retired model from the recycle pool, or a fresh one — counted
-    /// as a pool hit/miss either way.
-    fn pooled_model_slot(&mut self) -> Model {
-        match self.model_pool.pop() {
-            Some(m) => {
-                self.engine.tstats.pool_hits += 1;
-                m
-            }
-            None => {
-                self.engine.tstats.pool_misses += 1;
-                Model::default()
-            }
-        }
-    }
-
-    /// A copy of the cached model drawn from the recycle pool
-    /// (`clone_from` reuses the retired model's buffer, so a warm
-    /// reuse hit allocates nothing).
-    fn pooled_copy_of_last(&mut self) -> Model {
-        let mut out = self.pooled_model_slot();
-        let m = self.last_model.as_ref().expect("reuse hit was checked");
-        out.clone_from(m);
-        out
     }
 
     fn ensure_synced(&mut self) {
@@ -680,23 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn model_reuse_is_opt_in_and_validates() {
-        let mut s = Session::new();
-        let x = s.add_var(VarSpec::counter(100));
-        s.set_reuse_models(true);
-        s.assert(ge(x, 5));
-        let m1 = s.solve().unwrap();
-        // A weaker extra constraint the model already satisfies.
-        s.push_assert(ge(x, 1));
-        let m2 = s.solve().unwrap();
-        assert_eq!(m1, m2);
-        assert_eq!(s.stats().model_reuse, 1);
-        // A constraint the cached model violates forces a real solve.
-        s.push_assert(le(x, 2));
-        assert_eq!(s.solve(), Err(SolveError::Unsat));
-    }
-
-    #[test]
     fn stats_track_reuse_and_depth() {
         let mut s = Session::new();
         let x = s.add_var(VarSpec::counter(100));
@@ -720,14 +583,9 @@ mod tests {
     /// the first and through `solve_under` on the second, and asserts
     /// the results, the accumulated stats, and a follow-up solve all
     /// match exactly.
-    fn assert_solve_under_equivalent(
-        reuse_models: bool,
-        prefix: &[Constraint],
-        hypotheses: &[Constraint],
-    ) {
-        let build = |rm: bool| {
+    fn assert_solve_under_equivalent(prefix: &[Constraint], hypotheses: &[Constraint]) {
+        let build = || {
             let mut s = Session::new();
-            s.set_reuse_models(rm);
             let _ = s.add_var(VarSpec::counter(100));
             let _ = s.add_var(VarSpec::any());
             let _ = s.add_var(VarSpec::any());
@@ -737,15 +595,15 @@ mod tests {
             }
             s
         };
-        let mut quad = build(reuse_models);
-        let mut batched = build(reuse_models);
+        let mut quad = build();
+        let mut batched = build();
         for h in hypotheses {
             quad.push_assert(h.clone());
             let expected = quad.solve();
             quad.pop();
             let got = batched.solve_under(h);
-            assert_eq!(expected, got, "rm={reuse_models} {h:?}");
-            assert_eq!(quad.stats(), batched.stats(), "stats diverged: rm={reuse_models} {h:?}");
+            assert_eq!(expected, got, "{h:?}");
+            assert_eq!(quad.stats(), batched.stats(), "stats diverged: {h:?}");
         }
         // The sessions must be left in indistinguishable states.
         assert_eq!(quad.solve(), batched.solve());
@@ -770,9 +628,7 @@ mod tests {
             Constraint::Int(CmpOp::Lt, LinExpr::var(x), LinExpr::constant(1 << 60)), // wide
             ge(x, 7),
         ];
-        for reuse_models in [false, true] {
-            assert_solve_under_equivalent(reuse_models, &prefix, &hypotheses);
-        }
+        assert_solve_under_equivalent(&prefix, &hypotheses);
     }
 
     #[test]
@@ -787,9 +643,7 @@ mod tests {
             Constraint::kind_is(b, Kind::Array),
             Constraint::kind_is(b, Kind::Float), // unsat: aliased kinds
         ];
-        for reuse_models in [false, true] {
-            assert_solve_under_equivalent(reuse_models, &prefix, &hypotheses);
-        }
+        assert_solve_under_equivalent(&prefix, &hypotheses);
     }
 
     #[test]

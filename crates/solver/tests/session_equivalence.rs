@@ -232,34 +232,6 @@ proptest! {
         }
     }
 
-    /// Model reuse (`set_reuse_models`, the campaign's probe setting)
-    /// may answer with the previous model instead of the one a fresh
-    /// search picks; a reused answer must still satisfy the problem,
-    /// and every solve that did search must match scratch exactly.
-    #[test]
-    fn prop_model_reuse_answers_soundly(
-        path in proptest::collection::vec(arb_constraint(), 1..4),
-        hyps in proptest::collection::vec(arb_constraint(), 1..8)
-    ) {
-        let mut s = session();
-        s.set_reuse_models(true);
-        for c in &path {
-            s.push_assert(c.clone());
-        }
-        for h in &hyps {
-            let (problem, scratch) = scratch_under(&s, h);
-            let reused_before = s.stats().model_reuse;
-            let got = s.solve_under(h);
-            if s.stats().model_reuse > reused_before {
-                let model = got.as_ref().expect("a reused model is an answer");
-                prop_assert!(check_model(&problem, model), "reused model violates {:?}", h);
-                prop_assert!(scratch.is_ok(), "reuse answered an unsatisfiable problem");
-            } else {
-                prop_assert_eq!(&got, &scratch, "re-solve diverges on {:?}", h);
-            }
-        }
-    }
-
     /// The tree walk the explorer performs: solve a prefix, then for
     /// each suffix position push the negation of one step, solve, and
     /// pop — the session must match scratch at every node.
@@ -376,7 +348,6 @@ fn quadruple_loop_restores_cleanly() {
             s.assert(h.clone());
             assert_eq!(s.solve(), solve(&s.problem()), "diverged on {h:?}");
             s.pop();
-            s.clear_cached_model();
         }
     }
     assert_eq!(s.depth(), 0);

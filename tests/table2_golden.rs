@@ -109,7 +109,6 @@ fn assert_reports_identical(a: &[CampaignReport], b: &[CampaignReport]) {
             assert_eq!(x.instruction, y.instruction);
             assert_eq!(x.paths_found, y.paths_found);
             assert_eq!(x.curated, y.curated);
-            assert_eq!(x.curated_out, y.curated_out);
             assert_eq!(x.witness_errors, y.witness_errors);
             assert_eq!(x.oracle_panics, y.oracle_panics);
             assert_eq!(x.verdicts.len(), y.verdicts.len());
